@@ -85,16 +85,14 @@ def kfold_split(n_samples: int, k: int, seed: int) -> FoldPlan:
 _DATA: tuple[list[EventStream], np.ndarray] | None = None
 
 
-def _init_worker(streams: list[EventStream], labels: np.ndarray,
-                 limit_threads: bool) -> None:
+def _init_worker(streams: list[EventStream], labels: np.ndarray) -> None:
     global _DATA
     _DATA = (streams, labels)
-    if limit_threads:
-        try:
-            import threadpoolctl
-            threadpoolctl.threadpool_limits(1)
-        except ImportError:
-            pass
+    try:
+        import threadpoolctl
+        threadpoolctl.threadpool_limits(1)
+    except ImportError:
+        pass
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,13 @@ class FoldTask:
     settings: TrainSettings
     augment: AugmentSpec | None
     kind: str
-    fold: int
-    train_idx: tuple[int, ...]
-    val_idx: tuple[int, ...]
     param_seed: int
     train_seed: int
+    fold: int
+    train_idx: tuple[int, ...]
+    val_idx: tuple[int, ...]                  # the reported fold
+    # best-epoch selection fold (nested validation); None selects on val_idx
+    select_idx: tuple[int, ...] | None = None
     shuffled_eval_seed: int | None = None
     mask: int | None = None
 
@@ -122,18 +122,26 @@ def _run_fold(task: FoldTask) -> dict:
     val_tensors = voxelize_set([streams[i] for i in task.val_idx],
                                config.time_steps)
     val_labels = labels[list(task.val_idx)]
+    if task.select_idx is None:
+        sel_tensors, sel_labels = val_tensors, val_labels
+    else:
+        sel_tensors = voxelize_set([streams[i] for i in task.select_idx],
+                                   config.time_steps)
+        sel_labels = labels[list(task.select_idx)]
     params = init_params(config, task.param_seed, kind=task.kind)
     settings = replace(task.settings, seed=task.train_seed)
     try:
         result = train(config, params, train_streams, train_labels,
-                       val_tensors, val_labels, settings,
+                       sel_tensors, sel_labels, settings,
                        augment=task.augment, kind=task.kind)
     except TrainingDiverged as exc:
         raise BenchError(
             f"fold {task.fold}"
             + (f" (combination mask {task.mask})" if task.mask is not None else "")
             + f" failed: {exc}") from exc
-    if result.best_epoch < 0:  # zero-epoch run: report the initial parameters
+    # a zero-epoch run reports the initial parameters; a nested run scores
+    # the selected parameters on the untouched fold
+    if result.best_epoch < 0 or task.select_idx is not None:
         acc = accuracy(config, result.params, val_tensors, val_labels, task.kind)
     else:
         acc = result.best_val_acc
@@ -160,7 +168,7 @@ def _execute(tasks: list[FoldTask], streams, labels, jobs: int) -> list[dict]:
         finally:
             _DATA = None
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                             initargs=(streams, labels, True)) as pool:
+                             initargs=(streams, labels)) as pool:
         return list(pool.map(_run_fold, tasks))
 
 
@@ -219,8 +227,12 @@ def run_cv(streams: list[EventStream], labels: np.ndarray, config: NetworkConfig
     plan = kfold_split(len(streams), k, split_seed)
     tasks = []
     for fold in range(k):
+        select_idx = None
         if validation == "nested":
+            # train on k-2 folds, select the best epoch on the next fold,
+            # then report the untouched fold
             val_fold = (fold + 1) % k
+            select_idx = plan.folds[val_fold]
             train_idx = tuple(i for j, f in enumerate(plan.folds)
                               if j not in (fold, val_fold) for i in f)
         else:
@@ -228,16 +240,11 @@ def run_cv(streams: list[EventStream], labels: np.ndarray, config: NetworkConfig
         tasks.append(FoldTask(
             config=config, settings=settings, augment=augment, kind=kind,
             fold=fold, train_idx=train_idx, val_idx=plan.folds[fold],
-            param_seed=derive_seed(base_seed, fold, 0),
+            select_idx=select_idx, param_seed=derive_seed(base_seed, fold, 0),
             train_seed=derive_seed(base_seed, fold, 1),
             shuffled_eval_seed=derive_seed(base_seed, fold, 2)
             if eval_shuffled_bins else None))
-    if validation == "nested":
-        # train on k-2 folds, select the best epoch on the spare fold, then
-        # report the untouched fold
-        results = _run_nested(tasks, plan, streams, labels, jobs)
-    else:
-        results = _execute(tasks, streams, labels, jobs)
+    results = _execute(tasks, streams, labels, jobs)
     fold_acc = [r["accuracy"] for r in results]
     report = FoldReport(
         k=k, model_kind=kind, validation=validation, fold_acc=fold_acc,
@@ -250,41 +257,6 @@ def run_cv(streams: list[EventStream], labels: np.ndarray, config: NetworkConfig
         report.shuffled_fold_acc = [r["shuffled_accuracy"] for r in results]
         report.shuffled_mean_acc = float(np.mean(report.shuffled_fold_acc))
     return report
-
-
-def _run_nested(tasks: list[FoldTask], plan: FoldPlan, streams, labels,
-                jobs: int) -> list[dict]:
-    global _DATA
-    _DATA = (streams, labels)
-    try:
-        results = []
-        for task in tasks:
-            val_fold = (task.fold + 1) % plan.k
-            config = task.config
-            params = init_params(config, task.param_seed, kind=task.kind)
-            settings = replace(task.settings, seed=task.train_seed)
-            sel_tensors = voxelize_set([streams[i] for i in plan.folds[val_fold]],
-                                       config.time_steps)
-            sel_labels = labels[list(plan.folds[val_fold])]
-            try:
-                fit = train(config, params, [streams[i] for i in task.train_idx],
-                            labels[list(task.train_idx)], sel_tensors, sel_labels,
-                            replace(settings, seed=task.train_seed),
-                            augment=task.augment, kind=task.kind)
-            except TrainingDiverged as exc:
-                raise BenchError(f"fold {task.fold} failed: {exc}") from exc
-            test_tensors = voxelize_set([streams[i] for i in task.val_idx],
-                                        config.time_steps)
-            acc = accuracy(config, fit.params, test_tensors,
-                           labels[list(task.val_idx)], task.kind)
-            results.append({"fold": task.fold, "accuracy": float(acc),
-                            "best_epoch": fit.best_epoch,
-                            "epochs_run": len(fit.history),
-                            "train_size": len(task.train_idx),
-                            "val_size": len(task.val_idx)})
-        return results
-    finally:
-        _DATA = None
 
 
 # ---------------------------------------------------------------------------

@@ -89,10 +89,13 @@ def cmd_synth(args) -> int:
                           f"got {args.classes}")
     if args.samples_per_class < 1:
         raise SchemaError("--samples-per-class must be >= 1")
-    params = synth.SynthParams(
-        width=args.width, height=args.height, duration=args.duration,
-        events_per_sample=args.events,
-        templates=synth.DEFAULT_TEMPLATES[:args.classes])
+    try:
+        params = synth.SynthParams(
+            width=args.width, height=args.height, duration=args.duration,
+            events_per_sample=args.events,
+            templates=synth.DEFAULT_TEMPLATES[:args.classes])
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     out = Path(args.out if args.out is not None else "dataset")
     manifest = synth.write_dataset(out, params, args.samples_per_class,
                                    args.seed if args.seed is not None else 0)

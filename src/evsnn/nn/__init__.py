@@ -1,6 +1,6 @@
 from .surrogate import arctan_surrogate, arctan_surrogate_grad, heaviside
 from .network import (IF, SEW, Accumulator, AvgPool, Classifier, ConfigError, Conv2d,
-                      DenseTrace, ForwardTrace, GlobalPool, NetworkConfig,
+                      ForwardTrace, GlobalPool, NetworkConfig,
                       SynapticLayer, accumulate, backward, config_from_json,
                       config_to_json, dense_backward, dense_forward, fold_time,
                       forward, if_step, init_params, sew18, sew_tiny, softmax,
@@ -9,7 +9,7 @@ from .network import (IF, SEW, Accumulator, AvgPool, Classifier, ConfigError, Co
 __all__ = [
     "arctan_surrogate", "arctan_surrogate_grad", "heaviside",
     "IF", "SEW", "Accumulator", "AvgPool", "Classifier", "ConfigError", "Conv2d",
-    "DenseTrace", "ForwardTrace", "GlobalPool", "NetworkConfig", "SynapticLayer",
+    "ForwardTrace", "GlobalPool", "NetworkConfig", "SynapticLayer",
     "accumulate", "backward", "config_from_json", "config_to_json", "dense_backward",
     "dense_forward", "fold_time", "forward", "if_step", "init_params", "sew18",
     "sew_tiny", "softmax", "synaptic_layers",

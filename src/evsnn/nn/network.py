@@ -13,14 +13,17 @@ surrogate, which makes the network exactly differentiable; the identical
 backward code then computes the true gradient, which is how the whole
 pipeline is checked against finite differences.
 
-A dense (non-spiking) twin of any config is available for baselines: the
-time axis folds into input channels, thresholds become ReLU, and the
-accumulator becomes a plain linear layer.
+The dense (non-spiking) twin of any config, the baseline of the energy
+comparison, is the same engine run on a time-folded view of the config: the
+T binary frames are stacked along the input channels of one step (the first
+conv widened to take them), every threshold site is a ReLU, and every SEW
+join is additive. With one step the accumulator is a plain linear layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -136,25 +139,22 @@ class NetworkConfig:
         self.accumulator
         return self.layers[-1]
 
-    def encoder_shapes(self, dense: bool = False) -> list[tuple]:
+    def encoder_shapes(self) -> list[tuple]:
         """Input shape of every encoder layer plus the final feature shape.
 
         Returns len(encoder)+1 entries; the last one is the feature vector
         shape (d,) fed to the accumulator.
         """
         acc = self.accumulator
-        c0 = self.in_channels * self.time_steps if dense else self.in_channels
-        shape: tuple = (c0, self.height, self.width)
+        shape: tuple = (self.in_channels, self.height, self.width)
         shapes = [shape]
         for i, lay in enumerate(self.encoder_layers):
             where = f"layer {i} ({type(lay).__name__})"
             if isinstance(lay, Conv2d):
                 if len(shape) != 3:
                     raise ConfigError(f"{where}: needs (C,H,W) input, got {shape}")
-                c_in = lay.c_in * self.time_steps if (dense and i == self._first_conv_index()) \
-                    else lay.c_in
-                if shape[0] != c_in:
-                    raise ConfigError(f"{where}: expects {c_in} channels, got {shape[0]}")
+                if shape[0] != lay.c_in:
+                    raise ConfigError(f"{where}: expects {lay.c_in} channels, got {shape[0]}")
                 shape = (lay.c_out,
                          conv_out_size(shape[1], lay.k, lay.stride, lay.padding),
                          conv_out_size(shape[2], lay.k, lay.stride, lay.padding))
@@ -190,12 +190,6 @@ class NetworkConfig:
             raise ConfigError(
                 f"accumulator dim {acc.dim} != encoder feature size {shapes[-1][0]}")
         return shapes
-
-    def _first_conv_index(self) -> int:
-        for i, lay in enumerate(self.encoder_layers):
-            if isinstance(lay, Conv2d):
-                return i
-        return -1
 
     @property
     def feature_dim(self) -> int:
@@ -253,21 +247,20 @@ def _kaiming_uniform(rng, shape, fan_in, dtype):
 def init_params(config: NetworkConfig, seed: int, dtype=np.float32,
                 kind: str = "spiking") -> dict[str, np.ndarray]:
     """Fresh parameter tensors in declared layer order; Kaiming-uniform
-    weights, zero biases. ``kind='dense'`` widens the first conv to take the
-    time-folded input."""
+    weights, zero biases. ``kind='dense'`` initialises the dense twin, whose
+    first conv takes the time-folded input."""
     if kind not in ("spiking", "dense"):
         raise ConfigError(f"kind must be spiking or dense, got {kind!r}")
+    if kind == "dense":
+        config = _dense_view(config)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     params: dict[str, np.ndarray] = {}
-    first_conv = config._first_conv_index()
     for i, lay in enumerate(config.encoder_layers):
         tag = f"{i:02d}"
         if isinstance(lay, Conv2d):
-            c_in = lay.c_in * config.time_steps if (kind == "dense" and i == first_conv) \
-                else lay.c_in
-            fan = c_in * lay.k * lay.k
+            fan = lay.c_in * lay.k * lay.k
             params[f"{tag}.conv.weight"] = _kaiming_uniform(
-                rng, (lay.c_out, c_in, lay.k, lay.k), fan, dtype)
+                rng, (lay.c_out, lay.c_in, lay.k, lay.k), fan, dtype)
             if lay.bias:
                 params[f"{tag}.conv.bias"] = np.zeros(lay.c_out, dtype=dtype)
         elif isinstance(lay, SEW):
@@ -314,8 +307,9 @@ class SynapticLayer:
 
 def synaptic_layers(config: NetworkConfig, kind: str = "spiking") -> list[SynapticLayer]:
     """Every weighted layer in forward order, with resolved shapes."""
-    dense = kind == "dense"
-    shapes = config.encoder_shapes(dense=dense)
+    if kind == "dense":
+        config = _dense_view(config)
+    shapes = config.encoder_shapes()
     enc = config.encoder_layers
     out = []
 
@@ -452,14 +446,19 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
 
 def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spike",
             record: bool = True) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the spiking model over all time bins.
+    """Run the model over all time bins.
 
     mode='spike' emits binary spikes; mode='relaxed' substitutes the smooth
-    surrogate in the forward pass too (diagnostic, exactly differentiable).
+    surrogate in the forward pass too (diagnostic, exactly differentiable);
+    mode='dense' runs the non-spiking twin: one step on the time-folded
+    input, ReLU at every threshold site.
     ``record=False`` drops backward caches but keeps the activity counters.
     """
-    if mode not in ("spike", "relaxed"):
-        raise ConfigError(f"mode must be spike or relaxed, got {mode!r}")
+    if mode not in ("spike", "relaxed", "dense"):
+        raise ConfigError(f"mode must be spike, relaxed or dense, got {mode!r}")
+    if mode == "dense":
+        x = fold_time(x, config)[:, None]
+        config = _dense_view(config)
     x = _as_batched(x, config)
     dtype = next(iter(params.values())).dtype
     b, t_steps = x.shape[0], config.time_steps
@@ -479,26 +478,30 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
     w_acc = params[f"{len(config.layers) - 2:02d}.acc.weight"]
     accumulated = np.zeros((b, d), dtype=dtype)
 
-    def note_syn_input(name: str, h: np.ndarray) -> None:
+    def conv(name: str, h: np.ndarray, stride: int, padding: int) -> np.ndarray:
         total, _ = syn_inputs.get(name, (0.0, 0))
         syn_inputs[name] = (total + float(h.sum()), h[0].size)
+        return conv2d_forward(h, params[f"{name}.weight"], params.get(f"{name}.bias"),
+                              stride, padding)
 
-    def if_site(site: str, drive: np.ndarray, theta: float):
-        u_prev = membranes.get(site)
-        if u_prev is None:
-            u_prev = np.zeros_like(drive)
-        if delayed:
-            inp = pending.get(site)
-            if inp is None:
-                inp = np.zeros_like(drive)
-            pending[site] = drive
+    def site(name: str, drive: np.ndarray, theta: float):
+        if mode == "dense":  # ReLU; nothing carries across steps
+            v, spikes = drive, np.maximum(drive, 0.0)
         else:
-            inp = drive
-        v = u_prev + inp
-        spikes, u_next = _if_apply(v, theta, mode, config.reset)
-        membranes[site] = u_next
-        spike_counts[site] = spike_counts.get(site, 0.0) + float(spikes.sum())
-        site_sizes[site] = spikes[0].size
+            u_prev = membranes.get(name)
+            if u_prev is None:
+                u_prev = np.zeros_like(drive)
+            if delayed:
+                inp = pending.get(name)
+                if inp is None:
+                    inp = np.zeros_like(drive)
+                pending[name] = drive
+            else:
+                inp = drive
+            v = u_prev + inp
+            spikes, membranes[name] = _if_apply(v, theta, mode, config.reset)
+        spike_counts[name] = spike_counts.get(name, 0.0) + float(spikes.sum())
+        site_sizes[name] = spikes[0].size
         return spikes, v
 
     for t in range(t_steps):
@@ -507,41 +510,28 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
         for i, lay in enumerate(enc):
             tag = f"{i:02d}"
             if isinstance(lay, Conv2d):
-                note_syn_input(f"{tag}.conv", h)
-                x_in = h
-                h = conv2d_forward(h, params[f"{tag}.conv.weight"],
-                                   params.get(f"{tag}.conv.bias"),
-                                   lay.stride, lay.padding)
-                step_cache.append((x_in,))
+                step_cache.append((h,))
+                h = conv(f"{tag}.conv", h, lay.stride, lay.padding)
             elif isinstance(lay, IF):
-                spikes, v = if_site(tag, h, lay.theta)
-                step_cache.append((v, spikes))
-                h = spikes
+                h, v = site(tag, h, lay.theta)
+                step_cache.append((v, h))
             elif isinstance(lay, SEW):
-                x_in = h
                 pad = lay.k // 2
-                note_syn_input(f"{tag}.sew.conv1", h)
-                a = conv2d_forward(h, params[f"{tag}.sew.conv1.weight"],
-                                   params.get(f"{tag}.sew.conv1.bias"), 1, pad)
-                s1, v1 = if_site(f"{tag}a", a, lay.theta)
-                note_syn_input(f"{tag}.sew.conv2", s1)
-                c2 = conv2d_forward(s1, params[f"{tag}.sew.conv2.weight"],
-                                    params.get(f"{tag}.sew.conv2.bias"), 1, pad)
-                s2, v2 = if_site(f"{tag}b", c2, lay.theta)
+                s1, v1 = site(f"{tag}a", conv(f"{tag}.sew.conv1", h, 1, pad), lay.theta)
+                s2, v2 = site(f"{tag}b", conv(f"{tag}.sew.conv2", s1, 1, pad), lay.theta)
+                step_cache.append((h, v1, s1, v2, s2))
                 if lay.g == "add":
-                    h = s2 + x_in
+                    h = s2 + h
                 elif lay.g == "and":
-                    h = s2 * x_in
+                    h = s2 * h
                 else:  # iand
-                    h = (1.0 - s2) * x_in
-                step_cache.append((x_in, v1, s1, v2, s2))
+                    h = (1.0 - s2) * h
             elif isinstance(lay, AvgPool):
                 h = avg_pool_forward(h, lay.window)
                 step_cache.append(())
             elif isinstance(lay, GlobalPool):
-                hw = (h.shape[2], h.shape[3])
+                step_cache.append((h.shape[2], h.shape[3]))
                 h = global_pool_forward(h)
-                step_cache.append(hw)
         feature_shape = h.shape[1:]
         if h.ndim > 2:
             h = h.reshape(b, -1)
@@ -586,10 +576,13 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
 
     At threshold sites the local derivative is the arctan surrogate at
     (V - theta); the membrane carry and the reset term are differentiated with
-    the same surrogate. For ``relaxed`` traces this is the exact gradient.
+    the same surrogate. For ``relaxed`` traces this is the exact gradient; for
+    ``dense`` traces the sites are ReLUs with derivative 1[V > 0].
     """
     if trace.caches is None:
         raise ValueError("trace was recorded with record=False; cannot backprop")
+    if trace.mode == "dense":
+        config = _dense_view(config)
     labels = np.asarray(labels)
     b, t_steps = trace.batch, trace.time_steps
     enc = config.encoder_layers
@@ -617,10 +610,21 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
     carry_u: dict[str, np.ndarray] = {}
     carry_p: dict[str, np.ndarray] = {}
 
-    def if_back(site: str, g_out, v, spikes, theta):
+    def conv_back(name: str, x_in, g, stride: int, padding: int):
+        """Returns gradient w.r.t. the conv input; accumulates its parameters'."""
+        dx, dw, db = conv2d_backward(x_in, params[f"{name}.weight"], g, stride, padding,
+                                     f"{name}.bias" in params)
+        grads[f"{name}.weight"] += dw
+        if db is not None:
+            grads[f"{name}.bias"] += db
+        return dx
+
+    def site_back(name: str, g_out, v, spikes, theta):
         """Returns gradient w.r.t. this step's drive; updates carries."""
+        if trace.mode == "dense":
+            return g_out * (v > 0)
         sg = arctan_surrogate_grad(v - theta)
-        g_u = carry_u.get(site)
+        g_u = carry_u.get(name)
         if config.reset == "subtract":
             reset_term = 1.0 - theta * sg
         else:
@@ -628,10 +632,10 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
         gv = g_out * sg
         if g_u is not None:
             gv = gv + g_u * reset_term
-        carry_u[site] = gv
+        carry_u[name] = gv
         if delayed:
-            g_in = carry_p.get(site)
-            carry_p[site] = gv
+            g_in = carry_p.get(name)
+            carry_p[name] = gv
             return np.zeros_like(gv) if g_in is None else g_in
         return gv
 
@@ -647,17 +651,10 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
             tag = f"{i:02d}"
             cache = step_cache[i]
             if isinstance(lay, Conv2d):
-                (x_in,) = cache
-                w = params[f"{tag}.conv.weight"]
-                dx, dw, db = conv2d_backward(x_in, w, g, lay.stride, lay.padding,
-                                             f"{tag}.conv.bias" in params)
-                grads[f"{tag}.conv.weight"] += dw
-                if db is not None:
-                    grads[f"{tag}.conv.bias"] += db
-                g = dx
+                g = conv_back(f"{tag}.conv", cache[0], g, lay.stride, lay.padding)
             elif isinstance(lay, IF):
                 v, spikes = cache
-                g = if_back(tag, g, v, spikes, lay.theta)
+                g = site_back(tag, g, v, spikes, lay.theta)
             elif isinstance(lay, SEW):
                 x_in, v1, s1, v2, s2 = cache
                 pad = lay.k // 2
@@ -667,21 +664,10 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
                     g_s2, g_res = g * x_in, g * s2
                 else:  # iand
                     g_s2, g_res = -g * x_in, g * (1.0 - s2)
-                g2 = if_back(f"{tag}b", g_s2, v2, s2, lay.theta)
-                w2 = params[f"{tag}.sew.conv2.weight"]
-                ds1, dw2, db2 = conv2d_backward(s1, w2, g2, 1, pad,
-                                                f"{tag}.sew.conv2.bias" in params)
-                grads[f"{tag}.sew.conv2.weight"] += dw2
-                if db2 is not None:
-                    grads[f"{tag}.sew.conv2.bias"] += db2
-                g1 = if_back(f"{tag}a", ds1, v1, s1, lay.theta)
-                w1 = params[f"{tag}.sew.conv1.weight"]
-                dx, dw1, db1 = conv2d_backward(x_in, w1, g1, 1, pad,
-                                               f"{tag}.sew.conv1.bias" in params)
-                grads[f"{tag}.sew.conv1.weight"] += dw1
-                if db1 is not None:
-                    grads[f"{tag}.sew.conv1.bias"] += db1
-                g = dx + g_res
+                g2 = site_back(f"{tag}b", g_s2, v2, s2, lay.theta)
+                g1 = site_back(f"{tag}a", conv_back(f"{tag}.sew.conv2", s1, g2, 1, pad),
+                               v1, s1, lay.theta)
+                g = conv_back(f"{tag}.sew.conv1", x_in, g1, 1, pad) + g_res
             elif isinstance(lay, AvgPool):
                 g = avg_pool_backward(g, lay.window)
             elif isinstance(lay, GlobalPool):
@@ -702,117 +688,23 @@ def fold_time(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
                      config.height, config.width)
 
 
-@dataclass
-class DenseTrace:
-    logits: np.ndarray
-    pooled: np.ndarray
-    caches: list | None
-
-
-def dense_forward(config: NetworkConfig, params: dict, x: np.ndarray,
-                  record: bool = True) -> tuple[np.ndarray, DenseTrace]:
-    """ReLU twin on the time-folded input; same stack, thresholds -> ReLU,
-    residual join always additive, accumulator -> one linear map."""
-    dtype = next(iter(params.values())).dtype
-    h = fold_time(x, config).astype(dtype)
-    b = h.shape[0]
-    caches: list | None = [] if record else None
-
-    def relu(pre):
-        if record:
-            caches.append(("relu", pre))
-        return np.maximum(pre, 0.0)
-
-    for i, lay in enumerate(config.encoder_layers):
-        tag = f"{i:02d}"
-        if isinstance(lay, Conv2d):
-            if record:
-                caches.append(("conv", tag, h, lay))
-            h = conv2d_forward(h, params[f"{tag}.conv.weight"],
-                               params.get(f"{tag}.conv.bias"), lay.stride, lay.padding)
-        elif isinstance(lay, IF):
-            h = relu(h)
+def _dense_view(config: NetworkConfig) -> NetworkConfig:
+    """The config the dense twin runs as: one step over the time-folded
+    input, the first conv widened to take it, additive SEW joins, same-step
+    site timing (ReLU sites are chosen by mode='dense')."""
+    layers, widened = [], False
+    for lay in config.layers:
+        if isinstance(lay, Conv2d) and not widened:
+            lay, widened = replace(lay, c_in=lay.c_in * config.time_steps), True
         elif isinstance(lay, SEW):
-            x_in = h
-            pad = lay.k // 2
-            if record:
-                caches.append(("conv", f"{tag}.sew.conv1", h, lay))
-            h = conv2d_forward(h, params[f"{tag}.sew.conv1.weight"],
-                               params.get(f"{tag}.sew.conv1.bias"), 1, pad)
-            h = relu(h)
-            if record:
-                caches.append(("conv", f"{tag}.sew.conv2", h, lay))
-            h = conv2d_forward(h, params[f"{tag}.sew.conv2.weight"],
-                               params.get(f"{tag}.sew.conv2.bias"), 1, pad)
-            h = relu(h)
-            if record:
-                caches.append(("residual",))
-            h = h + x_in
-        elif isinstance(lay, AvgPool):
-            if record:
-                caches.append(("avg_pool", lay.window))
-            h = avg_pool_forward(h, lay.window)
-        elif isinstance(lay, GlobalPool):
-            if record:
-                caches.append(("global_pool", h.shape[2], h.shape[3]))
-            h = global_pool_forward(h)
-    if h.ndim > 2:
-        if record:
-            caches.append(("flatten", h.shape))
-        h = h.reshape(b, -1)
-    acc_tag = f"{len(config.layers) - 2:02d}"
-    cls_tag = f"{len(config.layers) - 1:02d}"
-    if record:
-        caches.append(("linear", f"{acc_tag}.acc", h))
-    pooled = linear_forward(h, params[f"{acc_tag}.acc.weight"], None)
-    if record:
-        caches.append(("linear", f"{cls_tag}.cls", pooled))
-    logits = linear_forward(pooled, params[f"{cls_tag}.cls.weight"],
-                            params.get(f"{cls_tag}.cls.bias"))
-    return logits, DenseTrace(logits=logits, pooled=pooled, caches=caches)
+            lay = replace(lay, g="add")
+        layers.append(lay)
+    return replace(config, time_steps=1, in_channels=config.in_channels * config.time_steps,
+                   layers=tuple(layers), input_timing="same_step")
 
 
-def dense_backward(config: NetworkConfig, params: dict, trace: DenseTrace,
-                   labels: np.ndarray) -> dict[str, np.ndarray]:
-    if trace.caches is None:
-        raise ValueError("trace was recorded with record=False; cannot backprop")
-    labels = np.asarray(labels)
-    b = trace.logits.shape[0]
-    grads = {name: np.zeros_like(value) for name, value in params.items()}
-    g = softmax(trace.logits)
-    g[np.arange(b), labels] -= 1.0
-    g /= b
-    residual_stack: list[np.ndarray] = []
-    for cache in reversed(trace.caches):
-        kind = cache[0]
-        if kind == "linear":
-            _, name, x_in = cache
-            w = params[f"{name}.weight"]
-            g, dw, db = linear_backward(x_in, w, g, f"{name}.bias" in params)
-            grads[f"{name}.weight"] += dw
-            if db is not None:
-                grads[f"{name}.bias"] += db
-        elif kind == "flatten":
-            g = g.reshape(cache[1])
-        elif kind == "global_pool":
-            g = global_pool_backward(g, cache[1], cache[2])
-        elif kind == "avg_pool":
-            g = avg_pool_backward(g, cache[1])
-        elif kind == "residual":
-            residual_stack.append(g)
-        elif kind == "relu":
-            g = g * (cache[1] > 0)
-        elif kind == "conv":
-            _, name, x_in, lay = cache
-            w = params[f"{name}.weight" if ".sew." in name else f"{name}.conv.weight"]
-            key = name if ".sew." in name else f"{name}.conv"
-            stride = 1 if ".sew." in name else lay.stride
-            pad = lay.k // 2 if ".sew." in name else lay.padding
-            g, dw, db = conv2d_backward(x_in, w, g, stride, pad,
-                                        f"{key}.bias" in params)
-            grads[f"{key}.weight"] += dw
-            if db is not None:
-                grads[f"{key}.bias"] += db
-            if ".sew.conv1" in name and residual_stack:
-                g = g + residual_stack.pop()
-    return grads
+# the twin's former entry points, kept as aliases; partial keeps
+# dense_backward a distinct object, so the benchmark tracer, which wraps
+# functions by identity, still reports backward under its own name
+dense_forward = partial(forward, mode="dense")
+dense_backward = partial(backward)

@@ -15,8 +15,7 @@ import numpy as np
 
 from ..augment import AugmentSpec, apply_pipeline
 from ..events import EventStream, voxelize
-from .network import (NetworkConfig, backward, dense_backward, dense_forward,
-                      forward)
+from .network import NetworkConfig, backward, forward
 
 
 class TrainingDiverged(RuntimeError):
@@ -97,13 +96,11 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, int]:
 def predict(config: NetworkConfig, params: dict, tensors: np.ndarray,
             kind: str = "spiking", batch_size: int = 64) -> np.ndarray:
     """Argmax class per sample; tensors (N, T, 2, H, W)."""
+    mode = "dense" if kind == "dense" else "spike"
     out = []
     for i in range(0, len(tensors), batch_size):
-        batch = tensors[i:i + batch_size]
-        if kind == "dense":
-            logits, _ = dense_forward(config, params, batch, record=False)
-        else:
-            logits, _ = forward(config, params, batch, record=False)
+        logits, _ = forward(config, params, tensors[i:i + batch_size], mode=mode,
+                            record=False)
         out.append(np.argmax(logits, axis=1))
     return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
@@ -133,8 +130,7 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
     best = TrainResult(params={k: v.copy() for k, v in params.items()},
                        best_epoch=-1, best_val_acc=-1.0)
 
-    fwd = dense_forward if kind == "dense" else forward
-    bwd = dense_backward if kind == "dense" else backward
+    mode = "dense" if kind == "dense" else "spike"
 
     for epoch in range(settings.epochs):
         lr = cosine_lr(epoch, settings.epochs, settings.lr)
@@ -154,13 +150,10 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
                     stream = apply_pipeline(stream, epoch_spec, sample_index=int(i))
                 batch[j] = voxelize(stream, t_steps)
             labels = train_labels[idx]
-            if kind == "dense":
-                logits, trace = fwd(config, params, batch)
-            else:
-                logits, trace = fwd(config, params, batch, mode="spike")
+            logits, trace = forward(config, params, batch, mode=mode)
             loss_sum += cross_entropy(logits, labels) * len(idx)
             hit_sum += int((np.argmax(logits, axis=1) == labels).sum())
-            grads = bwd(config, params, trace, labels)
+            grads = backward(config, params, trace, labels)
             velocity = sgd_step(params, grads, lr, settings.momentum, velocity)
 
         train_loss = loss_sum / n

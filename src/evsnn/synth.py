@@ -53,6 +53,14 @@ class SynthParams:
         for name in self.templates:
             if name not in KNOWN_TEMPLATES:
                 raise ValueError(f"unknown template {name!r}; known: {KNOWN_TEMPLATES}")
+        if min(self.width, self.height, self.duration) < 1:
+            raise ValueError(f"width, height and duration must be >= 1, got "
+                             f"{self.width}x{self.height}, {self.duration} us")
+        bars = {"bar_sweep_h", "bar_sweep_v"} & set(self.templates)
+        if bars and min(self.width, self.height) < 2 * self.bar_margin:
+            raise ValueError(
+                f"{self.width}x{self.height} cannot hold the bar templates: both "
+                f"sides must be >= 2 * bar_margin = {2 * self.bar_margin:g}")
 
     @property
     def num_classes(self) -> int:

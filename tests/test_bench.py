@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from evsnn import bench
 from evsnn.augment import COMMON_EDAS
 from evsnn.bench import (
     BenchError,
@@ -359,3 +360,37 @@ class TestRunSpecificEda:
         with pytest.raises(ValueError, match="which"):
             run_specific_eda(streams, labels, toy_config(), settings,
                              result, "cutmix")
+
+
+class TestNestedFoldPath:
+    """Nested validation runs through the same per-fold work unit as
+    held-out validation, so shuffled-bin scoring and workers apply to it."""
+
+    def test_nested_with_shuffled_bins(self):
+        streams, labels = toy_dataset()
+        report = run_cv(streams, labels, toy_config(), FAST, k=4,
+                        validation="nested", eval_shuffled_bins=True)
+        # the bin-sum model cannot see the order of the time bins
+        assert report.shuffled_fold_acc == report.fold_acc
+        doc = report.to_json_dict()
+        assert doc["shuffled_bins_fold_accuracies"] == report.fold_acc
+        assert doc["validation"] == "nested"
+
+    def test_nested_runs_in_workers(self, monkeypatch):
+        streams, labels = toy_dataset(n=12)
+        fast = TrainSettings(epochs=1, batch_size=8, lr=0.3, seed=0)
+        serial = run_cv(streams, labels, toy_config(), fast, k=3,
+                        validation="nested", jobs=1)
+        pools = []
+        real_pool = bench.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", spy)
+        parallel = run_cv(streams, labels, toy_config(), fast, k=3,
+                          validation="nested", jobs=2)
+        assert pools == [2]
+        assert serial.fold_acc == parallel.fold_acc
+        assert serial.per_fold == parallel.per_fold

@@ -228,3 +228,38 @@ class TestDegenerateLinear:
         dacc = dlogits @ params["01.cls.weight"]
         np.testing.assert_allclose(grads["00.acc.weight"], dacc.T @ flat,
                                    rtol=1e-12, atol=1e-15)
+
+
+class TestDenseRule:
+    """The dense twin is one step on the time-folded input with ReLU sites.
+    Site timing, reset rule and SEW join belong to the spiking model and must
+    not reach it: a delayed site at one step would see only zeros."""
+
+    @pytest.mark.parametrize("spiking_only", [
+        dict(input_timing="delayed"), dict(reset="zero"), dict(g="and"),
+        dict(g="iand"), dict(input_timing="delayed", reset="zero", g="iand")])
+    def test_spiking_settings_leave_twin_unchanged(self, spiking_only, rng):
+        base, other = small_config(), small_config(**spiking_only)
+        params = init_params(base, seed=21, dtype=np.float64, kind="dense")
+        x = (rng.random((2, 3, 2, 8, 8)) < 0.4).astype(np.float64)
+        labels = np.array([0, 1])
+        want_logits, want_trace = forward(base, params, x, mode="dense")
+        got_logits, got_trace = forward(other, params, x, mode="dense")
+        assert got_trace.time_steps == 1
+        np.testing.assert_array_equal(got_logits, want_logits)
+        want = backward(base, params, want_trace, labels)
+        got = backward(other, params, got_trace, labels)
+        assert set(got) == set(params)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+
+    def test_aliases_run_the_dense_mode(self, rng):
+        config = small_config()
+        params = init_params(config, seed=22, dtype=np.float64, kind="dense")
+        x = (rng.random((2, 3, 2, 8, 8)) < 0.4).astype(np.float64)
+        logits, trace = dense_forward(config, params, x)
+        assert trace.mode == "dense"
+        np.testing.assert_array_equal(logits, forward(config, params, x, mode="dense")[0])
+        grads = dense_backward(config, params, trace, np.array([1, 0]))
+        want = backward(config, params, trace, np.array([1, 0]))
+        assert all(np.array_equal(grads[k], want[k]) for k in want)

@@ -92,6 +92,17 @@ class TestSynth:
     def test_bad_sample_count(self, tmp_path):
         assert main(synth_args(tmp_path / "x", per_class=0)) == 2
 
+    def test_impossible_geometry_exit2(self, tmp_path, capsys):
+        # four classes include the bar templates, which need 16x16 at the
+        # default margin
+        args = synth_args(tmp_path / "x", classes=4)
+        args[args.index("--width") + 1] = "8"
+        args[args.index("--height") + 1] = "8"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bar templates" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestVoxelize:
     def test_prints_bins_and_writes_tensor(self, workspace, tmp_path, capsys):

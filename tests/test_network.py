@@ -369,3 +369,26 @@ class TestConfigJson:
         doc["dropout"] = 0.5
         with pytest.raises(ConfigError, match="unknown network config"):
             config_from_json(doc)
+
+
+class TestDenseParams:
+    def test_sew_tiny_dense_tensors_pinned(self):
+        # dense checkpoints share the on-disk format: same names and order as
+        # the spiking model, only the first conv takes the 2*T folded frames
+        dense = init_params(sew_tiny(4), seed=0, kind="dense")
+        assert [(name, p.shape) for name, p in dense.items()] == [
+            ("00.conv.weight", (16, 12, 3, 3)), ("00.conv.bias", (16,)),
+            ("03.sew.conv1.weight", (16, 16, 3, 3)), ("03.sew.conv1.bias", (16,)),
+            ("03.sew.conv2.weight", (16, 16, 3, 3)), ("03.sew.conv2.bias", (16,)),
+            ("04.conv.weight", (32, 16, 3, 3)), ("04.conv.bias", (32,)),
+            ("06.sew.conv1.weight", (32, 32, 3, 3)), ("06.sew.conv1.bias", (32,)),
+            ("06.sew.conv2.weight", (32, 32, 3, 3)), ("06.sew.conv2.bias", (32,)),
+            ("07.conv.weight", (64, 32, 3, 3)), ("07.conv.bias", (64,)),
+            ("09.sew.conv1.weight", (64, 64, 3, 3)), ("09.sew.conv1.bias", (64,)),
+            ("09.sew.conv2.weight", (64, 64, 3, 3)), ("09.sew.conv2.bias", (64,)),
+            ("12.acc.weight", (64, 64)),
+            ("13.cls.weight", (4, 64)), ("13.cls.bias", (4,)),
+        ]
+        spiking = init_params(sew_tiny(4), seed=0)
+        assert list(spiking) == list(dense)
+        assert spiking["00.conv.weight"].shape == (16, 2, 3, 3)

@@ -63,6 +63,23 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown template"):
             SynthParams(templates=("ring_expand", "spiral"))
 
+    def test_geometry_must_hold_bar_templates(self):
+        # a bar sweeps between margins on both axes: 2 * bar_margin per side
+        with pytest.raises(ValueError, match="bar templates"):
+            SynthParams(width=8, height=8)
+        with pytest.raises(ValueError, match="bar templates"):
+            SynthParams(width=64, height=15)
+        SynthParams(width=16, height=16)
+        # without the bar templates the margin does not apply
+        rings = SynthParams(width=8, height=8, templates=DEFAULT_TEMPLATES[:2],
+                            events_per_sample=200, duration=10_000)
+        assert validate(synth_generate(0, rings, seed=0)) == []
+
+    def test_empty_extent_rejected(self):
+        for bad in (dict(width=0), dict(height=-1), dict(duration=0)):
+            with pytest.raises(ValueError, match=">= 1"):
+                SynthParams(templates=("static",), **bad)
+
     def test_static_template(self):
         p = SynthParams(templates=("static",), events_per_sample=800,
                         duration=50_000)
