@@ -17,6 +17,7 @@ Protocol notes, fixed here:
 
 from __future__ import annotations
 
+import ctypes
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -85,14 +86,47 @@ def kfold_split(n_samples: int, k: int, seed: int) -> FoldPlan:
 _DATA: tuple[list[EventStream], np.ndarray] | None = None
 
 
+# (prefix, suffix) around the OpenBLAS function names in the builds numpy
+# and scipy ship, then in a plain system build
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                     ("openblas_", "64_"), ("openblas_", ""))
+
+
+def _openblas_functions(stem: str, restype, *argtypes) -> list:
+    """Function ``openblas_<stem>`` of every OpenBLAS mapped into this
+    process, typed for ctypes; empty when none is loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    out = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_SYMBOLS:
+            fn = getattr(lib, f"{prefix}{stem}{suffix}", None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, list(argtypes)
+                out.append(fn)
+                break
+    return out
+
+
 def _init_worker(streams: list[EventStream], labels: np.ndarray) -> None:
+    """Pool initializer: hand the worker the dataset and keep its BLAS to one
+    thread, so parallel workers do not compete for the cores."""
     global _DATA
     _DATA = (streams, labels)
     try:
         import threadpoolctl
-        threadpoolctl.threadpool_limits(1)
     except ImportError:
-        pass
+        for set_threads in _openblas_functions("set_num_threads", None, ctypes.c_int):
+            set_threads(1)
+    else:
+        threadpoolctl.threadpool_limits(1)
 
 
 @dataclass(frozen=True)

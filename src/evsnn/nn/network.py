@@ -475,8 +475,6 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
     syn_inputs: dict[str, tuple[float, int]] = {}
     caches: list | None = [] if record else None
     features = np.empty((b, t_steps, d), dtype=dtype)
-    w_acc = params[f"{len(config.layers) - 2:02d}.acc.weight"]
-    accumulated = np.zeros((b, d), dtype=dtype)
 
     def conv(name: str, h: np.ndarray, stride: int, padding: int) -> np.ndarray:
         total, _ = syn_inputs.get(name, (0.0, 0))
@@ -536,10 +534,10 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
         if h.ndim > 2:
             h = h.reshape(b, -1)
         features[:, t] = h
-        accumulated += h @ w_acc.T
         if record:
             caches.append(step_cache)
 
+    accumulated = accumulate(features, params[f"{len(config.layers) - 2:02d}.acc.weight"])
     cls_tag = f"{len(config.layers) - 1:02d}"
     logits = linear_forward(accumulated, params[f"{cls_tag}.cls.weight"],
                             params.get(f"{cls_tag}.cls.bias"))
@@ -610,10 +608,11 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
     carry_u: dict[str, np.ndarray] = {}
     carry_p: dict[str, np.ndarray] = {}
 
-    def conv_back(name: str, x_in, g, stride: int, padding: int):
-        """Returns gradient w.r.t. the conv input; accumulates its parameters'."""
+    def conv_back(name: str, x_in, g, stride: int, padding: int, need_dx: bool = True):
+        """Returns gradient w.r.t. the conv input (None without ``need_dx``);
+        accumulates its parameters'."""
         dx, dw, db = conv2d_backward(x_in, params[f"{name}.weight"], g, stride, padding,
-                                     f"{name}.bias" in params)
+                                     f"{name}.bias" in params, need_dx=need_dx)
         grads[f"{name}.weight"] += dw
         if db is not None:
             grads[f"{name}.bias"] += db
@@ -639,19 +638,22 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
             return np.zeros_like(gv) if g_in is None else g_in
         return gv
 
+    # the gradient stops at the input: nothing below the first weighted layer
+    # runs, and that layer's first conv computes no input gradient
+    first = next((i for i, lay in enumerate(enc) if isinstance(lay, (Conv2d, SEW))),
+                 len(enc))
     for t in reversed(range(t_steps)):
-        if not enc:
-            continue  # passthrough encoder: gradient stops at the input
         g = dfeat
         if len(trace.feature_shape) == 3:  # undo the trailing flatten
             g = dfeat.reshape((b,) + trace.feature_shape)
         step_cache = trace.caches[t]
-        for i in reversed(range(len(enc))):
+        for i in reversed(range(first, len(enc))):
             lay = enc[i]
             tag = f"{i:02d}"
             cache = step_cache[i]
             if isinstance(lay, Conv2d):
-                g = conv_back(f"{tag}.conv", cache[0], g, lay.stride, lay.padding)
+                g = conv_back(f"{tag}.conv", cache[0], g, lay.stride, lay.padding,
+                              need_dx=i > first)
             elif isinstance(lay, IF):
                 v, spikes = cache
                 g = site_back(tag, g, v, spikes, lay.theta)
@@ -667,7 +669,9 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
                 g2 = site_back(f"{tag}b", g_s2, v2, s2, lay.theta)
                 g1 = site_back(f"{tag}a", conv_back(f"{tag}.sew.conv2", s1, g2, 1, pad),
                                v1, s1, lay.theta)
-                g = conv_back(f"{tag}.sew.conv1", x_in, g1, 1, pad) + g_res
+                g = conv_back(f"{tag}.sew.conv1", x_in, g1, 1, pad, need_dx=i > first)
+                if g is not None:
+                    g = g + g_res
             elif isinstance(lay, AvgPool):
                 g = avg_pool_backward(g, lay.window)
             elif isinstance(lay, GlobalPool):

@@ -1,5 +1,6 @@
 """Fold planning, cross-validation, and the 32-combination sweep."""
 
+import ctypes
 import json
 
 import numpy as np
@@ -394,3 +395,19 @@ class TestNestedFoldPath:
         assert pools == [2]
         assert serial.fold_acc == parallel.fold_acc
         assert serial.per_fold == parallel.per_fold
+
+
+def _worker_blas_threads():
+    return [get() for get in bench._openblas_functions("get_num_threads", ctypes.c_int)]
+
+
+class TestWorkerThreads:
+    def test_pool_worker_runs_one_blas_thread(self):
+        # without threadpoolctl the initializer sets OpenBLAS through ctypes
+        if not bench._openblas_functions("get_num_threads", ctypes.c_int):
+            pytest.skip("no OpenBLAS loaded in this process")
+        streams, labels = toy_dataset(n=4)
+        with bench.ProcessPoolExecutor(max_workers=1, initializer=bench._init_worker,
+                                       initargs=(streams, labels)) as pool:
+            threads = pool.submit(_worker_blas_threads).result(timeout=60)
+        assert threads and all(n == 1 for n in threads)

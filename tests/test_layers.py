@@ -199,3 +199,104 @@ class TestLinear:
         np.testing.assert_allclose(dx, fd_grad(loss, x), rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(dw, fd_grad(loss, weight), rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(db, fd_grad(loss, bias), rtol=1e-6, atol=1e-9)
+
+
+def conv_backward_direct(x, weight, dy, stride, padding):
+    """float64 (dx, dw, db) by a direct sum over kernel taps."""
+    x, weight, dy = (a.astype(np.float64) for a in (x, weight, dy))
+    k = weight.shape[2]
+    oh, ow = dy.shape[2], dy.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(weight)
+    for p in range(k):
+        for q in range(k):
+            win = (slice(None), slice(None), slice(p, p + stride * oh, stride),
+                   slice(q, q + stride * ow, stride))
+            dw[:, :, p, q] = np.einsum("bohw,bchw->oc", dy, xp[win])
+            dxp[win] += np.einsum("bohw,oc->bchw", dy, weight[:, :, p, q])
+    dx = dxp[:, :, padding:padding + x.shape[2], padding:padding + x.shape[3]]
+    return dx, dw, dy.sum(axis=(0, 2, 3))
+
+
+# (c_in, c_out, k, stride, padding, h, w); stride 1 with padding < k takes the
+# correlation path for dx, everything else the fold path
+CORRELATION_CASES = [
+    (1, 1, 1, 1, 0, 3, 3),
+    (2, 3, 1, 1, 0, 4, 5),
+    (3, 4, 3, 1, 1, 5, 4),
+    (2, 2, 5, 1, 2, 6, 5),
+    (2, 3, 3, 1, 0, 5, 6),
+]
+FOLD_CASES = [
+    (3, 2, 2, 2, 0, 6, 6),
+    (2, 4, 3, 2, 1, 6, 6),
+    (2, 3, 3, 2, 1, 7, 5),
+    (3, 2, 5, 2, 2, 7, 5),
+    (2, 3, 1, 1, 1, 4, 4),
+]
+
+
+class TestConvBackwardPaths:
+    @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w",
+                             CORRELATION_CASES + FOLD_CASES)
+    def test_matches_direct_sum(self, c_in, c_out, k, stride, padding, h, w, rng):
+        x = rng.integers(0, 3, size=(3, c_in, h, w)).astype(np.float64)
+        weight = rng.normal(size=(c_out, c_in, k, k))
+        oh, ow = conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding)
+        dy = rng.normal(size=(3, c_out, oh, ow))
+        dx, dw, db = conv2d_backward(x, weight, dy, stride, padding, with_bias=True)
+        want_dx, want_dw, want_db = conv_backward_direct(x, weight, dy, stride, padding)
+        for got, want in ((dx, want_dx), (dw, want_dw), (db, want_db)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w",
+                             CORRELATION_CASES[2:4] + FOLD_CASES[1:3])
+    def test_float32_matches_direct_sum(self, c_in, c_out, k, stride, padding, h, w, rng):
+        x = rng.integers(0, 3, size=(4, c_in, h, w)).astype(np.float32)
+        weight = rng.normal(size=(c_out, c_in, k, k)).astype(np.float32)
+        oh, ow = conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding)
+        dy = rng.normal(size=(4, c_out, oh, ow)).astype(np.float32)
+        dx, dw, db = conv2d_backward(x, weight, dy, stride, padding, with_bias=True)
+        assert dx.dtype == dw.dtype == db.dtype == np.float32
+        assert dx.flags.c_contiguous
+        for got, want in zip((dx, dw, db), conv_backward_direct(x, weight, dy, stride, padding)):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+    @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w",
+                             [CORRELATION_CASES[2], FOLD_CASES[1]])
+    def test_without_input_gradient(self, c_in, c_out, k, stride, padding, h, w, rng):
+        x = rng.normal(size=(2, c_in, h, w))
+        weight = rng.normal(size=(c_out, c_in, k, k))
+        dy = rng.normal(size=conv2d_forward(x, weight, None, stride, padding).shape)
+        _, dw, db = conv2d_backward(x, weight, dy, stride, padding, True)
+        skipped = conv2d_backward(x, weight, dy, stride, padding, True, need_dx=False)
+        assert skipped[0] is None
+        assert skipped[1].tobytes() == dw.tobytes()
+        assert skipped[2].tobytes() == db.tobytes()
+
+    def test_forward_output_is_batch_major(self, rng):
+        y = conv2d_forward(rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3)),
+                           rng.normal(size=4), 2, 1)
+        assert y.shape == (2, 4, 3, 3) and y.flags.c_contiguous
+
+
+class TestAvgPoolSum:
+    def reshape_mean(self, x, window):
+        b, c, h, w = x.shape
+        return x.reshape(b, c, h // window, window, w // window, window).mean(axis=(3, 5))
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_exact_on_spike_counts(self, window, rng):
+        x = rng.integers(0, 3, size=(3, 4, 6 * window, 2 * window)).astype(np.float32)
+        got = avg_pool_forward(x, window)
+        assert got.dtype == np.float32
+        assert got.tobytes() == self.reshape_mean(x, window).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_inputs(self, dtype, rng):
+        # positive values: a window sum has no cancellation, so rtol holds
+        x = rng.random(size=(2, 3, 8, 12)).astype(dtype)
+        np.testing.assert_allclose(avg_pool_forward(x, 2), self.reshape_mean(x, 2),
+                                   rtol=1e-6)

@@ -292,6 +292,16 @@ class TestAccumulate:
                           params["05.acc.weight"].astype(np.float64))
         np.testing.assert_allclose(trace.accumulated, want, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("mode", ["spike", "relaxed", "dense"])
+    def test_forward_calls_accumulate(self, mode, rng):
+        # forward runs the accumulator through accumulate() itself, so the
+        # two agree to the last bit
+        config = tiny_config()
+        params = init_params(config, seed=8, kind="dense" if mode == "dense" else "spiking")
+        _, trace = forward(config, params, binary_input(rng, config), mode=mode)
+        want = accumulate(trace.features, params["05.acc.weight"])
+        assert trace.accumulated.tobytes() == want.tobytes()
+
     def test_passthrough_identity_network(self):
         # no encoder, identity accumulator: the network literally counts
         # active input pixels per position
