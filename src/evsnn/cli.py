@@ -13,7 +13,9 @@ the only artifact allowed to differ between reruns is the run-ledger sidecar
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -42,9 +44,13 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _run_ledger(path: Path, exp: Experiment, command: str, seeds: dict,
                 elapsed: float) -> None:
-    """Timing sidecar; excluded from the byte-determinism contract."""
+    """Timing sidecar; excluded from the byte-determinism contract. It also
+    records the core count and the thread count of each loaded OpenBLAS,
+    the two settings a wall time depends on."""
+    threads = [get() for get in bench._openblas_functions("get_num_threads", ctypes.c_int)]
     _write_json(path, {"command": command, "config_hash": exp.config_hash(),
-                       "seeds": seeds, "elapsed_seconds": elapsed})
+                       "seeds": seeds, "elapsed_seconds": elapsed,
+                       "nproc": os.cpu_count(), "openblas_threads": threads})
 
 
 def _load_experiment_for(args) -> tuple[Experiment, dict]:
@@ -106,6 +112,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_voxelize(args) -> int:
+    if args.time_steps < 1:
+        raise SchemaError(f"--time-steps must be >= 1, got {args.time_steps}")
     stream = load_events(args.input)
     tensor = voxelize(stream, args.time_steps)
     counts = devoxelize_counts(stream, args.time_steps)

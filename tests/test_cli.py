@@ -123,6 +123,16 @@ class TestVoxelize:
         assert main(["voxelize", str(tmp_path / "nope.evt")]) == 4
         assert "nope.evt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_time_steps_below_one_exit2(self, workspace, tmp_path, steps, capsys):
+        out = tmp_path / "vox.npy"
+        rc = main(["voxelize", str(first_event_file(workspace)),
+                   "--time-steps", steps, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--time-steps" in err
+        assert not out.exists()
+
 
 class TestAugmentCommand:
     def test_hflip_pipeline(self, workspace, tmp_path):
@@ -166,6 +176,14 @@ class TestTrain:
         ledger = json.loads((trained / "train.runledger.json").read_text())
         assert ledger["command"] == "train"
         assert ledger["elapsed_seconds"] >= 0
+
+    def test_ledger_records_cores_and_blas_threads(self, trained):
+        ledger = json.loads((trained / "train.runledger.json").read_text())
+        assert ledger["nproc"] >= 1
+        # one entry per OpenBLAS mapped into the process; none under another BLAS
+        threads = ledger["openblas_threads"]
+        assert isinstance(threads, list)
+        assert all(isinstance(n, int) and n >= 1 for n in threads)
 
     def test_rerun_byte_identical_except_ledger(self, workspace, trained):
         stable = ["model.evck", "train_report.json", "metrics.ndjson"]

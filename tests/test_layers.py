@@ -300,3 +300,60 @@ class TestAvgPoolSum:
         x = rng.random(size=(2, 3, 8, 12)).astype(dtype)
         np.testing.assert_allclose(avg_pool_forward(x, 2), self.reshape_mean(x, 2),
                                    rtol=1e-6)
+
+
+# every (C_in, stride, padding) the layout must handle, at batch sizes that put
+# one, a few and the training batch's samples side by side in a window row;
+# H != W so a swapped OH/OW shows. C_in 12 is the dense twin's first conv.
+LAYOUT_CASES = [(b, c_in, stride, padding)
+                for b in (1, 3, 16) for c_in in (2, 12)
+                for stride in (1, 2) for padding in (0, 1, 2)]
+LAYOUT_H, LAYOUT_W, LAYOUT_C_OUT = 7, 5, 3
+
+
+def layout_operands(rng, b, c_in, stride, padding):
+    x = rng.normal(size=(b, c_in, LAYOUT_H, LAYOUT_W))
+    weight = rng.normal(size=(LAYOUT_C_OUT, c_in, 3, 3))
+    oh = conv_out_size(LAYOUT_H, 3, stride, padding)
+    ow = conv_out_size(LAYOUT_W, 3, stride, padding)
+    dy = rng.normal(size=(b, LAYOUT_C_OUT, oh, ow))
+    return x, weight, dy
+
+
+class TestBatchInnermostLayout:
+    @pytest.mark.parametrize("b,c_in,stride,padding", LAYOUT_CASES)
+    def test_forward_matches_loop_oracle(self, b, c_in, stride, padding, rng):
+        x, weight, dy = layout_operands(rng, b, c_in, stride, padding)
+        bias = rng.normal(size=LAYOUT_C_OUT)
+        got = conv2d_forward(x, weight, bias, stride, padding)
+        assert got.shape == dy.shape and got.flags.c_contiguous
+        np.testing.assert_allclose(got, conv_oracle(x, weight, bias, stride, padding),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("b,c_in,stride,padding", LAYOUT_CASES)
+    def test_backward_matches_direct_sum(self, b, c_in, stride, padding, rng):
+        x, weight, dy = layout_operands(rng, b, c_in, stride, padding)
+        dx, dw, db = conv2d_backward(x, weight, dy, stride, padding, with_bias=True)
+        assert dx.shape == x.shape and dx.flags.c_contiguous
+        for got, want in zip((dx, dw, db), conv_backward_direct(x, weight, dy, stride, padding)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("b,c_in,stride,padding", LAYOUT_CASES)
+    def test_weight_gradient_without_dx(self, b, c_in, stride, padding, rng):
+        x, weight, dy = layout_operands(rng, b, c_in, stride, padding)
+        dx, dw, db = conv2d_backward(x, weight, dy, stride, padding, True, need_dx=False)
+        assert dx is None and dw.shape == weight.shape
+        _, want_dw, want_db = conv_backward_direct(x, weight, dy, stride, padding)
+        np.testing.assert_allclose(dw, want_dw, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(db, want_db, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("b,stride,padding", [(1, 1, 0), (3, 2, 1), (16, 2, 2)])
+    def test_im2col_rows_are_patches(self, b, stride, padding, rng):
+        x = rng.normal(size=(b, 2, LAYOUT_H, LAYOUT_W))
+        cols = im2col(x, 3, stride, padding)
+        oh = conv_out_size(LAYOUT_H, 3, stride, padding)
+        ow = conv_out_size(LAYOUT_W, 3, stride, padding)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        want = np.stack([xp[:, :, i * stride:i * stride + 3, j * stride:j * stride + 3]
+                         .reshape(b, -1) for i in range(oh) for j in range(ow)], axis=2)
+        np.testing.assert_array_equal(cols, want)
