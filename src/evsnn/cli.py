@@ -16,6 +16,7 @@ import argparse
 import ctypes
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -46,11 +47,18 @@ def _run_ledger(path: Path, exp: Experiment, command: str, seeds: dict,
                 elapsed: float) -> None:
     """Timing sidecar; excluded from the byte-determinism contract. It also
     records the core count and the thread count of each loaded OpenBLAS,
-    the two settings a wall time depends on."""
+    the two settings a wall time depends on, and the minor page faults and
+    the largest resident memory of this process and its finished workers."""
     threads = [get() for get in bench._openblas_functions("get_num_threads", ctypes.c_int)]
+    usage = [resource.getrusage(who) for who in (resource.RUSAGE_SELF,
+                                                 resource.RUSAGE_CHILDREN)]
+    # ru_maxrss is KiB on Linux, bytes on macOS
+    rss_unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
     _write_json(path, {"command": command, "config_hash": exp.config_hash(),
                        "seeds": seeds, "elapsed_seconds": elapsed,
-                       "nproc": os.cpu_count(), "openblas_threads": threads})
+                       "nproc": os.cpu_count(), "openblas_threads": threads,
+                       "minor_page_faults": sum(u.ru_minflt for u in usage),
+                       "peak_rss_mb": max(u.ru_maxrss for u in usage) / rss_unit})
 
 
 def _load_experiment_for(args) -> tuple[Experiment, dict]:
@@ -132,6 +140,8 @@ def cmd_voxelize(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    if args.sample_index < 0:
+        raise SchemaError(f"--sample-index must be >= 0, got {args.sample_index}")
     stream = load_events(args.input)
     if args.config is not None:
         exp, _ = load_experiment(args.config, {"seed": args.seed})

@@ -9,10 +9,14 @@ conv the batch axis is innermost. The input, and backward dy, is transposed
 and zero-padded in one copy into (C, Hp, Wp, B); a stride-1 window row is
 then one contiguous run of OW*B values. Patch columns (C*k*k, OH*OW*B) are
 one strided copy of its (C, k, k, OH, OW, B) window view. The forward is one
-GEMM plus the bias, then one transpose back to (B, C_out, OH, OW); the weight
-gradient is one GEMM on the same columns. A stride-1 input gradient is the
-full correlation of the batch-innermost dy with the flipped kernel, in and
-out channels swapped: one GEMM on dy's columns. A strided conv folds its
+GEMM plus the bias, then one transpose back to (B, C_out, OH, OW).
+
+x's columns are built once, in the forward. The backward of a stride-1 conv
+builds the columns of the batch-innermost dy instead, padded by k-1-padding
+(a full correlation), and runs two GEMMs on them: the input gradient
+against the flipped kernel with in and out channels swapped, the weight
+gradient against the unpadded x, its kernel taps read back flipped. A
+strided conv takes the weight gradient from x's columns and folds its
 column gradient into a (C, Hp, Wp, B) buffer by k*k strided adds.
 ``im2col``/``col2im`` are transposed views over the same builder and fold.
 
@@ -101,23 +105,26 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
                     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Gradients (dx, dweight, dbias) for conv2d_forward. With ``need_dx``
     false (a conv whose input needs no gradient) dx is None."""
-    b, _, h, w = x.shape
-    c_out, c_in, k, _ = weight.shape
+    b, c_in, h, w = x.shape
+    c_out, _, k, _ = weight.shape
     oh, ow = dy.shape[2], dy.shape[3]
-    # a stride-1 dx is the full correlation of dy, padded by k-1-padding
-    corr = need_dx and stride == 1 and padding < k
-    q = k - 1 - padding if corr else 0
-    dyp = _batch_last(dy, q)
-    dy_flat = dyp[:, q:q + oh, q:q + ow].reshape(c_out, oh * ow * b)
-    dw = (dy_flat @ _columns(_batch_last(x, padding), k, stride).T).reshape(weight.shape)
     db = dy.sum(axis=(0, 2, 3)) if with_bias else None
-    if not need_dx:
-        return None, dw, db
-    if corr:
-        # flipped kernel, in/out channels swapped
+    if stride == 1 and padding < k:
+        # full correlation: columns of dy padded by k-1-padding, one per input
+        # pixel; dw[o, c, i, j] = sum_m x[c, m] * dcols[(o, k-1-i, k-1-j), m]
+        dcols = _columns(_batch_last(dy, k - 1 - padding), k, 1)
+        dw = dcols @ _batch_last(x, 0).reshape(c_in, h * w * b).T
+        dw = dw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        if not need_dx:
+            return None, dw, db
+        # dx: the flipped kernel, in/out channels swapped
         w_flip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-        dx = (w_flip @ _columns(dyp, k, 1)).reshape(c_in, h, w, b)
+        dx = (w_flip @ dcols).reshape(c_in, h, w, b)
     else:
+        dy_flat = _batch_last(dy, 0).reshape(c_out, oh * ow * b)
+        dw = (_columns(_batch_last(x, padding), k, stride) @ dy_flat.T).T.reshape(weight.shape)
+        if not need_dx:
+            return None, dw, db
         dcols = weight.reshape(c_out, -1).T @ dy_flat          # (C_in*k*k, OH*OW*B)
         dx = _fold(dcols.reshape(c_in, k, k, oh, ow, b), h, w, stride, padding)
     return _batch_first(dx), dw, db

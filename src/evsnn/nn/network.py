@@ -22,8 +22,9 @@ join is additive. With one step the accumulator is a plain linear layer.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Union
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .layers import (avg_pool_backward, avg_pool_forward, conv2d_backward,
                      conv2d_forward, conv_out_size, global_pool_backward,
                      global_pool_forward, linear_backward, linear_forward)
-from .surrogate import arctan_surrogate, arctan_surrogate_grad, heaviside
+from .surrogate import arctan_surrogate, arctan_surrogate_grad
 
 
 class ConfigError(ValueError):
@@ -414,8 +415,8 @@ class ForwardTrace:
 
 
 def _if_apply(v, theta, mode, reset):
-    if mode == "spike":
-        x = heaviside(v - theta)
+    if mode == "spike":  # for finite floats, heaviside(v - theta) bit for bit
+        x = (v >= theta).astype(v.dtype)
     else:
         x = arctan_surrogate(v - theta)
     if reset == "subtract":
@@ -433,6 +434,26 @@ def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
         raise ValueError(f"unknown reset mode {reset!r}")
     v = np.asarray(u_prev, dtype=np.float64) + np.asarray(weighted_input)
     return _if_apply(v, theta, "spike", reset)
+
+
+# glibc mallopt parameter: free bytes kept at the top of the heap on trim
+_M_TOP_PAD = -2
+
+
+@cache
+def _keep_heap() -> bool:
+    """Once per process, ask the C allocator to keep 64 MiB of freed memory
+    at the top of the heap instead of trimming it back to the kernel. A
+    training step frees tens of megabytes of trace that the next forward
+    allocates again; trimmed, every step page-faults them back in. Does
+    nothing where libc has no ``mallopt`` (macOS, Windows); returns whether
+    the setting took."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    return bool(mallopt(_M_TOP_PAD, 64 << 20))
 
 
 def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
@@ -456,6 +477,7 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
     """
     if mode not in ("spike", "relaxed", "dense"):
         raise ConfigError(f"mode must be spike, relaxed or dense, got {mode!r}")
+    _keep_heap()
     if mode == "dense":
         x = fold_time(x, config)[:, None]
         config = _dense_view(config)
@@ -624,13 +646,16 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
             return g_out * (v > 0)
         sg = arctan_surrogate_grad(v - theta)
         g_u = carry_u.get(name)
-        if config.reset == "subtract":
-            reset_term = 1.0 - theta * sg
-        else:
-            reset_term = (1.0 - spikes) - v * sg
         gv = g_out * sg
-        if g_u is not None:
-            gv = gv + g_u * reset_term
+        if g_u is not None:  # gv += g_u * reset term, the term built in sg's buffer
+            if config.reset == "subtract":  # 1 - theta * sg
+                sg *= theta
+                np.subtract(1.0, sg, out=sg)
+            else:  # (1 - spikes) - v * sg
+                sg *= v
+                np.subtract(1.0 - spikes, sg, out=sg)
+            sg *= g_u
+            gv += sg
         carry_u[name] = gv
         if delayed:
             g_in = carry_p.get(name)

@@ -16,5 +16,11 @@ def arctan_surrogate(x):
 
 
 def arctan_surrogate_grad(x):
-    """d/dx of the surrogate: 1 / (1 + (pi * x)^2)."""
-    return 1.0 / (1.0 + (np.pi * x) ** 2)
+    """d/dx of the surrogate: 1 / (1 + (pi * x)^2); an array result is one
+    buffer, computed in place."""
+    g = np.multiply(np.pi, x)
+    g *= g
+    g += 1.0
+    if isinstance(g, np.ndarray):
+        return np.divide(1.0, g, out=g)
+    return 1.0 / g  # scalar input

@@ -112,6 +112,17 @@ def accuracy(config: NetworkConfig, params: dict, tensors: np.ndarray,
     return float((pred == np.asarray(labels)).mean())
 
 
+def _train_step(config: NetworkConfig, params: dict, batch: np.ndarray,
+                labels: np.ndarray, mode: str, lr: float, momentum: float,
+                velocity: dict | None) -> tuple[np.ndarray, dict]:
+    """Forward, BPTT and one SGD update on one batch; returns the logits and
+    the velocity. The trace and the gradients die on return, so the next
+    step's forward never runs beside them."""
+    logits, trace = forward(config, params, batch, mode=mode)
+    grads = backward(config, params, trace, labels)
+    return logits, sgd_step(params, grads, lr, momentum, velocity)
+
+
 def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
           train_labels: np.ndarray, val_tensors: np.ndarray,
           val_labels: np.ndarray, settings: TrainSettings,
@@ -150,11 +161,10 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
                     stream = apply_pipeline(stream, epoch_spec, sample_index=int(i))
                 batch[j] = voxelize(stream, t_steps)
             labels = train_labels[idx]
-            logits, trace = forward(config, params, batch, mode=mode)
+            logits, velocity = _train_step(config, params, batch, labels, mode, lr,
+                                           settings.momentum, velocity)
             loss_sum += cross_entropy(logits, labels) * len(idx)
             hit_sum += int((np.argmax(logits, axis=1) == labels).sum())
-            grads = backward(config, params, trace, labels)
-            velocity = sgd_step(params, grads, lr, settings.momentum, velocity)
 
         train_loss = loss_sum / n
         if not np.isfinite(train_loss):

@@ -56,6 +56,8 @@ class SynthParams:
         if min(self.width, self.height, self.duration) < 1:
             raise ValueError(f"width, height and duration must be >= 1, got "
                              f"{self.width}x{self.height}, {self.duration} us")
+        if self.events_per_sample < 1:
+            raise ValueError(f"events_per_sample must be >= 1, got {self.events_per_sample}")
         bars = {"bar_sweep_h", "bar_sweep_v"} & set(self.templates)
         if bars and min(self.width, self.height) < 2 * self.bar_margin:
             raise ValueError(

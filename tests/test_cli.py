@@ -92,6 +92,15 @@ class TestSynth:
     def test_bad_sample_count(self, tmp_path):
         assert main(synth_args(tmp_path / "x", per_class=0)) == 2
 
+    @pytest.mark.parametrize("events", ["0", "-5"])
+    def test_events_below_one_exit2(self, tmp_path, capsys, events):
+        args = synth_args(tmp_path / "x")
+        args[args.index("--events") + 1] = events
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "events_per_sample" in err
+        assert not (tmp_path / "x").exists()
+
     def test_impossible_geometry_exit2(self, tmp_path, capsys):
         # four classes include the bar templates, which need 16x16 at the
         # default margin
@@ -153,6 +162,15 @@ class TestAugmentCommand:
         assert rc == 2
         assert "cutmix" in capsys.readouterr().err
 
+    def test_negative_sample_index_exit2(self, workspace, tmp_path, capsys):
+        dst = tmp_path / "o.evt"
+        rc = main(["augment", str(first_event_file(workspace)), str(dst),
+                   "--pipeline", "crop", "--sample-index", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--sample-index" in err
+        assert not dst.exists()
+
     def test_pipeline_or_config_required(self, workspace, tmp_path):
         rc = main(["augment", str(first_event_file(workspace)),
                    str(tmp_path / "o.evt")])
@@ -184,6 +202,12 @@ class TestTrain:
         threads = ledger["openblas_threads"]
         assert isinstance(threads, list)
         assert all(isinstance(n, int) and n >= 1 for n in threads)
+
+    def test_ledger_records_page_faults_and_peak_rss(self, trained):
+        ledger = json.loads((trained / "train.runledger.json").read_text())
+        assert isinstance(ledger["minor_page_faults"], int)
+        assert ledger["minor_page_faults"] >= 0
+        assert ledger["peak_rss_mb"] > 0
 
     def test_rerun_byte_identical_except_ledger(self, workspace, trained):
         stable = ["model.evck", "train_report.json", "metrics.ndjson"]

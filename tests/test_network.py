@@ -1,5 +1,8 @@
 """Network config validation, forward semantics, accumulation, JSON."""
 
+import platform
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from evsnn.nn import (
     sew_tiny,
     softmax,
 )
+from evsnn.nn import network
 
 
 def tiny_config(classes=3, time_steps=3, g="add", **kw):
@@ -402,3 +406,48 @@ class TestDenseParams:
         spiking = init_params(sew_tiny(4), seed=0)
         assert list(spiking) == list(dense)
         assert spiking["00.conv.weight"].shape == (16, 2, 3, 3)
+
+
+class TestKeepHeap:
+    """forward asks the C allocator, once per process, to keep freed trace
+    memory instead of trimming it back to the kernel."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_helper(self):
+        network._keep_heap.cache_clear()
+        yield
+        network._keep_heap.cache_clear()  # the next forward sets the real one
+
+    @pytest.fixture
+    def net(self, rng):
+        config = tiny_config()
+        return config, init_params(config, seed=0), binary_input(rng, config)
+
+    def test_set_once_per_process(self, net, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(network.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        forward(*net)
+        forward(*net)
+        assert calls == [(network._M_TOP_PAD, 64 << 20)]
+
+    @pytest.mark.parametrize("libc", ["no_symbol", "no_library"])
+    def test_no_op_without_mallopt(self, net, monkeypatch, libc):
+        def cdll(name):
+            if libc == "no_library":
+                raise OSError("no C library")
+            return SimpleNamespace()  # a libc without mallopt, as on macOS
+
+        want = forward(*net)[0]
+        network._keep_heap.cache_clear()
+        monkeypatch.setattr(network.ctypes, "CDLL", cdll)
+        assert network._keep_heap() is False
+        assert forward(*net)[0].tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc mallopt")
+    def test_takes_on_glibc(self):
+        assert network._keep_heap() is True

@@ -1,6 +1,7 @@
 """Arctan surrogate: exact anchors, symmetry, derivative correctness."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +64,18 @@ class TestSurrogate:
         h = 1e-6
         fd = (arctan_surrogate(x + h) - arctan_surrogate(x - h)) / (2 * h)
         np.testing.assert_allclose(arctan_surrogate_grad(x), fd, rtol=1e-8)
+
+    @pytest.mark.parametrize("x", [
+        0.37, -1.25, np.float64(2.5), np.array(0.8), np.array(-0.3, dtype=np.float32),
+        np.linspace(-3, 3, 101, dtype=np.float32), np.linspace(-40, 40, 257)])
+    def test_grad_bitwise_equals_formula(self, x):
+        before = np.array(x, copy=True)
+        got = arctan_surrogate_grad(x)
+        want = 1.0 / (1.0 + (np.pi * x) ** 2)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.array_equal(x, before)  # the input is not overwritten
 
     def test_frozen_values(self):
         # mpmath at 50 digits: atan(pi)/pi + 1/2 and 1/(1 + pi^2)

@@ -80,6 +80,11 @@ class TestGenerate:
             with pytest.raises(ValueError, match=">= 1"):
                 SynthParams(templates=("static",), **bad)
 
+    @pytest.mark.parametrize("events", [0, -5])
+    def test_event_count_below_one_rejected(self, events):
+        with pytest.raises(ValueError, match="events_per_sample"):
+            SynthParams(events_per_sample=events)
+
     def test_static_template(self):
         p = SynthParams(templates=("static",), events_per_sample=800,
                         duration=50_000)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from evsnn.augment import AugmentSpec, TransformSpec
 from evsnn.events import EventStream
 from evsnn.nn import Accumulator, Classifier, NetworkConfig, init_params
+from evsnn.nn import train as nn_train
 from evsnn.nn.train import (
     TrainingDiverged,
     TrainSettings,
@@ -220,6 +222,26 @@ class TestTrainLoop:
             results.append(train(config, params, tr_s, tr_y, va_x, va_y,
                                  self.settings(epochs=4), augment=spec))
         assert results[0].history == results[1].history
+
+    def test_one_trace_alive_per_step(self, rng, monkeypatch):
+        # each training forward starts after the previous step's trace is gone
+        config = toy_config()
+        params = init_params(config, seed=0)
+        tr_s, tr_y, va_x, va_y = toy_data(rng)
+        real_forward, traces = nn_train.forward, []
+
+        def recording_forward(*args, **kwargs):
+            if kwargs.get("record", True):
+                alive = [ref for ref in traces if ref() is not None]
+                assert not alive, "a previous step's ForwardTrace is still referenced"
+            logits, trace = real_forward(*args, **kwargs)
+            if kwargs.get("record", True):
+                traces.append(weakref.ref(trace))
+            return logits, trace
+
+        monkeypatch.setattr(nn_train, "forward", recording_forward)
+        train(config, params, tr_s, tr_y, va_x, va_y, self.settings(epochs=2))
+        assert len(traces) == 6  # 12 streams, batch 4, 2 epochs
 
     def test_predict_empty(self):
         config = toy_config()
