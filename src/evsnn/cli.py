@@ -279,6 +279,8 @@ def cmd_regress(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise SchemaError(f"--samples must be >= 1, got {args.samples}")
     exp, _ = _load_experiment_for(args)
     manifest, streams, labels = _dataset_for(exp)
     config = exp.network
@@ -387,6 +389,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs is not None and args.jobs < 1:
+            raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except (SchemaError, ConfigError, InvalidStreamError,
             json.JSONDecodeError) as exc:

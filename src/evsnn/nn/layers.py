@@ -4,12 +4,23 @@ All functions are pure and batch-first: x is (B, C, H, W) or (B, D).
 Backward functions take the cached forward input and the upstream gradient
 and return input/parameter gradients.
 
+A result keeps the memory order of its input, read from the strides. An
+activation is either C-contiguous or a (B, C, H, W) view over
+batch-innermost (C, H, W, B) memory, the order the network keeps between
+its layers. A C-contiguous input gives a C-contiguous output; a
+batch-innermost input gives a batch-innermost view, with no copy back. At
+B=1 the two orders are the same memory. ``global_pool_backward`` is the one
+exception: its (B, C) gradient has no spatial order, and it writes
+batch-innermost memory.
+
 Convolution cost here is layout copies more than arithmetic, so inside a
-conv the batch axis is innermost. The input, and backward dy, is transposed
-and zero-padded in one copy into (C, Hp, Wp, B); a stride-1 window row is
-then one contiguous run of OW*B values. Patch columns (C*k*k, OH*OW*B) are
-one strided copy of its (C, k, k, OH, OW, B) window view. The forward is one
-GEMM plus the bias, then one transpose back to (B, C_out, OH, OW).
+conv the batch axis is innermost. The input, and backward dy, is zero-padded
+into (C, Hp, Wp, B) in one copy: a plain row copy for a batch-innermost
+array (an unpadded one is used as it is), a transposing copy otherwise. A
+stride-1 window row is then one contiguous run of OW*B values. Patch columns
+(C*k*k, OH*OW*B) are one strided copy of its (C, k, k, OH, OW, B) window
+view. The forward is one GEMM plus the bias, whose (C_out, OH, OW, B) output
+is handed back in the input's order.
 
 x's columns are built once, in the forward. The backward of a stride-1 conv
 builds the columns of the batch-innermost dy instead, padded by k-1-padding
@@ -17,12 +28,16 @@ builds the columns of the batch-innermost dy instead, padded by k-1-padding
 against the flipped kernel with in and out channels swapped, the weight
 gradient against the unpadded x, its kernel taps read back flipped. A
 strided conv takes the weight gradient from x's columns and folds its
-column gradient into a (C, Hp, Wp, B) buffer by k*k strided adds.
+column gradient into a (C, Hp, Wp, B) buffer by k*k strided adds; for a
+batch-innermost x its input gradient is a view into that buffer.
 ``im2col``/``col2im`` are transposed views over the same builder and fold.
 
-Every reduction runs in a fixed order: the GEMM shapes depend only on the
-layer and the batch size, and the fold and the pooling add their taps in a
-fixed order. Reruns with the same BLAS thread count are byte-identical.
+Every reduction runs in a fixed order that the input's memory order does
+not change, so both orders give bitwise-equal results: the GEMM shapes
+depend only on the layer and the batch size, the bias gradient sums the
+batch-innermost dy buffer, the global pool sums contiguous H*W rows, and the
+fold and the pooling add their taps in a fixed order. Reruns with the same
+BLAS thread count are byte-identical.
 """
 
 from __future__ import annotations
@@ -34,17 +49,29 @@ def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
 
 
+def _batch_innermost(x: np.ndarray) -> bool:
+    """Whether x (B, ...) keeps its batch axis innermost in memory. A
+    C-contiguous x counts as batch-major; at B=1 both are the same memory."""
+    return x.strides[0] == x.itemsize and not x.flags.c_contiguous
+
+
+def _in_order_of(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A batch-last (..., B) result as (B, ...) in x's memory order: a view
+    for a batch-innermost x, a C-contiguous copy otherwise."""
+    y = a.transpose(-1, *range(a.ndim - 1))
+    return y if _batch_innermost(x) else np.ascontiguousarray(y)
+
+
 def _batch_last(x: np.ndarray, p: int) -> np.ndarray:
-    """(B, C, H, W) -> (C, H + 2p, W + 2p, B), zero-padded by p: one transposing copy."""
-    b, c, h, w = x.shape
+    """(B, C, H, W) -> (C, H + 2p, W + 2p, B), zero-padded by p. An
+    unpadded batch-innermost x comes back as a view; otherwise one copy."""
+    xt = x.transpose(1, 2, 3, 0)
+    if not p and xt.flags.c_contiguous:
+        return xt
+    c, h, w, b = xt.shape
     out = (np.zeros if p else np.empty)((c, h + 2 * p, w + 2 * p, b), x.dtype)
-    out[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
+    out[:, p:p + h, p:p + w] = xt
     return out
-
-
-def _batch_first(a: np.ndarray) -> np.ndarray:
-    """(C, H, W, B) -> C-contiguous (B, C, H, W)."""
-    return np.ascontiguousarray(a.transpose(3, 0, 1, 2))
 
 
 def _columns(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -85,7 +112,7 @@ def col2im(cols: np.ndarray, x_shape: tuple, k: int, stride: int,
     b, c, h, w = x_shape
     oh, ow = (conv_out_size(n, k, stride, padding) for n in (h, w))
     dcols = cols.reshape(b, c, k, k, oh, ow).transpose(1, 2, 3, 4, 5, 0)
-    return _batch_first(_fold(dcols, h, w, stride, padding))
+    return np.ascontiguousarray(_fold(dcols, h, w, stride, padding).transpose(3, 0, 1, 2))
 
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
@@ -97,22 +124,25 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     y = weight.reshape(c_out, -1) @ _columns(_batch_last(x, padding), k, stride)
     if bias is not None:
         y += bias[:, None]
-    return _batch_first(y.reshape(c_out, oh, ow, b))
+    return _in_order_of(y.reshape(c_out, oh, ow, b), x)
 
 
 def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
                     stride: int, padding: int, with_bias: bool, need_dx: bool = True,
                     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """Gradients (dx, dweight, dbias) for conv2d_forward. With ``need_dx``
-    false (a conv whose input needs no gradient) dx is None."""
+    """Gradients (dx, dweight, dbias) for conv2d_forward; dx in x's memory
+    order. With ``need_dx`` false (a conv whose input needs no gradient) dx
+    is None."""
     b, c_in, h, w = x.shape
     c_out, _, k, _ = weight.shape
     oh, ow = dy.shape[2], dy.shape[3]
-    db = dy.sum(axis=(0, 2, 3)) if with_bias else None
     if stride == 1 and padding < k:
-        # full correlation: columns of dy padded by k-1-padding, one per input
-        # pixel; dw[o, c, i, j] = sum_m x[c, m] * dcols[(o, k-1-i, k-1-j), m]
-        dcols = _columns(_batch_last(dy, k - 1 - padding), k, 1)
+        # full correlation: columns of dy padded by q = k-1-padding, one per
+        # input pixel; dw[o, c, i, j] = sum_m x[c, m] * dcols[(o, k-1-i, k-1-j), m]
+        q = k - 1 - padding
+        dyp = _batch_last(dy, q)
+        db = dyp[:, q:q + oh, q:q + ow].sum(axis=(1, 2, 3)) if with_bias else None
+        dcols = _columns(dyp, k, 1)
         dw = dcols @ _batch_last(x, 0).reshape(c_in, h * w * b).T
         dw = dw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         if not need_dx:
@@ -121,20 +151,22 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
         w_flip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
         dx = (w_flip @ dcols).reshape(c_in, h, w, b)
     else:
-        dy_flat = _batch_last(dy, 0).reshape(c_out, oh * ow * b)
+        dy_cm = _batch_last(dy, 0)
+        db = dy_cm.sum(axis=(1, 2, 3)) if with_bias else None
+        dy_flat = dy_cm.reshape(c_out, oh * ow * b)
         dw = (_columns(_batch_last(x, padding), k, stride) @ dy_flat.T).T.reshape(weight.shape)
         if not need_dx:
             return None, dw, db
         dcols = weight.reshape(c_out, -1).T @ dy_flat          # (C_in*k*k, OH*OW*B)
         dx = _fold(dcols.reshape(c_in, k, k, oh, ow, b), h, w, stride, padding)
-    return _batch_first(dx), dw, db
+    return _in_order_of(dx, x), dw, db
 
 
 def avg_pool_forward(x: np.ndarray, window: int) -> np.ndarray:
     b, c, h, w = x.shape
     if h % window or w % window:
         raise ValueError(f"pool window {window} does not divide {h}x{w}")
-    out = x[:, :, ::window, ::window].copy()
+    out = x[:, :, ::window, ::window].copy(order="K")
     for i in range(window):
         for j in range(window):
             if i or j:
@@ -144,18 +176,30 @@ def avg_pool_forward(x: np.ndarray, window: int) -> np.ndarray:
 
 
 def avg_pool_backward(dy: np.ndarray, window: int) -> np.ndarray:
+    b, c, h, w = dy.shape
     scaled = dy / (window * window)
-    return np.repeat(np.repeat(scaled, window, axis=2), window, axis=3)
+    out = np.empty_like(dy, shape=(b, c, h * window, w * window))
+    for i in range(window):
+        for j in range(window):
+            out[:, :, i::window, j::window] = scaled
+    return out
 
 
 def global_pool_forward(x: np.ndarray) -> np.ndarray:
-    """(B, C, H, W) -> (B, C) spatial mean."""
-    return x.mean(axis=(2, 3))
+    """(B, C, H, W) -> (B, C) spatial mean. Each mean runs over one
+    contiguous run of H*W values, as in a C-contiguous array, so x's memory
+    order changes no bit of the result."""
+    means = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).mean(axis=(2, 3))
+    return _in_order_of(means, x)
 
 
 def global_pool_backward(dy: np.ndarray, h: int, w: int) -> np.ndarray:
-    return np.broadcast_to(dy[:, :, None, None] / (h * w),
-                           (dy.shape[0], dy.shape[1], h, w)).copy()
+    """(B, C) -> (B, C, H, W) over batch-innermost memory."""
+    b, c = dy.shape
+    scaled = dy.T / (h * w)
+    out = np.empty((c, h, w, b), dtype=scaled.dtype)
+    out[...] = scaled[:, None, None]
+    return out.transpose(3, 0, 1, 2)
 
 
 def linear_forward(x: np.ndarray, weight: np.ndarray,

@@ -508,9 +508,6 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
         if mode == "dense":  # ReLU; nothing carries across steps
             v, spikes = drive, np.maximum(drive, 0.0)
         else:
-            u_prev = membranes.get(name)
-            if u_prev is None:
-                u_prev = np.zeros_like(drive)
             if delayed:
                 inp = pending.get(name)
                 if inp is None:
@@ -518,14 +515,18 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
                 pending[name] = drive
             else:
                 inp = drive
-            v = u_prev + inp
+            u_prev = membranes.get(name)  # None before the first step
+            v = inp if u_prev is None else u_prev + inp
             spikes, membranes[name] = _if_apply(v, theta, mode, config.reset)
         spike_counts[name] = spike_counts.get(name, 0.0) + float(spikes.sum())
         site_sizes[name] = spikes[0].size
         return spikes, v
 
     for t in range(t_steps):
-        h = np.ascontiguousarray(x[:, t], dtype=dtype)
+        # the encoder runs on batch-innermost activations (see nn.layers);
+        # this cast is a contiguous copy for batch-innermost x, as train() builds it
+        h = np.empty(x.shape[2:] + (b,), dtype=dtype).transpose(3, 0, 1, 2)
+        h[...] = x[:, t]
         step_cache: list = []
         for i, lay in enumerate(enc):
             tag = f"{i:02d}"

@@ -153,8 +153,10 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
         hit_sum = 0
         for start in range(0, n, settings.batch_size):
             idx = order[start:start + settings.batch_size]
-            batch = np.empty((len(idx), t_steps, config.in_channels,
-                              config.height, config.width), dtype=np.uint8)
+            # (B, T, C, H, W) over (T, C, H, W, B) memory, so that forward's
+            # batch-innermost steps are contiguous casts
+            batch = np.empty((t_steps, config.in_channels, config.height,
+                              config.width, len(idx)), dtype=np.uint8).transpose(4, 0, 1, 2, 3)
             for j, i in enumerate(idx):
                 stream = train_streams[i]
                 if epoch_spec is not None:

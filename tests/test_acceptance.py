@@ -6,6 +6,7 @@ training run is shared between criteria 5 and 8 through a module fixture;
 everything else is self-contained and fast.
 """
 
+import ctypes
 import json
 import math
 import time
@@ -25,7 +26,13 @@ from evsnn.augment import (
     polflip,
     reverse,
 )
-from evsnn.bench import derive_seed, run_cv, spec_for_mask, sweep_common_eda
+from evsnn.bench import (
+    _openblas_functions,
+    derive_seed,
+    run_cv,
+    spec_for_mask,
+    sweep_common_eda,
+)
 from evsnn.cli import main
 from evsnn.energy import (
     EnergyConstants,
@@ -335,9 +342,11 @@ def test_criterion_5_end_to_end_learning(full_run):
     spiking, dense, wall = full_run
     epochs = max(f["epochs_run"] for f in spiking.per_fold)
     ok = spiking.mean_acc >= 0.90 and epochs <= 50 and wall <= 900.0
+    threads = [get() for get in _openblas_functions("get_num_threads", ctypes.c_int)]
     report(5, ok, f"10-fold mean accuracy {spiking.mean_acc:.3f} (>= 0.90) "
                   f"with crop+hflip, <= {epochs} epochs/fold (<= 50), "
-                  f"{wall:.0f}s single-core (<= 900s); dense baseline "
+                  f"{wall:.0f}s (<= 900s) in one process at OpenBLAS threads "
+                  f"{threads or 'unknown'}; dense baseline "
                   f"{dense.mean_acc:.3f} under the identical protocol")
     assert spiking.mean_acc >= 0.90
     assert epochs <= 50

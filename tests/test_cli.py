@@ -1,12 +1,16 @@
 """End-to-end command-line flows on a tiny synthetic dataset."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evsnn
 from evsnn.cli import main
 from evsnn.evio import load_events, load_manifest
 from evsnn.nn import (
@@ -396,3 +400,31 @@ class TestEnergyCommand:
         rc = main(["energy", "--config", str(path),
                    "--checkpoint", str(tmp_path / "nope.evck")])
         assert rc == 4
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter, so an escaping exception shows up as a
+    traceback on stderr rather than as a raised exception."""
+    src = Path(evsnn.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "evsnn.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+class TestCountFlagsBelowOne:
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_energy_samples_exit2(self, conv_trained, samples):
+        path, _ = conv_trained
+        proc = run_cli("energy", "--config", str(path), "--samples", samples)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and "--samples" in proc.stderr
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["sweep", "train"])
+    def test_jobs_exit2(self, workspace, command, jobs):
+        proc = run_cli(command, "--config", str(workspace / "exp.json"), "--jobs", jobs)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and "--jobs" in proc.stderr

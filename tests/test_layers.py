@@ -357,3 +357,82 @@ class TestBatchInnermostLayout:
         want = np.stack([xp[:, :, i * stride:i * stride + 3, j * stride:j * stride + 3]
                          .reshape(b, -1) for i in range(oh) for j in range(ow)], axis=2)
         np.testing.assert_array_equal(cols, want)
+
+
+def batch_innermost(a):
+    """The same values as a (B, ...) view over (..., B) memory."""
+    order = tuple(range(1, a.ndim)) + (0,)
+    back = (a.ndim - 1,) + tuple(range(a.ndim - 1))
+    return np.ascontiguousarray(a.transpose(order)).transpose(back)
+
+
+def assert_order_kept(got, want, b):
+    """got (from a batch-innermost input) keeps the batch axis innermost and
+    equals want (from the C-contiguous input) bit for bit; want is
+    C-contiguous. At B=1 the two orders are the same memory."""
+    assert want.flags.c_contiguous
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if b == 1:
+        assert got.flags.c_contiguous
+    else:
+        assert got.strides[0] == got.itemsize
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+# B=1 is where both orders are contiguous; stride 1 takes the correlation
+# backward, stride 2 the fold
+ORDER_CASES = [(b, stride, padding, dtype)
+               for b in (1, 3, 16) for stride in (1, 2) for padding in (0, 1)
+               for dtype in (np.float32, np.float64)]
+
+
+class TestOutputFollowsInputOrder:
+    @pytest.mark.parametrize("b,stride,padding,dtype", ORDER_CASES)
+    def test_conv_forward(self, b, stride, padding, dtype, rng):
+        x, weight, _ = (a.astype(dtype) for a in layout_operands(rng, b, 2, stride, padding))
+        bias = rng.normal(size=LAYOUT_C_OUT).astype(dtype)
+        want = conv2d_forward(x, weight, bias, stride, padding)
+        got = conv2d_forward(batch_innermost(x), weight, bias, stride, padding)
+        assert_order_kept(got, want, b)
+        # handed back as a view over the (C_out, OH, OW, B) GEMM output
+        assert got.transpose(1, 2, 3, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("b,stride,padding,dtype", ORDER_CASES)
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_conv_backward(self, b, stride, padding, dtype, need_dx, rng):
+        x, weight, dy = (a.astype(dtype) for a in layout_operands(rng, b, 2, stride, padding))
+        want = conv2d_backward(x, weight, dy, stride, padding, True, need_dx=need_dx)
+        got = conv2d_backward(batch_innermost(x), weight, batch_innermost(dy),
+                              stride, padding, True, need_dx=need_dx)
+        if need_dx:
+            assert_order_kept(got[0], want[0], b)
+        else:
+            assert got[0] is None and want[0] is None
+        for g, w in zip(got[1:], want[1:]):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("b", [1, 3, 16])
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_avg_pool(self, b, window, rng):
+        x = rng.normal(size=(b, 3, 4, 6)).astype(np.float32)
+        assert_order_kept(avg_pool_forward(batch_innermost(x), window),
+                          avg_pool_forward(x, window), b)
+        dy = rng.normal(size=(b, 3, 4 // window, 6 // window)).astype(np.float32)
+        assert_order_kept(avg_pool_backward(batch_innermost(dy), window),
+                          avg_pool_backward(dy, window), b)
+
+    @pytest.mark.parametrize("b", [1, 3, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_global_pool(self, b, dtype, rng):
+        x = rng.normal(size=(b, 5, 4, 3)).astype(dtype)
+        want = global_pool_forward(x)
+        assert_order_kept(global_pool_forward(batch_innermost(x)), want, b)
+        np.testing.assert_allclose(want, x.mean(axis=(2, 3)), rtol=0,
+                                   atol=1e-6 * np.abs(x).max())
+        # a (B, C) gradient has no spatial order: batch-innermost either way
+        dy = rng.normal(size=(b, 5)).astype(dtype)
+        back = global_pool_backward(dy, 4, 3)
+        assert back.transpose(1, 2, 3, 0).flags.c_contiguous
+        assert global_pool_backward(np.asfortranarray(dy), 4, 3).tobytes() == back.tobytes()
+        np.testing.assert_array_equal(back, np.broadcast_to(dy[:, :, None, None] / 12,
+                                                            (b, 5, 4, 3)))

@@ -451,3 +451,66 @@ class TestKeepHeap:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc mallopt")
     def test_takes_on_glibc(self):
         assert network._keep_heap() is True
+
+
+def batch_innermost_input(x):
+    """(B, T, C, H, W) values over (T, C, H, W, B) memory, as train() builds them."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 4, 0)).transpose(4, 0, 1, 2, 3)
+
+
+class TestBatchInnermostActivations:
+    """The encoder keeps its activations batch-innermost from the first
+    conv's input on; the input's own memory order changes no value."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        rng = np.random.default_rng(21)
+        x = (rng.random((16, 6, 2, 64, 64)) < 0.05).astype(np.uint8)
+        return x, rng.integers(0, 4, 16)
+
+    @pytest.mark.parametrize("g", ["add", "and", "iand"])
+    def test_cached_activations_are_batch_innermost(self, batch, g):
+        config = sew_tiny(4, theta=0.5, g=g)
+        _, trace = forward(config, init_params(config, 2), batch[0])
+        cached = [a for step in trace.caches for entry in step for a in entry
+                  if isinstance(a, np.ndarray)]
+        # per step: 3 conv inputs, 3 IF (v, spikes), 3 SEW (x, v1, s1, v2, s2)
+        # and the head IF (v, spikes)
+        assert len(cached) == config.time_steps * (3 + 6 + 15 + 2)
+        for a in cached:
+            assert a.shape[0] == 16 and a.strides[0] == a.itemsize
+
+    @pytest.mark.parametrize("mode", ["spike", "relaxed", "dense"])
+    def test_input_order_changes_no_value(self, batch, mode):
+        config = sew_tiny(4, height=32, width=32, time_steps=3, theta=0.5)
+        params = init_params(config, 3, kind="dense" if mode == "dense" else "spiking")
+        x = batch[0][:, :3, :, :32, :32]
+        logits, trace = forward(config, params, np.ascontiguousarray(x), mode=mode)
+        logits_bi, trace_bi = forward(config, params, batch_innermost_input(x), mode=mode)
+        assert logits.tobytes() == logits_bi.tobytes()
+        assert trace.spike_counts == trace_bi.spike_counts
+        assert trace.features.tobytes() == trace_bi.features.tobytes()
+
+    def test_every_conv_goes_through_the_module_functions(self, batch, monkeypatch):
+        # the conv-parity test and the benchmark tracer swap or wrap these
+        # names; a conv that bypassed them would make both vacuous
+        config = sew_tiny(4, theta=0.5)
+        params = init_params(config, 2)
+        calls = {"forward": 0, "backward": 0}
+
+        def counting(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(network, "conv2d_forward",
+                            counting("forward", network.conv2d_forward))
+        monkeypatch.setattr(network, "conv2d_backward",
+                            counting("backward", network.conv2d_backward))
+        _, trace = forward(config, params, batch[0])
+        network.backward(config, params, trace, batch[1])
+        convs = [s for s in network.synaptic_layers(config) if s.op == "conv"]
+        assert len(convs) == 9
+        assert calls == {"forward": 9 * config.time_steps,
+                         "backward": 9 * config.time_steps}

@@ -243,6 +243,28 @@ class TestTrainLoop:
         train(config, params, tr_s, tr_y, va_x, va_y, self.settings(epochs=2))
         assert len(traces) == 6  # 12 streams, batch 4, 2 epochs
 
+    def test_batch_built_batch_innermost(self, rng, monkeypatch):
+        # each training batch is a (B, T, C, H, W) view over (T, C, H, W, B)
+        # memory holding the voxelized streams in the epoch's order
+        config = toy_config()
+        params = init_params(config, seed=0)
+        tr_s, tr_y, va_x, va_y = toy_data(rng)
+        real_forward, batches = nn_train.forward, []
+
+        def recording_forward(config, params, x, **kwargs):
+            if kwargs.get("record", True):
+                assert x.transpose(1, 2, 3, 4, 0).flags.c_contiguous
+                batches.append(x.copy())
+            return real_forward(config, params, x, **kwargs)
+
+        monkeypatch.setattr(nn_train, "forward", recording_forward)
+        settings = self.settings(epochs=1)
+        train(config, params, tr_s, tr_y, va_x, va_y, settings)
+        order = nn_train._epoch_rngs(settings.seed, 0)[0].permutation(len(tr_s))
+        assert [len(b) for b in batches] == [4, 4, 4]
+        np.testing.assert_array_equal(np.concatenate(batches),
+                                      voxelize_set(tr_s, 2)[order])
+
     def test_predict_empty(self):
         config = toy_config()
         params = init_params(config, seed=0)
