@@ -201,8 +201,8 @@ def _execute(tasks: list[FoldTask], streams, labels, jobs: int) -> list[dict]:
             return [_run_fold(t) for t in tasks]
         finally:
             _DATA = None
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                             initargs=(streams, labels)) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                             initializer=_init_worker, initargs=(streams, labels)) as pool:
         return list(pool.map(_run_fold, tasks))
 
 

@@ -30,7 +30,6 @@ gradient against the unpadded x, its kernel taps read back flipped. A
 strided conv takes the weight gradient from x's columns and folds its
 column gradient into a (C, Hp, Wp, B) buffer by k*k strided adds; for a
 batch-innermost x its input gradient is a view into that buffer.
-``im2col``/``col2im`` are transposed views over the same builder and fold.
 
 Every reduction runs in a fixed order that the input's memory order does
 not change, so both orders give bitwise-equal results: the GEMM shapes
@@ -96,23 +95,6 @@ def _fold(dcols: np.ndarray, h: int, w: int, stride: int,
         for j in range(k):
             out[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
     return out[:, padding:padding + h, padding:padding + w]
-
-
-def im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold (B, C, H, W) into (B, C*k*k, OH*OW) patch columns."""
-    b, c = x.shape[:2]
-    cols = _columns(_batch_last(x, padding), k, stride)
-    return cols.reshape(c * k * k, -1, b).transpose(2, 0, 1)
-
-
-def col2im(cols: np.ndarray, x_shape: tuple, k: int, stride: int,
-           padding: int) -> np.ndarray:
-    """Fold (B, C*k*k, OH*OW) columns back, summing overlaps; inverse-adjoint
-    of im2col."""
-    b, c, h, w = x_shape
-    oh, ow = (conv_out_size(n, k, stride, padding) for n in (h, w))
-    dcols = cols.reshape(b, c, k, k, oh, ow).transpose(1, 2, 3, 4, 5, 0)
-    return np.ascontiguousarray(_fold(dcols, h, w, stride, padding).transpose(3, 0, 1, 2))
 
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,

@@ -65,6 +65,11 @@ class SEW:
     theta: float = 1.0
     bias: bool = True
 
+    @property
+    def conv(self) -> Conv2d:
+        """Either stage's conv: channels to channels, stride 1, same size."""
+        return Conv2d(self.channels, self.channels, self.k, 1, self.k // 2, self.bias)
+
 
 @dataclass(frozen=True)
 class AvgPool:
@@ -245,6 +250,25 @@ def _kaiming_uniform(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def _convs(config: NetworkConfig):
+    """(tensor name, Conv2d, output (C, H, W), site it feeds) for every
+    encoder conv in forward order. A plain conv feeds the first IF after it,
+    unless a Conv2d or SEW comes first."""
+    shapes = config.encoder_shapes()
+    enc = config.encoder_layers
+    for i, lay in enumerate(enc):
+        tag = f"{i:02d}"
+        if isinstance(lay, Conv2d):
+            site = next((f"{j:02d}" if isinstance(nxt, IF) else None
+                         for j, nxt in enumerate(enc[i + 1:], i + 1)
+                         if isinstance(nxt, (IF, Conv2d, SEW))), None)
+            out = shapes[i + 1] if len(shapes[i + 1]) == 3 else (shapes[i + 1][0], 1, 1)
+            yield f"{tag}.conv", lay, out, site
+        elif isinstance(lay, SEW):
+            yield f"{tag}.sew.conv1", lay.conv, shapes[i], f"{tag}a"
+            yield f"{tag}.sew.conv2", lay.conv, shapes[i], f"{tag}b"
+
+
 def init_params(config: NetworkConfig, seed: int, dtype=np.float32,
                 kind: str = "spiking") -> dict[str, np.ndarray]:
     """Fresh parameter tensors in declared layer order; Kaiming-uniform
@@ -256,21 +280,11 @@ def init_params(config: NetworkConfig, seed: int, dtype=np.float32,
         config = _dense_view(config)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     params: dict[str, np.ndarray] = {}
-    for i, lay in enumerate(config.encoder_layers):
-        tag = f"{i:02d}"
-        if isinstance(lay, Conv2d):
-            fan = lay.c_in * lay.k * lay.k
-            params[f"{tag}.conv.weight"] = _kaiming_uniform(
-                rng, (lay.c_out, lay.c_in, lay.k, lay.k), fan, dtype)
-            if lay.bias:
-                params[f"{tag}.conv.bias"] = np.zeros(lay.c_out, dtype=dtype)
-        elif isinstance(lay, SEW):
-            fan = lay.channels * lay.k * lay.k
-            for stage in ("conv1", "conv2"):
-                params[f"{tag}.sew.{stage}.weight"] = _kaiming_uniform(
-                    rng, (lay.channels, lay.channels, lay.k, lay.k), fan, dtype)
-                if lay.bias:
-                    params[f"{tag}.sew.{stage}.bias"] = np.zeros(lay.channels, dtype=dtype)
+    for name, conv, _, _ in _convs(config):
+        params[f"{name}.weight"] = _kaiming_uniform(
+            rng, (conv.c_out, conv.c_in, conv.k, conv.k), conv.c_in * conv.k * conv.k, dtype)
+        if conv.bias:
+            params[f"{name}.bias"] = np.zeros(conv.c_out, dtype=dtype)
     d = config.feature_dim
     acc_tag = f"{len(config.layers) - 2:02d}"
     cls_tag = f"{len(config.layers) - 1:02d}"
@@ -310,29 +324,8 @@ def synaptic_layers(config: NetworkConfig, kind: str = "spiking") -> list[Synapt
     """Every weighted layer in forward order, with resolved shapes."""
     if kind == "dense":
         config = _dense_view(config)
-    shapes = config.encoder_shapes()
-    enc = config.encoder_layers
-    out = []
-
-    def next_if_site(start: int) -> str | None:
-        for j in range(start, len(enc)):
-            if isinstance(enc[j], IF):
-                return f"{j:02d}"
-            if isinstance(enc[j], (Conv2d, SEW)):
-                return None
-        return None
-
-    for i, lay in enumerate(enc):
-        tag = f"{i:02d}"
-        if isinstance(lay, Conv2d):
-            c, oh, ow = shapes[i + 1] if len(shapes[i + 1]) == 3 else (shapes[i + 1][0], 1, 1)
-            out.append(SynapticLayer(f"{tag}.conv", "conv", lay.k, oh, ow,
-                                     shapes[i][0], lay.c_out, next_if_site(i + 1)))
-        elif isinstance(lay, SEW):
-            _, h, w = shapes[i]
-            for stage, site in (("conv1", f"{tag}a"), ("conv2", f"{tag}b")):
-                out.append(SynapticLayer(f"{tag}.sew.{stage}", "conv", lay.k, h, w,
-                                         lay.channels, lay.channels, site))
+    out = [SynapticLayer(name, "conv", conv.k, oh, ow, conv.c_in, conv.c_out, site)
+           for name, conv, (_, oh, ow), site in _convs(config)]
     d = config.feature_dim
     acc_tag = f"{len(config.layers) - 2:02d}"
     cls_tag = f"{len(config.layers) - 1:02d}"
@@ -498,11 +491,11 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
     caches: list | None = [] if record else None
     features = np.empty((b, t_steps, d), dtype=dtype)
 
-    def conv(name: str, h: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    def conv(name: str, h: np.ndarray, spec: Conv2d) -> np.ndarray:
         total, _ = syn_inputs.get(name, (0.0, 0))
         syn_inputs[name] = (total + float(h.sum()), h[0].size)
         return conv2d_forward(h, params[f"{name}.weight"], params.get(f"{name}.bias"),
-                              stride, padding)
+                              spec.stride, spec.padding)
 
     def site(name: str, drive: np.ndarray, theta: float):
         if mode == "dense":  # ReLU; nothing carries across steps
@@ -532,14 +525,13 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
             tag = f"{i:02d}"
             if isinstance(lay, Conv2d):
                 step_cache.append((h,))
-                h = conv(f"{tag}.conv", h, lay.stride, lay.padding)
+                h = conv(f"{tag}.conv", h, lay)
             elif isinstance(lay, IF):
                 h, v = site(tag, h, lay.theta)
                 step_cache.append((v, h))
             elif isinstance(lay, SEW):
-                pad = lay.k // 2
-                s1, v1 = site(f"{tag}a", conv(f"{tag}.sew.conv1", h, 1, pad), lay.theta)
-                s2, v2 = site(f"{tag}b", conv(f"{tag}.sew.conv2", s1, 1, pad), lay.theta)
+                s1, v1 = site(f"{tag}a", conv(f"{tag}.sew.conv1", h, lay.conv), lay.theta)
+                s2, v2 = site(f"{tag}b", conv(f"{tag}.sew.conv2", s1, lay.conv), lay.theta)
                 step_cache.append((h, v1, s1, v2, s2))
                 if lay.g == "add":
                     h = s2 + h
@@ -631,11 +623,12 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
     carry_u: dict[str, np.ndarray] = {}
     carry_p: dict[str, np.ndarray] = {}
 
-    def conv_back(name: str, x_in, g, stride: int, padding: int, need_dx: bool = True):
+    def conv_back(name: str, x_in, g, spec: Conv2d, need_dx: bool = True):
         """Returns gradient w.r.t. the conv input (None without ``need_dx``);
         accumulates its parameters'."""
-        dx, dw, db = conv2d_backward(x_in, params[f"{name}.weight"], g, stride, padding,
-                                     f"{name}.bias" in params, need_dx=need_dx)
+        dx, dw, db = conv2d_backward(x_in, params[f"{name}.weight"], g, spec.stride,
+                                     spec.padding, f"{name}.bias" in params,
+                                     need_dx=need_dx)
         grads[f"{name}.weight"] += dw
         if db is not None:
             grads[f"{name}.bias"] += db
@@ -678,14 +671,12 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
             tag = f"{i:02d}"
             cache = step_cache[i]
             if isinstance(lay, Conv2d):
-                g = conv_back(f"{tag}.conv", cache[0], g, lay.stride, lay.padding,
-                              need_dx=i > first)
+                g = conv_back(f"{tag}.conv", cache[0], g, lay, need_dx=i > first)
             elif isinstance(lay, IF):
                 v, spikes = cache
                 g = site_back(tag, g, v, spikes, lay.theta)
             elif isinstance(lay, SEW):
                 x_in, v1, s1, v2, s2 = cache
-                pad = lay.k // 2
                 if lay.g == "add":
                     g_s2, g_res = g, g
                 elif lay.g == "and":
@@ -693,9 +684,9 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
                 else:  # iand
                     g_s2, g_res = -g * x_in, g * (1.0 - s2)
                 g2 = site_back(f"{tag}b", g_s2, v2, s2, lay.theta)
-                g1 = site_back(f"{tag}a", conv_back(f"{tag}.sew.conv2", s1, g2, 1, pad),
+                g1 = site_back(f"{tag}a", conv_back(f"{tag}.sew.conv2", s1, g2, lay.conv),
                                v1, s1, lay.theta)
-                g = conv_back(f"{tag}.sew.conv1", x_in, g1, 1, pad, need_dx=i > first)
+                g = conv_back(f"{tag}.sew.conv1", x_in, g1, lay.conv, need_dx=i > first)
                 if g is not None:
                     g = g + g_res
             elif isinstance(lay, AvgPool):

@@ -2,6 +2,7 @@
 
 import ctypes
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -395,6 +396,45 @@ class TestNestedFoldPath:
         assert pools == [2]
         assert serial.fold_acc == parallel.fold_acc
         assert serial.per_fold == parallel.per_fold
+
+
+def in_process_pool(monkeypatch) -> list[int]:
+    """Swap bench's process pool for one that records its ``max_workers``
+    and runs the initializer and the map in this process; starts nothing.
+    The initializer's one-thread BLAS setting is kept off this process."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(bench, "_openblas_functions", lambda *args: [])
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.setattr(bench, "_DATA", None)
+    return sizes
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
+    def test_no_more_workers_than_folds(self, jobs, workers, monkeypatch):
+        streams, labels = toy_dataset(n=12)
+        fast = TrainSettings(epochs=1, batch_size=8, lr=0.3, seed=0)
+        serial = run_cv(streams, labels, toy_config(), fast, k=3, jobs=1)
+        sizes = in_process_pool(monkeypatch)
+        pooled = run_cv(streams, labels, toy_config(), fast, k=3, jobs=jobs)
+        assert sizes == [workers]
+        assert pooled.per_fold == serial.per_fold
 
 
 def _worker_blas_threads():

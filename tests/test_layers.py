@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from evsnn.nn.layers import (
+    _batch_last,
+    _columns,
+    _fold,
     avg_pool_backward,
     avg_pool_forward,
-    col2im,
     conv2d_backward,
     conv2d_forward,
     conv_out_size,
     global_pool_backward,
     global_pool_forward,
-    im2col,
     linear_backward,
     linear_forward,
 )
@@ -93,32 +94,38 @@ class TestConvForward:
         assert a.tobytes() == b.tobytes()
 
 
+def columns(x, k, stride, padding):
+    """im2col as the conv builds it: the (C*k*k, OH*OW*B) patch columns
+    of a (B, C, H, W) x. ``_fold`` is its adjoint, col2im."""
+    return _columns(_batch_last(x, padding), k, stride)
+
+
 class TestColOps:
     def test_im2col_shape(self, rng):
         x = rng.normal(size=(2, 3, 6, 5))
-        cols = im2col(x, 3, 2, 1)
+        cols = columns(x, 3, 2, 1)
         oh, ow = conv_out_size(6, 3, 2, 1), conv_out_size(5, 3, 2, 1)
-        assert cols.shape == (2, 3 * 9, oh * ow)
+        assert cols.shape == (3 * 9, oh * ow * 2)
 
     @pytest.mark.parametrize("k,stride,padding", [(1, 1, 0), (3, 1, 1), (3, 2, 1),
                                                   (2, 2, 0)])
     def test_adjoint_identity(self, k, stride, padding, rng):
-        # <im2col(x), c> == <x, col2im(c)> for all x, c: the pair is adjoint
-        shape = (2, 2, 6, 6)
+        # <columns(x), c> == <x, fold(c)> for all x, c: the pair is adjoint
+        b, c_in, h, w = shape = (2, 2, 6, 6)
         x = rng.normal(size=shape)
-        cols = im2col(x, k, stride, padding)
+        cols = columns(x, k, stride, padding)
         c = rng.normal(size=cols.shape)
+        oh, ow = (conv_out_size(n, k, stride, padding) for n in (h, w))
+        folded = _fold(c.reshape(c_in, k, k, oh, ow, b), h, w, stride, padding)
         lhs = float((cols * c).sum())
-        rhs = float((x * col2im(c, shape, k, stride, padding)).sum())
+        rhs = float((x.transpose(1, 2, 3, 0) * folded).sum())
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_col2im_counts_overlaps(self):
         # folding all-ones columns counts how many windows cover each pixel
-        shape = (1, 1, 3, 3)
-        cols = np.ones((1, 9, 9))
-        out = col2im(cols, shape, 3, 1, 1)
+        out = _fold(np.ones((1, 3, 3, 3, 3, 1)), 3, 3, 1, 1)
         expected = np.array([[4, 6, 4], [6, 9, 6], [4, 6, 4]], dtype=float)
-        np.testing.assert_array_equal(out[0, 0], expected)
+        np.testing.assert_array_equal(out[0, :, :, 0], expected)
 
 
 class TestConvBackward:
@@ -350,13 +357,13 @@ class TestBatchInnermostLayout:
     @pytest.mark.parametrize("b,stride,padding", [(1, 1, 0), (3, 2, 1), (16, 2, 2)])
     def test_im2col_rows_are_patches(self, b, stride, padding, rng):
         x = rng.normal(size=(b, 2, LAYOUT_H, LAYOUT_W))
-        cols = im2col(x, 3, stride, padding)
+        cols = columns(x, 3, stride, padding)
         oh = conv_out_size(LAYOUT_H, 3, stride, padding)
         ow = conv_out_size(LAYOUT_W, 3, stride, padding)
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         want = np.stack([xp[:, :, i * stride:i * stride + 3, j * stride:j * stride + 3]
                          .reshape(b, -1) for i in range(oh) for j in range(ow)], axis=2)
-        np.testing.assert_array_equal(cols, want)
+        np.testing.assert_array_equal(cols, want.transpose(1, 2, 0).reshape(cols.shape))
 
 
 def batch_innermost(a):

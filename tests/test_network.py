@@ -408,6 +408,82 @@ class TestDenseParams:
         assert spiking["00.conv.weight"].shape == (16, 2, 3, 3)
 
 
+def mixed_config():
+    """conv -> AvgPool -> IF, conv -> conv -> IF, then a k=1 SEW without bias."""
+    return NetworkConfig(
+        time_steps=2, height=16, width=16,
+        layers=(
+            Conv2d(2, 8), AvgPool(2), IF(),
+            Conv2d(8, 8, k=3, stride=2, padding=1, bias=False),
+            Conv2d(8, 12, k=1, padding=0), IF(),
+            SEW(12, k=1, bias=False),
+            GlobalPool(), IF(),
+            Accumulator(12),
+            Classifier(3),
+        ))
+
+
+class TestConvWalk:
+    """Every conv is described once: init, the energy listing, forward and
+    backward all walk the same (name, conv, output, site) list."""
+
+    def sites(self, config, kind="spiking"):
+        return {lay.name: lay.out_site for lay in network.synaptic_layers(config, kind)}
+
+    @pytest.mark.parametrize("kind", ["spiking", "dense"])
+    def test_conv_feeds_the_if_after_a_pool(self, kind):
+        assert self.sites(mixed_config(), kind)["00.conv"] == "02"
+
+    @pytest.mark.parametrize("kind", ["spiking", "dense"])
+    def test_conv_into_conv_feeds_no_site(self, kind):
+        sites = self.sites(mixed_config(), kind)
+        assert sites["03.conv"] is None
+        assert sites["04.conv"] == "05"
+
+    def test_sew_stages_feed_their_own_sites(self):
+        sites = self.sites(mixed_config())
+        assert (sites["06.sew.conv1"], sites["06.sew.conv2"]) == ("06a", "06b")
+        tiny = self.sites(sew_tiny(4))
+        for tag in ("03", "06", "09"):
+            assert (tiny[f"{tag}.sew.conv1"], tiny[f"{tag}.sew.conv2"]) == \
+                (f"{tag}a", f"{tag}b")
+        assert (tiny["00.conv"], tiny["04.conv"], tiny["07.conv"]) == ("01", "05", "08")
+
+    def test_mixed_listing_pinned(self):
+        assert [(lay.name, lay.op, lay.k, lay.out_h, lay.out_w, lay.c_in, lay.c_out)
+                for lay in network.synaptic_layers(mixed_config())] == [
+            ("00.conv", "conv", 3, 16, 16, 2, 8),
+            ("03.conv", "conv", 3, 4, 4, 8, 8),
+            ("04.conv", "conv", 1, 4, 4, 8, 12),
+            ("06.sew.conv1", "conv", 1, 4, 4, 12, 12),
+            ("06.sew.conv2", "conv", 1, 4, 4, 12, 12),
+            ("09.acc", "linear", 1, 1, 1, 12, 12),
+            ("10.cls", "linear", 1, 1, 1, 12, 3),
+        ]
+
+    def test_last_conv_to_one_pixel(self):
+        config = NetworkConfig(time_steps=1, height=4, width=4,
+                               layers=(Conv2d(2, 5, k=4, padding=0),
+                                       Accumulator(5), Classifier(2)))
+        conv = network.synaptic_layers(config)[0]
+        assert (conv.out_h, conv.out_w, conv.c_out, conv.out_site) == (1, 1, 5, None)
+
+    def test_mixed_init_pinned(self):
+        params = init_params(mixed_config(), seed=0)
+        assert [(name, p.shape) for name, p in params.items()] == [
+            ("00.conv.weight", (8, 2, 3, 3)), ("00.conv.bias", (8,)),
+            ("03.conv.weight", (8, 8, 3, 3)),
+            ("04.conv.weight", (12, 8, 1, 1)), ("04.conv.bias", (12,)),
+            ("06.sew.conv1.weight", (12, 12, 1, 1)),
+            ("06.sew.conv2.weight", (12, 12, 1, 1)),
+            ("09.acc.weight", (12, 12)),
+            ("10.cls.weight", (3, 12)), ("10.cls.bias", (3,)),
+        ]
+        dense = init_params(mixed_config(), seed=0, kind="dense")
+        assert list(dense) == list(params)
+        assert dense["00.conv.weight"].shape == (8, 4, 3, 3)
+
+
 class TestKeepHeap:
     """forward asks the C allocator, once per process, to keep freed trace
     memory instead of trimming it back to the kernel."""
