@@ -126,7 +126,7 @@ def validate(stream: EventStream) -> list[Violation]:
     if t.size > 1:
         for idx in np.flatnonzero(np.diff(t) < 0):
             out.append(Violation("unsorted", int(idx) + 1,
-                                 f"t={t[idx + 1]} after t={t[idx]}"))
+                                 f"t={t[idx + 1]} after t={t[idx]}: timestamps regress"))
     return out
 
 

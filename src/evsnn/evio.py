@@ -11,6 +11,13 @@ Wire format (little-endian):
     records       n_events x {x: u16, y: u16, t: u64, p: i8}   (13 bytes each)
 
 save followed by load is a bit-exact round trip for any valid stream.
+
+``load_events`` itself checks only what a file alone can get wrong: a short
+header, a bad magic, truncated records and trailing bytes. Every other rule
+is ``events.validate``'s, run on the stream the records make. A file that
+breaks several rules is reported at the first fault in validate's order
+(geometry, interval, x, y, t, polarity, unsorted), with the byte offset of
+the header or record field that holds it.
 """
 
 from __future__ import annotations
@@ -22,13 +29,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventStream, require_valid
+from .events import EventStream, require_valid, validate
 
 MAGIC = b"EVT1"
 _HEADER = struct.Struct("<4sHHQQiQ")
 HEADER_SIZE = _HEADER.size  # 36
 RECORD_DTYPE = np.dtype([("x", "<u2"), ("y", "<u2"), ("t", "<u8"), ("p", "i1")])
 RECORD_SIZE = RECORD_DTYPE.itemsize  # 13
+# where each rule of events.validate lives in a file: a header offset for the
+# stream-level rules, a record field for the per-event ones
+_HEADER_OFFSET = {"geometry": 4, "interval": 16}
+_RECORD_FIELD = {"x_bounds": "x", "y_bounds": "y", "t_range": "t", "unsorted": "t",
+                 "polarity": "p"}
 
 
 class EventFileError(ValueError):
@@ -61,10 +73,6 @@ def load_events(path: str | Path) -> EventStream:
     magic, width, height, t_start, t_end, label, n = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise EventFileError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-    if width == 0 or height == 0:
-        raise EventFileError(f"non-positive sensor size {width}x{height}", 4)
-    if t_end <= t_start:
-        raise EventFileError(f"empty interval [{t_start}, {t_end})", 16)
     body = raw[HEADER_SIZE:]
     want = n * RECORD_SIZE
     if len(body) < want:
@@ -75,41 +83,20 @@ def load_events(path: str | Path) -> EventStream:
         raise EventFileError(f"{len(body) - want} trailing bytes after {n} records",
                              HEADER_SIZE + want)
     recs = np.frombuffer(body, dtype=RECORD_DTYPE, count=n)
-
-    def record_offset(i: int, field: str) -> int:
-        return HEADER_SIZE + i * RECORD_SIZE + RECORD_DTYPE.fields[field][1]
-
-    bad = np.flatnonzero(np.abs(recs["p"].astype(np.int16)) != 1)
-    if bad.size:
-        i = int(bad[0])
-        raise EventFileError(f"invalid polarity {recs['p'][i]} in record {i}",
-                             record_offset(i, "p"))
-    bad = np.flatnonzero(recs["x"] >= width)
-    if bad.size:
-        i = int(bad[0])
-        raise EventFileError(f"x={recs['x'][i]} outside sensor width {width} in record {i}",
-                             record_offset(i, "x"))
-    bad = np.flatnonzero(recs["y"] >= height)
-    if bad.size:
-        i = int(bad[0])
-        raise EventFileError(f"y={recs['y'][i]} outside sensor height {height} in record {i}",
-                             record_offset(i, "y"))
-    t = recs["t"].astype(np.int64)
-    bad = np.flatnonzero((t < t_start) | (t >= t_end))
-    if bad.size:
-        i = int(bad[0])
-        raise EventFileError(
-            f"t={t[i]} outside [{t_start}, {t_end}) in record {i}", record_offset(i, "t"))
-    if t.size > 1:
-        bad = np.flatnonzero(np.diff(t) < 0)
-        if bad.size:
-            i = int(bad[0]) + 1
-            raise EventFileError(f"timestamps regress at record {i}", record_offset(i, "t"))
-    return EventStream(
-        x=recs["x"], y=recs["y"], t=t, p=recs["p"],
+    stream = EventStream(
+        x=recs["x"], y=recs["y"], t=recs["t"], p=recs["p"],
         width=width, height=height, t_start=t_start, t_end=t_end,
         label=None if label < 0 else label,
     )
+    violations = validate(stream)
+    if not violations:
+        return stream
+    v = violations[0]
+    if v.index is None:
+        raise EventFileError(f"{v.rule}: {v.detail}", _HEADER_OFFSET[v.rule])
+    field_offset = RECORD_DTYPE.fields[_RECORD_FIELD[v.rule]][1]
+    raise EventFileError(f"{v.rule}: {v.detail} at record {v.index}",
+                         HEADER_SIZE + v.index * RECORD_SIZE + field_offset)
 
 
 @dataclass(frozen=True)

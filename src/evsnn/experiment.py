@@ -1,6 +1,9 @@
 """One JSON experiment file drives every pipeline command.
 
-Schema (unknown keys are rejected at every level):
+Schema (unknown keys are rejected at every level, and every scalar outside
+"network" and "augment" must have its JSON type: integers for the epoch,
+batch, fold and seed counts, numbers for lr, momentum, early_stop_acc (or
+null) and sweep.prob, strings for the rest; a bool is no number):
 
     {
       "dataset": "path/to/manifest.json",
@@ -12,13 +15,13 @@ Schema (unknown keys are rejected at every level):
       "folds": {"k", "seed"},
       "seed": 0,
       "out_dir": "runs/exp",
-      "validation": "heldout" | "nested",
       "sweep": {"prob": 0.5},
       "energy": {"charging": "input" | "output"}
     }
 
-Flags may override ``seed``, ``out_dir`` and the parallelism degree; every
-override is reported as a provenance line so runs remain auditable.
+Flags may override ``seed`` and ``out_dir``; every override is reported as a
+provenance line so runs remain auditable. The parallelism degree is a flag
+only, never part of the experiment.
 """
 
 from __future__ import annotations
@@ -76,7 +79,6 @@ class Experiment:
     folds_seed: int = 0
     seed: int = 0
     out_dir: str = "runs/out"
-    validation: str = "heldout"
     sweep_prob: float = 0.5
     energy_charging: str = "input"
 
@@ -84,9 +86,6 @@ class Experiment:
         if self.model_kind not in ("spiking", "dense"):
             raise SchemaError(f"model_kind must be spiking or dense, "
                               f"got {self.model_kind!r}")
-        if self.validation not in ("heldout", "nested"):
-            raise SchemaError(f"validation must be heldout or nested, "
-                              f"got {self.validation!r}")
         if self.energy_charging not in ("input", "output"):
             raise SchemaError(f"energy charging must be input or output, "
                               f"got {self.energy_charging!r}")
@@ -106,7 +105,6 @@ class Experiment:
                else json.loads(self.augment.to_json()),
                "folds": {"k": self.folds_k, "seed": self.folds_seed},
                "seed": self.seed, "out_dir": self.out_dir,
-               "validation": self.validation,
                "sweep": {"prob": self.sweep_prob},
                "energy": {"charging": self.energy_charging}}
         return out
@@ -120,8 +118,21 @@ class Experiment:
 
 
 _TOP_KEYS = {"dataset", "model_kind", "network", "train", "augment", "folds",
-             "seed", "out_dir", "validation", "sweep", "energy"}
-_TRAIN_KEYS = {"epochs", "batch_size", "lr", "momentum", "early_stop_acc"}
+             "seed", "out_dir", "sweep", "energy"}
+# the JSON type of every scalar outside "network" and "augment"
+_JSON_TYPES = {"string": str, "integer": int, "number": (int, float),
+               "number or null": (int, float, type(None))}
+_TRAIN_TYPES = {"epochs": "integer", "batch_size": "integer", "lr": "number",
+                "momentum": "number", "early_stop_acc": "number or null"}
+
+
+def _typed(obj: dict, key: str, default, json_type: str, where: str = ""):
+    """obj[key] (the default when absent), checked to be of a JSON type; a
+    bool is no number."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[json_type]):
+        raise SchemaError(f"{where}{key} must be a JSON {json_type}, got {value!r}")
+    return value
 
 
 def experiment_from_json(obj: dict) -> Experiment:
@@ -132,10 +143,12 @@ def experiment_from_json(obj: dict) -> Experiment:
     network = network_from_json(obj["network"])
 
     train_obj = obj.get("train", {})
-    _check_keys(train_obj, _TRAIN_KEYS, "train")
+    _check_keys(train_obj, set(_TRAIN_TYPES), "train")
+    for key in train_obj:
+        _typed(train_obj, key, None, _TRAIN_TYPES[key], "train.")
     try:
         settings = TrainSettings(**train_obj)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"train: {exc}") from exc
 
     aug_obj = obj.get("augment")
@@ -155,13 +168,14 @@ def experiment_from_json(obj: dict) -> Experiment:
     _check_keys(energy_obj, {"charging"}, "energy")
 
     return Experiment(
-        dataset=obj["dataset"], network=network, train=settings,
-        model_kind=obj.get("model_kind", "spiking"), augment=augment,
-        folds_k=folds_obj.get("k", 10), folds_seed=folds_obj.get("seed", 0),
-        seed=obj.get("seed", 0), out_dir=obj.get("out_dir", "runs/out"),
-        validation=obj.get("validation", "heldout"),
-        sweep_prob=sweep_obj.get("prob", 0.5),
-        energy_charging=energy_obj.get("charging", "input"))
+        dataset=_typed(obj, "dataset", None, "string"), network=network, train=settings,
+        model_kind=_typed(obj, "model_kind", "spiking", "string"), augment=augment,
+        folds_k=_typed(folds_obj, "k", 10, "integer", "folds."),
+        folds_seed=_typed(folds_obj, "seed", 0, "integer", "folds."),
+        seed=_typed(obj, "seed", 0, "integer"),
+        out_dir=_typed(obj, "out_dir", "runs/out", "string"),
+        sweep_prob=_typed(sweep_obj, "prob", 0.5, "number", "sweep."),
+        energy_charging=_typed(energy_obj, "charging", "input", "string", "energy."))
 
 
 def load_experiment(path: str | Path,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from typing import Union
 
 import numpy as np
@@ -174,6 +174,9 @@ class NetworkConfig:
                     raise ConfigError(f"{where}: expects ({lay.channels},H,W), got {shape}")
                 if lay.g not in SEW_FUNCTIONS:
                     raise ConfigError(f"{where}: g must be one of {SEW_FUNCTIONS}")
+                if lay.k % 2 == 0:
+                    raise ConfigError(f"{where}: k must be odd to keep the map size, "
+                                      f"got {lay.k}")
             elif isinstance(lay, AvgPool):
                 if len(shape) != 3 or shape[1] % lay.window or shape[2] % lay.window:
                     raise ConfigError(f"{where}: window {lay.window} does not tile {shape}")
@@ -269,14 +272,19 @@ def _convs(config: NetworkConfig):
             yield f"{tag}.sew.conv2", lay.conv, shapes[i], f"{tag}b"
 
 
+def _forward_mode(kind: str) -> str:
+    """The ``forward`` mode a model kind runs in."""
+    if kind not in ("spiking", "dense"):
+        raise ConfigError(f"kind must be spiking or dense, got {kind!r}")
+    return "spike" if kind == "spiking" else "dense"
+
+
 def init_params(config: NetworkConfig, seed: int, dtype=np.float32,
                 kind: str = "spiking") -> dict[str, np.ndarray]:
     """Fresh parameter tensors in declared layer order; Kaiming-uniform
     weights, zero biases. ``kind='dense'`` initialises the dense twin, whose
     first conv takes the time-folded input."""
-    if kind not in ("spiking", "dense"):
-        raise ConfigError(f"kind must be spiking or dense, got {kind!r}")
-    if kind == "dense":
+    if _forward_mode(kind) == "dense":
         config = _dense_view(config)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     params: dict[str, np.ndarray] = {}
@@ -322,7 +330,7 @@ class SynapticLayer:
 
 def synaptic_layers(config: NetworkConfig, kind: str = "spiking") -> list[SynapticLayer]:
     """Every weighted layer in forward order, with resolved shapes."""
-    if kind == "dense":
+    if _forward_mode(kind) == "dense":
         config = _dense_view(config)
     out = [SynapticLayer(name, "conv", conv.k, oh, ow, conv.c_in, conv.c_out, site)
            for name, conv, (_, oh, ow), site in _convs(config)]
@@ -379,12 +387,6 @@ def config_from_json(obj: dict) -> NetworkConfig:
         layers.append(cls(**entry))
     fields = {k: obj[k] for k in allowed - {"layers"} if k in obj}
     return NetworkConfig(layers=tuple(layers), **fields)
-
-
-def check_finite(params: dict[str, np.ndarray]) -> None:
-    for name, value in params.items():
-        if not np.isfinite(value).all():
-            raise FloatingPointError(f"non-finite values in parameter {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -723,9 +725,3 @@ def _dense_view(config: NetworkConfig) -> NetworkConfig:
     return replace(config, time_steps=1, in_channels=config.in_channels * config.time_steps,
                    layers=tuple(layers), input_timing="same_step")
 
-
-# the twin's former entry points, kept as aliases; partial keeps
-# dense_backward a distinct object, so the benchmark tracer, which wraps
-# functions by identity, still reports backward under its own name
-dense_forward = partial(forward, mode="dense")
-dense_backward = partial(backward)

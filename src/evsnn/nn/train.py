@@ -15,7 +15,7 @@ import numpy as np
 
 from ..augment import AugmentSpec, apply_pipeline
 from ..events import EventStream, voxelize
-from .network import NetworkConfig, backward, forward
+from .network import NetworkConfig, _forward_mode, backward, forward
 
 
 class TrainingDiverged(RuntimeError):
@@ -96,7 +96,7 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, int]:
 def predict(config: NetworkConfig, params: dict, tensors: np.ndarray,
             kind: str = "spiking", batch_size: int = 64) -> np.ndarray:
     """Argmax class per sample; tensors (N, T, 2, H, W)."""
-    mode = "dense" if kind == "dense" else "spike"
+    mode = _forward_mode(kind)
     out = []
     for i in range(0, len(tensors), batch_size):
         logits, _ = forward(config, params, tensors[i:i + batch_size], mode=mode,
@@ -134,14 +134,13 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
     Returns the parameter snapshot of the epoch with the highest validation
     accuracy (earliest epoch wins ties, so reruns are reproducible).
     """
+    mode = _forward_mode(kind)
     train_labels = np.asarray(train_labels)
     n = len(train_streams)
     t_steps = config.time_steps
     velocity = None
     best = TrainResult(params={k: v.copy() for k, v in params.items()},
                        best_epoch=-1, best_val_acc=-1.0)
-
-    mode = "dense" if kind == "dense" else "spike"
 
     for epoch in range(settings.epochs):
         lr = cosine_lr(epoch, settings.epochs, settings.lr)

@@ -19,8 +19,6 @@ from evsnn.nn import (
     GlobalPool,
     NetworkConfig,
     backward,
-    dense_backward,
-    dense_forward,
     forward,
     init_params,
     softmax,
@@ -119,11 +117,11 @@ class TestDenseTwin:
         labels = np.array([0, 1])
 
         def loss():
-            logits, _ = dense_forward(config, params, x)
+            logits, _ = forward(config, params, x, mode="dense")
             return cross_entropy(logits, labels)
 
-        _, trace = dense_forward(config, params, x)
-        grads = dense_backward(config, params, trace, labels)
+        _, trace = forward(config, params, x, mode="dense")
+        grads = backward(config, params, trace, labels)
         eps = 1e-6
         worst = 0.0
         for name, w in params.items():
@@ -252,14 +250,3 @@ class TestDenseRule:
         assert set(got) == set(params)
         for name in want:
             np.testing.assert_array_equal(got[name], want[name])
-
-    def test_aliases_run_the_dense_mode(self, rng):
-        config = small_config()
-        params = init_params(config, seed=22, dtype=np.float64, kind="dense")
-        x = (rng.random((2, 3, 2, 8, 8)) < 0.4).astype(np.float64)
-        logits, trace = dense_forward(config, params, x)
-        assert trace.mode == "dense"
-        np.testing.assert_array_equal(logits, forward(config, params, x, mode="dense")[0])
-        grads = dense_backward(config, params, trace, np.array([1, 0]))
-        want = backward(config, params, trace, np.array([1, 0]))
-        assert all(np.array_equal(grads[k], want[k]) for k in want)

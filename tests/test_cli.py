@@ -277,6 +277,30 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
 
 
+class TestMistypedExperimentValues:
+    """A scalar of the wrong JSON type is a schema error (exit 2), caught
+    before it reaches the code that would choke on it."""
+
+    @pytest.mark.parametrize("change", [
+        {"dataset": 5}, {"out_dir": 5}, {"seed": 1.5}, {"seed": True},
+        {"model_kind": 1}, {"folds": {"k": "10"}}, {"folds": {"seed": "x"}},
+        {"sweep": {"prob": "x"}}, {"sweep": {"prob": True}},
+        {"train": {"lr": "0.1"}}, {"train": {"early_stop_acc": "1"}},
+        {"train": {"epochs": 2.0}}, {"energy": {"charging": 0}},
+    ], ids=repr)
+    def test_exit2(self, workspace, tmp_path, capsys, change):
+        exp = json.loads((workspace / "exp.json").read_text())
+        exp.update(dataset=str(workspace / "ds" / "manifest.json"),
+                   out_dir=str(tmp_path / "o"))
+        exp.update(change)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(exp))
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and "must be a JSON" in err
+
+
 class TestEval:
     def test_reproduces_best_val_acc(self, workspace, trained):
         assert main(["eval", "--config", str(workspace / "exp.json")]) == 0

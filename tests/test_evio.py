@@ -6,10 +6,12 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evsnn.evio import (
     HEADER_SIZE,
     MAGIC,
+    RECORD_DTYPE,
     RECORD_SIZE,
     DatasetManifest,
     EventFileError,
@@ -18,6 +20,8 @@ from evsnn.evio import (
     load_manifest,
     save_events,
 )
+
+from evsnn.events import EventStream, validate
 
 from conftest import make_stream, random_stream, stream_strategy
 
@@ -203,6 +207,68 @@ class TestCorruption:
         with pytest.raises(EventFileError, match="record 2") as exc:
             load_events(path)
         assert exc.value.offset == HEADER_SIZE + 2 * RECORD_SIZE + OFF_T
+
+
+@st.composite
+def raw_event_file(draw, max_events: int = 6):
+    """Header fields and records drawn around their valid range: a header
+    that may hold a zero side or an empty interval, and records whose x, y,
+    t and p may fall just outside it or out of order."""
+    width = draw(st.integers(0, 4))
+    height = draw(st.integers(0, 4))
+    t_start = draw(st.integers(0, 20))
+    t_end = draw(st.integers(max(0, t_start - 2), t_start + 20))
+    n = draw(st.integers(0, max_events))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    fields = {
+        "x": column(st.integers(0, width + 1)),
+        "y": column(st.integers(0, height + 1)),
+        "t": column(st.integers(max(0, t_start - 2), t_end + 2)),
+        "p": column(st.sampled_from([-1, 1, -1, 1, 0, 2, -128, 127])),
+    }
+    if draw(st.booleans()):
+        fields["t"].sort()
+    return (width, height, t_start, t_end), fields
+
+
+class TestAgreesWithValidate:
+    """load_events rejects a file exactly when events.validate finds a fault
+    in the same fields, and points at the field of validate's first one."""
+
+    HEADER_OFFSET = {"geometry": 4, "interval": 16}
+    RECORD_FIELD = {"x_bounds": OFF_X, "y_bounds": OFF_Y, "t_range": OFF_T,
+                    "unsorted": OFF_T, "polarity": OFF_P}
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=raw_event_file())
+    def test_same_verdict_and_offset(self, drawn, tmp_path_factory):
+        (width, height, t_start, t_end), fields = drawn
+        n = len(fields["x"])
+        recs = np.zeros(n, dtype=RECORD_DTYPE)
+        for name, values in fields.items():
+            recs[name] = values
+        path = tmp_path_factory.mktemp("agree") / "s.evt"
+        path.write_bytes(struct.pack("<4sHHQQiQ", MAGIC, width, height, t_start,
+                                     t_end, 2, n) + recs.tobytes())
+        violations = validate(EventStream(width=width, height=height, t_start=t_start,
+                                          t_end=t_end, label=2, **fields))
+        if not violations:
+            out = load_events(path)
+            for name, values in fields.items():
+                np.testing.assert_array_equal(getattr(out, name), values)
+            assert out.label == 2
+            return
+        first = violations[0]
+        if first.index is None:
+            offset = self.HEADER_OFFSET[first.rule]
+        else:
+            offset = HEADER_SIZE + first.index * RECORD_SIZE + self.RECORD_FIELD[first.rule]
+        with pytest.raises(EventFileError, match=first.rule) as exc:
+            load_events(path)
+        assert exc.value.offset == offset
 
 
 class TestManifest:

@@ -28,7 +28,6 @@ class TestSchema:
         exp = experiment_from_json(base_obj())
         assert exp.model_kind == "spiking"
         assert exp.folds_k == 10 and exp.folds_seed == 0
-        assert exp.validation == "heldout"
         assert exp.out_dir == "runs/out"
         assert exp.augment is None
         assert exp.sweep_prob == 0.5

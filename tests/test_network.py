@@ -91,6 +91,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="g must be"):
             tiny_config(g="xor")
 
+    def test_sew_even_kernel(self):
+        # padding k // 2 would grow the map by one pixel and break the join
+        with pytest.raises(ConfigError, match="k must be odd"):
+            NetworkConfig(time_steps=1, height=4, width=4,
+                          layers=(Conv2d(2, 4), IF(), SEW(4, k=2), GlobalPool(),
+                                  Accumulator(4), Classifier(2)))
+
     def test_pool_does_not_tile(self):
         with pytest.raises(ConfigError, match="does not tile"):
             NetworkConfig(time_steps=1, height=5, width=5,

@@ -9,7 +9,8 @@ import pytest
 
 from evsnn.augment import AugmentSpec, TransformSpec
 from evsnn.events import EventStream
-from evsnn.nn import Accumulator, Classifier, NetworkConfig, init_params
+from evsnn.nn import (Accumulator, Classifier, ConfigError, NetworkConfig, init_params,
+                      synaptic_layers)
 from evsnn.nn import train as nn_train
 from evsnn.nn.train import (
     TrainingDiverged,
@@ -270,3 +271,18 @@ class TestTrainLoop:
         params = init_params(config, seed=0)
         out = predict(config, params, np.zeros((0, 2, 2, 8, 8), dtype=np.uint8))
         assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda config, params, data: synaptic_layers(config, kind="hybrid"),
+    lambda config, params, data: predict(config, params, data[2], kind="hybrid"),
+    lambda config, params, data: accuracy(config, params, data[2], data[3], kind="hybrid"),
+    lambda config, params, data: train(config, params, *data, TrainSettings(epochs=1),
+                                       kind="hybrid"),
+], ids=["synaptic_layers", "predict", "accuracy", "train"])
+def test_unknown_model_kind_rejected(rng, call):
+    # init_params already rejects it; none of these may fall back to spiking
+    config = toy_config()
+    params = init_params(config, seed=0)
+    with pytest.raises(ConfigError, match="kind must be spiking or dense"):
+        call(config, params, toy_data(rng))
