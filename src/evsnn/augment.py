@@ -4,6 +4,11 @@ Five common transforms (crop, hflip, noise, polflip, reverse), two
 specific ones (eventdrop, mirror), and a composable pipeline. Every
 transform returns a fresh, valid stream; randomness comes only from the
 generator handed in, so results are reproducible and parallel-safe.
+
+Every selection, reorder and copy of a field happens once, as an index that
+gathers all four fields with ``take``; the result adopts the arrays the
+transform built and shares the fields it left unchanged (see
+``events.EventStream``).
 """
 
 from __future__ import annotations
@@ -14,32 +19,54 @@ from typing import Callable
 
 import numpy as np
 
+from ._heap import keep_heap
 from .events import EventStream
 
 
 def _resorted(stream: EventStream, x, y, t, p) -> EventStream:
     order = np.argsort(t, kind="stable")
-    return stream.with_fields(x=x[order], y=y[order], t=t[order], p=p[order])
+    return stream._adopt(x=x.take(order), y=y.take(order), t=t.take(order),
+                         p=p.take(order))
+
+
+def _taken(stream: EventStream, idx: np.ndarray) -> EventStream:
+    """The events at the given indices, in index order."""
+    return stream._adopt(x=stream.x.take(idx), y=stream.y.take(idx),
+                         t=stream.t.take(idx), p=stream.p.take(idx))
 
 
 def hflip(stream: EventStream) -> EventStream:
     """Reflect every event about the vertical axis: x -> W-1-x."""
-    return stream.with_fields(x=stream.width - 1 - stream.x)
+    return stream._adopt(x=stream.width - 1 - stream.x)
 
 
 def polflip(stream: EventStream) -> EventStream:
     """Negate every polarity."""
-    return stream.with_fields(p=-stream.p)
+    return stream._adopt(p=-stream.p)
 
 
 def reverse(stream: EventStream) -> EventStream:
-    """Mirror time inside [t_start, t_end): t -> t_start + (t_end-1 - t)."""
-    t = stream.t_start + (stream.t_end - 1) - stream.t
-    # mirrored timestamps are monotone decreasing; flipping restores order
-    # (stable for ties: equal timestamps keep their mirrored relative order)
-    order = np.argsort(t, kind="stable")
-    return stream.with_fields(x=stream.x[order], y=stream.y[order],
-                              t=t[order], p=stream.p[order])
+    """Mirror time inside [t_start, t_end): t -> t_start + (t_end-1 - t).
+
+    The result is the stable sort of the mirrored stream. For a time-sorted
+    input that is the stream read backwards, except that each run of equal
+    timestamps keeps its index order; so the backwards order is built and
+    only the runs are turned round, in O(N) instead of a sort.
+    """
+    t, n = stream.t, stream.n
+    order = np.arange(n - 1, -1, -1)
+    tie = np.flatnonzero(t[1:] == t[:-1])  # event i shares its timestamp with i + 1
+    if tie.size:
+        first = np.flatnonzero(np.diff(tie, prepend=-2) != 1)
+        start = tie[first]  # each run holds events [start, end)
+        end = tie[np.append(first[1:], tie.size) - 1] + 2
+        size = end - start
+        # the run's positions [n - end, n - start) get events start .. end - 1
+        pos = np.arange(size.sum()) + np.repeat(n - end - (np.cumsum(size) - size), size)
+        order[pos] = pos + np.repeat(start + end - n, size)
+    return stream._adopt(x=stream.x.take(order), y=stream.y.take(order),
+                         t=stream.t_start + (stream.t_end - 1) - t.take(order),
+                         p=stream.p.take(order))
 
 
 def crop(stream: EventStream, rng: np.random.Generator,
@@ -56,11 +83,11 @@ def crop(stream: EventStream, rng: np.random.Generator,
     h = min(stream.height, max(1, round(stream.height * np.sqrt(s))))
     x0 = int(rng.integers(0, stream.width - w + 1))
     y0 = int(rng.integers(0, stream.height - h + 1))
-    keep = ((stream.x >= x0) & (stream.x < x0 + w)
-            & (stream.y >= y0) & (stream.y < y0 + h))
-    x = (stream.x[keep] - x0) * stream.width // w
-    y = (stream.y[keep] - y0) * stream.height // h
-    return stream.with_fields(x=x, y=y, t=stream.t[keep], p=stream.p[keep])
+    idx = np.flatnonzero((stream.x >= x0) & (stream.x < x0 + w)
+                         & (stream.y >= y0) & (stream.y < y0 + h))
+    x = (stream.x.take(idx) - x0) * stream.width // w
+    y = (stream.y.take(idx) - y0) * stream.height // h
+    return stream._adopt(x=x, y=y, t=stream.t.take(idx), p=stream.p.take(idx))
 
 
 def noise_ba(stream: EventStream, rng: np.random.Generator,
@@ -85,9 +112,7 @@ def drop_by_time(stream: EventStream, rng: np.random.Generator,
     """Delete all events inside one random interval of the given duration ratio."""
     dur = round(ratio * stream.duration)
     t0 = int(rng.integers(stream.t_start, stream.t_end - dur + 1))
-    keep = (stream.t < t0) | (stream.t >= t0 + dur)
-    return stream.with_fields(x=stream.x[keep], y=stream.y[keep],
-                              t=stream.t[keep], p=stream.p[keep])
+    return _taken(stream, np.flatnonzero((stream.t < t0) | (stream.t >= t0 + dur)))
 
 
 def drop_by_area(stream: EventStream, rng: np.random.Generator,
@@ -97,18 +122,15 @@ def drop_by_area(stream: EventStream, rng: np.random.Generator,
     h = min(stream.height, max(1, round(stream.height * np.sqrt(ratio))))
     x0 = int(rng.integers(0, stream.width - w + 1))
     y0 = int(rng.integers(0, stream.height - h + 1))
-    keep = ~((stream.x >= x0) & (stream.x < x0 + w)
-             & (stream.y >= y0) & (stream.y < y0 + h))
-    return stream.with_fields(x=stream.x[keep], y=stream.y[keep],
-                              t=stream.t[keep], p=stream.p[keep])
+    inside = ((stream.x >= x0) & (stream.x < x0 + w)
+              & (stream.y >= y0) & (stream.y < y0 + h))
+    return _taken(stream, np.flatnonzero(~inside))
 
 
 def drop_random(stream: EventStream, rng: np.random.Generator,
                 ratio: float) -> EventStream:
     """Delete each event independently with probability ``ratio``."""
-    keep = rng.random(stream.n) >= ratio
-    return stream.with_fields(x=stream.x[keep], y=stream.y[keep],
-                              t=stream.t[keep], p=stream.p[keep])
+    return _taken(stream, np.flatnonzero(rng.random(stream.n) >= ratio))
 
 
 def eventdrop(stream: EventStream, rng: np.random.Generator,
@@ -142,13 +164,17 @@ def mirror(stream: EventStream, rng: np.random.Generator) -> EventStream:
         keep = stream.x < w // 2 if left else stream.x >= w // 2
     else:
         keep = stream.x <= center if left else stream.x >= center
-    kx, ky, kt, kp = stream.x[keep], stream.y[keep], stream.t[keep], stream.p[keep]
-    refl = kx != (w - 1 - kx)  # drop self-reflections (odd-W center column)
-    x = np.concatenate([kx, w - 1 - kx[refl]])
-    y = np.concatenate([ky, ky[refl]])
-    t = np.concatenate([kt, kt[refl]])
-    p = np.concatenate([kp, kp[refl]])
-    return _resorted(stream, x, y, t, p)
+    idx = np.flatnonzero(keep)
+    kx = stream.x.take(idx)
+    # reflect all but self-reflections (odd-W center column)
+    refl = np.flatnonzero(kx != (w - 1 - kx))
+    # events to emit: the kept ones, then the reflected copies, in time order
+    x = np.concatenate([kx, w - 1 - kx.take(refl)])
+    src = np.concatenate([idx, idx.take(refl)])
+    order = np.argsort(stream.t.take(src), kind="stable")
+    src = src.take(order)
+    return stream._adopt(x=x.take(order), y=stream.y.take(src), t=stream.t.take(src),
+                         p=stream.p.take(src))
 
 
 @dataclass(frozen=True)
@@ -245,6 +271,7 @@ def apply_pipeline(stream: EventStream, spec: AugmentSpec, sample_index: int,
                    ) -> EventStream:
     """Apply the spec's transforms in order; each stage fires with its own
     probability using its own random split."""
+    keep_heap()
     rngs = RngStream(spec.seed, sample_index)
     for i, tr in enumerate(spec.transforms):
         rng = rngs.split(i)

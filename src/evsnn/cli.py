@@ -85,6 +85,9 @@ def _dataset_for(exp: Experiment):
     if manifest.num_classes > classes:
         raise SchemaError(f"dataset has {manifest.num_classes} classes but the "
                           f"classifier only has {classes}")
+    if len(streams) < exp.folds_k:
+        raise SchemaError(f"folds.k={exp.folds_k} needs at least {exp.folds_k} "
+                          f"samples, the dataset has {len(streams)}")
     return manifest, streams, labels
 
 

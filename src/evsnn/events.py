@@ -3,15 +3,21 @@
 An event is a tuple (x, y, t, p): pixel coordinates, a microsecond
 timestamp and a polarity in {-1, +1}. A stream is a time-sorted batch of
 events recorded over [t_start, t_end) on a W x H sensor. Streams are
-immutable values; every operation returns fresh data.
+immutable values: their field arrays are read-only. Arrays a caller hands to
+``EventStream`` are copied in; a transform that builds fresh field arrays
+hands them over without a copy, and the fields it leaves unchanged are
+shared with its input stream.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from ._heap import keep_heap
 
 POS_CHANNEL = 0  # polarity +1
 NEG_CHANNEL = 1  # polarity -1
@@ -45,17 +51,18 @@ class InvalidStreamError(ValueError):
         super().__init__(f"invalid event stream: {lines}{extra}")
 
 
-def _own(arr, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
+_DTYPES = {"x": np.int64, "y": np.int64, "t": np.int64, "p": np.int8}
 
 
 @dataclass(frozen=True)
 class EventStream:
     """Time-sorted events plus sensor geometry and recording interval.
 
-    Arrays are copied in and frozen, so streams can be shared freely.
+    Arrays handed to the constructor or to ``with_fields`` are copied in and
+    frozen, so later writes to the caller's arrays never reach the stream and
+    streams can be shared freely. Transforms build their results through
+    ``_adopt``, which freezes the fresh arrays they made instead of copying
+    them and shares the fields they left unchanged.
     ``label`` is an optional class index; None means unlabeled.
     """
 
@@ -70,13 +77,25 @@ class EventStream:
     label: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _own(self.x, np.int64))
-        object.__setattr__(self, "y", _own(self.y, np.int64))
-        object.__setattr__(self, "t", _own(self.t, np.int64))
-        object.__setattr__(self, "p", _own(self.p, np.int8))
+        self._hold({name: np.array(getattr(self, name), dtype=dtype)
+                    for name, dtype in _DTYPES.items()})
+
+    def _hold(self, fields: dict[str, np.ndarray]) -> None:
+        for name, arr in fields.items():
+            arr = np.asarray(arr, dtype=_DTYPES[name])
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         ns = {self.x.size, self.y.size, self.t.size, self.p.size}
         if len(ns) != 1:
             raise ValueError(f"event field arrays disagree in length: {sorted(ns)}")
+
+    def _adopt(self, **fields: np.ndarray) -> "EventStream":
+        """This stream with the named event fields replaced by arrays the
+        caller has just built and keeps no other reference to. They are
+        frozen in place, not copied; the other fields are shared."""
+        out = copy.copy(self)
+        out._hold(fields)
+        return out
 
     @property
     def n(self) -> int:
@@ -104,30 +123,49 @@ class EventStream:
         return replace(self, **kw)
 
 
-def validate(stream: EventStream) -> list[Violation]:
-    """Diagnose every broken invariant; empty list means the stream is valid."""
-    out: list[Violation] = []
+def _violations(stream: EventStream) -> Iterator[Violation]:
+    """Every broken invariant, lazily, in rule order: geometry, interval,
+    x, y, t range, polarity, unsorted; per-event rules by event index."""
     if stream.width <= 0 or stream.height <= 0:
-        out.append(Violation("geometry", None,
-                             f"non-positive sensor size {stream.width}x{stream.height}"))
+        yield Violation("geometry", None,
+                        f"non-positive sensor size {stream.width}x{stream.height}")
     if stream.duration <= 0:
-        out.append(Violation("interval", None,
-                             f"t_end ({stream.t_end}) must exceed t_start ({stream.t_start})"))
+        yield Violation("interval", None,
+                        f"t_end ({stream.t_end}) must exceed t_start ({stream.t_start})")
+    if _events_valid(stream):
+        return
     x, y, t, p = stream.x, stream.y, stream.t, stream.p
     for idx in np.flatnonzero((x < 0) | (x >= stream.width)):
-        out.append(Violation("x_bounds", int(idx), f"x={x[idx]} outside [0, {stream.width})"))
+        yield Violation("x_bounds", int(idx), f"x={x[idx]} outside [0, {stream.width})")
     for idx in np.flatnonzero((y < 0) | (y >= stream.height)):
-        out.append(Violation("y_bounds", int(idx), f"y={y[idx]} outside [0, {stream.height})"))
+        yield Violation("y_bounds", int(idx), f"y={y[idx]} outside [0, {stream.height})")
     for idx in np.flatnonzero((t < stream.t_start) | (t >= stream.t_end)):
-        out.append(Violation("t_range", int(idx),
-                             f"t={t[idx]} outside [{stream.t_start}, {stream.t_end})"))
+        yield Violation("t_range", int(idx),
+                        f"t={t[idx]} outside [{stream.t_start}, {stream.t_end})")
     for idx in np.flatnonzero(np.abs(p) != 1):
-        out.append(Violation("polarity", int(idx), f"p={p[idx]} not in {{-1, +1}}"))
+        yield Violation("polarity", int(idx), f"p={p[idx]} not in {{-1, +1}}")
     if t.size > 1:
         for idx in np.flatnonzero(np.diff(t) < 0):
-            out.append(Violation("unsorted", int(idx) + 1,
-                                 f"t={t[idx + 1]} after t={t[idx]}: timestamps regress"))
-    return out
+            yield Violation("unsorted", int(idx) + 1,
+                            f"t={t[idx + 1]} after t={t[idx]}: timestamps regress")
+
+
+def _events_valid(stream: EventStream) -> bool:
+    """Whether no event breaks a per-event rule, from extremes alone: sorted
+    timestamps put the smallest first and the largest last."""
+    x, y, t, p = stream.x, stream.y, stream.t, stream.p
+    if not t.size:
+        return True
+    return bool(0 <= x.min() and x.max() < stream.width
+                and 0 <= y.min() and y.max() < stream.height
+                and (t[1:] >= t[:-1]).all()
+                and stream.t_start <= t[0] and t[-1] < stream.t_end
+                and -1 <= p.min() and p.max() <= 1 and np.count_nonzero(p) == p.size)
+
+
+def validate(stream: EventStream) -> list[Violation]:
+    """Diagnose every broken invariant; empty list means the stream is valid."""
+    return list(_violations(stream))
 
 
 def require_valid(stream: EventStream) -> None:
@@ -154,9 +192,10 @@ def event_bins(stream: EventStream, time_bins: int) -> np.ndarray:
 
     Integer multiply-before-divide, so no float drift for any microsecond scale.
     """
-    rel = stream.t.astype(np.int64) - stream.t_start
-    b = (rel * time_bins) // stream.duration
-    return np.minimum(b, time_bins - 1)
+    b = stream.t - stream.t_start
+    b *= time_bins
+    b //= stream.duration
+    return np.minimum(b, time_bins - 1, out=b)
 
 
 def voxelize(stream: EventStream, time_bins: int) -> SpikeTensor:
@@ -165,15 +204,34 @@ def voxelize(stream: EventStream, time_bins: int) -> SpikeTensor:
     Cell [b, ch, y, x] is 1 iff at least one event with that polarity falls in
     spatial cell (x, y) during time bin b; repeats saturate at 1.
     """
+    keep_heap()
     if time_bins < 1:
         raise ValueError(f"time_bins must be >= 1, got {time_bins}")
     require_valid(stream)
     out = np.zeros((time_bins, 2, stream.height, stream.width), dtype=np.uint8)
-    if stream.n:
-        b = event_bins(stream, time_bins)
-        ch = np.where(stream.p > 0, POS_CHANNEL, NEG_CHANNEL)
-        out[b, ch, stream.y, stream.x] = 1
+    _scatter(stream, out)
     return out
+
+
+def _scatter(stream: EventStream, out: np.ndarray) -> None:
+    """Set out[b, ch, y, x] = 1 for every event of a valid stream, with T =
+    ``out.shape[0]`` bins, through one flat index over ``out``'s strides; so
+    ``out`` may be any zeroed uint8 (T, 2, H, W) view, such as one sample of
+    a batch-innermost batch."""
+    if (out.dtype != np.uint8 or out.shape[1:] != (2, stream.height, stream.width)
+            or out.shape[0] < 1):
+        raise ValueError(f"a {stream.width}x{stream.height} stream does not voxelize "
+                         f"into {out.dtype} frames of shape {out.shape}")
+    if not stream.n:
+        return
+    s_t, s_c, s_y, s_x = out.strides  # bytes, which are elements of uint8
+    flat = event_bins(stream, out.shape[0])
+    flat *= s_t
+    flat += (stream.p < 0) * s_c  # channel NEG_CHANNEL = 1, POS_CHANNEL = 0
+    flat += stream.y * s_y
+    flat += stream.x * s_x
+    span = sum((n - 1) * s for n, s in zip(out.shape, out.strides)) + 1
+    np.lib.stride_tricks.as_strided(out, (span,), (1,))[flat] = 1
 
 
 def devoxelize_counts(stream: EventStream, time_bins: int) -> np.ndarray:

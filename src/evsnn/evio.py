@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import EventStream, require_valid, validate
+from ._heap import keep_heap
+from .events import EventStream, _violations, require_valid
 
 MAGIC = b"EVT1"
 _HEADER = struct.Struct("<4sHHQQiQ")
@@ -67,6 +68,7 @@ def save_events(stream: EventStream, path: str | Path) -> None:
 
 
 def load_events(path: str | Path) -> EventStream:
+    keep_heap()
     raw = Path(path).read_bytes()
     if len(raw) < HEADER_SIZE:
         raise EventFileError(f"truncated header: {len(raw)} of {HEADER_SIZE} bytes", len(raw))
@@ -88,10 +90,9 @@ def load_events(path: str | Path) -> EventStream:
         width=width, height=height, t_start=t_start, t_end=t_end,
         label=None if label < 0 else label,
     )
-    violations = validate(stream)
-    if not violations:
+    v = next(_violations(stream), None)
+    if v is None:
         return stream
-    v = violations[0]
     if v.index is None:
         raise EventFileError(f"{v.rule}: {v.detail}", _HEADER_OFFSET[v.rule])
     field_offset = RECORD_DTYPE.fields[_RECORD_FIELD[v.rule]][1]

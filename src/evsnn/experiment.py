@@ -91,6 +91,9 @@ class Experiment:
                               f"got {self.energy_charging!r}")
         if self.folds_k < 2:
             raise SchemaError(f"folds.k must be >= 2, got {self.folds_k}")
+        for key, seed in (("seed", self.seed), ("folds.seed", self.folds_seed)):
+            if seed < 0:
+                raise SchemaError(f"{key} must be >= 0, got {seed}")
         if not 0.0 <= self.sweep_prob <= 1.0:
             raise SchemaError(f"sweep.prob must lie in [0, 1], got {self.sweep_prob}")
 

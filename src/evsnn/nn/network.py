@@ -22,13 +22,12 @@ join is additive. With one step the accumulator is a plain linear layer.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import Union
 
 import numpy as np
 
+from .._heap import keep_heap
 from .layers import (avg_pool_backward, avg_pool_forward, conv2d_backward,
                      conv2d_forward, conv_out_size, global_pool_backward,
                      global_pool_forward, linear_backward, linear_forward)
@@ -431,26 +430,6 @@ def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
     return _if_apply(v, theta, "spike", reset)
 
 
-# glibc mallopt parameter: free bytes kept at the top of the heap on trim
-_M_TOP_PAD = -2
-
-
-@cache
-def _keep_heap() -> bool:
-    """Once per process, ask the C allocator to keep 64 MiB of freed memory
-    at the top of the heap instead of trimming it back to the kernel. A
-    training step frees tens of megabytes of trace that the next forward
-    allocates again; trimmed, every step page-faults them back in. Does
-    nothing where libc has no ``mallopt`` (macOS, Windows); returns whether
-    the setting took."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return False
-    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
-    return bool(mallopt(_M_TOP_PAD, 64 << 20))
-
-
 def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
     want = (config.time_steps, config.in_channels, config.height, config.width)
     if x.shape == want:
@@ -472,7 +451,7 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
     """
     if mode not in ("spike", "relaxed", "dense"):
         raise ConfigError(f"mode must be spike, relaxed or dense, got {mode!r}")
-    _keep_heap()
+    keep_heap()
     if mode == "dense":
         x = fold_time(x, config)[:, None]
         config = _dense_view(config)

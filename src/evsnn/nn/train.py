@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..augment import AugmentSpec, apply_pipeline
-from ..events import EventStream, voxelize
+from ..events import EventStream, _scatter, require_valid, voxelize
 from .network import NetworkConfig, _forward_mode, backward, forward
 
 
@@ -153,14 +153,16 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
         for start in range(0, n, settings.batch_size):
             idx = order[start:start + settings.batch_size]
             # (B, T, C, H, W) over (T, C, H, W, B) memory, so that forward's
-            # batch-innermost steps are contiguous casts
-            batch = np.empty((t_steps, config.in_channels, config.height,
+            # batch-innermost steps are contiguous casts; each sample is
+            # voxelized straight into its strided slot
+            batch = np.zeros((t_steps, config.in_channels, config.height,
                               config.width, len(idx)), dtype=np.uint8).transpose(4, 0, 1, 2, 3)
             for j, i in enumerate(idx):
                 stream = train_streams[i]
                 if epoch_spec is not None:
                     stream = apply_pipeline(stream, epoch_spec, sample_index=int(i))
-                batch[j] = voxelize(stream, t_steps)
+                require_valid(stream)
+                _scatter(stream, batch[j])
             labels = train_labels[idx]
             logits, velocity = _train_step(config, params, batch, labels, mode, lr,
                                            settings.momentum, velocity)

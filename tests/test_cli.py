@@ -301,6 +301,37 @@ class TestMistypedExperimentValues:
         assert err.startswith("error:") and "must be a JSON" in err
 
 
+class TestOutOfRangeExperimentValues:
+    """A negative seed, or more folds than the dataset has samples, is a
+    schema error (exit 2) on every command that reads them, not a traceback
+    from the seeding or fold code."""
+
+    @pytest.mark.parametrize("command, change, message", [
+        ("train", {"seed": -1}, "seed must be >= 0, got -1"),
+        ("train", {"folds": {"k": 3, "seed": -1}}, "folds.seed must be >= 0, got -1"),
+        ("train", {"folds": {"k": 100}}, "folds.k=100 needs at least 100 samples"),
+        ("eval", {"folds": {"k": 100}}, "folds.k=100 needs at least 100 samples"),
+        ("sweep", {"folds": {"k": 7}}, "the dataset has 6"),
+        ("energy", {"folds": {"k": 100}}, "folds.k=100 needs at least 100 samples"),
+    ], ids=repr)
+    def test_exit2(self, workspace, tmp_path, capsys, command, change, message):
+        exp = json.loads((workspace / "exp.json").read_text())
+        exp.update(dataset=str(workspace / "ds" / "manifest.json"),
+                   out_dir=str(tmp_path / "o"))
+        exp.update(change)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(exp))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+    def test_seed_flag_below_zero(self, workspace, capsys):
+        assert main(["train", "--config", str(workspace / "exp.json"), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be >= 0, got -1\n"
+
+
 class TestEval:
     def test_reproduces_best_val_acc(self, workspace, trained):
         assert main(["eval", "--config", str(workspace / "exp.json")]) == 0

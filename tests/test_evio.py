@@ -21,6 +21,7 @@ from evsnn.evio import (
     save_events,
 )
 
+from evsnn import events
 from evsnn.events import EventStream, validate
 
 from conftest import make_stream, random_stream, stream_strategy
@@ -269,6 +270,36 @@ class TestAgreesWithValidate:
         with pytest.raises(EventFileError, match=first.rule) as exc:
             load_events(path)
         assert exc.value.offset == offset
+
+
+class TestFirstViolationOnly:
+    """load_events reports only the first fault, so it builds no Violation
+    beyond it: a header of width 0 puts every record out of x bounds, yet
+    the file costs one Violation."""
+
+    def test_one_violation_built(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "s.evt"
+        save_events(random_stream(rng, n=50_000, width=12, height=10), path)
+        raw = bytearray(path.read_bytes())
+        raw[4:6] = struct.pack("<H", 0)
+        path.write_bytes(bytes(raw))
+        built = []
+
+        class Counted(events.Violation):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(events, "Violation", Counted)
+        with pytest.raises(EventFileError) as exc:
+            load_events(path)
+        assert len(built) == 1
+        assert str(exc.value) == "geometry: non-positive sensor size 0x10 (byte offset 4)"
+        assert exc.value.offset == 4
+        # validate still lists every fault, the header's and each record's
+        stream = EventStream(x=[0, 3], y=[0, 0], t=[0, 1], p=[1, 1], width=0, height=10,
+                             t_start=0, t_end=2)
+        assert [v.rule for v in validate(stream)] == ["geometry", "x_bounds", "x_bounds"]
 
 
 class TestManifest:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from evsnn import _heap
 from evsnn.nn import (
     IF,
     SEW,
@@ -497,9 +498,9 @@ class TestKeepHeap:
 
     @pytest.fixture(autouse=True)
     def fresh_helper(self):
-        network._keep_heap.cache_clear()
+        _heap.keep_heap.cache_clear()
         yield
-        network._keep_heap.cache_clear()  # the next forward sets the real one
+        _heap.keep_heap.cache_clear()  # the next forward sets the real one
 
     @pytest.fixture
     def net(self, rng):
@@ -513,10 +514,10 @@ class TestKeepHeap:
             calls.append((param, value))
             return 1
 
-        monkeypatch.setattr(network.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        monkeypatch.setattr(_heap.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
         forward(*net)
         forward(*net)
-        assert calls == [(network._M_TOP_PAD, 64 << 20)]
+        assert calls == [(_heap.M_TOP_PAD, 64 << 20)]
 
     @pytest.mark.parametrize("libc", ["no_symbol", "no_library"])
     def test_no_op_without_mallopt(self, net, monkeypatch, libc):
@@ -526,14 +527,14 @@ class TestKeepHeap:
             return SimpleNamespace()  # a libc without mallopt, as on macOS
 
         want = forward(*net)[0]
-        network._keep_heap.cache_clear()
-        monkeypatch.setattr(network.ctypes, "CDLL", cdll)
-        assert network._keep_heap() is False
+        _heap.keep_heap.cache_clear()
+        monkeypatch.setattr(_heap.ctypes, "CDLL", cdll)
+        assert _heap.keep_heap() is False
         assert forward(*net)[0].tobytes() == want.tobytes()
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc mallopt")
     def test_takes_on_glibc(self):
-        assert network._keep_heap() is True
+        assert _heap.keep_heap() is True
 
 
 def batch_innermost_input(x):

@@ -7,8 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
-from evsnn.augment import AugmentSpec, TransformSpec
-from evsnn.events import EventStream
+from evsnn.augment import (COMMON_EDAS, SPECIFIC_EDAS, AugmentSpec, TransformSpec,
+                           apply_pipeline)
+from evsnn.events import EventStream, InvalidStreamError
 from evsnn.nn import (Accumulator, Classifier, ConfigError, NetworkConfig, init_params,
                       synaptic_layers)
 from evsnn.nn import train as nn_train
@@ -265,6 +266,46 @@ class TestTrainLoop:
         assert [len(b) for b in batches] == [4, 4, 4]
         np.testing.assert_array_equal(np.concatenate(batches),
                                       voxelize_set(tr_s, 2)[order])
+
+    def test_augmented_batches_equal_voxelize_set(self, rng, monkeypatch):
+        # samples are voxelized straight into their batch slots, a short last
+        # batch included: every batch equals voxelize_set of the epoch's
+        # augmented streams in the epoch's order
+        config = toy_config()
+        params = init_params(config, seed=0)
+        tr_s, tr_y, va_x, va_y = toy_data(rng)
+        spec = AugmentSpec(tuple(TransformSpec(kind, prob=0.5)
+                                 for kind in COMMON_EDAS + SPECIFIC_EDAS))
+        real_forward, batches = nn_train.forward, []
+
+        def recording_forward(config, params, x, **kwargs):
+            if kwargs.get("record", True):
+                batches.append(x.copy())
+            return real_forward(config, params, x, **kwargs)
+
+        monkeypatch.setattr(nn_train, "forward", recording_forward)
+        settings = self.settings(epochs=2, batch_size=5)
+        train(config, params, tr_s, tr_y, va_x, va_y, settings, augment=spec)
+        want = []
+        for epoch in range(2):
+            shuffle_rng, aug_seed = nn_train._epoch_rngs(settings.seed, epoch)
+            epoch_spec = spec.with_seed(aug_seed)
+            want += [apply_pipeline(tr_s[i], epoch_spec, sample_index=int(i))
+                     for i in shuffle_rng.permutation(len(tr_s))]
+        assert [len(b) for b in batches] == [5, 5, 2, 5, 5, 2]
+        np.testing.assert_array_equal(np.concatenate(batches), voxelize_set(want, 2))
+
+    def test_every_sample_checked(self, rng):
+        config = toy_config()
+        params = init_params(config, seed=0)
+        tr_s, tr_y, va_x, va_y = toy_data(rng)
+        bad = EventStream(x=[0, 8], y=[0, 0], t=[0, 1], p=[1, 1], width=8, height=8,
+                          t_start=0, t_end=100, label=0)
+        with pytest.raises(InvalidStreamError, match="x_bounds"):
+            train(config, params, tr_s[:-1] + [bad], tr_y, va_x, va_y, self.settings())
+        wide = toy_stream(rng, 0, width=16)
+        with pytest.raises(ValueError, match="16x8 stream does not voxelize"):
+            train(config, params, tr_s[:-1] + [wide], tr_y, va_x, va_y, self.settings())
 
     def test_predict_empty(self):
         config = toy_config()
