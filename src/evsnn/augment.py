@@ -13,6 +13,7 @@ transform built and shares the fields it left unchanged (see
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -20,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._heap import keep_heap
+from ._schema import SchemaError, checked
 from .events import EventStream
 
 
@@ -188,12 +190,19 @@ class TransformSpec:
 
     def __post_init__(self):
         if self.kind not in TRANSFORMS:
-            raise ValueError(f"unknown transform {self.kind!r}; known: {sorted(TRANSFORMS)}")
+            raise SchemaError(f"unknown transform {self.kind!r}; known: {sorted(TRANSFORMS)}")
         if not 0.0 <= self.prob <= 1.0:
-            raise ValueError(f"application probability {self.prob} outside [0, 1]")
+            raise SchemaError(f"application probability {self.prob} outside [0, 1]")
+        checked(TRANSFORMS[self.kind], self.params, f"transform {self.kind}", ("stream", "rng"))
+
+
+def _stage(kind: str, prob: float = 0.5, **params) -> TransformSpec:
+    """A pipeline stage from its JSON object, as AugmentSpec.to_dict writes it."""
+    return TransformSpec(kind, prob, params)
 
 
 def _apply_deterministic(fn: Callable[[EventStream], EventStream]):
+    @functools.wraps(fn)
     def apply(stream, rng, **params):
         return fn(stream, **params)
     return apply
@@ -224,29 +233,24 @@ class AugmentSpec:
     def with_seed(self, seed: int) -> "AugmentSpec":
         return replace(self, seed=seed)
 
+    def to_dict(self) -> dict:
+        return {"seed": self.seed,
+                "transforms": [{"kind": tr.kind, "prob": tr.prob, **tr.params}
+                               for tr in self.transforms]}
+
     def to_json(self) -> str:
-        doc = {
-            "seed": self.seed,
-            "transforms": [
-                {"kind": tr.kind, "prob": tr.prob, **tr.params}
-                for tr in self.transforms
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "AugmentSpec":
+        checked(cls, doc, "spec")
+        stages = (_stage(**checked(_stage, entry, f"transforms[{i}]"))
+                  for i, entry in enumerate(doc.get("transforms", ())))
+        return cls(transforms=tuple(stages), seed=doc.get("seed", 0))
 
     @classmethod
     def from_json(cls, text: str) -> "AugmentSpec":
-        doc = json.loads(text)
-        unknown = set(doc) - {"seed", "transforms"}
-        if unknown:
-            raise ValueError(f"unknown augment spec keys: {sorted(unknown)}")
-        trs = []
-        for entry in doc.get("transforms", []):
-            entry = dict(entry)
-            kind = entry.pop("kind")
-            prob = entry.pop("prob", 0.5)
-            trs.append(TransformSpec(kind=kind, prob=prob, params=entry))
-        return cls(transforms=tuple(trs), seed=int(doc.get("seed", 0)))
+        return cls.from_dict(json.loads(text))
 
 
 class RngStream:

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._schema import checked
 from .augment import COMMON_EDAS, AugmentSpec, TransformSpec
 from .events import EventStream, voxelize
-from .evio import DatasetManifest, load_events
+from .evio import DatasetManifest
 from .nn.network import NetworkConfig, config_to_json, init_params
 from .nn.train import TrainingDiverged, TrainSettings, accuracy, train, voxelize_set
 
@@ -41,7 +42,7 @@ def derive_seed(*parts: int) -> int:
 
 
 def load_dataset(manifest: DatasetManifest) -> tuple[list[EventStream], np.ndarray]:
-    streams = [load_events(manifest.path(entry)) for entry in manifest.entries]
+    streams = [manifest.load(i) for i in range(len(manifest.entries))]
     labels = np.asarray([entry.label for entry in manifest.entries], dtype=np.int64)
     return streams, labels
 
@@ -354,14 +355,17 @@ class SweepResult:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SweepResult":
-        allowed = {"version", "k", "seed", "split_seed", "eda_names", "records",
-                   "config"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown sweep result keys: {sorted(unknown)}")
+        checked(_sweep_file, obj, "sweep result")
+        for i, record in enumerate(obj["records"]):
+            checked(_sweep_record, record, f"sweep record {i}")
         return cls(k=obj["k"], seed=obj["seed"], split_seed=obj["split_seed"],
                    eda_names=tuple(obj["eda_names"]), records=list(obj["records"]),
                    echo=obj.get("config", {}))
+
+
+def _sweep_file(k: int, seed: int, split_seed: int, eda_names: list, records: list,
+                version: int = ..., config: dict = ...): ...
+def _sweep_record(mask: int, fold: int, accuracy: float, best_epoch: int, model_kind: str): ...
 
 
 def format_sweep_text(result: SweepResult) -> str:

@@ -30,7 +30,7 @@ from .evio import EventFileError, load_events, load_manifest, save_events
 from .events import InvalidStreamError, devoxelize_counts, voxelize
 from .experiment import Experiment, SchemaError, load_experiment
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .nn.network import ConfigError, forward, init_params
+from .nn.network import forward, init_params
 from .nn.train import TrainingDiverged, accuracy, train, voxelize_set
 
 
@@ -61,26 +61,22 @@ def _run_ledger(path: Path, exp: Experiment, command: str, seeds: dict,
                        "peak_rss_mb": max(u.ru_maxrss for u in usage) / rss_unit})
 
 
-def _load_experiment_for(args) -> tuple[Experiment, dict]:
+def _load_experiment_for(args) -> Experiment:
     if args.config is None:
         raise SchemaError("--config is required for this command")
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    exp, provenance = load_experiment(args.config, overrides)
+    exp, provenance = load_experiment(args.config, {"seed": args.seed, "out_dir": args.out})
     for line in provenance:
         print(line)
-    return exp, overrides
+    return exp
 
 
 def _dataset_for(exp: Experiment):
     manifest = load_manifest(exp.dataset)
     streams, labels = bench.load_dataset(manifest)
-    config = exp.network
-    if (manifest.entries[0].width, manifest.entries[0].height) != \
-            (config.width, config.height):
-        raise SchemaError(
-            f"dataset geometry {manifest.entries[0].width}x"
-            f"{manifest.entries[0].height} does not match network "
-            f"{config.width}x{config.height}")
+    entry, config = manifest.entries[0], exp.network
+    if (entry.width, entry.height) != (config.width, config.height):
+        raise SchemaError(f"dataset geometry {entry.width}x{entry.height} does not match "
+                          f"network {config.width}x{config.height}")
     classes = config.classifier.classes
     if manifest.num_classes > classes:
         raise SchemaError(f"dataset has {manifest.num_classes} classes but the "
@@ -89,6 +85,19 @@ def _dataset_for(exp: Experiment):
         raise SchemaError(f"folds.k={exp.folds_k} needs at least {exp.folds_k} "
                           f"samples, the dataset has {len(streams)}")
     return manifest, streams, labels
+
+
+def _checkpoint_for(args, exp: Experiment, kind: str):
+    """The checkpoint's (path, params, metadata), checked against the network."""
+    path = Path(args.checkpoint or Path(exp.out_dir) / "model.evck")
+    params, meta = load_checkpoint(path)
+    want = init_params(exp.network, 0, kind=kind)
+    for name in sorted(want.keys() | params.keys()):
+        got, need = (d[name].shape if name in d else "absent" for d in (params, want))
+        if got != need:
+            raise SchemaError(f"{path} does not fit the {kind} network: tensor {name} "
+                              f"is {got} there, {need} in the network")
+    return path, params, meta
 
 
 def _train_fold_split(exp: Experiment, n: int):
@@ -106,13 +115,9 @@ def cmd_synth(args) -> int:
                           f"got {args.classes}")
     if args.samples_per_class < 1:
         raise SchemaError("--samples-per-class must be >= 1")
-    try:
-        params = synth.SynthParams(
-            width=args.width, height=args.height, duration=args.duration,
-            events_per_sample=args.events,
-            templates=synth.DEFAULT_TEMPLATES[:args.classes])
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    params = synth.SynthParams(
+        width=args.width, height=args.height, duration=args.duration,
+        events_per_sample=args.events, templates=synth.DEFAULT_TEMPLATES[:args.classes])
     out = Path(args.out if args.out is not None else "dataset")
     manifest = synth.write_dataset(out, params, args.samples_per_class,
                                    args.seed if args.seed is not None else 0)
@@ -157,13 +162,9 @@ def cmd_augment(args) -> int:
         if not args.pipeline:
             raise SchemaError("either --config or --pipeline is required")
         kinds = [k.strip() for k in args.pipeline.split(",") if k.strip()]
-        try:
-            spec = AugmentSpec(
-                transforms=tuple(TransformSpec(kind=k, prob=args.prob)
-                                 for k in kinds),
-                seed=args.seed if args.seed is not None else 0)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
+        spec = AugmentSpec(transforms=tuple(TransformSpec(kind=k, prob=args.prob)
+                                            for k in kinds),
+                           seed=args.seed if args.seed is not None else 0)
     result = apply_pipeline(stream, spec, sample_index=args.sample_index)
     save_events(result, args.output)
     print(f"applied {[t.kind for t in spec.transforms]} "
@@ -174,7 +175,7 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     start = time.monotonic()
-    exp, _ = _load_experiment_for(args)
+    exp = _load_experiment_for(args)
     manifest, streams, labels = _dataset_for(exp)
     config = exp.network
     train_idx, val_idx = _train_fold_split(exp, len(streams))
@@ -211,12 +212,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    exp, _ = _load_experiment_for(args)
+    exp = _load_experiment_for(args)
     manifest, streams, labels = _dataset_for(exp)
     config = exp.network
-    ckpt = Path(args.checkpoint) if args.checkpoint is not None \
-        else Path(exp.out_dir) / "model.evck"
-    params, meta = load_checkpoint(ckpt)
+    ckpt, params, meta = _checkpoint_for(args, exp, exp.model_kind)
     _, val_idx = _train_fold_split(exp, len(streams))
     tensors = voxelize_set([streams[i] for i in val_idx], config.time_steps)
     val_labels = labels[list(val_idx)]
@@ -238,7 +237,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     start = time.monotonic()
-    exp, _ = _load_experiment_for(args)
+    exp = _load_experiment_for(args)
     manifest, streams, labels = _dataset_for(exp)
     jobs = args.jobs if args.jobs is not None else 1
     result = bench.sweep_common_eda(
@@ -263,13 +262,12 @@ def cmd_regress(args) -> int:
         scores_path = Path(args.scores)
         out_dir = scores_path.parent if args.out is None else Path(args.out)
     else:
-        exp, _ = _load_experiment_for(args)
+        exp = _load_experiment_for(args)
         out_dir = Path(exp.out_dir)
         scores_path = out_dir / "sweep.json"
-    obj = json.loads(scores_path.read_text())
     try:
-        result = bench.SweepResult.from_json_dict(obj)
-    except (KeyError, ValueError) as exc:
+        result = bench.SweepResult.from_json_dict(json.loads(scores_path.read_text()))
+    except ValueError as exc:
         raise SchemaError(f"{scores_path}: {exc}") from exc
     for kind in result.kinds():
         masks, acc = result.arrays(kind)
@@ -284,15 +282,12 @@ def cmd_regress(args) -> int:
 def cmd_energy(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise SchemaError(f"--samples must be >= 1, got {args.samples}")
-    exp, _ = _load_experiment_for(args)
+    exp = _load_experiment_for(args)
     manifest, streams, labels = _dataset_for(exp)
     config = exp.network
-    ckpt = Path(args.checkpoint) if args.checkpoint is not None \
-        else Path(exp.out_dir) / "model.evck"
-    params, _ = load_checkpoint(ckpt)
+    _, params, _ = _checkpoint_for(args, exp, "spiking")
     _, val_idx = _train_fold_split(exp, len(streams))
-    if args.samples is not None:
-        val_idx = val_idx[:args.samples]
+    val_idx = val_idx[:args.samples]
     tensors = voxelize_set([streams[i] for i in val_idx], config.time_steps)
     traces = []
     for i in range(0, len(tensors), 16):
@@ -395,8 +390,7 @@ def main(argv=None) -> int:
         if args.jobs is not None and args.jobs < 1:
             raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except (SchemaError, ConfigError, InvalidStreamError,
-            json.JSONDecodeError) as exc:
+    except (SchemaError, InvalidStreamError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingDiverged, bench.BenchError) as exc:

@@ -20,7 +20,7 @@ Accounting rules, fixed here and labeled in reports:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -104,10 +104,7 @@ class EnergyReport:
             ("above" if self.ratio > BAND_HIGH else "within")
         return {
             "version": 1,
-            "constants_pj": {"e_mult": self.constants.e_mult,
-                             "e_add": self.constants.e_add,
-                             "e_mac": self.constants.e_mac,
-                             "e_ac": self.constants.e_ac},
+            "constants_pj": asdict(self.constants),
             "charging": self.charging,
             "samples": self.samples,
             "snn_layers": self.rows,

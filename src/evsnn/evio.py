@@ -18,18 +18,22 @@ is ``events.validate``'s, run on the stream the records make. A file that
 breaks several rules is reported at the first fault in validate's order
 (geometry, interval, x, y, t, polarity, unsorted), with the byte offset of
 the header or record field that holds it.
+
+``load_manifest`` reads a manifest against ``_manifest`` and ``ManifestEntry``
+(see ``_schema``); every fault of a manifest is a ``SchemaError``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._heap import keep_heap
+from ._schema import SchemaError, checked
 from .events import EventStream, _violations, require_valid
 
 MAGIC = b"EVT1"
@@ -124,43 +128,41 @@ class DatasetManifest:
     def __post_init__(self):
         geoms = {(e.width, e.height, e.duration) for e in self.entries}
         if len(geoms) > 1:
-            raise ValueError(f"inconsistent sample geometry across entries: {sorted(geoms)}")
+            raise SchemaError(f"samples differ in geometry: {sorted(geoms)}")
         for e in self.entries:
             if not 0 <= e.label < self.num_classes:
-                raise ValueError(f"label {e.label} of {e.file} outside [0, {self.num_classes})")
+                raise SchemaError(f"label {e.label} of {e.file} outside [0, {self.num_classes})")
 
     def path(self, entry: ManifestEntry) -> Path:
         return Path(self.root) / entry.file
 
     def load(self, index: int) -> EventStream:
-        return load_events(self.path(self.entries[index]))
+        entry = self.entries[index]
+        stream = load_events(self.path(entry))
+        if (stream.width, stream.height) != (entry.width, entry.height):
+            raise SchemaError(f"{self.path(entry)} holds a {stream.width}x{stream.height} "
+                              f"stream, its manifest entry says {entry.width}x{entry.height}")
+        return stream
 
     def to_json(self) -> str:
-        doc = {
-            "version": 1,
-            "classes": list(self.class_names),
-            "samples": [
-                {"file": e.file, "label": e.label, "width": e.width,
-                 "height": e.height, "duration": e.duration}
-                for e in self.entries
-            ],
-        }
+        doc = {"version": 1, "classes": list(self.class_names),
+               "samples": [asdict(e) for e in self.entries]}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.write_text(self.to_json())
+        Path(path).write_text(self.to_json())
+
+
+def _manifest(version: int, classes: list, samples: list): ...  # a manifest's top level
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
-    doc = json.loads(path.read_text())
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported manifest version {doc.get('version')!r} in {path}")
-    entries = tuple(
-        ManifestEntry(file=s["file"], label=int(s["label"]), width=int(s["width"]),
-                      height=int(s["height"]), duration=int(s["duration"]))
-        for s in doc["samples"]
-    )
-    return DatasetManifest(root=path.parent, entries=entries,
-                           class_names=tuple(doc["classes"]))
+    doc = checked(_manifest, json.loads(path.read_text()), str(path))
+    if doc["version"] != 1:
+        raise SchemaError(f"unsupported manifest version {doc['version']!r} in {path}")
+    if not doc["samples"]:
+        raise SchemaError(f"{path}: no samples")
+    entries = tuple(ManifestEntry(**checked(ManifestEntry, s, f"{path}: sample {i}"))
+                    for i, s in enumerate(doc["samples"]))
+    return DatasetManifest(root=path.parent, entries=entries, class_names=tuple(doc["classes"]))

@@ -22,19 +22,20 @@ join is additive. With one step the accumulator is a plain linear layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Union
 
 import numpy as np
 
 from .._heap import keep_heap
+from .._schema import SchemaError, checked
 from .layers import (avg_pool_backward, avg_pool_forward, conv2d_backward,
                      conv2d_forward, conv_out_size, global_pool_backward,
                      global_pool_forward, linear_backward, linear_forward)
 from .surrogate import arctan_surrogate, arctan_surrogate_grad
 
 
-class ConfigError(ValueError):
+class ConfigError(SchemaError):
     """Layer stack does not compose (raised before any compute)."""
 
 
@@ -93,6 +94,9 @@ class Classifier:
 
 LayerSpec = Union[Conv2d, IF, SEW, AvgPool, GlobalPool, Accumulator, Classifier]
 
+_LEAST_VALUES = {Conv2d: {"c_in": 1, "c_out": 1, "k": 1, "stride": 1, "padding": 0},
+                 SEW: {"channels": 1, "k": 1}, AvgPool: {"window": 1},
+                 Accumulator: {"dim": 1}, Classifier: {"classes": 1}}
 RESET_MODES = ("subtract", "zero")
 INPUT_TIMINGS = ("same_step", "delayed")
 SEW_FUNCTIONS = ("add", "and", "iand")
@@ -151,6 +155,11 @@ class NetworkConfig:
         shape (d,) fed to the accumulator.
         """
         acc = self.accumulator
+        for i, lay in enumerate(self.layers):
+            for name, floor in _LEAST_VALUES.get(type(lay), {}).items():
+                if getattr(lay, name) < floor:
+                    raise ConfigError(f"layer {i} ({type(lay).__name__}): {name} must be "
+                                      f">= {floor}, got {getattr(lay, name)}")
         shape: tuple = (self.in_channels, self.height, self.width)
         shapes = [shape]
         for i, lay in enumerate(self.encoder_layers):
@@ -352,40 +361,25 @@ _LAYER_KINDS: dict[str, type] = {
 _KIND_NAMES = {cls: name for name, cls in _LAYER_KINDS.items()}
 
 
+def _layer(kind: str, **params): ...  # a layer entry's schema; its class reads the rest
+
+
 def config_to_json(config: NetworkConfig) -> dict:
-    layers = []
-    for lay in config.layers:
-        entry = {"kind": _KIND_NAMES[type(lay)]}
-        for f in type(lay).__dataclass_fields__:
-            entry[f] = getattr(lay, f)
-        layers.append(entry)
-    return {"time_steps": config.time_steps, "height": config.height,
-            "width": config.width, "in_channels": config.in_channels,
-            "reset": config.reset, "input_timing": config.input_timing,
-            "layers": layers}
+    return {**asdict(config), "layers": [{"kind": _KIND_NAMES[type(lay)], **asdict(lay)}
+                                         for lay in config.layers]}
 
 
 def config_from_json(obj: dict) -> NetworkConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("network config must be a JSON object")
-    allowed = {"time_steps", "height", "width", "in_channels", "reset",
-               "input_timing", "layers"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown network config keys: {sorted(unknown)}")
+    checked(NetworkConfig, obj, "network config", error=ConfigError)
     layers = []
-    for n, entry in enumerate(obj.get("layers", ())):
-        entry = dict(entry)
-        kind = entry.pop("kind", None)
+    for n, entry in enumerate(obj["layers"]):
+        params = dict(checked(_layer, entry, f"layer {n}", error=ConfigError))
+        kind = params.pop("kind")
         cls = _LAYER_KINDS.get(kind)
         if cls is None:
             raise ConfigError(f"layer {n}: unknown kind {kind!r}")
-        bad = set(entry) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ConfigError(f"layer {n} ({kind}): unknown keys {sorted(bad)}")
-        layers.append(cls(**entry))
-    fields = {k: obj[k] for k in allowed - {"layers"} if k in obj}
-    return NetworkConfig(layers=tuple(layers), **fields)
+        layers.append(cls(**checked(cls, params, f"layer {n} ({kind})", error=ConfigError)))
+    return NetworkConfig(**{**obj, "layers": tuple(layers)})
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._schema import SchemaError
 from ..augment import AugmentSpec, apply_pipeline
 from ..events import EventStream, _scatter, require_valid, voxelize
 from .network import NetworkConfig, _forward_mode, backward, forward
@@ -69,7 +70,7 @@ class TrainSettings:
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+            raise SchemaError("train: epochs must be >= 0 and batch_size >= 1")
 
 
 @dataclass

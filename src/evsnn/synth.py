@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._schema import SchemaError
 from .events import EventStream
 from .evio import DatasetManifest, ManifestEntry, save_events
 
@@ -52,15 +53,15 @@ class SynthParams:
     def __post_init__(self):
         for name in self.templates:
             if name not in KNOWN_TEMPLATES:
-                raise ValueError(f"unknown template {name!r}; known: {KNOWN_TEMPLATES}")
+                raise SchemaError(f"unknown template {name!r}; known: {KNOWN_TEMPLATES}")
         if min(self.width, self.height, self.duration) < 1:
-            raise ValueError(f"width, height and duration must be >= 1, got "
-                             f"{self.width}x{self.height}, {self.duration} us")
+            raise SchemaError(f"width, height and duration must be >= 1, got "
+                              f"{self.width}x{self.height}, {self.duration} us")
         if self.events_per_sample < 1:
-            raise ValueError(f"events_per_sample must be >= 1, got {self.events_per_sample}")
+            raise SchemaError(f"events_per_sample must be >= 1, got {self.events_per_sample}")
         bars = {"bar_sweep_h", "bar_sweep_v"} & set(self.templates)
         if bars and min(self.width, self.height) < 2 * self.bar_margin:
-            raise ValueError(
+            raise SchemaError(
                 f"{self.width}x{self.height} cannot hold the bar templates: both "
                 f"sides must be >= 2 * bar_margin = {2 * self.bar_margin:g}")
 

@@ -321,5 +321,5 @@ class TestSpecs:
         assert again == spec
 
     def test_json_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown augment spec"):
+        with pytest.raises(ValueError, match=r"spec: unknown keys \['extra'\]"):
             AugmentSpec.from_json('{"seed": 0, "transforms": [], "extra": 1}')

@@ -320,7 +320,7 @@ class TestSweep:
         *_, result = sweep_setup
         obj = result.to_json_dict()
         obj["extra"] = 1
-        with pytest.raises(ValueError, match="unknown sweep result keys"):
+        with pytest.raises(ValueError, match=r"sweep result: unknown keys \['extra'\]"):
             SweepResult.from_json_dict(obj)
 
     def test_format_text(self, sweep_setup):

@@ -15,7 +15,9 @@ from evsnn.cli import main
 from evsnn.evio import load_events, load_manifest
 from evsnn.nn import (
     IF,
+    SEW,
     Accumulator,
+    AvgPool,
     Classifier,
     Conv2d,
     GlobalPool,
@@ -483,3 +485,217 @@ class TestCountFlagsBelowOne:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and "--jobs" in proc.stderr
+
+
+def assert_one_error(capsys, message):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err, err
+
+
+def run_changed(workspace, tmp_path, change):
+    """Train on the workspace experiment with some keys replaced."""
+    exp = json.loads((workspace / "exp.json").read_text())
+    exp.update(dataset=str(workspace / "ds" / "manifest.json"),
+               out_dir=str(tmp_path / "o"))
+    exp.update(change)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(exp))
+    return main(["train", "--config", str(path)])
+
+
+def layered_net():
+    """Every layer kind with an integer field: conv, if, avg_pool, sew,
+    global_pool, if, accumulator, classifier (layers 0-7)."""
+    return NetworkConfig(time_steps=2, height=16, width=16, layers=(
+        Conv2d(2, 4, k=3, stride=1, padding=1), IF(), AvgPool(2), SEW(4),
+        GlobalPool(), IF(), Accumulator(4), Classifier(2)))
+
+
+def layer(i, **change):
+    return lambda net: net["layers"][i].update(change)
+
+
+class TestMistypedNetworkAndAugment:
+    """Every object inside "network" and "augment" is read against the
+    signature it feeds, so a mistyped or unknown value exits 2 before any
+    compute."""
+
+    @pytest.mark.parametrize("change, message", [
+        (layer(0, c_in="2"), "layer 0 (conv): c_in must be a JSON integer, got '2'"),
+        (layer(0, k=3.0), "layer 0 (conv): k must be a JSON integer, got 3.0"),
+        (layer(0, bias=1), "layer 0 (conv): bias must be a JSON boolean, got 1"),
+        (layer(1, theta="1"), "layer 1 (if): theta must be a JSON number, got '1'"),
+        (layer(3, g=None), "layer 3 (sew): g must be a JSON string, got None"),
+        (layer(0, kind=["conv"]), "layer 0: kind must be a JSON string"),
+        (lambda net: net["layers"][0].pop("kind"), "layer 0: missing required keys ['kind']"),
+        (lambda net: net.update(layers="abc"),
+         "network config: layers must be a JSON array, got 'abc'"),
+        (lambda net: net.update(time_steps="2"),
+         "network config: time_steps must be a JSON integer, got '2'"),
+        (lambda net: net.pop("height"), "network config: missing required keys ['height']"),
+    ], ids=["c_in", "k", "bias", "theta", "g", "kind", "no_kind", "layers", "time_steps",
+            "height"])
+    def test_network_grammar_exit2(self, workspace, tmp_path, capsys, change, message):
+        net = config_to_json(layered_net())
+        change(net)
+        assert run_changed(workspace, tmp_path, {"network": net}) == 2
+        assert_one_error(capsys, message)
+
+    @pytest.mark.parametrize("network, message", [
+        ({"preset": "sew_tiny", "classes": "2"},
+         "network preset sew_tiny: classes must be a JSON integer, got '2'"),
+        ({"preset": "sew_tiny", "classes": 2, "theta": True},
+         "network preset sew_tiny: theta must be a JSON number, got True"),
+        ({"preset": "sew18"}, "network preset sew18: missing required keys ['classes']"),
+        ({"preset": ["sew_tiny"], "classes": 2}, "network: preset must be a JSON string"),
+    ], ids=["classes", "theta", "no_classes", "list_preset"])
+    def test_preset_exit2(self, workspace, tmp_path, capsys, network, message):
+        assert run_changed(workspace, tmp_path, {"network": network}) == 2
+        assert_one_error(capsys, message)
+
+    @pytest.mark.parametrize("augment, message", [
+        ({"transforms": [{"prob": 0.5}]}, "transforms[0]: missing required keys ['kind']"),
+        ({"transforms": [{"kind": "crop", "scale": 0.5}]},
+         "transform crop: unknown keys ['scale']"),
+        ({"transforms": [{"kind": "crop", "scale_min": "0.5"}]},
+         "transform crop: scale_min must be a JSON number, got '0.5'"),
+        ({"transforms": [{"kind": "hflip", "ratio": 0.1}]},
+         "transform hflip: unknown keys ['ratio']"),
+        ({"transforms": [{"kind": "noise", "rng": 1}]}, "transform noise: unknown keys ['rng']"),
+        ({"transforms": [{"kind": "hflip", "prob": "0.5"}]},
+         "transforms[0]: prob must be a JSON number, got '0.5'"),
+        ({"transforms": [{"kind": ["hflip"]}]}, "transforms[0]: kind must be a JSON string"),
+        ({"transforms": "crop"}, "spec: transforms must be a JSON array, got 'crop'"),
+        ({"seed": True, "transforms": []}, "spec: seed must be a JSON integer, got True"),
+    ], ids=["no_kind", "unknown_param", "mistyped_param", "param_of_hflip", "rng",
+            "prob", "list_kind", "transforms", "seed"])
+    def test_augment_exit2(self, workspace, tmp_path, capsys, augment, message):
+        assert run_changed(workspace, tmp_path, {"augment": augment}) == 2
+        assert_one_error(capsys, "augment: " + message)
+
+
+class TestLayerRanges:
+    """A layer field below its least value is a ConfigError when the stack is
+    built, not a ZeroDivisionError, a broadcast error in the first forward
+    pass, or a network that runs."""
+
+    @pytest.mark.parametrize("index, field, value, message", [
+        (0, "stride", 0, "layer 0 (Conv2d): stride must be >= 1, got 0"),
+        (0, "padding", -1, "layer 0 (Conv2d): padding must be >= 0, got -1"),
+        (0, "k", 0, "layer 0 (Conv2d): k must be >= 1, got 0"),
+        (0, "c_out", 0, "layer 0 (Conv2d): c_out must be >= 1, got 0"),
+        (0, "c_in", 0, "layer 0 (Conv2d): c_in must be >= 1, got 0"),
+        (2, "window", 0, "layer 2 (AvgPool): window must be >= 1, got 0"),
+        (3, "k", -1, "layer 3 (SEW): k must be >= 1, got -1"),
+        (3, "channels", 0, "layer 3 (SEW): channels must be >= 1, got 0"),
+        (6, "dim", 0, "layer 6 (Accumulator): dim must be >= 1, got 0"),
+        (7, "classes", 0, "layer 7 (Classifier): classes must be >= 1, got 0"),
+    ], ids=lambda v: str(v))
+    def test_exit2(self, workspace, tmp_path, capsys, index, field, value, message):
+        net = config_to_json(layered_net())
+        net["layers"][index][field] = value
+        assert run_changed(workspace, tmp_path, {"network": net}) == 2
+        assert_one_error(capsys, message)
+
+    def test_least_values_build(self):
+        NetworkConfig(time_steps=1, height=3, width=3, layers=(
+            Conv2d(2, 1, k=1, stride=1, padding=0), IF(), AvgPool(1), SEW(1, k=1),
+            GlobalPool(), Accumulator(1), Classifier(1)))
+
+
+class TestManifestFaults:
+    """A manifest that breaks its schema, or misstates its files, exits 2."""
+
+    def write_manifest(self, workspace, tmp_path, change):
+        doc = json.loads((workspace / "ds" / "manifest.json").read_text())
+        for sample in doc["samples"]:
+            sample["file"] = str(workspace / "ds" / sample["file"])
+        change(doc)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc["samples"][0].update(label=5), "label 5 of "),
+        (lambda doc: doc["samples"][0].update(label="0"),
+         "sample 0: label must be a JSON integer, got '0'"),
+        (lambda doc: doc["samples"][1].update(width=32), "samples differ in geometry"),
+        (lambda doc: doc["samples"][2].pop("duration"),
+         "sample 2: missing required keys ['duration']"),
+        (lambda doc: doc["samples"][0].update(size=1), "sample 0: unknown keys ['size']"),
+        (lambda doc: doc.update(samples=[]), "manifest.json: no samples"),
+        (lambda doc: doc.pop("classes"), "missing required keys ['classes']"),
+        (lambda doc: doc.update(version=2), "unsupported manifest version 2"),
+        (lambda doc: doc.update(samples={}), "samples must be a JSON array"),
+    ], ids=["label_range", "label_type", "geometry", "no_duration", "unknown", "empty",
+            "no_classes", "version", "samples_object"])
+    def test_exit2(self, workspace, tmp_path, capsys, change, message):
+        path = self.write_manifest(workspace, tmp_path, change)
+        assert run_changed(workspace, tmp_path, {"dataset": str(path)}) == 2
+        assert_one_error(capsys, message)
+
+    def test_not_an_object_exit2(self, workspace, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]")
+        assert run_changed(workspace, tmp_path, {"dataset": str(path)}) == 2
+        assert_one_error(capsys, "manifest.json must be a JSON object")
+
+    def test_misstated_file_geometry_exit2(self, workspace, tmp_path, capsys):
+        # the files hold 16x16 streams; manifest and network both say 32x32
+        def change(doc):
+            for sample in doc["samples"]:
+                sample.update(width=32, height=32)
+        path = self.write_manifest(workspace, tmp_path, change)
+        network = config_to_json(passthrough_net(side=32))
+        assert run_changed(workspace, tmp_path, {"dataset": str(path),
+                                                 "network": network}) == 2
+        assert_one_error(capsys, "holds a 16x16 stream, its manifest entry says 32x32")
+
+
+class TestCheckpointMismatch:
+    """eval and energy hold the checkpoint against the network they run."""
+
+    def test_eval_other_network(self, workspace, conv_trained, capsys):
+        _, conv_run = conv_trained
+        rc = main(["eval", "--config", str(workspace / "exp.json"),
+                   "--checkpoint", str(conv_run / "model.evck")])
+        assert rc == 2
+        assert_one_error(capsys, "model.evck does not fit the spiking network: tensor "
+                                 "00.acc.weight is absent there, (512, 512) in the network")
+
+    def test_eval_dense_against_spiking_checkpoint(self, conv_trained, tmp_path, capsys):
+        path, conv_run = conv_trained
+        exp = json.loads(path.read_text())
+        exp.update(dataset=str(path.parent / exp["dataset"]), model_kind="dense")
+        changed = tmp_path / "exp.json"
+        changed.write_text(json.dumps(exp))
+        rc = main(["eval", "--config", str(changed)])
+        assert rc == 2
+        assert_one_error(capsys, "does not fit the dense network: tensor 00.conv.weight "
+                                 "is (4, 2, 3, 3) there, (4, 4, 3, 3) in the network")
+
+    def test_energy_other_network(self, conv_trained, trained, capsys):
+        path, _ = conv_trained
+        rc = main(["energy", "--config", str(path),
+                   "--checkpoint", str(trained / "model.evck")])
+        assert rc == 2
+        assert_one_error(capsys, "tensor 00.acc.weight is (512, 512) there, "
+                                 "absent in the network")
+
+
+class TestMistypedSweepRecords:
+    @pytest.mark.parametrize("change, message", [
+        (lambda r: r.pop("model_kind"), "sweep record 0: missing required keys ['model_kind']"),
+        (lambda r: r.update(accuracy="0.5"),
+         "sweep record 0: accuracy must be a JSON number, got '0.5'"),
+    ], ids=["no_kind", "accuracy"])
+    def test_exit2(self, swept, tmp_path, capsys, change, message):
+        _, out_dir = swept
+        doc = json.loads((out_dir / "sweep.json").read_text())
+        change(doc["records"][0])
+        scores = tmp_path / "sweep.json"
+        scores.write_text(json.dumps(doc))
+        assert main(["regress", "--scores", str(scores)]) == 2
+        assert_one_error(capsys, message)

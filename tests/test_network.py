@@ -389,7 +389,7 @@ class TestConfigJson:
     def test_unknown_top_key_rejected(self):
         doc = config_to_json(passthrough_config())
         doc["dropout"] = 0.5
-        with pytest.raises(ConfigError, match="unknown network config"):
+        with pytest.raises(ConfigError, match=r"network config: unknown keys \['dropout'\]"):
             config_from_json(doc)
 
 
