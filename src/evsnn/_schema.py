@@ -1,16 +1,19 @@
-"""One reader for every JSON object the program takes in.
+"""One reader for every JSON value the program takes in.
 
-``checked`` holds an object against the signature of the callable it feeds:
-its keys are the parameters (any key if there is ``**``), those without a
-default are required, and each value has its annotation's JSON type (float a
-number, tuple an array, null only for ``X | None``, a bool no number; other
-annotations unchecked). An object no definition describes gets a
-signature-only function as its schema, with ``...`` defaults.
+``loads`` decodes JSON text, refusing NaN and Infinity. ``checked`` holds an
+object against the signature of the callable it feeds: its keys are the
+parameters (any key if there is ``**``), those without a default are required,
+each value has its annotation's JSON type (float a number, tuple an array, null
+only for ``X | None``, a bool no number; other annotations unchecked) and lies
+within the ``Bound`` of an ``Annotated`` one; post-inits call ``bounded`` too.
+An object no definition describes gets a signature-only function as its schema.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
+import math
 import types
 import typing
 from functools import lru_cache
@@ -20,25 +23,49 @@ class SchemaError(ValueError):
     """A JSON input breaks its schema."""
 
 
+class Bound(typing.NamedTuple):
+    """lo <= value <= hi, or lo < value <= hi if ``exclusive``."""
+    lo: float = -math.inf
+    hi: float = math.inf
+    exclusive: bool = False
+
+
 _JSON = {int: ("integer", (int,)), float: ("number", (int, float)), str: ("string", (str,)),
          bool: ("boolean", (bool,)), dict: ("object", (dict,)), list: ("array", (list,)),
          tuple: ("array", (list,)), type(None): ("null", (type(None),))}
 
 
 @lru_cache(maxsize=None)
-def _schema(fn) -> tuple[dict, frozenset, bool]:
-    """((JSON name, types) or None per keyword, required keywords, takes ``**``)."""
+def _schema(fn) -> tuple[dict, frozenset, bool, dict]:
+    """((JSON name, types) or None per keyword, required keywords, takes ``**``,
+    Bound per bounded keyword)."""
     params = inspect.signature(fn, eval_str=True).parameters.values()
     named = [p for p in params if p.kind is not p.VAR_KEYWORD]
-    types_of = {}
+    types_of, bounds = {}, {}
     for p in named:
-        union = typing.get_origin(p.annotation) in (typing.Union, types.UnionType)
+        meta = getattr(p.annotation, "__metadata__", ())  # of Annotated[hint, *meta]
+        hint = typing.get_args(p.annotation)[0] if meta else p.annotation
+        bounds.update((p.name, m) for m in meta if isinstance(m, Bound))
+        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
         parts = [_JSON.get(typing.get_origin(a) or a)
-                 for a in (typing.get_args(p.annotation) if union else (p.annotation,))]
+                 for a in (typing.get_args(hint) if union else (hint,))]
         types_of[p.name] = None if None in parts else (
             " or ".join(name for name, _ in parts), sum((t for _, t in parts), ()))
     required = frozenset(p.name for p in named if p.default is p.empty)
-    return types_of, required, len(named) < len(params)
+    return types_of, required, len(named) < len(params), bounds
+
+
+def bounded(fn, values: dict, where: str, error=SchemaError) -> None:
+    """Raise ``error`` for a value outside its key's Bound in ``fn``'s signature
+    (None passes, NaN never). The key reads ``folds.seed`` under a section name,
+    ``layer 0 (Conv2d): stride`` under another ``where``, alone under ``""``."""
+    for key, (lo, hi, exclusive) in _schema(fn)[3].items():
+        value = values.get(key)
+        if value is None or (lo < value if exclusive else lo <= value) and value <= hi:
+            continue
+        name = f"{where}.{key}" if where.isidentifier() else f"{where}: {key}" if where else key
+        limit = f"<= {hi}" if value > hi else f"{'>' if exclusive else '>='} {lo}"
+        raise error(f"{name} must be {limit}, got {value}")
 
 
 def checked(fn, obj, where: str, exclude=(), error=SchemaError):
@@ -46,7 +73,7 @@ def checked(fn, obj, where: str, exclude=(), error=SchemaError):
     ``exclude`` are neither required nor admitted."""
     if not isinstance(obj, dict):
         raise error(f"{where} must be a JSON object")
-    types_of, required, var_keyword = _schema(fn)
+    types_of, required, var_keyword, _ = _schema(fn)
     unknown = [key for key in obj if key in exclude or not (var_keyword or key in types_of)]
     if unknown:
         raise error(f"{where}: unknown keys {sorted(unknown)}")
@@ -58,4 +85,17 @@ def checked(fn, obj, where: str, exclude=(), error=SchemaError):
         if accepts and (not isinstance(value, accepts)
                         or isinstance(value, bool) and bool not in accepts):
             raise error(f"{where}: {key} must be a JSON {name}, got {value!r}")
+    bounded(fn, obj, where, error)
     return obj
+
+
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+def loads(text: str | bytes, where: str):
+    """The value JSON text holds; NaN and Infinity are refused."""
+    try:
+        return json.loads(text, parse_constant=_refuse)
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError too
+        raise SchemaError(f"{where}: invalid JSON: {exc}") from exc

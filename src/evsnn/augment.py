@@ -14,15 +14,16 @@ transform built and shares the fields it left unchanged (see
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Annotated, Callable
 
 import numpy as np
 
 from ._heap import keep_heap
-from ._schema import SchemaError, checked
+from ._schema import Bound, SchemaError, bounded, checked
 from .events import EventStream
+
+RATIO = Annotated[float, Bound(0, 1)]
 
 
 def _resorted(stream: EventStream, x, y, t, p) -> EventStream:
@@ -96,8 +97,8 @@ def noise_ba(stream: EventStream, rng: np.random.Generator,
              ratio: float = 0.1) -> EventStream:
     """Inject floor(ratio * N) background-activity events, uniform in x, y, t
     and polarity; all original events are retained."""
-    if ratio < 0:
-        raise ValueError(f"noise ratio must be >= 0, got {ratio}")
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"noise ratio must lie in [0, 1], got {ratio}")
     n_add = int(ratio * stream.n)
     if n_add == 0:
         return stream
@@ -136,12 +137,14 @@ def drop_random(stream: EventStream, rng: np.random.Generator,
 
 
 def eventdrop(stream: EventStream, rng: np.random.Generator,
-              ratio_lo: float = 0.05, time_ratio_max: float = 0.3,
-              area_ratio_max: float = 0.3, global_ratio_max: float = 0.5,
+              ratio_lo: RATIO = 0.05, time_ratio_max: RATIO = 0.3,
+              area_ratio_max: RATIO = 0.3, global_ratio_max: RATIO = 0.5,
               ) -> EventStream:
     """One of four strategies, chosen uniformly: identity, drop-by-time,
     drop-by-area, or independent random drop. Ratios are uniform draws from
     [ratio_lo, the strategy's max]."""
+    if ratio_lo > min(time_ratio_max, area_ratio_max, global_ratio_max):
+        raise ValueError(f"ratio_lo {ratio_lo} exceeds a strategy's max ratio")
     strategy = int(rng.integers(0, 4))
     if strategy == 0:
         return stream
@@ -182,18 +185,23 @@ def mirror(stream: EventStream, rng: np.random.Generator) -> EventStream:
 @dataclass(frozen=True)
 class TransformSpec:
     """One pipeline stage: transform kind, its application probability, and
-    parameters. Parameter defaults follow the individual transform functions."""
+    parameters. Parameter defaults and checks are the transform function's own:
+    it runs once on a one-event probe stream, and checks before it draws."""
 
     kind: str
-    prob: float = 0.5
+    prob: Annotated[float, Bound(0, 1)] = 0.5
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in TRANSFORMS:
             raise SchemaError(f"unknown transform {self.kind!r}; known: {sorted(TRANSFORMS)}")
-        if not 0.0 <= self.prob <= 1.0:
-            raise SchemaError(f"application probability {self.prob} outside [0, 1]")
-        checked(TRANSFORMS[self.kind], self.params, f"transform {self.kind}", ("stream", "rng"))
+        where, fn = f"transform {self.kind}", TRANSFORMS[self.kind]
+        bounded(TransformSpec, vars(self), where)
+        checked(fn, self.params, where, ("stream", "rng"))
+        try:
+            fn(_PROBE, np.random.default_rng(0), **self.params)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _stage(kind: str, prob: float = 0.5, **params) -> TransformSpec:
@@ -221,6 +229,8 @@ TRANSFORMS: dict[str, Callable] = {
 # fixed application order of the five common transforms
 COMMON_EDAS = ("crop", "hflip", "noise", "polflip", "reverse")
 SPECIFIC_EDAS = ("eventdrop", "mirror")
+# the stream on which TransformSpec runs its transform once
+_PROBE = EventStream(x=[0], y=[0], t=[0], p=[1], width=1, height=1, t_start=0, t_end=1)
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,10 @@ class AugmentSpec:
     """An ordered transform pipeline plus the master seed that drives it."""
 
     transforms: tuple[TransformSpec, ...] = ()
-    seed: int = 0
+    seed: Annotated[int, Bound(0)] = 0
+
+    def __post_init__(self):
+        bounded(AugmentSpec, vars(self), "")
 
     def with_seed(self, seed: int) -> "AugmentSpec":
         return replace(self, seed=seed)
@@ -238,19 +251,12 @@ class AugmentSpec:
                 "transforms": [{"kind": tr.kind, "prob": tr.prob, **tr.params}
                                for tr in self.transforms]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "AugmentSpec":
         checked(cls, doc, "spec")
         stages = (_stage(**checked(_stage, entry, f"transforms[{i}]"))
                   for i, entry in enumerate(doc.get("transforms", ())))
         return cls(transforms=tuple(stages), seed=doc.get("seed", 0))
-
-    @classmethod
-    def from_json(cls, text: str) -> "AugmentSpec":
-        return cls.from_dict(json.loads(text))
 
 
 class RngStream:

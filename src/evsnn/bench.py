@@ -21,10 +21,11 @@ import ctypes
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
-from ._schema import checked
+from ._schema import Bound, checked
 from .augment import COMMON_EDAS, AugmentSpec, TransformSpec
 from .events import EventStream, voxelize
 from .evio import DatasetManifest
@@ -365,7 +366,8 @@ class SweepResult:
 
 def _sweep_file(k: int, seed: int, split_seed: int, eda_names: list, records: list,
                 version: int = ..., config: dict = ...): ...
-def _sweep_record(mask: int, fold: int, accuracy: float, best_epoch: int, model_kind: str): ...
+def _sweep_record(mask: Annotated[int, Bound(0, 2 ** len(COMMON_EDAS) - 1)], fold: int,
+                  accuracy: Annotated[float, Bound(0, 1)], best_epoch: int, model_kind: str): ...
 
 
 def format_sweep_text(result: SweepResult) -> str:

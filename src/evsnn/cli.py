@@ -25,10 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, energy, regress, synth
+from ._schema import SchemaError, loads
 from .augment import AugmentSpec, TransformSpec, apply_pipeline
 from .evio import EventFileError, load_events, load_manifest, save_events
 from .events import InvalidStreamError, devoxelize_counts, voxelize
-from .experiment import Experiment, SchemaError, load_experiment
+from .experiment import Experiment, load_experiment
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.network import forward, init_params
 from .nn.train import TrainingDiverged, accuracy, train, voxelize_set
@@ -128,8 +129,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_voxelize(args) -> int:
-    if args.time_steps < 1:
-        raise SchemaError(f"--time-steps must be >= 1, got {args.time_steps}")
+    if not 1 <= args.time_steps <= 0xFFFF:
+        raise SchemaError(f"--time-steps must lie in [1, 65535], got {args.time_steps}")
     stream = load_events(args.input)
     tensor = voxelize(stream, args.time_steps)
     counts = devoxelize_counts(stream, args.time_steps)
@@ -266,7 +267,7 @@ def cmd_regress(args) -> int:
         out_dir = Path(exp.out_dir)
         scores_path = out_dir / "sweep.json"
     try:
-        result = bench.SweepResult.from_json_dict(json.loads(scores_path.read_text()))
+        result = bench.SweepResult.from_json_dict(loads(scores_path.read_bytes(), "scores"))
     except ValueError as exc:
         raise SchemaError(f"{scores_path}: {exc}") from exc
     for kind in result.kinds():
@@ -390,7 +391,7 @@ def main(argv=None) -> int:
         if args.jobs is not None and args.jobs < 1:
             raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except (SchemaError, InvalidStreamError, json.JSONDecodeError) as exc:
+    except (SchemaError, InvalidStreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingDiverged, bench.BenchError) as exc:

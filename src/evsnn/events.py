@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -21,13 +21,6 @@ from ._heap import keep_heap
 
 POS_CHANNEL = 0  # polarity +1
 NEG_CHANNEL = 1  # polarity -1
-
-
-class Event(NamedTuple):
-    x: int
-    y: int
-    t: int
-    p: int
 
 
 @dataclass(frozen=True)
@@ -105,20 +98,6 @@ class EventStream:
     def duration(self) -> int:
         return self.t_end - self.t_start
 
-    def events(self) -> list[Event]:
-        return [Event(int(a), int(b), int(c), int(d))
-                for a, b, c, d in zip(self.x, self.y, self.t, self.p)]
-
-    @classmethod
-    def from_events(cls, events: Iterable[Event], width: int, height: int,
-                    t_start: int, t_end: int, label: int | None = None) -> "EventStream":
-        ev = list(events)
-        return cls(
-            x=[e.x for e in ev], y=[e.y for e in ev],
-            t=[e.t for e in ev], p=[e.p for e in ev],
-            width=width, height=height, t_start=t_start, t_end=t_end, label=label,
-        )
-
     def with_fields(self, **kw) -> "EventStream":
         return replace(self, **kw)
 
@@ -174,19 +153,6 @@ def require_valid(stream: EventStream) -> None:
         raise InvalidStreamError(violations)
 
 
-# A spike tensor is a plain uint8 ndarray of shape (T, 2, H, W) with values
-# in {0, 1}; channel 0 holds positive events, channel 1 negative ones.
-SpikeTensor = np.ndarray
-
-
-def check_spike_tensor(arr: np.ndarray) -> None:
-    if arr.ndim != 4 or arr.shape[1] != 2:
-        raise ValueError(f"spike tensor must be (T, 2, H, W), got {arr.shape}")
-    bad = (arr != 0) & (arr != 1)
-    if bad.any():
-        raise ValueError("spike tensor holds values outside {0, 1}")
-
-
 def event_bins(stream: EventStream, time_bins: int) -> np.ndarray:
     """Bin index per event: floor((t - t_start) * T / duration), clamped to T-1.
 
@@ -198,8 +164,9 @@ def event_bins(stream: EventStream, time_bins: int) -> np.ndarray:
     return np.minimum(b, time_bins - 1, out=b)
 
 
-def voxelize(stream: EventStream, time_bins: int) -> SpikeTensor:
-    """Discretize a valid stream into T binary per-polarity frames.
+def voxelize(stream: EventStream, time_bins: int) -> np.ndarray:
+    """Discretize a valid stream into T binary per-polarity frames, a uint8
+    (T, 2, H, W) array.
 
     Cell [b, ch, y, x] is 1 iff at least one event with that polarity falls in
     spatial cell (x, y) during time bin b; repeats saturate at 1.

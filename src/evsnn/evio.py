@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ._heap import keep_heap
-from ._schema import SchemaError, checked
+from ._schema import SchemaError, checked, loads
 from .events import EventStream, _violations, require_valid
 
 MAGIC = b"EVT1"
@@ -158,7 +158,7 @@ def _manifest(version: int, classes: list, samples: list): ...  # a manifest's t
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
-    doc = checked(_manifest, json.loads(path.read_text()), str(path))
+    doc = checked(_manifest, loads(path.read_bytes(), str(path)), str(path))
     if doc["version"] != 1:
         raise SchemaError(f"unsupported manifest version {doc['version']!r} in {path}")
     if not doc["samples"]:

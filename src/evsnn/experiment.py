@@ -1,8 +1,9 @@
 """One JSON experiment file drives every pipeline command.
 
-Schema (every object is read against the signature of what it feeds, see
-``_schema.checked``, so a key nothing takes is rejected at every level and
-every value must have its annotation's JSON type; a bool is no number):
+Schema (decoded by ``_schema.loads``, so NaN and Infinity are refused; every
+object is read against the signature of what it feeds by ``_schema.checked``,
+so each key must be a parameter there and each value of its annotation's JSON
+type and ``Bound``):
 
     {
       "dataset": "path/to/manifest.json",
@@ -29,8 +30,9 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Annotated
 
-from ._schema import SchemaError, checked
+from ._schema import Bound, SchemaError, bounded, checked, loads
 from .augment import AugmentSpec
 from .nn.network import NetworkConfig, config_from_json, config_to_json, sew18, sew_tiny
 from .nn.train import TrainSettings
@@ -41,11 +43,12 @@ _PRESETS = {"sew_tiny": sew_tiny, "sew18": sew18}
 
 # schemas of the objects no definition describes; optional keys default as in Experiment
 def _experiment(dataset: str, network: dict, model_kind: str = ..., train: dict = ...,
-                augment: dict | None = ..., folds: dict = ..., seed: int = ...,
-                out_dir: str = ..., sweep: dict = ..., energy: dict = ...): ...
+                augment: dict | None = ..., folds: dict = ...,
+                seed: Annotated[int, Bound(0)] = ..., out_dir: str = ...,
+                sweep: dict = ..., energy: dict = ...): ...
 def _network(preset: str = ..., **grammar): ...
-def _folds(k: int = ..., seed: int = ...): ...
-def _sweep(prob: float = ...): ...
+def _folds(k: Annotated[int, Bound(2)] = ..., seed: Annotated[int, Bound(0)] = ...): ...
+def _sweep(prob: Annotated[float, Bound(0, 1)] = ...): ...
 def _energy(charging: str = ...): ...
 
 
@@ -81,13 +84,9 @@ class Experiment:
         if self.energy_charging not in ("input", "output"):
             raise SchemaError(f"energy charging must be input or output, "
                               f"got {self.energy_charging!r}")
-        if self.folds_k < 2:
-            raise SchemaError(f"folds.k must be >= 2, got {self.folds_k}")
-        for key, seed in (("seed", self.seed), ("folds.seed", self.folds_seed)):
-            if seed < 0:
-                raise SchemaError(f"{key} must be >= 0, got {seed}")
-        if not 0.0 <= self.sweep_prob <= 1.0:
-            raise SchemaError(f"sweep.prob must lie in [0, 1], got {self.sweep_prob}")
+        bounded(_experiment, {"seed": self.seed}, "")
+        bounded(_folds, {"k": self.folds_k, "seed": self.folds_seed}, "folds")
+        bounded(_sweep, {"prob": self.sweep_prob}, "sweep")
 
     def to_json_dict(self) -> dict:
         return {"dataset": self.dataset, "model_kind": self.model_kind,
@@ -128,11 +127,7 @@ def load_experiment(path: str | Path,
                     overrides: dict | None = None) -> tuple[Experiment, list[str]]:
     """Parse an experiment file; apply flag overrides with provenance lines."""
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    exp = experiment_from_json(obj)
+    exp = experiment_from_json(loads(path.read_bytes(), str(path)))
     provenance: list[str] = []
     for key, value in (overrides or {}).items():
         old = getattr(exp, key)

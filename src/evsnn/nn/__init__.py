@@ -1,4 +1,4 @@
-from .surrogate import arctan_surrogate, arctan_surrogate_grad, heaviside
+from .surrogate import arctan_surrogate, arctan_surrogate_grad
 from .network import (IF, SEW, Accumulator, AvgPool, Classifier, ConfigError, Conv2d,
                       ForwardTrace, GlobalPool, NetworkConfig,
                       SynapticLayer, accumulate, backward, config_from_json,
@@ -6,7 +6,7 @@ from .network import (IF, SEW, Accumulator, AvgPool, Classifier, ConfigError, Co
                       sew18, sew_tiny, softmax, synaptic_layers)
 
 __all__ = [
-    "arctan_surrogate", "arctan_surrogate_grad", "heaviside",
+    "arctan_surrogate", "arctan_surrogate_grad",
     "IF", "SEW", "Accumulator", "AvgPool", "Classifier", "ConfigError", "Conv2d",
     "ForwardTrace", "GlobalPool", "NetworkConfig", "SynapticLayer",
     "accumulate", "backward", "config_from_json", "config_to_json", "fold_time",

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .._schema import SchemaError, loads
+
 MAGIC = b"EVCK"
 VERSION = 1
 
@@ -74,8 +76,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
     (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
     try:
-        meta = json.loads(take(meta_len, "metadata").decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        meta = loads(take(meta_len, "metadata"), f"{path}: metadata")
+    except SchemaError as exc:
         raise CheckpointError(f"bad metadata block: {exc}") from exc
 
     params: dict[str, np.ndarray] = {}

@@ -23,12 +23,12 @@ join is additive. With one step the accumulator is a plain linear layer.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Union
+from typing import Annotated, Union
 
 import numpy as np
 
 from .._heap import keep_heap
-from .._schema import SchemaError, checked
+from .._schema import Bound, SchemaError, bounded, checked
 from .layers import (avg_pool_backward, avg_pool_forward, conv2d_backward,
                      conv2d_forward, conv_out_size, global_pool_backward,
                      global_pool_forward, linear_backward, linear_forward)
@@ -41,17 +41,17 @@ class ConfigError(SchemaError):
 
 @dataclass(frozen=True)
 class Conv2d:
-    c_in: int
-    c_out: int
-    k: int = 3
-    stride: int = 1
-    padding: int = 1
+    c_in: COUNT
+    c_out: COUNT
+    k: COUNT = 3
+    stride: SIZE = 1
+    padding: Annotated[int, Bound(0, 0xFFFF)] = 1
     bias: bool = True
 
 
 @dataclass(frozen=True)
 class IF:
-    theta: float = 1.0
+    theta: THETA = 1.0
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,10 @@ class SEW:
     """Residual block: two conv+IF stages joined to the identity by an
     element-wise function g (add, and, iand)."""
 
-    channels: int
-    k: int = 3
+    channels: COUNT
+    k: COUNT = 3
     g: str = "add"
-    theta: float = 1.0
+    theta: THETA = 1.0
     bias: bool = True
 
     @property
@@ -73,7 +73,7 @@ class SEW:
 
 @dataclass(frozen=True)
 class AvgPool:
-    window: int
+    window: COUNT
 
 
 @dataclass(frozen=True)
@@ -83,20 +83,20 @@ class GlobalPool:
 
 @dataclass(frozen=True)
 class Accumulator:
-    dim: int
+    dim: COUNT
 
 
 @dataclass(frozen=True)
 class Classifier:
-    classes: int
+    classes: SIZE
     bias: bool = True
 
 
 LayerSpec = Union[Conv2d, IF, SEW, AvgPool, GlobalPool, Accumulator, Classifier]
+COUNT = Annotated[int, Bound(1)]
+SIZE = Annotated[int, Bound(1, 0xFFFF)]  # at most the largest sensor side an event file holds
+THETA = Annotated[float, Bound(0, exclusive=True)]
 
-_LEAST_VALUES = {Conv2d: {"c_in": 1, "c_out": 1, "k": 1, "stride": 1, "padding": 0},
-                 SEW: {"channels": 1, "k": 1}, AvgPool: {"window": 1},
-                 Accumulator: {"dim": 1}, Classifier: {"classes": 1}}
 RESET_MODES = ("subtract", "zero")
 INPUT_TIMINGS = ("same_step", "delayed")
 SEW_FUNCTIONS = ("add", "and", "iand")
@@ -112,17 +112,18 @@ class NetworkConfig:
     threshold site sees the current step's input or the previous one's.
     """
 
-    time_steps: int
-    height: int
-    width: int
+    time_steps: SIZE
+    height: SIZE
+    width: SIZE
     layers: tuple[LayerSpec, ...]
-    in_channels: int = 2
+    in_channels: COUNT = 2
     reset: str = "subtract"
     input_timing: str = "same_step"
 
     def __post_init__(self):
-        if self.time_steps < 1:
-            raise ConfigError(f"time_steps must be >= 1, got {self.time_steps}")
+        bounded(NetworkConfig, vars(self), "network config", ConfigError)
+        for i, lay in enumerate(self.layers):
+            bounded(type(lay), vars(lay), f"layer {i} ({type(lay).__name__})", ConfigError)
         if self.reset not in RESET_MODES:
             raise ConfigError(f"reset must be one of {RESET_MODES}, got {self.reset!r}")
         if self.input_timing not in INPUT_TIMINGS:
@@ -155,11 +156,6 @@ class NetworkConfig:
         shape (d,) fed to the accumulator.
         """
         acc = self.accumulator
-        for i, lay in enumerate(self.layers):
-            for name, floor in _LEAST_VALUES.get(type(lay), {}).items():
-                if getattr(lay, name) < floor:
-                    raise ConfigError(f"layer {i} ({type(lay).__name__}): {name} must be "
-                                      f">= {floor}, got {getattr(lay, name)}")
         shape: tuple = (self.in_channels, self.height, self.width)
         shapes = [shape]
         for i, lay in enumerate(self.encoder_layers):
@@ -174,9 +170,6 @@ class NetworkConfig:
                          conv_out_size(shape[2], lay.k, lay.stride, lay.padding))
                 if shape[1] < 1 or shape[2] < 1:
                     raise ConfigError(f"{where}: output collapses to {shape}")
-            elif isinstance(lay, IF):
-                if lay.theta <= 0:
-                    raise ConfigError(f"{where}: theta must be positive")
             elif isinstance(lay, SEW):
                 if len(shape) != 3 or shape[0] != lay.channels:
                     raise ConfigError(f"{where}: expects ({lay.channels},H,W), got {shape}")
@@ -193,7 +186,7 @@ class NetworkConfig:
                 if len(shape) != 3:
                     raise ConfigError(f"{where}: needs (C,H,W) input, got {shape}")
                 shape = (shape[0],)
-            else:
+            elif not isinstance(lay, IF):
                 raise ConfigError(f"{where}: unsupported layer kind")
             shapes.append(shape)
         if len(shapes[-1]) == 3:
@@ -378,7 +371,7 @@ def config_from_json(obj: dict) -> NetworkConfig:
         cls = _LAYER_KINDS.get(kind)
         if cls is None:
             raise ConfigError(f"layer {n}: unknown kind {kind!r}")
-        layers.append(cls(**checked(cls, params, f"layer {n} ({kind})", error=ConfigError)))
+        layers.append(cls(**checked(cls, params, f"layer {n} ({cls.__name__})", (), ConfigError)))
     return NetworkConfig(**{**obj, "layers": tuple(layers)})
 
 

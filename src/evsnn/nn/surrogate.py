@@ -5,11 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def heaviside(x: np.ndarray) -> np.ndarray:
-    """1 where x >= 0 else 0, in x's dtype."""
-    return (x >= 0).astype(x.dtype)
-
-
 def arctan_surrogate(x):
     """Smooth stand-in for the step: (1/pi) * arctan(pi * x) + 1/2."""
     return np.arctan(np.pi * x) / np.pi + 0.5

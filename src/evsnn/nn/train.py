@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .._schema import SchemaError
+from .._schema import Bound, bounded
 from ..augment import AugmentSpec, apply_pipeline
 from ..events import EventStream, _scatter, require_valid, voxelize
 from .network import NetworkConfig, _forward_mode, backward, forward
@@ -60,17 +61,16 @@ def sgd_step(params: dict, grads: dict, lr: float, momentum: float = 0.9,
 
 @dataclass(frozen=True)
 class TrainSettings:
-    epochs: int = 50
-    batch_size: int = 16
-    lr: float = 0.01
-    momentum: float = 0.9
-    seed: int = 0
+    epochs: Annotated[int, Bound(0)] = 50
+    batch_size: Annotated[int, Bound(1)] = 16
+    lr: Annotated[float, Bound(0)] = 0.01
+    momentum: Annotated[float, Bound(0)] = 0.9
+    seed: Annotated[int, Bound(0)] = 0
     # stop once validation accuracy reaches this value (None = never)
-    early_stop_acc: float | None = 1.0
+    early_stop_acc: Annotated[float | None, Bound(0, 1)] = 1.0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise SchemaError("train: epochs must be >= 0 and batch_size >= 1")
+        bounded(TrainSettings, vars(self), "train")
 
 
 @dataclass

@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from ._schema import SchemaError
+from ._schema import Bound, SchemaError, bounded
 from .events import EventStream
 from .evio import DatasetManifest, ManifestEntry, save_events
 
@@ -34,10 +35,10 @@ KNOWN_TEMPLATES = DEFAULT_TEMPLATES + ("static",)
 
 @dataclass(frozen=True)
 class SynthParams:
-    width: int = 64
-    height: int = 64
-    duration: int = 600_000  # microseconds
-    events_per_sample: int = 3000
+    width: Annotated[int, Bound(1, 0xFFFF)] = 64  # an event file stores u16 sizes
+    height: Annotated[int, Bound(1, 0xFFFF)] = 64
+    duration: Annotated[int, Bound(1, 2**63 - 1)] = 600_000  # microseconds, int64
+    events_per_sample: Annotated[int, Bound(1, 2**32 - 1)] = 3000  # more would not fit in memory
     count_jitter: float = 0.1       # relative +- spread of the event count
     noise_ratio: float = 0.05       # uniform background events / signal events
     edge_sigma: float = 0.7         # px jitter on edge positions
@@ -54,11 +55,7 @@ class SynthParams:
         for name in self.templates:
             if name not in KNOWN_TEMPLATES:
                 raise SchemaError(f"unknown template {name!r}; known: {KNOWN_TEMPLATES}")
-        if min(self.width, self.height, self.duration) < 1:
-            raise SchemaError(f"width, height and duration must be >= 1, got "
-                              f"{self.width}x{self.height}, {self.duration} us")
-        if self.events_per_sample < 1:
-            raise SchemaError(f"events_per_sample must be >= 1, got {self.events_per_sample}")
+        bounded(SynthParams, vars(self), "")
         bars = {"bar_sweep_h", "bar_sweep_v"} & set(self.templates)
         if bars and min(self.width, self.height) < 2 * self.bar_margin:
             raise SchemaError(
@@ -143,10 +140,11 @@ def synth_generate(class_id: int, params: SynthParams, seed: int) -> EventStream
                        width=w, height=h, t_start=0, t_end=dur, label=class_id)
 
 
-def generate_dataset(params: SynthParams, samples_per_class: int, seed: int,
-                     ) -> list[EventStream]:
+def generate_dataset(params: SynthParams, samples_per_class: int,
+                     seed: Annotated[int, Bound(0)]) -> list[EventStream]:
     """All samples, class-major order; sample i of class c uses a seed derived
     from (seed, c * samples_per_class + i)."""
+    bounded(generate_dataset, {"seed": seed}, "")
     streams = []
     for c in range(params.num_classes):
         for j in range(samples_per_class):
@@ -158,9 +156,9 @@ def generate_dataset(params: SynthParams, samples_per_class: int, seed: int,
 def write_dataset(out_dir: str | Path, params: SynthParams, samples_per_class: int,
                   seed: int) -> DatasetManifest:
     """Write event files plus manifest.json; idempotent for fixed arguments."""
+    streams = generate_dataset(params, samples_per_class, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    streams = generate_dataset(params, samples_per_class, seed)
     entries = []
     for idx, stream in enumerate(streams):
         c = stream.label

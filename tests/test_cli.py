@@ -13,6 +13,7 @@ import pytest
 import evsnn
 from evsnn.cli import main
 from evsnn.evio import load_events, load_manifest
+from evsnn.nn.checkpoint import load_checkpoint, save_checkpoint
 from evsnn.nn import (
     IF,
     SEW,
@@ -523,11 +524,11 @@ class TestMistypedNetworkAndAugment:
     compute."""
 
     @pytest.mark.parametrize("change, message", [
-        (layer(0, c_in="2"), "layer 0 (conv): c_in must be a JSON integer, got '2'"),
-        (layer(0, k=3.0), "layer 0 (conv): k must be a JSON integer, got 3.0"),
-        (layer(0, bias=1), "layer 0 (conv): bias must be a JSON boolean, got 1"),
-        (layer(1, theta="1"), "layer 1 (if): theta must be a JSON number, got '1'"),
-        (layer(3, g=None), "layer 3 (sew): g must be a JSON string, got None"),
+        (layer(0, c_in="2"), "layer 0 (Conv2d): c_in must be a JSON integer, got '2'"),
+        (layer(0, k=3.0), "layer 0 (Conv2d): k must be a JSON integer, got 3.0"),
+        (layer(0, bias=1), "layer 0 (Conv2d): bias must be a JSON boolean, got 1"),
+        (layer(1, theta="1"), "layer 1 (IF): theta must be a JSON number, got '1'"),
+        (layer(3, g=None), "layer 3 (SEW): g must be a JSON string, got None"),
         (layer(0, kind=["conv"]), "layer 0: kind must be a JSON string"),
         (lambda net: net["layers"][0].pop("kind"), "layer 0: missing required keys ['kind']"),
         (lambda net: net.update(layers="abc"),
@@ -699,3 +700,71 @@ class TestMistypedSweepRecords:
         scores.write_text(json.dumps(doc))
         assert main(["regress", "--scores", str(scores)]) == 2
         assert_one_error(capsys, message)
+
+
+def nan_theta_net():
+    net = config_to_json(layered_net())
+    net["layers"][1]["theta"] = float("nan")  # json.dumps writes NaN
+    return net
+
+
+class TestValueRules:
+    """NaN and Infinity, a transform parameter out of range, and a negative
+    seed on any command exit 2 with one error line."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"network": nan_theta_net()}, "NaN is not a JSON number"),
+        ({"train": {"epochs": 3, "lr": float("inf")}}, "Infinity is not a JSON number"),
+        ({"train": {"epochs": 3, "early_stop_acc": float("nan")}}, "NaN is not a JSON number"),
+        ({"augment": {"transforms": [{"kind": "noise", "ratio": -1}]}},
+         "augment: transform noise: noise ratio must lie in [0, 1], got -1"),
+        ({"augment": {"transforms": [{"kind": "crop", "scale_min": 2.0}]}},
+         "augment: transform crop: bad crop scale range [2.0, 1.0]"),
+        ({"augment": {"transforms": [{"kind": "crop", "scale_min": 0.9, "scale_max": 0.5}]}},
+         "augment: transform crop: bad crop scale range [0.9, 0.5]"),
+        ({"augment": {"transforms": [{"kind": "eventdrop", "ratio_lo": 1.5,
+                                      "global_ratio_max": 2.0}]}},
+         "augment: transform eventdrop: ratio_lo must be <= 1, got 1.5"),
+        ({"augment": {"transforms": [{"kind": "eventdrop", "ratio_lo": 0.5}]}},
+         "augment: transform eventdrop: ratio_lo 0.5 exceeds a strategy's max ratio"),
+    ], ids=["theta_nan", "lr_inf", "early_stop_nan", "noise_ratio", "crop_scale",
+            "crop_order", "eventdrop_range", "eventdrop_order"])
+    def test_train_exit2(self, workspace, tmp_path, capsys, change, message):
+        assert run_changed(workspace, tmp_path, change) == 2
+        assert_one_error(capsys, message)
+
+    def test_nan_accuracy_in_scores_exit2(self, swept, tmp_path, capsys):
+        _, out_dir = swept
+        doc = json.loads((out_dir / "sweep.json").read_text())
+        doc["records"][0]["accuracy"] = float("nan")
+        scores = tmp_path / "sweep.json"
+        scores.write_text(json.dumps(doc))
+        assert main(["regress", "--scores", str(scores)]) == 2
+        assert_one_error(capsys, f"{scores}: scores: invalid JSON: NaN is not a JSON number")
+
+    def test_nan_in_checkpoint_metadata_exit4(self, workspace, trained, tmp_path, capsys):
+        params, _ = load_checkpoint(trained / "model.evck")
+        save_checkpoint(tmp_path / "m.evck", params, {"best_epoch": float("nan")})
+        assert main(["eval", "--config", str(workspace / "exp.json"),
+                     "--checkpoint", str(tmp_path / "m.evck")]) == 4
+        assert_one_error(capsys, "bad metadata block: ")
+
+    def test_synth_negative_seed_exit2(self, tmp_path, capsys):
+        assert main(synth_args(tmp_path / "x", seed=-1)) == 2
+        assert_one_error(capsys, "error: seed must be >= 0, got -1")
+        assert not (tmp_path / "x").exists()
+
+    def test_augment_negative_seed_exit2(self, workspace, tmp_path, capsys):
+        assert main(["augment", str(first_event_file(workspace)), str(tmp_path / "o.evt"),
+                     "--pipeline", "crop", "--seed", "-1"]) == 2
+        assert_one_error(capsys, "error: seed must be >= 0, got -1")
+
+    def test_augment_section_negative_seed_exit2(self, workspace, tmp_path, capsys):
+        exp = json.loads((workspace / "exp.json").read_text())
+        exp.update(dataset=str(workspace / "ds" / "manifest.json"),
+                   augment={"seed": -1, "transforms": [{"kind": "hflip"}]})
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(exp))
+        assert main(["augment", str(first_event_file(workspace)), str(tmp_path / "o.evt"),
+                     "--config", str(path)]) == 2
+        assert_one_error(capsys, "augment: spec.seed must be >= 0, got -1")

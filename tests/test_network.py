@@ -129,6 +129,18 @@ class TestConfigValidation:
                           layers=(Conv2d(2, 4), IF(theta=0.0), GlobalPool(),
                                   Accumulator(4), Classifier(2)))
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan")])
+    def test_sew_theta_must_be_positive(self, theta):
+        with pytest.raises(ConfigError, match=r"^layer 2 \(SEW\): theta must be > 0, got "):
+            NetworkConfig(time_steps=1, height=4, width=4,
+                          layers=(Conv2d(2, 4), IF(), SEW(4, theta=theta), GlobalPool(),
+                                  IF(), Accumulator(4), Classifier(2)))
+
+    @pytest.mark.parametrize("field", ["time_steps", "height", "width"])
+    def test_sizes_at_most_u16(self, field):
+        with pytest.raises(ConfigError, match=f"network config: {field} must be <= 65535"):
+            passthrough_config(**{field: 0x10000})
+
 
 class TestInitParams:
     def test_keys_and_shapes(self):

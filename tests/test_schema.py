@@ -1,10 +1,16 @@
 """The one JSON reader: objects checked against the signature they feed."""
 
+import math
+import re
+from typing import Annotated
+
 import pytest
 
-from evsnn._schema import SchemaError, checked
-from evsnn.augment import TransformSpec
+from evsnn._schema import Bound, SchemaError, bounded, checked, loads
+from evsnn.augment import AugmentSpec, TransformSpec
 from evsnn.nn import ConfigError
+from evsnn.nn.train import TrainSettings
+from evsnn.synth import SynthParams
 
 
 def numbers(count: int, ratio: float = 0.5, flag: bool = False):
@@ -21,6 +27,12 @@ def stage(kind: str, **params):
 
 def transform(stream, rng, ratio: float = 0.1):
     """Like a transform: stream and rng are not JSON keys."""
+
+
+def ranged(count: Annotated[int, Bound(1)] = 1,
+           share: Annotated[float, Bound(0, 1)] = 0.5,
+           theta: Annotated[float | None, Bound(0, exclusive=True)] = None):
+    """count >= 1, share in [0, 1], theta > 0 or null."""
 
 
 def containers(items: tuple[int, ...] = (), table: dict = ..., names: list = ...):
@@ -98,3 +110,82 @@ class TestChecked:
         with pytest.raises(SchemaError, match=r"transform mirror: unknown keys \['ratio'\]"):
             TransformSpec("mirror", params={"ratio": 0.5})
         assert TransformSpec("eventdrop", params={"ratio_lo": 0.1}).params == {"ratio_lo": 0.1}
+
+
+class TestBounds:
+    @pytest.mark.parametrize("values", [{"count": 1}, {"share": 0}, {"share": 1},
+                                        {"share": 0.25}, {"theta": 1e-300}, {"theta": None},
+                                        {"count": 10**30}])
+    def test_inside(self, values):
+        bounded(ranged, values, "x")
+        checked(ranged, values, "x")
+
+    @pytest.mark.parametrize("values, message", [
+        ({"count": 0}, "x.count must be >= 1, got 0"),
+        ({"share": -0.5}, "x.share must be >= 0, got -0.5"),
+        ({"share": 1.5}, "x.share must be <= 1, got 1.5"),
+        ({"theta": 0.0}, "x.theta must be > 0, got 0.0"),
+        ({"theta": -1}, "x.theta must be > 0, got -1"),
+    ])
+    def test_outside(self, values, message):
+        for check in (bounded, checked):
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                check(ranged, values, "x")
+
+    @pytest.mark.parametrize("key", ["count", "share", "theta"])
+    def test_nan_outside_every_bound(self, key):
+        with pytest.raises(SchemaError, match=f"{key} must be .*, got nan"):
+            bounded(ranged, {key: math.nan}, "x")
+
+    def test_where_names_the_key(self):
+        for where, name in (("", "count"), ("folds", "folds.count"),
+                            ("layer 0 (Conv2d)", "layer 0 (Conv2d): count")):
+            with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be >= 1, got 0$"):
+                bounded(ranged, {"count": 0}, where, ConfigError)
+
+    def test_post_inits_hold_bounds(self):
+        for build in (lambda: TrainSettings(epochs=-1), lambda: TrainSettings(lr=math.nan),
+                      lambda: TrainSettings(early_stop_acc=math.nan),
+                      lambda: SynthParams(width=0), lambda: SynthParams(width=0x10000),
+                      lambda: TransformSpec("hflip", prob=1.5),
+                      lambda: TransformSpec("hflip", prob=math.nan),
+                      lambda: AugmentSpec().with_seed(-1)):
+            with pytest.raises(SchemaError):
+                build()
+
+
+class TestTransformProbe:
+    """A transform's own checks judge its parameters when the stage is built."""
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("crop", {"scale_min": 0.9, "scale_max": 0.5}, "bad crop scale range"),
+        ("crop", {"scale_min": math.nan}, "bad crop scale range"),
+        ("noise", {"ratio": -1}, "noise ratio must lie in"),
+        ("noise", {"ratio": 1e12}, "noise ratio must lie in"),
+        ("eventdrop", {"ratio_lo": 0.4, "time_ratio_max": 0.3}, "exceeds a strategy's max"),
+        ("eventdrop", {"global_ratio_max": 2.0}, "global_ratio_max must be <= 1"),
+    ])
+    def test_rejected(self, kind, params, message):
+        with pytest.raises(SchemaError, match=f"^transform {kind}: .*{message}"):
+            TransformSpec(kind, params=params)
+
+    def test_defaults_pass(self):
+        for kind in ("crop", "hflip", "noise", "polflip", "reverse", "eventdrop", "mirror"):
+            TransformSpec(kind)
+
+
+class TestLoads:
+    def test_reads_json(self):
+        assert loads(b'{"a": [1, 2.5, null]}', "f.json") == {"a": [1, 2.5, None]}
+
+    @pytest.mark.parametrize("text", ['{"a": NaN}', '{"a": Infinity}', '[-Infinity]'])
+    def test_refuses_non_finite(self, text):
+        constant = text.strip("{}[]").removeprefix('"a": ')
+        with pytest.raises(SchemaError,
+                           match=rf"^f\.json: invalid JSON: {constant} is not a JSON number$"):
+            loads(text, "f.json")
+
+    def test_names_the_file(self):
+        for text in ("{nope", b"\xff\xfe\x00"):
+            with pytest.raises(SchemaError, match=r"^f\.json: invalid JSON: "):
+                loads(text, "f.json")

@@ -5,19 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evsnn.nn.surrogate import arctan_surrogate, arctan_surrogate_grad, heaviside
+from evsnn.nn.surrogate import arctan_surrogate, arctan_surrogate_grad
 
 FINITE = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
-
-
-class TestHeaviside:
-    def test_anchors(self):
-        x = np.array([-2.0, -1e-12, -0.0, 0.0, 1e-12, 3.0])
-        np.testing.assert_array_equal(heaviside(x), [0, 0, 1, 1, 1, 1])
-
-    def test_dtype_preserved(self):
-        x = np.array([-1.0, 1.0], dtype=np.float32)
-        assert heaviside(x).dtype == np.float32
 
 
 class TestSurrogate:
