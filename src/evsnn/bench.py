@@ -65,8 +65,9 @@ class FoldPlan:
         if len(sizes) > 2 or (len(sizes) == 2 and max(sizes) - min(sizes) != 1):
             raise ValueError("fold sizes must differ by at most 1")
 
-    def train_indices(self, fold: int) -> tuple[int, ...]:
-        return tuple(i for j, f in enumerate(self.folds) if j != fold for i in f)
+    def train_indices(self, *held: int) -> tuple[int, ...]:
+        """Every sample outside the held folds."""
+        return tuple(i for j, f in enumerate(self.folds) if j not in held for i in f)
 
 
 def kfold_split(n_samples: int, k: int, seed: int) -> FoldPlan:
@@ -83,7 +84,7 @@ def kfold_split(n_samples: int, k: int, seed: int) -> FoldPlan:
 
 
 # ---------------------------------------------------------------------------
-# single-fold work unit (shared by run_cv and the sweep queue)
+# single-fold work unit (shared by run_cv, the sweep queue and the CLI)
 
 _DATA: tuple[list[EventStream], np.ndarray] | None = None
 
@@ -150,26 +151,49 @@ class FoldTask:
     mask: int | None = None
 
 
-def _run_fold(task: FoldTask) -> dict:
-    streams, labels = _DATA
+def fold_task(plan: FoldPlan, fold: int, seed: int, select: int | None = None,
+              **fields) -> FoldTask:
+    """The cell that reports ``fold`` of ``plan``, selects its best epoch on
+    fold ``select`` (None: on ``fold``) and trains on the other folds, its
+    parameter and training seeds derived from (seed, fold)."""
+    held = (fold,) if select is None else (fold, select)
+    return FoldTask(fold=fold, train_idx=plan.train_indices(*held), val_idx=plan.folds[fold],
+                    select_idx=None if select is None else plan.folds[select],
+                    param_seed=derive_seed(seed, fold, 0),
+                    train_seed=derive_seed(seed, fold, 1), **fields)
+
+
+def shuffle_bins(tensors: np.ndarray, seed: list[int]) -> np.ndarray:
+    """Each sample's time bins in an order drawn from ``seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return np.stack([s[rng.permutation(len(s))] for s in tensors])
+
+
+def train_fold(task: FoldTask, streams: list[EventStream], labels: np.ndarray,
+               log_file=None):
+    """Train one cell from fresh parameters, choosing the best epoch on its
+    selection fold (the reported fold unless nested). Returns the training
+    result and the reported fold's tensors and labels."""
     config = task.config
-    train_streams = [streams[i] for i in task.train_idx]
-    train_labels = labels[list(task.train_idx)]
-    val_tensors = voxelize_set([streams[i] for i in task.val_idx],
-                               config.time_steps)
-    val_labels = labels[list(task.val_idx)]
-    if task.select_idx is None:
-        sel_tensors, sel_labels = val_tensors, val_labels
-    else:
-        sel_tensors = voxelize_set([streams[i] for i in task.select_idx],
-                                   config.time_steps)
-        sel_labels = labels[list(task.select_idx)]
+
+    def held_out(idx):
+        return voxelize_set([streams[i] for i in idx], config.time_steps), labels[list(idx)]
+    val_tensors, val_labels = held_out(task.val_idx)
+    sel_tensors, sel_labels = (held_out(task.select_idx) if task.select_idx is not None
+                               else (val_tensors, val_labels))
     params = init_params(config, task.param_seed, kind=task.kind)
-    settings = replace(task.settings, seed=task.train_seed)
+    result = train(config, params, [streams[i] for i in task.train_idx],
+                   labels[list(task.train_idx)], sel_tensors, sel_labels,
+                   replace(task.settings, seed=task.train_seed),
+                   augment=task.augment, kind=task.kind, log_file=log_file)
+    return result, val_tensors, val_labels
+
+
+def _run_fold(task: FoldTask, data: tuple | None = None) -> dict:
+    """One cell's record, on ``data`` or, in a pool worker, the worker's dataset."""
+    config = task.config
     try:
-        result = train(config, params, train_streams, train_labels,
-                       sel_tensors, sel_labels, settings,
-                       augment=task.augment, kind=task.kind)
+        result, val_tensors, val_labels = train_fold(task, *(data or _DATA))
     except TrainingDiverged as exc:
         raise BenchError(
             f"fold {task.fold}"
@@ -187,22 +211,15 @@ def _run_fold(task: FoldTask) -> dict:
     if task.mask is not None:
         out["mask"] = task.mask
     if task.shuffled_eval_seed is not None:
-        rng = np.random.default_rng(np.random.SeedSequence([task.shuffled_eval_seed]))
-        shuffled = np.stack([s[rng.permutation(config.time_steps)]
-                             for s in val_tensors])
+        shuffled = shuffle_bins(val_tensors, [task.shuffled_eval_seed])
         out["shuffled_accuracy"] = accuracy(config, result.params, shuffled,
                                             val_labels, task.kind)
     return out
 
 
 def _execute(tasks: list[FoldTask], streams, labels, jobs: int) -> list[dict]:
-    global _DATA
     if jobs <= 1 or len(tasks) <= 1:
-        _DATA = (streams, labels)
-        try:
-            return [_run_fold(t) for t in tasks]
-        finally:
-            _DATA = None
+        return [_run_fold(t, (streams, labels)) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                              initializer=_init_worker, initargs=(streams, labels)) as pool:
         return list(pool.map(_run_fold, tasks))
@@ -261,25 +278,13 @@ def run_cv(streams: list[EventStream], labels: np.ndarray, config: NetworkConfig
     if validation not in ("heldout", "nested"):
         raise ValueError(f"validation must be heldout or nested, got {validation!r}")
     plan = kfold_split(len(streams), k, split_seed)
-    tasks = []
-    for fold in range(k):
-        select_idx = None
-        if validation == "nested":
-            # train on k-2 folds, select the best epoch on the next fold,
-            # then report the untouched fold
-            val_fold = (fold + 1) % k
-            select_idx = plan.folds[val_fold]
-            train_idx = tuple(i for j, f in enumerate(plan.folds)
-                              if j not in (fold, val_fold) for i in f)
-        else:
-            train_idx = plan.train_indices(fold)
-        tasks.append(FoldTask(
-            config=config, settings=settings, augment=augment, kind=kind,
-            fold=fold, train_idx=train_idx, val_idx=plan.folds[fold],
-            select_idx=select_idx, param_seed=derive_seed(base_seed, fold, 0),
-            train_seed=derive_seed(base_seed, fold, 1),
-            shuffled_eval_seed=derive_seed(base_seed, fold, 2)
-            if eval_shuffled_bins else None))
+    # nested: train on k-2 folds, select the best epoch on the next fold,
+    # then report the untouched fold
+    tasks = [fold_task(plan, fold, base_seed, (fold + 1) % k if validation == "nested" else None,
+                       config=config, settings=settings, augment=augment, kind=kind,
+                       shuffled_eval_seed=derive_seed(base_seed, fold, 2)
+                       if eval_shuffled_bins else None)
+             for fold in range(k)]
     results = _execute(tasks, streams, labels, jobs)
     fold_acc = [r["accuracy"] for r in results]
     report = FoldReport(
@@ -397,13 +402,8 @@ def sweep_common_eda(streams: list[EventStream], labels: np.ndarray,
     for mask in range(32):
         cell_seed = derive_seed(sweep_seed, mask)
         augment = spec_for_mask(mask, seed=cell_seed, prob=prob)
-        for fold in range(k):
-            tasks.append(FoldTask(
-                config=config, settings=settings, augment=augment, kind=kind,
-                fold=fold, train_idx=plan.train_indices(fold),
-                val_idx=plan.folds[fold],
-                param_seed=derive_seed(cell_seed, fold, 0),
-                train_seed=derive_seed(cell_seed, fold, 1), mask=mask))
+        tasks += [fold_task(plan, fold, cell_seed, config=config, settings=settings,
+                            augment=augment, kind=kind, mask=mask) for fold in range(k)]
     results = _execute(tasks, streams, labels, jobs)
     records = [{"mask": r["mask"], "fold": r["fold"], "accuracy": r["accuracy"],
                 "best_epoch": r["best_epoch"], "model_kind": kind}

@@ -1,8 +1,11 @@
 """Command-line entry point for the whole pipeline.
 
 Subcommands: synth, voxelize, augment, train, eval, sweep, regress, energy.
-One experiment JSON file carries the configuration; --seed/--out flags
-override file values and print a provenance line when they do.
+One experiment JSON file (--config) carries the configuration; --seed/--out
+override file values and print a provenance line when they do. Each command
+takes only the shared flags (--seed, --jobs, --out, --config) it reads, and a
+flag that another one would override is refused beside it. train, eval and
+energy run the CV plan's fold-0 cell, the cell bench.run_cv runs for fold 0.
 
 Exit codes: 0 success, 2 schema/usage violation, 3 training divergence,
 4 I/O failure. Every command is deterministic given its inputs and seeds;
@@ -19,7 +22,6 @@ import os
 import resource
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +33,8 @@ from .evio import EventFileError, load_events, load_manifest, save_events
 from .events import InvalidStreamError, devoxelize_counts, voxelize
 from .experiment import Experiment, load_experiment
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .nn.network import forward, init_params
-from .nn.train import TrainingDiverged, accuracy, train, voxelize_set
+from .nn.network import forward, param_shapes
+from .nn.train import TrainingDiverged, accuracy, voxelize_set
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -65,7 +67,8 @@ def _run_ledger(path: Path, exp: Experiment, command: str, seeds: dict,
 def _load_experiment_for(args) -> Experiment:
     if args.config is None:
         raise SchemaError("--config is required for this command")
-    exp, provenance = load_experiment(args.config, {"seed": args.seed, "out_dir": args.out})
+    exp, provenance = load_experiment(args.config, {"seed": getattr(args, "seed", None),
+                                                     "out_dir": args.out})
     for line in provenance:
         print(line)
     return exp
@@ -85,26 +88,31 @@ def _dataset_for(exp: Experiment):
     if len(streams) < exp.folds_k:
         raise SchemaError(f"folds.k={exp.folds_k} needs at least {exp.folds_k} "
                           f"samples, the dataset has {len(streams)}")
-    return manifest, streams, labels
+    param_shapes(config, exp.model_kind)  # refuses a dense twin that cannot be built
+    return streams, labels
 
 
 def _checkpoint_for(args, exp: Experiment, kind: str):
     """The checkpoint's (path, params, metadata), checked against the network."""
     path = Path(args.checkpoint or Path(exp.out_dir) / "model.evck")
     params, meta = load_checkpoint(path)
-    want = init_params(exp.network, 0, kind=kind)
+    want = param_shapes(exp.network, kind)
     for name in sorted(want.keys() | params.keys()):
-        got, need = (d[name].shape if name in d else "absent" for d in (params, want))
+        got, need = params[name].shape if name in params else "absent", want.get(name, "absent")
         if got != need:
             raise SchemaError(f"{path} does not fit the {kind} network: tensor {name} "
                               f"is {got} there, {need} in the network")
     return path, params, meta
 
 
-def _train_fold_split(exp: Experiment, n: int):
-    """The single-run train/eval protocol: fold 0 of the CV plan is held out."""
-    plan = bench.kfold_split(n, exp.folds_k, exp.folds_seed)
-    return plan.train_indices(0), plan.folds[0]
+def _fold_zero(exp: Experiment):
+    """The dataset and the cell of the single-run train/eval protocol, which
+    holds out fold 0 of the CV plan."""
+    streams, labels = _dataset_for(exp)
+    plan = bench.kfold_split(len(streams), exp.folds_k, exp.folds_seed)
+    return streams, labels, bench.fold_task(
+        plan, 0, exp.seed, config=exp.network, settings=exp.train, augment=exp.augment,
+        kind=exp.model_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +159,9 @@ def cmd_voxelize(args) -> int:
 def cmd_augment(args) -> int:
     if args.sample_index < 0:
         raise SchemaError(f"--sample-index must be >= 0, got {args.sample_index}")
+    if args.config is not None and args.prob is not None:
+        raise SchemaError("--prob sets --pipeline's stages; --config's augment section "
+                          "sets its own")
     stream = load_events(args.input)
     if args.config is not None:
         exp, _ = load_experiment(args.config, {"seed": args.seed})
@@ -163,8 +174,8 @@ def cmd_augment(args) -> int:
         if not args.pipeline:
             raise SchemaError("either --config or --pipeline is required")
         kinds = [k.strip() for k in args.pipeline.split(",") if k.strip()]
-        spec = AugmentSpec(transforms=tuple(TransformSpec(kind=k, prob=args.prob)
-                                            for k in kinds),
+        prob = args.prob if args.prob is not None else 1.0
+        spec = AugmentSpec(transforms=tuple(TransformSpec(kind=k, prob=prob) for k in kinds),
                            seed=args.seed if args.seed is not None else 0)
     result = apply_pipeline(stream, spec, sample_index=args.sample_index)
     save_events(result, args.output)
@@ -177,34 +188,20 @@ def cmd_augment(args) -> int:
 def cmd_train(args) -> int:
     start = time.monotonic()
     exp = _load_experiment_for(args)
-    manifest, streams, labels = _dataset_for(exp)
-    config = exp.network
-    train_idx, val_idx = _train_fold_split(exp, len(streams))
-    val_tensors = voxelize_set([streams[i] for i in val_idx], config.time_steps)
-    val_labels = labels[list(val_idx)]
-    param_seed = bench.derive_seed(exp.seed, 0, 0)
-    train_seed = bench.derive_seed(exp.seed, 0, 1)
-    params = init_params(config, param_seed, kind=exp.model_kind)
+    streams, labels, task = _fold_zero(exp)
     out_dir = Path(exp.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "metrics.ndjson", "w") as log:
-        result = train(config, params, [streams[i] for i in train_idx],
-                       labels[list(train_idx)], val_tensors, val_labels,
-                       replace(exp.train, seed=train_seed),
-                       augment=exp.augment, kind=exp.model_kind, log_file=log)
-    meta = {"experiment": exp.to_json_dict(), "model_kind": exp.model_kind,
-            "best_epoch": result.best_epoch,
-            "best_val_acc": result.best_val_acc,
-            "param_seed": param_seed, "train_seed": train_seed}
-    save_checkpoint(out_dir / "model.evck", result.params, meta)
+        result, _, _ = bench.train_fold(task, streams, labels, log_file=log)
+    seeds = {"param_seed": task.param_seed, "train_seed": task.train_seed}
+    best = {"best_epoch": result.best_epoch, "best_val_acc": result.best_val_acc,
+            "experiment": exp.to_json_dict()}
+    save_checkpoint(out_dir / "model.evck", result.params,
+                    {"model_kind": exp.model_kind, **best, **seeds})
     _write_json(out_dir / "train_report.json", {
-        "version": 1, "best_epoch": result.best_epoch,
-        "best_val_acc": result.best_val_acc,
-        "epochs_run": len(result.history),
-        "val_fold": 0, "val_size": len(val_idx), "train_size": len(train_idx),
-        "experiment": exp.to_json_dict()})
-    _run_ledger(out_dir / "train.runledger.json", exp, "train",
-                {"param_seed": param_seed, "train_seed": train_seed},
+        "version": 1, "epochs_run": len(result.history), "val_fold": 0,
+        "val_size": len(task.val_idx), "train_size": len(task.train_idx), **best})
+    _run_ledger(out_dir / "train.runledger.json", exp, "train", seeds,
                 time.monotonic() - start)
     print(f"best epoch {result.best_epoch}: val acc {result.best_val_acc:.4f} "
           f"({len(result.history)} epochs run)")
@@ -214,16 +211,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     exp = _load_experiment_for(args)
-    manifest, streams, labels = _dataset_for(exp)
-    config = exp.network
+    streams, labels, task = _fold_zero(exp)
+    config, val_idx = exp.network, task.val_idx
     ckpt, params, meta = _checkpoint_for(args, exp, exp.model_kind)
-    _, val_idx = _train_fold_split(exp, len(streams))
     tensors = voxelize_set([streams[i] for i in val_idx], config.time_steps)
     val_labels = labels[list(val_idx)]
     if args.shuffled_bins:
-        rng = np.random.default_rng(np.random.SeedSequence([exp.seed, 0, 2]))
-        tensors = np.stack([s[rng.permutation(config.time_steps)]
-                            for s in tensors])
+        tensors = bench.shuffle_bins(tensors, [exp.seed, 0, 2])
     acc = accuracy(config, params, tensors, val_labels, exp.model_kind)
     out_dir = Path(exp.out_dir)
     _write_json(out_dir / "eval_report.json", {
@@ -237,17 +231,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
     start = time.monotonic()
     exp = _load_experiment_for(args)
-    manifest, streams, labels = _dataset_for(exp)
-    jobs = args.jobs if args.jobs is not None else 1
+    streams, labels = _dataset_for(exp)
     result = bench.sweep_common_eda(
         streams, labels, exp.network, exp.train, kind=exp.model_kind,
         k=exp.folds_k, split_seed=exp.folds_seed, sweep_seed=exp.seed,
-        prob=exp.sweep_prob, jobs=jobs,
+        prob=exp.sweep_prob, jobs=args.jobs,
         echo={"experiment": exp.to_json_dict()})
     out_dir = Path(exp.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "sweep.json", result.to_json())
     _write_text(out_dir / "sweep.txt", bench.format_sweep_text(result))
     _run_ledger(out_dir / "sweep.runledger.json", exp, "sweep",
@@ -284,11 +278,9 @@ def cmd_energy(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise SchemaError(f"--samples must be >= 1, got {args.samples}")
     exp = _load_experiment_for(args)
-    manifest, streams, labels = _dataset_for(exp)
-    config = exp.network
+    streams, _, task = _fold_zero(exp)
+    config, val_idx = exp.network, task.val_idx[:args.samples]
     _, params, _ = _checkpoint_for(args, exp, "spiking")
-    _, val_idx = _train_fold_split(exp, len(streams))
-    val_idx = val_idx[:args.samples]
     tensors = voxelize_set([streams[i] for i in val_idx], config.time_steps)
     traces = []
     for i in range(0, len(tensors), 16):
@@ -306,24 +298,30 @@ def cmd_energy(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# flags several commands take, each written once; a command adds the ones it reads
+_SHARED = {"--seed": dict(type=int, help="override the experiment seed"),
+           "--jobs": dict(type=int, default=1, help="parallel worker processes (default 1)"),
+           "--out": dict(help="override the output directory"),
+           "--config": dict(help="experiment JSON file")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evsnn",
         description="Event-stream classification with spiking networks: "
                     "synthesis, augmentation, training, sweeps, energy.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the experiment seed")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker processes (default 1)")
-    common.add_argument("--out", type=str, default=None,
-                        help="override the output directory")
-    common.add_argument("--config", type=str, default=None,
-                        help="experiment JSON file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate the synthetic motion-template dataset")
+    def command(name, func, summary, *shared):
+        """The subcommand ``name`` running ``func``, with the named shared flags."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        return p
+
+    p = command("synth", cmd_synth, "generate the synthetic motion-template dataset",
+                "--seed", "--out")
     p.add_argument("--classes", type=int, default=4,
                    help="number of classes (motion templates)")
     p.add_argument("--samples-per-class", type=int, default=100)
@@ -333,54 +331,49 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream duration in microseconds")
     p.add_argument("--events", type=int, default=3000,
                    help="signal events per sample")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("voxelize", parents=[common],
-                       help="voxelize one event file into binary frames")
+    p = command("voxelize", cmd_voxelize, "voxelize one event file into binary frames", "--out")
     p.add_argument("input", help=".evt event file")
     p.add_argument("--time-steps", type=int, default=6)
-    p.set_defaults(func=cmd_voxelize)
 
-    p = sub.add_parser("augment", parents=[common],
-                       help="apply an augmentation pipeline to one event file")
+    p = command("augment", cmd_augment, "apply an augmentation pipeline to one event file",
+                "--seed")
     p.add_argument("input", help="source .evt file")
     p.add_argument("output", help="destination .evt file")
-    p.add_argument("--pipeline", type=str, default=None,
-                   help="comma-separated transform kinds (alternative to --config)")
-    p.add_argument("--prob", type=float, default=1.0,
-                   help="per-stage fire probability for --pipeline")
+    source = p.add_mutually_exclusive_group()  # --config holds the whole pipeline
+    source.add_argument("--config", **_SHARED["--config"])
+    source.add_argument("--pipeline", type=str, default=None,
+                        help="comma-separated transform kinds (alternative to --config)")
+    p.add_argument("--prob", type=float, default=None,
+                   help="per-stage fire probability for --pipeline (default 1.0)")
     p.add_argument("--sample-index", type=int, default=0,
                    help="sample index feeding the per-sample random split")
-    p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("train", parents=[common],
-                       help="train one model; fold 0 of the CV plan is held out")
-    p.set_defaults(func=cmd_train)
+    command("train", cmd_train, "train one model; fold 0 of the CV plan is held out",
+            "--seed", "--out", "--config")
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate a checkpoint on the held-out fold")
+    p = command("eval", cmd_eval, "evaluate a checkpoint on the held-out fold",
+                "--seed", "--out", "--config")
     p.add_argument("--checkpoint", type=str, default=None,
                    help="checkpoint path (default <out_dir>/model.evck)")
     p.add_argument("--shuffled-bins", action="store_true",
                    help="shuffle the time bins of evaluation tensors")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="run all 32 common-augmentation combinations x k folds")
-    p.set_defaults(func=cmd_sweep)
+    command("sweep", cmd_sweep, "run all 32 common-augmentation combinations x k folds",
+            "--seed", "--jobs", "--out", "--config")
 
-    p = sub.add_parser("regress", parents=[common],
-                       help="OLS of sweep accuracies on augmentation dummies")
-    p.add_argument("--scores", type=str, default=None,
-                   help="sweep.json produced by the sweep command")
-    p.set_defaults(func=cmd_regress)
+    p = command("regress", cmd_regress, "OLS of sweep accuracies on augmentation dummies",
+                "--out")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", **_SHARED["--config"])
+    source.add_argument("--scores", type=str, default=None,
+                        help="sweep.json produced by the sweep command")
 
-    p = sub.add_parser("energy", parents=[common],
-                       help="estimate inference energy from held-out traces")
+    p = command("energy", cmd_energy, "estimate inference energy from held-out traces",
+                "--out", "--config")
     p.add_argument("--checkpoint", type=str, default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="cap the number of held-out samples averaged")
-    p.set_defaults(func=cmd_energy)
     return parser
 
 
@@ -388,8 +381,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs is not None and args.jobs < 1:
-            raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except (SchemaError, InvalidStreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)

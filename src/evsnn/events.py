@@ -45,6 +45,7 @@ class InvalidStreamError(ValueError):
 
 
 _DTYPES = {"x": np.int64, "y": np.int64, "t": np.int64, "p": np.int8}
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,12 @@ def require_valid(stream: EventStream) -> None:
 def event_bins(stream: EventStream, time_bins: int) -> np.ndarray:
     """Bin index per event: floor((t - t_start) * T / duration), clamped to T-1.
 
-    Integer multiply-before-divide, so no float drift for any microsecond scale.
+    Integer multiply-before-divide, so no float drift for any microsecond
+    scale; a stream whose duration times T leaves int64 is refused.
     """
+    if stream.duration * time_bins > _INT64_MAX:
+        raise InvalidStreamError([Violation("interval", None, f"duration {stream.duration} "
+                                            f"x {time_bins} time bins exceeds int64")])
     b = stream.t - stream.t_start
     b *= time_bins
     b //= stream.duration
@@ -189,8 +194,6 @@ def _scatter(stream: EventStream, out: np.ndarray) -> None:
             or out.shape[0] < 1):
         raise ValueError(f"a {stream.width}x{stream.height} stream does not voxelize "
                          f"into {out.dtype} frames of shape {out.shape}")
-    if not stream.n:
-        return
     s_t, s_c, s_y, s_x = out.strides  # bytes, which are elements of uint8
     flat = event_bins(stream, out.shape[0])
     flat *= s_t
@@ -206,6 +209,4 @@ def devoxelize_counts(stream: EventStream, time_bins: int) -> np.ndarray:
     if time_bins < 1:
         raise ValueError(f"time_bins must be >= 1, got {time_bins}")
     require_valid(stream)
-    if stream.n == 0:
-        return np.zeros(time_bins, dtype=np.int64)
     return np.bincount(event_bins(stream, time_bins), minlength=time_bins).astype(np.int64)

@@ -22,6 +22,7 @@ join is additive. With one step the accumulator is a plain linear layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Annotated, Union
 
@@ -280,39 +281,39 @@ def _forward_mode(kind: str) -> str:
     return "spike" if kind == "spiking" else "dense"
 
 
+def param_shapes(config: NetworkConfig, kind: str = "spiking") -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in ``synaptic_layers`` order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for lay in synaptic_layers(config, kind):
+        kernel = (lay.k, lay.k) if lay.op == "conv" else ()
+        shapes[f"{lay.name}.weight"] = (lay.c_out, lay.c_in, *kernel)
+        if lay.bias:
+            shapes[f"{lay.name}.bias"] = (lay.c_out,)
+    return shapes
+
+
 def init_params(config: NetworkConfig, seed: int, dtype=np.float32,
                 kind: str = "spiking") -> dict[str, np.ndarray]:
-    """Fresh parameter tensors in declared layer order; Kaiming-uniform
-    weights, zero biases. ``kind='dense'`` initialises the dense twin, whose
-    first conv takes the time-folded input."""
-    if _forward_mode(kind) == "dense":
-        config = _dense_view(config)
+    """Fresh parameter tensors of ``param_shapes``: Kaiming-uniform weights
+    (fan-in the product of all but the first dimension), zero biases.
+    ``kind='dense'`` initialises the dense twin, whose first conv takes the
+    time-folded input."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params: dict[str, np.ndarray] = {}
-    for name, conv, _, _ in _convs(config):
-        params[f"{name}.weight"] = _kaiming_uniform(
-            rng, (conv.c_out, conv.c_in, conv.k, conv.k), conv.c_in * conv.k * conv.k, dtype)
-        if conv.bias:
-            params[f"{name}.bias"] = np.zeros(conv.c_out, dtype=dtype)
-    d = config.feature_dim
-    acc_tag = f"{len(config.layers) - 2:02d}"
-    cls_tag = f"{len(config.layers) - 1:02d}"
-    params[f"{acc_tag}.acc.weight"] = _kaiming_uniform(rng, (d, d), d, dtype)
-    cls = config.classifier
-    params[f"{cls_tag}.cls.weight"] = _kaiming_uniform(rng, (cls.classes, d), d, dtype)
-    if cls.bias:
-        params[f"{cls_tag}.cls.bias"] = np.zeros(cls.classes, dtype=dtype)
-    return params
+    return {name: np.zeros(shape, dtype=dtype) if name.endswith(".bias")
+            else _kaiming_uniform(rng, shape, math.prod(shape[1:]), dtype)
+            for name, shape in param_shapes(config, kind).items()}
 
 
 @dataclass(frozen=True)
 class SynapticLayer:
-    """Static description of one weighted layer, for operation counting.
+    """Static description of one weighted layer, for operation counting and
+    for its parameter tensors.
 
     Names match the activity keys recorded by ``forward``. Linear layers use
     k = out_h = out_w = 1 so one FLOP formula covers both shapes. ``out_site``
     is the threshold site fed by this layer (None for the head layers), used
-    by the alternative output-rate charging rule.
+    by the alternative output-rate charging rule. ``bias`` says whether the
+    layer has a bias tensor.
     """
 
     name: str
@@ -323,6 +324,7 @@ class SynapticLayer:
     c_in: int
     c_out: int
     out_site: str | None = None
+    bias: bool = False
 
     @property
     def macs(self) -> int:
@@ -333,14 +335,14 @@ def synaptic_layers(config: NetworkConfig, kind: str = "spiking") -> list[Synapt
     """Every weighted layer in forward order, with resolved shapes."""
     if _forward_mode(kind) == "dense":
         config = _dense_view(config)
-    out = [SynapticLayer(name, "conv", conv.k, oh, ow, conv.c_in, conv.c_out, site)
+    out = [SynapticLayer(name, "conv", conv.k, oh, ow, conv.c_in, conv.c_out, site, conv.bias)
            for name, conv, (_, oh, ow), site in _convs(config)]
     d = config.feature_dim
     acc_tag = f"{len(config.layers) - 2:02d}"
     cls_tag = f"{len(config.layers) - 1:02d}"
     out.append(SynapticLayer(f"{acc_tag}.acc", "linear", 1, 1, 1, d, d))
     out.append(SynapticLayer(f"{cls_tag}.cls", "linear", 1, 1, 1, d,
-                             config.classifier.classes))
+                             config.classifier.classes, bias=config.classifier.bias))
     return out
 
 

@@ -124,6 +124,7 @@ def _train_step(config: NetworkConfig, params: dict, batch: np.ndarray,
     return logits, sgd_step(params, grads, lr, momentum, velocity)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is TrainingDiverged, not warnings
 def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
           train_labels: np.ndarray, val_tensors: np.ndarray,
           val_labels: np.ndarray, settings: TrainSettings,

@@ -1,7 +1,10 @@
 """End-to-end command-line flows on a tiny synthetic dataset."""
 
+import argparse
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,8 +14,9 @@ import numpy as np
 import pytest
 
 import evsnn
-from evsnn.cli import main
-from evsnn.evio import load_events, load_manifest
+from evsnn.cli import build_parser, main
+from evsnn.events import EventStream
+from evsnn.evio import load_events, load_manifest, save_events
 from evsnn.nn.checkpoint import load_checkpoint, save_checkpoint
 from evsnn.nn import (
     IF,
@@ -138,6 +142,15 @@ class TestVoxelize:
     def test_missing_input(self, tmp_path, capsys):
         assert main(["voxelize", str(tmp_path / "nope.evt")]) == 4
         assert "nope.evt" in capsys.readouterr().err
+
+    def test_bins_beyond_int64_exit2(self, tmp_path):
+        # a valid EVT1 file whose last offset times T=6 leaves int64
+        save_events(EventStream(x=[0, 0], y=[0, 0], t=[0, 2 ** 62], p=[1, 1], width=2,
+                                height=2, t_start=0, t_end=2 ** 62 + 1), tmp_path / "f.evt")
+        proc = run_cli("voxelize", str(tmp_path / "f.evt"), "--time-steps", "6")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "exceeds int64" in proc.stderr
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_time_steps_below_one_exit2(self, workspace, tmp_path, steps, capsys):
@@ -267,6 +280,12 @@ class TestTrain:
         path.write_text(json.dumps(exp))
         assert main(["train", "--config", str(path)]) == 2
         assert "3 classes" in capsys.readouterr().err
+
+    def test_unbuildable_dense_twin_exit2_writes_nothing(self, workspace, tmp_path, capsys):
+        # with no encoder, folding time into channels doubles the feature size
+        assert run_changed(workspace, tmp_path, {"model_kind": "dense"}) == 2
+        assert_one_error(capsys, "accumulator dim 512 != encoder feature size 1024")
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_exit3(self, workspace, tmp_path, capsys):
         exp = json.loads((workspace / "exp.json").read_text())
@@ -485,7 +504,90 @@ class TestCountFlagsBelowOne:
         proc = run_cli(command, "--config", str(workspace / "exp.json"), "--jobs", jobs)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error:") and "--jobs" in proc.stderr
+        if command == "train":  # only sweep takes --jobs; argparse refuses it here
+            assert "unrecognized arguments: --jobs" in proc.stderr
+        else:
+            assert proc.stderr.startswith("error:") and "--jobs" in proc.stderr
+
+
+# the shared flags each command takes: only those it reads
+SHARED_FLAGS = {"synth": {"--seed", "--out"}, "voxelize": {"--out"},
+                "augment": {"--seed", "--config"},
+                "train": {"--seed", "--out", "--config"},
+                "eval": {"--seed", "--out", "--config"},
+                "sweep": {"--seed", "--jobs", "--out", "--config"},
+                "regress": {"--out", "--config"}, "energy": {"--out", "--config"}}
+
+
+def readme_commands():
+    """Every ``evsnn ...`` line of the README's sh blocks, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [shlex.split(line, comments=True)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.splitlines() if line.startswith("evsnn ")]
+
+
+class TestFlags:
+    def test_shared_flags_per_command(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {flag for action in p._actions for flag in action.option_strings}
+               & {"--seed", "--jobs", "--out", "--config"}
+               for name, p in sub.choices.items()}
+        assert got == SHARED_FLAGS
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_command_parses(self, argv):
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+    def test_readme_has_commands(self):
+        assert {argv[0] for argv in readme_commands()} == set(SHARED_FLAGS)
+
+    @pytest.mark.parametrize("case", [
+        "synth_config", "voxelize_seed", "train_jobs", "energy_seed",
+        "regress_scores_config", "augment_config_pipeline", "augment_config_prob"])
+    def test_unread_or_overridden_flag_exit2(self, workspace, tmp_path, capsys, case):
+        evt, exp = str(first_event_file(workspace)), str(workspace / "exp.json")
+        out = str(tmp_path / "out")
+        argv = {
+            "synth_config": synth_args(out) + ["--config", "/nonexistent.json"],
+            "voxelize_seed": ["voxelize", evt, "--seed", "-1"],
+            "train_jobs": ["train", "--config", exp, "--out", out, "--jobs", "2"],
+            "energy_seed": ["energy", "--config", exp, "--out", out, "--seed", "1"],
+            "regress_scores_config": ["regress", "--scores", str(workspace / "sweep.json"),
+                                      "--config", exp, "--out", out],
+            "augment_config_pipeline": ["augment", evt, out, "--config", exp,
+                                        "--pipeline", "hflip"],
+            "augment_config_prob": ["augment", evt, out, "--config", exp, "--prob", "0.3"],
+        }[case]
+        try:
+            code = main(argv)  # a refusal the command makes itself
+        except SystemExit as exc:  # argparse's
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDivergenceReport:
+    """A finite but huge step or threshold diverges with one error line, not
+    numpy overflow warnings first."""
+
+    @pytest.mark.parametrize("huge", ["lr", "theta"])
+    def test_one_line_exit3(self, workspace, tmp_path, huge):
+        exp = json.loads((workspace / "exp.json").read_text())
+        exp.update(dataset=str(workspace / "ds" / "manifest.json"), out_dir=str(tmp_path / "o"))
+        if huge == "lr":
+            exp["train"]["lr"] = 1e308
+        else:
+            exp["network"] = config_to_json(layered_net())
+            exp["network"]["layers"][1]["theta"] = 1e308
+        (tmp_path / "exp.json").write_text(json.dumps(exp))
+        proc = run_cli("train", "--config", str(tmp_path / "exp.json"))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: training diverged")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def assert_one_error(capsys, message):

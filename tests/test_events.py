@@ -102,6 +102,19 @@ class TestBinning:
                         t_start=base, t_end=base + 4)
         np.testing.assert_array_equal(event_bins(s, 4), [1, 2])
 
+    @pytest.mark.parametrize("fn", [voxelize, devoxelize_counts])
+    def test_offset_times_bins_beyond_int64_refused(self, fn):
+        # (2**62) * 6 wraps in int64: the event would land in frame 4, not 5
+        s = make_stream([0, 0], [0, 0], [0, 2 ** 62], [1, 1], t_end=2 ** 62 + 1)
+        with pytest.raises(InvalidStreamError, match="exceeds int64"):
+            fn(s, 6)
+
+    def test_largest_duration_still_bins(self):
+        duration = (2 ** 63 - 1) // 6
+        s = make_stream([0, 0], [0, 0], [0, duration - 1], [1, 1], t_end=duration)
+        np.testing.assert_array_equal(event_bins(s, 6), [0, 5])
+        assert voxelize(s, 6)[5, POS_CHANNEL, 0, 0] == 1
+
 
 class TestVoxelize:
     def test_matches_naive_oracle(self, rng):
