@@ -4,8 +4,9 @@
 object against the signature of the callable it feeds: its keys are the
 parameters (any key if there is ``**``), those without a default are required,
 each value has its annotation's JSON type (float a number, tuple an array, null
-only for ``X | None``, a bool no number; other annotations unchecked) and lies
-within the ``Bound`` of an ``Annotated`` one; post-inits call ``bounded`` too.
+only for ``X | None``, a bool no number, a ``Literal`` its values'; other
+annotations unchecked), lies within the ``Bound`` of an ``Annotated`` one and is
+one of a ``Literal``'s values; post-inits and functions call ``bounded`` too.
 An object no definition describes gets a signature-only function as its schema.
 """
 
@@ -38,33 +39,41 @@ _JSON = {int: ("integer", (int,)), float: ("number", (int, float)), str: ("strin
 @lru_cache(maxsize=None)
 def _schema(fn) -> tuple[dict, frozenset, bool, dict]:
     """((JSON name, types) or None per keyword, required keywords, takes ``**``,
-    Bound per bounded keyword)."""
+    Bound or tuple of choices per ruled keyword)."""
     params = inspect.signature(fn, eval_str=True).parameters.values()
     named = [p for p in params if p.kind is not p.VAR_KEYWORD]
-    types_of, bounds = {}, {}
+    types_of, rules = {}, {}
     for p in named:
         meta = getattr(p.annotation, "__metadata__", ())  # of Annotated[hint, *meta]
         hint = typing.get_args(p.annotation)[0] if meta else p.annotation
-        bounds.update((p.name, m) for m in meta if isinstance(m, Bound))
+        rules.update((p.name, m) for m in meta if isinstance(m, Bound))
+        if typing.get_origin(hint) is typing.Literal:  # its values are of one type
+            rules[p.name], hint = typing.get_args(hint), type(typing.get_args(hint)[0])
         union = typing.get_origin(hint) in (typing.Union, types.UnionType)
         parts = [_JSON.get(typing.get_origin(a) or a)
                  for a in (typing.get_args(hint) if union else (hint,))]
         types_of[p.name] = None if None in parts else (
             " or ".join(name for name, _ in parts), sum((t for _, t in parts), ()))
     required = frozenset(p.name for p in named if p.default is p.empty)
-    return types_of, required, len(named) < len(params), bounds
+    return types_of, required, len(named) < len(params), rules
 
 
 def bounded(fn, values: dict, where: str, error=SchemaError) -> None:
-    """Raise ``error`` for a value outside its key's Bound in ``fn``'s signature
-    (None passes, NaN never). The key reads ``folds.seed`` under a section name,
-    ``layer 0 (Conv2d): stride`` under another ``where``, alone under ``""``."""
-    for key, (lo, hi, exclusive) in _schema(fn)[3].items():
+    """Raise ``error`` for a value outside its key's Bound or Literal in ``fn``'s signature
+    (a missing key passes, None too for a Bound, NaN never), named ``folds.seed`` under a
+    section, ``layer 0 (IF): theta`` under another ``where``, alone under ``""``."""
+    for key, rule in _schema(fn)[3].items():
         value = values.get(key)
-        if value is None or (lo < value if exclusive else lo <= value) and value <= hi:
+        if isinstance(rule, Bound):
+            lo, hi, exclusive = rule
+            if value is None or (lo < value if exclusive else lo <= value) and value <= hi:
+                continue
+            limit = f"<= {hi}" if value > hi else f"{'>' if exclusive else '>='} {lo}"
+        elif key in values and value not in rule:  # rule: a Literal's values
+            limit, value = " or ".join(", ".join(rule).rsplit(", ", 1)), repr(value)
+        else:
             continue
         name = f"{where}.{key}" if where.isidentifier() else f"{where}: {key}" if where else key
-        limit = f"<= {hi}" if value > hi else f"{'>' if exclusive else '>='} {lo}"
         raise error(f"{name} must be {limit}, got {value}")
 
 

@@ -21,15 +21,15 @@ import ctypes
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Annotated
+from typing import Annotated, Literal
 
 import numpy as np
 
-from ._schema import Bound, checked
+from ._schema import Bound, bounded, checked
 from .augment import COMMON_EDAS, AugmentSpec, TransformSpec
 from .events import EventStream, voxelize
 from .evio import DatasetManifest
-from .nn.network import NetworkConfig, config_to_json, init_params
+from .nn.network import ModelKind, NetworkConfig, config_to_json, init_params
 from .nn.train import TrainingDiverged, TrainSettings, accuracy, train, voxelize_set
 
 
@@ -70,7 +70,8 @@ class FoldPlan:
         return tuple(i for j, f in enumerate(self.folds) if j not in held for i in f)
 
 
-def kfold_split(n_samples: int, k: int, seed: int) -> FoldPlan:
+def kfold_split(n_samples: int, k: Annotated[int, Bound(1)], seed: int) -> FoldPlan:
+    bounded(kfold_split, {"k": k}, "", ValueError)
     if n_samples < k:
         raise ValueError(f"need at least k={k} samples, got {n_samples}")
     perm = np.random.default_rng(np.random.SeedSequence([seed])).permutation(n_samples)
@@ -157,7 +158,10 @@ def fold_task(plan: FoldPlan, fold: int, seed: int, select: int | None = None,
     fold ``select`` (None: on ``fold``) and trains on the other folds, its
     parameter and training seeds derived from (seed, fold)."""
     held = (fold,) if select is None else (fold, select)
-    return FoldTask(fold=fold, train_idx=plan.train_indices(*held), val_idx=plan.folds[fold],
+    train_idx = plan.train_indices(*held)
+    if not train_idx:
+        raise ValueError(f"k={plan.k} leaves nothing to train on outside held folds {held}")
+    return FoldTask(fold=fold, train_idx=train_idx, val_idx=plan.folds[fold],
                     select_idx=None if select is None else plan.folds[select],
                     param_seed=derive_seed(seed, fold, 0),
                     train_seed=derive_seed(seed, fold, 1), **fields)
@@ -265,18 +269,15 @@ class FoldReport:
 
 def run_cv(streams: list[EventStream], labels: np.ndarray, config: NetworkConfig,
            settings: TrainSettings, *, augment: AugmentSpec | None = None,
-           kind: str = "spiking", k: int = 10, split_seed: int = 0,
-           base_seed: int = 0, validation: str = "heldout",
+           kind: ModelKind = "spiking", k: int = 10, split_seed: int = 0,
+           base_seed: int = 0, validation: Literal["heldout", "nested"] = "heldout",
            eval_shuffled_bins: bool = False, jobs: int = 1,
            echo: dict | None = None) -> FoldReport:
     """Train on k-1 folds, score the held-out fold at its best epoch.
 
     Training data is augmented per epoch; the evaluation fold never is.
     """
-    if kind not in ("spiking", "dense"):
-        raise ValueError(f"model kind must be spiking or dense, got {kind!r}")
-    if validation not in ("heldout", "nested"):
-        raise ValueError(f"validation must be heldout or nested, got {validation!r}")
+    bounded(run_cv, {"kind": kind, "validation": validation}, "", ValueError)
     plan = kfold_split(len(streams), k, split_seed)
     # nested: train on k-2 folds, select the best epoch on the next fold,
     # then report the untouched fold

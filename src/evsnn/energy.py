@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import Literal
 
 import numpy as np
 
+from ._schema import bounded
 from .nn.network import ForwardTrace, NetworkConfig, SynapticLayer, synaptic_layers
 
 PJ_PER_MJ = 1e9
+Charging = Literal["input", "output"]  # whose spike rate a layer is charged with
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ BAND_LOW, BAND_HIGH = 47.42, 65.39  # published full-scale efficiency band
 @dataclass
 class EnergyReport:
     constants: EnergyConstants
-    charging: str              # "input" or "output"
+    charging: Charging
     samples: int
     rows: list[dict]           # per spiking layer: name, op, flops_ann, rs, flops_snn, energy_pj
     ann_rows: list[dict]       # per dense-reference layer: name, op, flops_ann, energy_pj
@@ -99,9 +102,12 @@ class EnergyReport:
     def ratio(self) -> float:
         return float("inf") if self.e_snn_pj == 0 else self.e_ann_pj / self.e_snn_pj
 
+    @property
+    def band(self) -> str:
+        """Where the ratio lies against the published band: below, within or above."""
+        return "below" if self.ratio < BAND_LOW else "above" if self.ratio > BAND_HIGH else "within"
+
     def to_json_dict(self) -> dict:
-        band = "below" if self.ratio < BAND_LOW else \
-            ("above" if self.ratio > BAND_HIGH else "within")
         return {
             "version": 1,
             "constants_pj": asdict(self.constants),
@@ -116,7 +122,7 @@ class EnergyReport:
             "ratio": None if self.e_snn_pj == 0 else self.ratio,
             "ratio_infinite": self.e_snn_pj == 0,
             "reference_band": {"low": BAND_LOW, "high": BAND_HIGH,
-                               "position": band},
+                               "position": self.band},
             "notes": self.notes,
         }
 
@@ -126,7 +132,7 @@ class EnergyReport:
 
 def estimate(snn_stats: list[LayerStats], ann_layers: list[SynapticLayer],
              samples: int, constants: EnergyConstants = EnergyConstants(),
-             charging: str = "input") -> EnergyReport:
+             charging: Charging = "input") -> EnergyReport:
     """Totals and per-layer breakdown from measured stats.
 
     snn_stats carry batch-averaged input activity for the spiking side;
@@ -173,12 +179,11 @@ def estimate(snn_stats: list[LayerStats], ann_layers: list[SynapticLayer],
 
 
 def stats_from_traces(config: NetworkConfig, traces: list[ForwardTrace],
-                      charging: str = "input") -> tuple[list[LayerStats], int]:
+                      charging: Charging = "input") -> tuple[list[LayerStats], int]:
     """Batch-average each layer's input activity over a set of traces."""
     if not traces:
         raise ValueError("empty sample set")
-    if charging not in ("input", "output"):
-        raise ValueError(f"charging must be input or output, got {charging!r}")
+    bounded(stats_from_traces, {"charging": charging}, "", ValueError)
     layers = synaptic_layers(config, kind="spiking")
     samples = sum(tr.batch for tr in traces)
     stats = []
@@ -198,7 +203,7 @@ def stats_from_traces(config: NetworkConfig, traces: list[ForwardTrace],
 
 def estimate_from_traces(config: NetworkConfig, traces: list[ForwardTrace],
                          constants: EnergyConstants = EnergyConstants(),
-                         charging: str = "input") -> EnergyReport:
+                         charging: Charging = "input") -> EnergyReport:
     """Convenience wrapper: spiking stats from traces, dense reference from
     the time-folded twin of the same config."""
     stats, samples = stats_from_traces(config, traces, charging)
@@ -224,8 +229,6 @@ def format_text(report: EnergyReport) -> str:
         lines.append(f"{row['name']:<16s} {row['op']:<6s} {row['flops_ann']:>12d} "
                      f"{rs:>9s} {row['flops_snn']:>14.1f} {row['energy_pj']:>14.2f}")
     ratio = "inf" if report.e_snn_pj == 0 else f"{report.ratio:.2f}x"
-    pos = "below" if report.ratio < BAND_LOW else \
-        ("above" if report.ratio > BAND_HIGH else "within")
     lines += [
         "",
         f"samples averaged: {report.samples}",
@@ -234,7 +237,7 @@ def format_text(report: EnergyReport) -> str:
         f"E_SNN = {report.e_snn_pj / PJ_PER_MJ:.9f} mJ  ({report.e_snn_pj:.1f} pJ)",
         f"ratio E_ANN/E_SNN = {ratio}",
         f"reference full-scale band {BAND_LOW}x-{BAND_HIGH}x: measured ratio is "
-        f"{pos} the band (informational; absolute published totals are not "
+        f"{report.band} the band (informational; absolute published totals are not "
         "reproducible from the per-layer formula)",
     ]
     lines += [f"note: {n}" for n in report.notes]

@@ -34,7 +34,8 @@ from typing import Annotated
 
 from ._schema import Bound, SchemaError, bounded, checked, loads
 from .augment import AugmentSpec
-from .nn.network import NetworkConfig, config_from_json, config_to_json, sew18, sew_tiny
+from .energy import Charging
+from .nn.network import ModelKind, NetworkConfig, config_from_json, config_to_json, sew18, sew_tiny
 from .nn.train import TrainSettings
 
 
@@ -42,14 +43,14 @@ _PRESETS = {"sew_tiny": sew_tiny, "sew18": sew18}
 
 
 # schemas of the objects no definition describes; optional keys default as in Experiment
-def _experiment(dataset: str, network: dict, model_kind: str = ..., train: dict = ...,
+def _experiment(dataset: str, network: dict, model_kind: ModelKind = ..., train: dict = ...,
                 augment: dict | None = ..., folds: dict = ...,
                 seed: Annotated[int, Bound(0)] = ..., out_dir: str = ...,
                 sweep: dict = ..., energy: dict = ...): ...
 def _network(preset: str = ..., **grammar): ...
 def _folds(k: Annotated[int, Bound(2)] = ..., seed: Annotated[int, Bound(0)] = ...): ...
 def _sweep(prob: Annotated[float, Bound(0, 1)] = ...): ...
-def _energy(charging: str = ...): ...
+def _energy(charging: Charging = ...): ...
 
 
 def network_from_json(obj: dict) -> NetworkConfig:
@@ -68,23 +69,18 @@ class Experiment:
     dataset: str
     network: NetworkConfig
     train: TrainSettings = TrainSettings()
-    model_kind: str = "spiking"
+    model_kind: ModelKind = "spiking"
     augment: AugmentSpec | None = None
     folds_k: int = 10
     folds_seed: int = 0
     seed: int = 0
     out_dir: str = "runs/out"
     sweep_prob: float = 0.5
-    energy_charging: str = "input"
+    energy_charging: Charging = "input"
 
     def __post_init__(self):
-        if self.model_kind not in ("spiking", "dense"):
-            raise SchemaError(f"model_kind must be spiking or dense, "
-                              f"got {self.model_kind!r}")
-        if self.energy_charging not in ("input", "output"):
-            raise SchemaError(f"energy charging must be input or output, "
-                              f"got {self.energy_charging!r}")
-        bounded(_experiment, {"seed": self.seed}, "")
+        bounded(_experiment, {"seed": self.seed, "model_kind": self.model_kind}, "")
+        bounded(_energy, {"charging": self.energy_charging}, "energy")
         bounded(_folds, {"k": self.folds_k, "seed": self.folds_seed}, "folds")
         bounded(_sweep, {"prob": self.sweep_prob}, "sweep")
 

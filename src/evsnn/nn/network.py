@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Annotated, Union
+from typing import Annotated, Literal, Union
 
 import numpy as np
 
@@ -57,12 +57,11 @@ class IF:
 
 @dataclass(frozen=True)
 class SEW:
-    """Residual block: two conv+IF stages joined to the identity by an
-    element-wise function g (add, and, iand)."""
+    """Residual block: two conv+IF stages joined to the identity by an element-wise g."""
 
     channels: COUNT
     k: COUNT = 3
-    g: str = "add"
+    g: Literal["add", "and", "iand"] = "add"
     theta: THETA = 1.0
     bias: bool = True
 
@@ -98,9 +97,8 @@ COUNT = Annotated[int, Bound(1)]
 SIZE = Annotated[int, Bound(1, 0xFFFF)]  # at most the largest sensor side an event file holds
 THETA = Annotated[float, Bound(0, exclusive=True)]
 
-RESET_MODES = ("subtract", "zero")
-INPUT_TIMINGS = ("same_step", "delayed")
-SEW_FUNCTIONS = ("add", "and", "iand")
+Reset = Literal["subtract", "zero"]
+ModelKind = Literal["spiking", "dense"]
 
 
 @dataclass(frozen=True)
@@ -118,17 +116,13 @@ class NetworkConfig:
     width: SIZE
     layers: tuple[LayerSpec, ...]
     in_channels: COUNT = 2
-    reset: str = "subtract"
-    input_timing: str = "same_step"
+    reset: Reset = "subtract"
+    input_timing: Literal["same_step", "delayed"] = "same_step"
 
     def __post_init__(self):
         bounded(NetworkConfig, vars(self), "network config", ConfigError)
         for i, lay in enumerate(self.layers):
             bounded(type(lay), vars(lay), f"layer {i} ({type(lay).__name__})", ConfigError)
-        if self.reset not in RESET_MODES:
-            raise ConfigError(f"reset must be one of {RESET_MODES}, got {self.reset!r}")
-        if self.input_timing not in INPUT_TIMINGS:
-            raise ConfigError(f"input_timing must be one of {INPUT_TIMINGS}")
         self.encoder_shapes()  # raises on malformed stacks
 
     @property
@@ -174,8 +168,6 @@ class NetworkConfig:
             elif isinstance(lay, SEW):
                 if len(shape) != 3 or shape[0] != lay.channels:
                     raise ConfigError(f"{where}: expects ({lay.channels},H,W), got {shape}")
-                if lay.g not in SEW_FUNCTIONS:
-                    raise ConfigError(f"{where}: g must be one of {SEW_FUNCTIONS}")
                 if lay.k % 2 == 0:
                     raise ConfigError(f"{where}: k must be odd to keep the map size, "
                                       f"got {lay.k}")
@@ -274,10 +266,9 @@ def _convs(config: NetworkConfig):
             yield f"{tag}.sew.conv2", lay.conv, shapes[i], f"{tag}b"
 
 
-def _forward_mode(kind: str) -> str:
+def _forward_mode(kind: ModelKind) -> str:
     """The ``forward`` mode a model kind runs in."""
-    if kind not in ("spiking", "dense"):
-        raise ConfigError(f"kind must be spiking or dense, got {kind!r}")
+    bounded(_forward_mode, {"kind": kind}, "", ConfigError)
     return "spike" if kind == "spiking" else "dense"
 
 
@@ -410,11 +401,10 @@ def _if_apply(v, theta, mode, reset):
 
 
 def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
-            reset: str = "subtract") -> tuple[np.ndarray, np.ndarray]:
+            reset: Reset = "subtract") -> tuple[np.ndarray, np.ndarray]:
     """One integrate-and-fire update: V = U_prev + I, spike where V >= theta,
     then reset by subtraction (default) or to zero. Returns (spikes, U_next)."""
-    if reset not in ("subtract", "zero"):
-        raise ValueError(f"unknown reset mode {reset!r}")
+    bounded(if_step, {"reset": reset}, "", ValueError)
     v = np.asarray(u_prev, dtype=np.float64) + np.asarray(weighted_input)
     return _if_apply(v, theta, "spike", reset)
 
@@ -428,7 +418,8 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
     raise ConfigError(f"input shape {x.shape} does not match {want} (optionally batched)")
 
 
-def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spike",
+def forward(config: NetworkConfig, params: dict, x: np.ndarray,
+            mode: Literal["spike", "relaxed", "dense"] = "spike",
             record: bool = True) -> tuple[np.ndarray, ForwardTrace]:
     """Run the model over all time bins.
 
@@ -438,8 +429,7 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray, mode: str = "spi
     input, ReLU at every threshold site.
     ``record=False`` drops backward caches but keeps the activity counters.
     """
-    if mode not in ("spike", "relaxed", "dense"):
-        raise ConfigError(f"mode must be spike, relaxed or dense, got {mode!r}")
+    bounded(forward, {"mode": mode}, "", ConfigError)
     keep_heap()
     if mode == "dense":
         x = fold_time(x, config)[:, None]

@@ -61,7 +61,7 @@ class RegressionReport:
                 "se": float(self.se[i]),
                 "t": float(self.t_stat[i]) if np.isfinite(self.t_stat[i]) else None,
                 "p": float(self.p_value[i]),
-                "significant": bool(self.p_value[i] < self.alpha),
+                "significant": bool(self.significant[i]),
             })
         return {"version": 1, "n": self.n, "df": self.df, "r2": self.r2,
                 "alpha": self.alpha, "terms": rows}
@@ -77,7 +77,7 @@ def format_text(report: RegressionReport) -> str:
     for i, name in enumerate(report.names):
         t = report.t_stat[i]
         t_str = f"{t:>10.3f}" if np.isfinite(t) else f"{'inf':>10s}"
-        star = "*" if report.p_value[i] < report.alpha else ""
+        star = "*" if report.significant[i] else ""
         lines.append(f"{name:<12s} {report.coef[i]:>12.6f} {report.se[i]:>12.6f} "
                      f"{t_str} {report.p_value[i]:>12.6g}  {star}")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 import ctypes
 import json
+import re
 import sys
 
 import numpy as np
@@ -179,6 +180,22 @@ class TestRunCv:
             run_cv(streams, labels, toy_config(), FAST, k=2, kind="conv")
         with pytest.raises(ValueError, match="validation"):
             run_cv(streams, labels, toy_config(), FAST, k=2, validation="loocv")
+
+    @pytest.mark.parametrize("k, validation, message", [
+        (1, "heldout", "k=1 leaves nothing to train on outside held folds (0,)"),
+        (2, "nested", "k=2 leaves nothing to train on outside held folds (0, 1)"),
+        (0, "heldout", "k must be >= 1, got 0"),
+        (-1, "heldout", "k must be >= 1, got -1"),
+    ], ids=["k1", "nested_k2", "k0", "k_negative"])
+    def test_split_without_training_samples(self, k, validation, message):
+        streams, labels = toy_dataset(n=8)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_cv(streams, labels, toy_config(), FAST, k=k, validation=validation)
+
+    def test_sweep_split_without_training_samples(self):
+        streams, labels = toy_dataset(n=8)
+        with pytest.raises(ValueError, match=r"^k=1 leaves nothing to train on"):
+            sweep_common_eda(streams, labels, toy_config(), FAST, k=1)
 
     def test_divergence_names_fold(self):
         streams, labels = toy_dataset(n=8)

@@ -708,6 +708,37 @@ class TestLayerRanges:
             GlobalPool(), Accumulator(1), Classifier(1)))
 
 
+def layered_json(sew_g="add", **change):
+    """``layered_net`` as JSON, its SEW join ``sew_g`` and ``change`` on top."""
+    net = {**config_to_json(layered_net()), **change}
+    net["layers"][3]["g"] = sew_g
+    return net
+
+
+class TestChoices:
+    """A value outside its Literal's choices exits 2 when the experiment is
+    read, naming the key and its choices, before anything is written."""
+
+    @pytest.mark.parametrize("change, message", [
+        ({"model_kind": "sparse"}, "experiment.model_kind must be spiking or dense, got 'sparse'"),
+        ({"energy": {"charging": "both"}}, "energy.charging must be input or output, got 'both'"),
+        ({"network": layered_json(reset="hard")},
+         "network config: reset must be subtract or zero, got 'hard'"),
+        ({"network": layered_json(input_timing="later")},
+         "network config: input_timing must be same_step or delayed, got 'later'"),
+        ({"network": layered_json(sew_g="or")},
+         "layer 3 (SEW): g must be add, and or iand, got 'or'"),
+    ], ids=["model_kind", "charging", "reset", "input_timing", "g"])
+    def test_exit2(self, workspace, tmp_path, capsys, change, message):
+        assert run_changed(workspace, tmp_path, change) == 2
+        assert_one_error(capsys, "error: " + message)
+        assert not (tmp_path / "o").exists()
+
+    def test_members_train(self, workspace, tmp_path):
+        net = layered_json(sew_g="iand", reset="zero", input_timing="delayed")
+        assert run_changed(workspace, tmp_path, {"network": net}) == 0
+
+
 class TestManifestFaults:
     """A manifest that breaks its schema, or misstates its files, exits 2."""
 

@@ -301,3 +301,12 @@ class TestFormatText:
         assert ratio_of(1.0) == "below"        # 5.1x
         assert ratio_of(0.1) == "within"       # 51.1x
         assert ratio_of(0.05) == "above"       # 102.2x
+
+    @pytest.mark.parametrize("rs, position", [(1.0, "below"), (0.1, "within"), (0.05, "above"),
+                                              (0.0, "above")])
+    def test_text_and_json_name_one_position(self, rs, position):
+        lay = conv_layer()
+        report = estimate([LayerStats(lay, rs * lay.c_in, lay.c_in)], [lay], 1)
+        assert report.band == position
+        assert report.to_json_dict()["reference_band"]["position"] == position
+        assert f"measured ratio is {position} the band" in format_text(report)

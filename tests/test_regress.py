@@ -211,3 +211,12 @@ class TestReportSurface:
         assert "n=320, df=314" in text
         for name in ("intercept",) + EDAS:
             assert name in text
+
+    def test_json_and_text_mark_the_significant_terms(self, rng):
+        masks, x = sweep_design(k=2)
+        y = 0.5 + 0.05 * x[:, 1] + rng.normal(0, 0.01, len(masks))
+        report = eda_regression(masks, y, EDAS)
+        flags = [term["significant"] for term in report.to_json_dict()["terms"]]
+        assert flags == report.significant.tolist() and True in flags and False in flags
+        stars = [line.endswith("*") for line in format_text(report).splitlines()[2:]]
+        assert stars == flags

@@ -2,13 +2,17 @@
 
 import math
 import re
-from typing import Annotated
+from typing import Annotated, Literal
 
+import numpy as np
 import pytest
 
 from evsnn._schema import Bound, SchemaError, bounded, checked, loads
 from evsnn.augment import AugmentSpec, TransformSpec
+from evsnn.bench import run_cv
+from evsnn.energy import stats_from_traces
 from evsnn.nn import ConfigError
+from evsnn.nn.network import forward, if_step, init_params, sew_tiny
 from evsnn.nn.train import TrainSettings
 from evsnn.synth import SynthParams
 
@@ -33,6 +37,11 @@ def ranged(count: Annotated[int, Bound(1)] = 1,
            share: Annotated[float, Bound(0, 1)] = 0.5,
            theta: Annotated[float | None, Bound(0, exclusive=True)] = None):
     """count >= 1, share in [0, 1], theta > 0 or null."""
+
+
+def choices(pick: Literal["a", "b"] = "a", mode: Literal["x", "y", "z"] = "x",
+            count: Annotated[int, Bound(1)] = 1):
+    """pick is a or b, mode x, y or z."""
 
 
 def containers(items: tuple[int, ...] = (), table: dict = ..., names: list = ...):
@@ -152,6 +161,80 @@ class TestBounds:
                       lambda: AugmentSpec().with_seed(-1)):
             with pytest.raises(SchemaError):
                 build()
+
+
+class TestChoices:
+    """A Literal annotation is read like a Bound: a JSON string among its values."""
+
+    @pytest.mark.parametrize("values", [{}, {"pick": "a"}, {"pick": "b", "mode": "z"}])
+    def test_members_pass(self, values):
+        bounded(choices, values, "x")
+        checked(choices, values, "x")
+
+    def test_none_is_no_choice(self):
+        # a missing key passes (test_members_pass), a key set to None does not
+        with pytest.raises(SchemaError, match="^x.pick must be a or b, got None$"):
+            bounded(choices, {"pick": None}, "x")
+
+    @pytest.mark.parametrize("value", [1, None, True, ["a"]])
+    def test_checked_refuses_non_string(self, value):
+        with pytest.raises(SchemaError, match=f"^x: pick must be a JSON string, got "
+                                              f"{re.escape(repr(value))}$"):
+            checked(choices, {"pick": value}, "x")
+
+    @pytest.mark.parametrize("values, message", [
+        ({"pick": "c"}, "x.pick must be a or b, got 'c'"),
+        ({"pick": "A"}, "x.pick must be a or b, got 'A'"),
+        ({"mode": "w"}, "x.mode must be x, y or z, got 'w'"),
+    ])
+    def test_non_member_refused(self, values, message):
+        for check in (bounded, checked):
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                check(choices, values, "x")
+
+    def test_where_names_the_key(self):
+        for where, name in (("", "pick"), ("folds", "folds.pick"),
+                            ("layer 0 (Conv2d)", "layer 0 (Conv2d): pick")):
+            with pytest.raises(ConfigError,
+                               match=f"^{re.escape(name)} must be a or b, got 'c'$"):
+                bounded(choices, {"pick": "c"}, where, ConfigError)
+
+    def test_bounds_still_read_beside_choices(self):
+        with pytest.raises(SchemaError, match="^x.count must be >= 1, got 0$"):
+            checked(choices, {"pick": "b", "count": 0}, "x")
+
+
+class TestLibraryChoiceErrors:
+    """A library call given a value outside its choices raises its module's
+    error type, before any work."""
+
+    def test_run_cv_kind_and_validation(self):
+        for change, message in (({"kind": "sparse"}, "kind must be spiking or dense, got 'sparse'"),
+                                ({"validation": "loocv"},
+                                 "validation must be heldout or nested, got 'loocv'")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+                run_cv([], np.zeros(0), sew_tiny(2), TrainSettings(), **change)
+            assert not isinstance(info.value, SchemaError)
+
+    @pytest.mark.parametrize("mode", ["ann", None])
+    def test_forward_mode(self, mode):
+        config = sew_tiny(2, height=8, width=8, time_steps=1)
+        with pytest.raises(ConfigError,
+                           match=f"^mode must be spike, relaxed or dense, got {mode!r}$"):
+            forward(config, init_params(config, 0), np.zeros((1, 2, 8, 8)), mode=mode)
+
+    @pytest.mark.parametrize("reset", ["decay", None])
+    def test_if_step_reset(self, reset):
+        with pytest.raises(ValueError,
+                           match=f"^reset must be subtract or zero, got {reset!r}$") as info:
+            if_step(0.0, 1.0, reset=reset)
+        assert not isinstance(info.value, SchemaError)
+
+    def test_stats_from_traces_charging(self):
+        with pytest.raises(ValueError,
+                           match="^charging must be input or output, got 'both'$") as info:
+            stats_from_traces(sew_tiny(2), [None], charging="both")
+        assert not isinstance(info.value, SchemaError)
 
 
 class TestTransformProbe:
