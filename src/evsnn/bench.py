@@ -25,6 +25,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
+from ._blas import openblas_functions as _openblas_functions
 from ._schema import Bound, bounded, checked
 from .augment import COMMON_EDAS, AugmentSpec, TransformSpec
 from .events import EventStream, voxelize
@@ -88,35 +89,6 @@ def kfold_split(n_samples: int, k: Annotated[int, Bound(1)], seed: int) -> FoldP
 # single-fold work unit (shared by run_cv, the sweep queue and the CLI)
 
 _DATA: tuple[list[EventStream], np.ndarray] | None = None
-
-
-# (prefix, suffix) around the OpenBLAS function names in the builds numpy
-# and scipy ship, then in a plain system build
-_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
-                     ("openblas_", "64_"), ("openblas_", ""))
-
-
-def _openblas_functions(stem: str, restype, *argtypes) -> list:
-    """Function ``openblas_<stem>`` of every OpenBLAS mapped into this
-    process, typed for ctypes; empty when none is loaded."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return []
-    out = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in _OPENBLAS_SYMBOLS:
-            fn = getattr(lib, f"{prefix}{stem}{suffix}", None)
-            if fn is not None:
-                fn.restype, fn.argtypes = restype, list(argtypes)
-                out.append(fn)
-                break
-    return out
 
 
 def _init_worker(streams: list[EventStream], labels: np.ndarray) -> None:

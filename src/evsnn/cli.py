@@ -16,7 +16,6 @@ the only artifact allowed to differ between reruns is the run-ledger sidecar
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import resource
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, energy, regress, synth
+from . import _blas, bench, energy, regress, synth
 from ._schema import SchemaError, loads
 from .augment import AugmentSpec, TransformSpec, apply_pipeline
 from .evio import EventFileError, load_events, load_manifest, save_events
@@ -52,7 +51,7 @@ def _run_ledger(path: Path, exp: Experiment, command: str, seeds: dict,
     records the core count and the thread count of each loaded OpenBLAS,
     the two settings a wall time depends on, and the minor page faults and
     the largest resident memory of this process and its finished workers."""
-    threads = [get() for get in bench._openblas_functions("get_num_threads", ctypes.c_int)]
+    threads = _blas.threads()
     usage = [resource.getrusage(who) for who in (resource.RUSAGE_SELF,
                                                  resource.RUSAGE_CHILDREN)]
     # ru_maxrss is KiB on Linux, bytes on macOS

@@ -18,16 +18,35 @@ comparison, is the same engine run on a time-folded view of the config: the
 T binary frames are stacked along the input channels of one step (the first
 conv widened to take them), every threshold site is a ReLU, and every SEW
 join is additive. With one step the accumulator is a plain linear layer.
+
+Inference runs on both cores. ``forward(..., record=False)`` on a batch of
+B samples whose smaller half, floor(B/2) samples, holds at least
+``_SPLIT_MIN`` (2**18) input values, in a process whose OpenBLAS runs two or
+more threads, encodes the first ceil(B/2) samples and the rest side by
+side (sew_tiny at 64x64 and T=6: B >= 12), the second half on a
+short-lived thread, with OpenBLAS held at one thread for the call (at two,
+its helper threads compete with the halves for the cores). The halves'
+features are concatenated and their counters added, first half first; the
+accumulator and classifier then run on the whole batch. The BPTT step
+(``record=True``) runs whole: a split step measured no end-to-end gain and
+moves the gradients in the last bits. So does a process held at one BLAS
+thread, such as a sweep worker. Reruns at one BLAS thread count are
+byte-identical. Against a whole-batch run, spike-mode logits, features and
+spike counts are bitwise equal (spikes are thresholded and their sums
+exact); the float32 input sums of a conv fed by a conv, and relaxed- and
+dense-mode values, can differ in the last bits.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass, replace
-from typing import Annotated, Literal, Union
+from typing import Annotated, Literal, NamedTuple, Union
 
 import numpy as np
 
+from .. import _blas
 from .._heap import keep_heap
 from .._schema import Bound, SchemaError, bounded, checked
 from .layers import (avg_pool_backward, avg_pool_forward, conv2d_backward,
@@ -418,6 +437,15 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
     raise ConfigError(f"input shape {x.shape} does not match {want} (optionally batched)")
 
 
+# input values (samples x steps x channels x pixels) the smaller half of a
+# batch must hold for forward to split it; below it the two threads mostly
+# wait on each other for the interpreter lock. Measured on 2 cores, sew_tiny
+# at T=6: halves of 196,608 values (4 samples at 64x64, 16 at 32x32, 1 at
+# 128x128) ran no faster than the whole batch (at 64x64 1.2x slower, and
+# halves of 2 samples 1.7x); halves of 294,912 values and more ran faster.
+_SPLIT_MIN = 1 << 18
+
+
 def forward(config: NetworkConfig, params: dict, x: np.ndarray,
             mode: Literal["spike", "relaxed", "dense"] = "spike",
             record: bool = True) -> tuple[np.ndarray, ForwardTrace]:
@@ -427,7 +455,10 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     surrogate in the forward pass too (diagnostic, exactly differentiable);
     mode='dense' runs the non-spiking twin: one step on the time-folded
     input, ReLU at every threshold site.
-    ``record=False`` drops backward caches but keeps the activity counters.
+    ``record=False`` drops backward caches but keeps the activity counters;
+    on a large enough batch, in a process whose OpenBLAS runs two or more
+    threads, it runs the two halves of the batch side by side (see the module
+    docstring).
     """
     bounded(forward, {"mode": mode}, "", ConfigError)
     keep_heap()
@@ -435,6 +466,84 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
         x = fold_time(x, config)[:, None]
         config = _dense_view(config)
     x = _as_batched(x, config)
+    half = (len(x) + 1) // 2
+    threads = [] if record or x[half:].size < _SPLIT_MIN else _blas.threads()
+    if max(threads, default=1) < 2:
+        encoded = _encode(config, params, x, mode, record)
+    else:
+        _blas.set_threads([1] * len(threads))
+        try:
+            encoded = _joined(*_side_by_side(
+                lambda: _encode(config, params, x[:half], mode, False),
+                lambda: _encode(config, params, x[half:], mode, False)))
+        finally:
+            _blas.set_threads(threads)
+
+    features = encoded.features
+    acc_tag, cls_tag = f"{len(config.layers) - 2:02d}", f"{len(config.layers) - 1:02d}"
+    accumulated = accumulate(features, params[f"{acc_tag}.acc.weight"])
+    logits = linear_forward(accumulated, params[f"{cls_tag}.cls.weight"],
+                            params.get(f"{cls_tag}.cls.bias"))
+    trace = ForwardTrace(mode=mode, batch=len(x), time_steps=config.time_steps,
+                         features=features, feature_shape=encoded.feature_shape,
+                         accumulated=accumulated, logits=logits, caches=encoded.caches,
+                         spike_counts=encoded.spike_counts, site_sizes=encoded.site_sizes,
+                         synaptic_inputs={**encoded.synaptic_inputs,
+                                          f"{acc_tag}.acc": (float(features.sum()),
+                                                             config.feature_dim)})
+    return logits, trace
+
+
+class _Encoded(NamedTuple):
+    """The encoder's part of a ``ForwardTrace``."""
+
+    features: np.ndarray
+    feature_shape: tuple
+    caches: list | None
+    spike_counts: dict[str, float]
+    site_sizes: dict[str, int]
+    synaptic_inputs: dict[str, tuple[float, int]]
+
+
+def _side_by_side(main, helper):
+    """(main(), helper()), the second run on a short-lived thread under the
+    caller's floating-point error settings. Once both have finished, an
+    exception of either is raised here, the main one's first."""
+    err, out = np.geterr(), {}
+
+    def run():
+        try:
+            with np.errstate(**err):
+                out["result"] = helper()
+        except BaseException as exc:  # raised in the caller below
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, name="evsnn-forward-half")
+    thread.start()
+    try:
+        first = main()
+    finally:
+        thread.join()
+    if "error" in out:
+        raise out["error"]
+    return first, out["result"]
+
+
+def _joined(first: _Encoded, second: _Encoded) -> _Encoded:
+    """The encoding of a batch from those of its two halves: features
+    concatenated, counters added key by key, first half first."""
+    return first._replace(
+        features=np.concatenate([first.features, second.features]),
+        spike_counts={name: n + second.spike_counts[name]
+                      for name, n in first.spike_counts.items()},
+        synaptic_inputs={name: (total + second.synaptic_inputs[name][0], size)
+                         for name, (total, size) in first.synaptic_inputs.items()})
+
+
+def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
+            record: bool) -> _Encoded:
+    """The encoder over every time bin of a batched input, the config
+    already in its mode's view."""
     dtype = next(iter(params.values())).dtype
     b, t_steps = x.shape[0], config.time_steps
     enc = config.encoder_layers
@@ -512,16 +621,7 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
         if record:
             caches.append(step_cache)
 
-    accumulated = accumulate(features, params[f"{len(config.layers) - 2:02d}.acc.weight"])
-    cls_tag = f"{len(config.layers) - 1:02d}"
-    logits = linear_forward(accumulated, params[f"{cls_tag}.cls.weight"],
-                            params.get(f"{cls_tag}.cls.bias"))
-    syn_inputs[f"{len(config.layers) - 2:02d}.acc"] = (float(features.sum()), d)
-    trace = ForwardTrace(mode=mode, batch=b, time_steps=t_steps, features=features,
-                         feature_shape=feature_shape, accumulated=accumulated,
-                         logits=logits, caches=caches, spike_counts=spike_counts,
-                         site_sizes=site_sizes, synaptic_inputs=syn_inputs)
-    return logits, trace
+    return _Encoded(features, feature_shape, caches, spike_counts, site_sizes, syn_inputs)
 
 
 def accumulate(features: np.ndarray, weight: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Annotated
 import numpy as np
 
 from ._schema import Bound, SchemaError, bounded
-from .events import EventStream
+from .events import _INT64_MAX, EventStream
 from .evio import DatasetManifest, ManifestEntry, save_events
 
 DEFAULT_TEMPLATES = ("ring_expand", "ring_contract", "bar_sweep_h", "bar_sweep_v")
@@ -135,9 +135,18 @@ def synth_generate(class_id: int, params: SynthParams, seed: int) -> EventStream
         t = np.concatenate([t, rng.integers(0, dur, size=n_noise, dtype=np.int64)])
         p = np.concatenate([p, (rng.integers(0, 2, size=n_noise, dtype=np.int8) * 2 - 1)])
 
-    order = np.argsort(t, kind="stable")
+    order = _time_order(t, dur)
     return EventStream(x=x[order], y=y[order], t=t[order], p=p[order],
                        width=w, height=h, t_start=0, t_end=dur, label=class_id)
+
+
+def _time_order(t: np.ndarray, duration: int) -> np.ndarray:
+    """``np.argsort(t, kind="stable")`` for timestamps in [0, duration): one
+    unstable sort of the unique keys t * n + i, unless they overflow int64."""
+    n = len(t)
+    if duration > _INT64_MAX // max(n, 1):
+        return np.argsort(t, kind="stable")
+    return np.sort(t * n + np.arange(n)) % n
 
 
 def generate_dataset(params: SynthParams, samples_per_class: int,

@@ -1,12 +1,18 @@
 """Network config validation, forward semantics, accumulation, JSON."""
 
+import os
 import platform
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from evsnn import _heap
+import evsnn
+from evsnn import _blas, _heap
 from evsnn.nn import (
     IF,
     SEW,
@@ -529,7 +535,8 @@ class TestKeepHeap:
         monkeypatch.setattr(_heap.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
         forward(*net)
         forward(*net)
-        assert calls == [(_heap.M_TOP_PAD, 64 << 20)]
+        assert calls == [(_heap.M_TOP_PAD, 64 << 20), (_heap.M_MMAP_THRESHOLD, 32 << 20),
+                         (_heap.M_ARENA_MAX, 1)]
 
     @pytest.mark.parametrize("libc", ["no_symbol", "no_library"])
     def test_no_op_without_mallopt(self, net, monkeypatch, libc):
@@ -547,6 +554,35 @@ class TestKeepHeap:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc mallopt")
     def test_takes_on_glibc(self):
         assert _heap.keep_heap() is True
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc mallopt")
+    def test_large_blocks_reuse_the_heap(self):
+        # a fresh interpreter, so no earlier free has raised glibc's mmap
+        # threshold: without the pinned threshold every 324 KiB array below
+        # is mmapped and its 81 pages faulted in again on each allocation
+        script = """
+import resource
+import numpy as np
+from evsnn._heap import keep_heap
+
+assert keep_heap()
+
+def allocate():
+    return float((np.zeros(331_776 // 8) + 1.0)[-1])
+
+allocate()  # the first allocation faults the heap pages in once
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    allocate()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        src = Path(evsnn.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 200
 
 
 def batch_innermost_input(x):
@@ -610,3 +646,185 @@ class TestBatchInnermostActivations:
         assert len(convs) == 9
         assert calls == {"forward": 9 * config.time_steps,
                          "backward": 9 * config.time_steps}
+
+
+class FakeBlas:
+    """Stands in for the OpenBLAS thread lookup, so a test picks whether
+    ``forward`` splits and sees every count it sets."""
+
+    def __init__(self, monkeypatch, counts):
+        self.counts, self.set_calls = counts, []
+        monkeypatch.setattr(_blas, "threads", lambda: list(self.counts))
+        monkeypatch.setattr(_blas, "set_threads", self.set_threads)
+
+    def set_threads(self, counts):
+        self.set_calls.append(list(counts))
+        self.counts = list(counts)
+
+
+def columns_independent_of_n(config, kind, batch):
+    """Whether this BLAS gives every output column of each conv GEMM of
+    ``config`` the same bits at the full batch as at either half of it."""
+    rng = np.random.default_rng(0)
+    half = (batch + 1) // 2
+    for lay in network.synaptic_layers(config, kind):
+        if lay.op != "conv":
+            continue
+        pixels = lay.out_h * lay.out_w
+        w = rng.standard_normal((lay.c_out, lay.c_in * lay.k * lay.k)).astype(np.float32)
+        cols = rng.standard_normal((w.shape[1], pixels, batch)).astype(np.float32)
+        full = (w @ cols.reshape(w.shape[1], -1)).reshape(-1, pixels, batch)
+        for part in (slice(0, half), slice(half, batch)):
+            own = w @ np.ascontiguousarray(cols[:, :, part]).reshape(w.shape[1], -1)
+            if not np.array_equal(own, full[:, :, part].reshape(len(w), -1)):
+                return False
+    return True
+
+
+SPLIT_MIN = network._SPLIT_MIN
+
+
+class TestShardedForward:
+    """forward(record=False) on a large enough batch, in a process whose
+    OpenBLAS runs two or more threads, runs the two halves of the batch side
+    by side and returns the trace of the whole batch. The fixture below
+    lets every batch of two or more split; ``test_size_floor`` restores the
+    floor."""
+
+    @pytest.fixture(autouse=True)
+    def any_size_splits(self, monkeypatch):
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1)
+
+    # the config, and the layers whose input is a conv's float output; every
+    # other input is spikes, their SEW sums or pool means: integer or quarter
+    # values whose float32 sums are exact
+    CONFIGS = {"sew_tiny": (lambda: sew_tiny(4, theta=0.5), ()),
+               "mixed": (mixed_config, ("04.conv",))}
+    # each counter is a float32 sum: the halves' two sums differ from the
+    # batch's one by float32 rounding, within a few hundred eps
+    FLOAT32_RTOL = 1e-5
+
+    def run(self, monkeypatch, config, params, x, mode="spike", threads=2):
+        blas = FakeBlas(monkeypatch, [threads])
+        logits, trace = forward(config, params, x, mode=mode, record=False)
+        return logits, trace, blas
+
+    def assert_close(self, got: dict, want: dict):
+        assert list(got) == list(want)
+        np.testing.assert_allclose(np.array(list(got.values()), dtype=float),
+                                   np.array(list(want.values()), dtype=float),
+                                   rtol=self.FLOAT32_RTOL)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("batch", [2, 3, 16, 17])
+    def test_spike_mode_bitwise_equal(self, monkeypatch, rng, name, batch):
+        # thresholded spikes: equal even where the conv GEMMs of a half
+        # differ in the last bit from the full batch's (4x4 maps at B = 1)
+        build, float_inputs = self.CONFIGS[name]
+        config = build()
+        params = init_params(config, 1)
+        x = binary_input(rng, config, batch, density=0.05)
+        logits, trace, blas = self.run(monkeypatch, config, params, x, threads=2)
+        assert blas.set_calls == [[1], [2]]
+        want_logits, want, whole = self.run(monkeypatch, config, params, x, threads=1)
+        assert whole.set_calls == []
+        assert logits.tobytes() == want_logits.tobytes()
+        for field in ("logits", "features", "accumulated"):
+            assert getattr(trace, field).tobytes() == getattr(want, field).tobytes(), field
+        assert trace.spike_counts == want.spike_counts
+        assert list(trace.synaptic_inputs) == list(want.synaptic_inputs)
+        exact = {k: v for k, v in want.synaptic_inputs.items() if k not in float_inputs}
+        assert {k: trace.synaptic_inputs[k] for k in exact} == exact
+        self.assert_close(trace.synaptic_inputs, want.synaptic_inputs)
+        assert trace.site_sizes == want.site_sizes
+        assert (trace.batch, trace.feature_shape, trace.caches) == (batch, want.feature_shape,
+                                                                    None)
+
+    @pytest.mark.parametrize("mode", ["relaxed", "dense"])
+    @pytest.mark.parametrize("batch", [16, 17])
+    def test_float_modes(self, monkeypatch, rng, mode, batch):
+        config = sew_tiny(4, theta=0.5)
+        kind = "dense" if mode == "dense" else "spiking"
+        params = init_params(config, 1, kind=kind)
+        x = binary_input(rng, config, batch, density=0.05)
+        logits, trace, _ = self.run(monkeypatch, config, params, x, mode)
+        want_logits, want, _ = self.run(monkeypatch, config, params, x, mode, threads=1)
+        self.assert_close(trace.spike_counts, want.spike_counts)
+        self.assert_close(trace.synaptic_inputs, want.synaptic_inputs)
+        if not columns_independent_of_n(config, kind, batch):
+            pytest.skip("this BLAS gives a GEMM column other bits at another width")
+        assert logits.tobytes() == want_logits.tobytes()
+
+    @pytest.fixture
+    def small(self, rng):
+        config = tiny_config()
+        return config, init_params(config, seed=0), binary_input(rng, config, batch=4)
+
+    def test_no_thread_at_one_blas_thread(self, monkeypatch, small):
+        # as bench._init_worker leaves a sweep worker, or without OpenBLAS
+        def no_thread(*args, **kwargs):
+            raise AssertionError("forward started a thread")
+
+        monkeypatch.setattr(network.threading, "Thread", no_thread)
+        for counts in ([1], []):
+            blas = FakeBlas(monkeypatch, counts)
+            forward(*small, record=False)
+            assert blas.set_calls == []
+
+    def test_record_runs_whole(self, monkeypatch, small):
+        blas = FakeBlas(monkeypatch, [2])
+        _, trace = forward(*small, record=True)
+        assert blas.set_calls == [] and len(trace.caches) == small[0].time_steps
+
+    @pytest.mark.parametrize("failing", ["main", "helper"])
+    def test_error_in_a_half_is_raised_and_threads_restored(self, monkeypatch, small,
+                                                            failing):
+        class HalfFailed(Exception):
+            pass
+
+        def conv(*args, **kwargs):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "main"):
+                raise HalfFailed(failing)
+            return conv2d_forward(*args, **kwargs)
+
+        conv2d_forward = network.conv2d_forward
+        monkeypatch.setattr(network, "conv2d_forward", conv)
+        blas = FakeBlas(monkeypatch, [2])
+        with pytest.raises(HalfFailed, match=failing):
+            forward(*small, record=False)
+        assert blas.set_calls == [[1], [2]]
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_caller_error_settings_hold_in_either_half(self, monkeypatch, small, sample):
+        config, params, x = small
+        x = x.astype(np.float64)
+        x[sample, 0, 0, 0, 0] = 1e39  # overflows the float32 cast of the first step
+        FakeBlas(monkeypatch, [2])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forward(config, params, x, record=False)
+
+    def test_real_blas_threads_restored(self, small, monkeypatch):
+        before = _blas.threads()
+        if max(before, default=1) < 2:
+            pytest.skip("OpenBLAS runs one thread here, so forward does not split")
+        forward(*small, record=False)
+        assert _blas.threads() == before
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("conv failed")
+
+        monkeypatch.setattr(network, "conv2d_forward", failing)
+        with pytest.raises(RuntimeError, match="conv failed"):
+            forward(*small, record=False)
+        assert _blas.threads() == before
+
+    @pytest.mark.parametrize("batch,splits", [(11, False), (12, True)])
+    def test_size_floor(self, monkeypatch, rng, batch, splits):
+        # sew_tiny at 64x64, T=6: 49,152 input values per sample, so the
+        # smaller half reaches 2**18 at 6 samples
+        monkeypatch.setattr(network, "_SPLIT_MIN", SPLIT_MIN)
+        config = sew_tiny(4, theta=0.5)
+        x = binary_input(rng, config, batch, density=0.05)
+        _, _, blas = self.run(monkeypatch, config, init_params(config, 1), x)
+        assert blas.set_calls == ([[1], [2]] if splits else [])

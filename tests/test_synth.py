@@ -5,6 +5,7 @@ import pytest
 
 from evsnn.events import validate
 from evsnn.evio import load_manifest
+from evsnn import synth
 from evsnn.synth import (
     DEFAULT_TEMPLATES,
     SynthParams,
@@ -176,3 +177,36 @@ class TestDataset:
             s = loaded.load(i)
             assert s.label == e.label
             assert validate(s) == []
+
+
+class TestTimeOrder:
+    """The event order is the stable argsort of the timestamps, from one
+    unstable sort of the keys t * n + i where they fit int64."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("duration", [1, 2, 7, 100, 52_500, 600_000])
+    def test_equals_stable_argsort(self, seed, duration):
+        # at small durations nearly every timestamp is tied
+        t = np.random.default_rng(seed).integers(0, duration, size=52_500, dtype=np.int64)
+        want = np.argsort(t, kind="stable")
+        assert np.array_equal(synth._time_order(t, duration), want)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_short(self, n):
+        t = np.zeros(n, dtype=np.int64)
+        assert np.array_equal(synth._time_order(t, 10), np.arange(n))
+
+    @pytest.mark.parametrize("duration", [(2**63 - 1) // 1000, (2**63 - 1) // 1000 + 1,
+                                          2**63 - 1])
+    def test_keys_at_and_beyond_int64(self, duration):
+        # the largest duration whose keys fit, then the stable argsort past it
+        t = np.random.default_rng(0).integers(duration - 50, duration, size=1000,
+                                               dtype=np.int64)
+        want = np.argsort(t, kind="stable")
+        assert np.array_equal(synth._time_order(t, duration), want)
+
+    def test_generate_at_the_largest_duration(self):
+        stream = synth_generate(0, SynthParams(events_per_sample=300, duration=2**63 - 1),
+                                seed=3)
+        assert validate(stream) == []
+        assert np.all(np.diff(stream.t) >= 0)
