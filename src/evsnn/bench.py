@@ -92,17 +92,12 @@ _DATA: tuple[list[EventStream], np.ndarray] | None = None
 
 
 def _init_worker(streams: list[EventStream], labels: np.ndarray) -> None:
-    """Pool initializer: hand the worker the dataset and keep its BLAS to one
-    thread, so parallel workers do not compete for the cores."""
+    """Pool initializer: hand the worker the dataset and hold each loaded
+    OpenBLAS at one thread, so parallel workers do not compete for the cores."""
     global _DATA
     _DATA = (streams, labels)
-    try:
-        import threadpoolctl
-    except ImportError:
-        for set_threads in _openblas_functions("set_num_threads", None, ctypes.c_int):
-            set_threads(1)
-    else:
-        threadpoolctl.threadpool_limits(1)
+    for set_threads in _openblas_functions("set_num_threads", None, ctypes.c_int):
+        set_threads(1)
 
 
 @dataclass(frozen=True)

@@ -92,12 +92,15 @@ def _dataset_for(exp: Experiment):
 
 
 def _checkpoint_for(args, exp: Experiment, kind: str):
-    """The checkpoint's (path, params, metadata), checked against the network."""
+    """The checkpoint's (path, params, metadata), checked against the network:
+    tensor names, shapes and dtype (every run draws and writes float32)."""
     path = Path(args.checkpoint or Path(exp.out_dir) / "model.evck")
     params, meta = load_checkpoint(path)
     want = param_shapes(exp.network, kind)
     for name in sorted(want.keys() | params.keys()):
         got, need = params[name].shape if name in params else "absent", want.get(name, "absent")
+        if got == need:
+            got, need = params[name].dtype.name, "float32"
         if got != need:
             raise SchemaError(f"{path} does not fit the {kind} network: tensor {name} "
                               f"is {got} there, {need} in the network")
@@ -144,7 +147,8 @@ def cmd_voxelize(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        np.save(out, tensor)
+        with open(out, "wb") as f:  # np.save would append .npy to a path without it
+            np.save(f, tensor)
         print(f"wrote {tensor.shape} uint8 tensor to {out}")
     print(f"stream: {stream.n} events, {stream.width}x{stream.height}, "
           f"duration {stream.duration} us")

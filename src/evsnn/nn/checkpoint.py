@@ -74,21 +74,32 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         pos += n
         return out
 
+    def text(n: int, what: str) -> str:
+        at = pos
+        try:
+            return take(n, what).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} at offset {at} is not UTF-8") from exc
+
     (meta_len,) = struct.unpack("<I", take(4, "metadata length"))
     try:
         meta = loads(take(meta_len, "metadata"), f"{path}: metadata")
     except SchemaError as exc:
         raise CheckpointError(f"bad metadata block: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"bad metadata block: {type(meta).__name__}, not a JSON object")
 
     params: dict[str, np.ndarray] = {}
     for k in range(count):
         (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = take(name_len, "tensor name").decode()
+        name = text(name_len, "tensor name")
         (dt_len,) = struct.unpack("<B", take(1, "dtype length"))
         try:
-            dtype = np.dtype(take(dt_len, "dtype").decode())
-        except TypeError as exc:
+            dtype = np.dtype(text(dt_len, "dtype"))
+        except (TypeError, ValueError, SyntaxError) as exc:  # numpy's parsers raise all three
             raise CheckpointError(f"tensor {name}: bad dtype: {exc}") from exc
+        if dtype.kind not in "biufc":  # numbers only: no objects, records or empty items
+            raise CheckpointError(f"tensor {name}: bad dtype: {dtype.str} is not numeric")
         (ndim,) = struct.unpack("<B", take(1, "rank"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
         size = int(np.prod(shape, dtype=np.int64)) if ndim else 1

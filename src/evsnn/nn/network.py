@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import asdict, dataclass, replace
-from typing import Annotated, Literal, NamedTuple, Union
+from typing import Annotated, Literal, Union
 
 import numpy as np
 
@@ -150,26 +150,23 @@ class NetworkConfig:
 
     @property
     def accumulator(self) -> Accumulator:
-        if len(self.layers) < 2 or not isinstance(self.layers[-2], Accumulator) \
-                or not isinstance(self.layers[-1], Classifier):
-            raise ConfigError("layer stack must end with Accumulator then Classifier")
-        for lay in self.layers[:-2]:
-            if isinstance(lay, (Accumulator, Classifier)):
-                raise ConfigError("Accumulator/Classifier only allowed at the end")
         return self.layers[-2]
 
     @property
     def classifier(self) -> Classifier:
-        self.accumulator
         return self.layers[-1]
 
     def encoder_shapes(self) -> list[tuple]:
         """Input shape of every encoder layer plus the final feature shape.
 
         Returns len(encoder)+1 entries; the last one is the feature vector
-        shape (d,) fed to the accumulator.
+        shape (d,) fed to the accumulator. The head is checked first.
         """
-        acc = self.accumulator
+        if len(self.layers) < 2 or not isinstance(self.layers[-2], Accumulator) \
+                or not isinstance(self.layers[-1], Classifier):
+            raise ConfigError("layer stack must end with Accumulator then Classifier")
+        if any(isinstance(lay, (Accumulator, Classifier)) for lay in self.encoder_layers):
+            raise ConfigError("Accumulator/Classifier only allowed at the end")
         shape: tuple = (self.in_channels, self.height, self.width)
         shapes = [shape]
         for i, lay in enumerate(self.encoder_layers):
@@ -208,9 +205,9 @@ class NetworkConfig:
             else:
                 raise ConfigError(
                     f"accumulator needs vector features; encoder ends with {shapes[-1]}")
-        if shapes[-1][0] != acc.dim:
-            raise ConfigError(
-                f"accumulator dim {acc.dim} != encoder feature size {shapes[-1][0]}")
+        if shapes[-1][0] != self.accumulator.dim:
+            raise ConfigError(f"accumulator dim {self.accumulator.dim} "
+                              f"!= encoder feature size {shapes[-1][0]}")
         return shapes
 
     @property
@@ -399,12 +396,12 @@ class ForwardTrace:
     time_steps: int
     features: np.ndarray                  # (B, T, d) per-step feature vectors
     feature_shape: tuple                  # encoder output shape before flattening
-    accumulated: np.ndarray               # (B, d)
-    logits: np.ndarray                    # (B, C)
     caches: list | None                   # [t][encoder layer] tuples
     spike_counts: dict[str, float]        # per threshold site, batch+steps total
     site_sizes: dict[str, int]            # per-sample neuron count per site
     synaptic_inputs: dict[str, tuple[float, int]]  # layer -> (input sum, size)
+    accumulated: np.ndarray | None = None  # (B, d); the head's, set by forward
+    logits: np.ndarray | None = None      # (B, C); the head's, set by forward
 
 
 def _if_apply(v, theta, mode, reset):
@@ -462,47 +459,29 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     """
     bounded(forward, {"mode": mode}, "", ConfigError)
     keep_heap()
-    if mode == "dense":
-        x = fold_time(x, config)[:, None]
-        config = _dense_view(config)
     x = _as_batched(x, config)
+    if mode == "dense":  # the T frames of a sample stacked along its channels
+        config = _dense_view(config)
+        x = x.reshape(len(x), 1, config.in_channels, config.height, config.width)
     half = (len(x) + 1) // 2
     threads = [] if record or x[half:].size < _SPLIT_MIN else _blas.threads()
     if max(threads, default=1) < 2:
-        encoded = _encode(config, params, x, mode, record)
+        trace = _encode(config, params, x, mode, record)
     else:
         _blas.set_threads([1] * len(threads))
         try:
-            encoded = _joined(*_side_by_side(
+            trace = _joined(*_side_by_side(
                 lambda: _encode(config, params, x[:half], mode, False),
                 lambda: _encode(config, params, x[half:], mode, False)))
         finally:
             _blas.set_threads(threads)
 
-    features = encoded.features
     acc_tag, cls_tag = f"{len(config.layers) - 2:02d}", f"{len(config.layers) - 1:02d}"
-    accumulated = accumulate(features, params[f"{acc_tag}.acc.weight"])
-    logits = linear_forward(accumulated, params[f"{cls_tag}.cls.weight"],
-                            params.get(f"{cls_tag}.cls.bias"))
-    trace = ForwardTrace(mode=mode, batch=len(x), time_steps=config.time_steps,
-                         features=features, feature_shape=encoded.feature_shape,
-                         accumulated=accumulated, logits=logits, caches=encoded.caches,
-                         spike_counts=encoded.spike_counts, site_sizes=encoded.site_sizes,
-                         synaptic_inputs={**encoded.synaptic_inputs,
-                                          f"{acc_tag}.acc": (float(features.sum()),
-                                                             config.feature_dim)})
-    return logits, trace
-
-
-class _Encoded(NamedTuple):
-    """The encoder's part of a ``ForwardTrace``."""
-
-    features: np.ndarray
-    feature_shape: tuple
-    caches: list | None
-    spike_counts: dict[str, float]
-    site_sizes: dict[str, int]
-    synaptic_inputs: dict[str, tuple[float, int]]
+    trace.accumulated = accumulate(trace.features, params[f"{acc_tag}.acc.weight"])
+    trace.logits = linear_forward(trace.accumulated, params[f"{cls_tag}.cls.weight"],
+                                  params.get(f"{cls_tag}.cls.bias"))
+    trace.synaptic_inputs[f"{acc_tag}.acc"] = (float(trace.features.sum()), config.feature_dim)
+    return trace.logits, trace
 
 
 def _side_by_side(main, helper):
@@ -529,10 +508,12 @@ def _side_by_side(main, helper):
     return first, out["result"]
 
 
-def _joined(first: _Encoded, second: _Encoded) -> _Encoded:
-    """The encoding of a batch from those of its two halves: features
-    concatenated, counters added key by key, first half first."""
-    return first._replace(
+def _joined(first: ForwardTrace, second: ForwardTrace) -> ForwardTrace:
+    """The encoder trace of a batch from those of its two halves: batch sizes
+    added, features concatenated, counters added key by key, first half
+    first."""
+    return replace(
+        first, batch=first.batch + second.batch,
         features=np.concatenate([first.features, second.features]),
         spike_counts={name: n + second.spike_counts[name]
                       for name, n in first.spike_counts.items()},
@@ -541,9 +522,10 @@ def _joined(first: _Encoded, second: _Encoded) -> _Encoded:
 
 
 def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
-            record: bool) -> _Encoded:
+            record: bool) -> ForwardTrace:
     """The encoder over every time bin of a batched input, the config
-    already in its mode's view."""
+    already in its mode's view: the batch's trace with the head's fields,
+    ``accumulated`` and ``logits``, left None for ``forward`` to fill in."""
     dtype = next(iter(params.values())).dtype
     b, t_steps = x.shape[0], config.time_steps
     enc = config.encoder_layers
@@ -586,7 +568,7 @@ def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
 
     for t in range(t_steps):
         # the encoder runs on batch-innermost activations (see nn.layers);
-        # this cast is a contiguous copy for batch-innermost x, as train() builds it
+        # this cast is a contiguous copy for batch-innermost x, as voxelize_set builds it
         h = np.empty(x.shape[2:] + (b,), dtype=dtype).transpose(3, 0, 1, 2)
         h[...] = x[:, t]
         step_cache: list = []
@@ -621,7 +603,8 @@ def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
         if record:
             caches.append(step_cache)
 
-    return _Encoded(features, feature_shape, caches, spike_counts, site_sizes, syn_inputs)
+    return ForwardTrace(mode, b, t_steps, features, feature_shape, caches, spike_counts,
+                        site_sizes, syn_inputs)
 
 
 def accumulate(features: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -759,15 +742,6 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
 
 # ---------------------------------------------------------------------------
 # dense (non-spiking) twin
-
-def fold_time(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
-    """(B, T, 2, H, W) -> (B, 2T, H, W): binary frames concatenated along the
-    channel axis in step order."""
-    x = _as_batched(x, config)
-    b = x.shape[0]
-    return x.reshape(b, config.time_steps * config.in_channels,
-                     config.height, config.width)
-
 
 def _dense_view(config: NetworkConfig) -> NetworkConfig:
     """The config the dense twin runs as: one step over the time-folded

@@ -14,9 +14,10 @@ from typing import Annotated
 
 import numpy as np
 
+from .._heap import keep_heap
 from .._schema import Bound, bounded
 from ..augment import AugmentSpec, apply_pipeline
-from ..events import EventStream, _scatter, require_valid, voxelize
+from ..events import EventStream, _scatter, require_valid
 from .network import NetworkConfig, _forward_mode, backward, forward
 
 
@@ -82,8 +83,19 @@ class TrainResult:
 
 
 def voxelize_set(streams: list[EventStream], time_steps: int) -> np.ndarray:
-    """(N, T, 2, H, W) uint8 stack; streams must share geometry."""
-    return np.stack([voxelize(s, time_steps) for s in streams])
+    """The network batch of a non-empty list of valid streams that share the
+    first one's geometry: (N, T, 2, H, W) uint8 over (T, 2, H, W, N) memory,
+    the batch-innermost order ``forward``'s per-step cast reads, each stream
+    scattered straight into its slot."""
+    keep_heap()
+    if not streams:
+        raise ValueError("voxelize_set needs at least one stream")
+    out = np.zeros((time_steps, 2, streams[0].height, streams[0].width, len(streams)),
+                   dtype=np.uint8).transpose(4, 0, 1, 2, 3)
+    for stream, slot in zip(streams, out):
+        require_valid(stream)
+        _scatter(stream, slot)
+    return out
 
 
 def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, int]:
@@ -139,7 +151,6 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
     mode = _forward_mode(kind)
     train_labels = np.asarray(train_labels)
     n = len(train_streams)
-    t_steps = config.time_steps
     velocity = None
     best = TrainResult(params={k: v.copy() for k, v in params.items()},
                        best_epoch=-1, best_val_acc=-1.0)
@@ -154,17 +165,10 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
         hit_sum = 0
         for start in range(0, n, settings.batch_size):
             idx = order[start:start + settings.batch_size]
-            # (B, T, C, H, W) over (T, C, H, W, B) memory, so that forward's
-            # batch-innermost steps are contiguous casts; each sample is
-            # voxelized straight into its strided slot
-            batch = np.zeros((t_steps, config.in_channels, config.height,
-                              config.width, len(idx)), dtype=np.uint8).transpose(4, 0, 1, 2, 3)
-            for j, i in enumerate(idx):
-                stream = train_streams[i]
-                if epoch_spec is not None:
-                    stream = apply_pipeline(stream, epoch_spec, sample_index=int(i))
-                require_valid(stream)
-                _scatter(stream, batch[j])
+            streams = [train_streams[i] if epoch_spec is None
+                       else apply_pipeline(train_streams[i], epoch_spec, sample_index=int(i))
+                       for i in idx]
+            batch = voxelize_set(streams, config.time_steps)
             labels = train_labels[idx]
             logits, velocity = _train_step(config, params, batch, labels, mode, lr,
                                            settings.momentum, velocity)

@@ -128,6 +128,43 @@ class TestCorruption:
                + struct.pack("<B", len(dt)) + dt)
         self._expect(tmp_path, raw, "bad dtype")
 
+    def test_metadata_not_an_object(self, tmp_path):
+        meta = b"[1]"
+        raw = _pack_head(0) + struct.pack("<I", len(meta)) + meta
+        self._expect(tmp_path, raw, "bad metadata block: list, not a JSON object")
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        self._expect(tmp_path, _one_tensor(b"\xff", b"<f4"),
+                     "tensor name at offset 18 is not UTF-8")
+
+    @pytest.mark.parametrize("dt, match", [
+        (b"|O", r"\|O is not numeric"),  # frombuffer cannot build objects
+        (b"|V0", r"\|V0 is not numeric"),  # nor zero-size items
+        (b"<f4,<i4", r"\|V8 is not numeric"),
+        (b"<M8[s]", "<M8\\[s\\] is not numeric"),
+        (b"2u=8", "is not recognized"),  # numpy's parsers raise ValueError
+        (b",3ac8", "invalid syntax"),  # and SyntaxError besides TypeError
+        (b"\xff", "dtype at offset 20 is not UTF-8"),
+    ], ids=["object", "void0", "record", "datetime", "value_error", "syntax_error",
+            "not_utf8"])
+    def test_dtype_not_numeric(self, tmp_path, dt, match):
+        self._expect(tmp_path, _one_tensor(b"w", dt), "tensor w: bad dtype: .*" + match)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.bool_, np.complex64, np.uint8])
+    def test_numeric_dtypes_load(self, tmp_path, dtype):
+        path = tmp_path / "m.evck"
+        save_checkpoint(path, {"w": np.ones((2, 3), dtype=dtype)})
+        loaded, _ = load_checkpoint(path)
+        assert loaded["w"].dtype == dtype and loaded["w"].shape == (2, 3)
+
+
+def _one_tensor(name, dt):
+    """A checkpoint holding one 2-element tensor, its name and dtype given raw."""
+    return (_pack_head(1) + struct.pack("<I", 2) + b"{}"
+            + struct.pack("<H", len(name)) + name
+            + struct.pack("<B", len(dt)) + dt
+            + struct.pack("<BI", 1, 2) + bytes(8))
+
 
 def _pack_head(count):
     return struct.pack("<4sHI", MAGIC, VERSION, count)

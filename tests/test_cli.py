@@ -15,7 +15,7 @@ import pytest
 
 import evsnn
 from evsnn.cli import build_parser, main
-from evsnn.events import EventStream
+from evsnn.events import EventStream, voxelize
 from evsnn.evio import load_events, load_manifest, save_events
 from evsnn.nn.checkpoint import load_checkpoint, save_checkpoint
 from evsnn.nn import (
@@ -138,6 +138,13 @@ class TestVoxelize:
         tensor = np.load(out)
         assert tensor.shape == (4, 2, 16, 16)
         assert tensor.dtype == np.uint8
+
+    def test_out_without_suffix_written_as_named(self, workspace, tmp_path, capsys):
+        src, out = first_event_file(workspace), tmp_path / "vox"
+        assert main(["voxelize", str(src), "--time-steps", "3", "--out", str(out)]) == 0
+        assert f"uint8 tensor to {out}\n" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["vox"]
+        np.testing.assert_array_equal(np.load(out), voxelize(load_events(src), 3))
 
     def test_missing_input(self, tmp_path, capsys):
         assert main(["voxelize", str(tmp_path / "nope.evt")]) == 4
@@ -817,6 +824,38 @@ class TestCheckpointMismatch:
         assert rc == 2
         assert_one_error(capsys, "tensor 00.acc.weight is (512, 512) there, "
                                  "absent in the network")
+
+
+class TestCheckpointFaults:
+    """A checkpoint that does not decode exits 4, one that decodes to tensors
+    of another dtype exits 2, each with one error line."""
+
+    def run_eval(self, workspace, path):
+        return main(["eval", "--config", str(workspace / "exp.json"),
+                     "--checkpoint", str(path)])
+
+    def test_metadata_not_an_object_exit4(self, workspace, trained, tmp_path, capsys):
+        params, _ = load_checkpoint(trained / "model.evck")
+        save_checkpoint(tmp_path / "m.evck", params, [1])
+        assert self.run_eval(workspace, tmp_path / "m.evck") == 4
+        assert_one_error(capsys, "bad metadata block: list, not a JSON object")
+
+    def test_tensor_name_not_utf8_exit4(self, workspace, trained, tmp_path, capsys):
+        blob = bytearray((trained / "model.evck").read_bytes())
+        (meta_len,) = np.frombuffer(blob, "<u4", 1, 10)
+        blob[10 + 4 + int(meta_len) + 2] = 0xFF  # first byte of the first tensor name
+        (tmp_path / "m.evck").write_bytes(bytes(blob))
+        assert self.run_eval(workspace, tmp_path / "m.evck") == 4
+        assert_one_error(capsys, "tensor name at offset")
+
+    @pytest.mark.parametrize("dtype", ["int32", "bool", "complex64", "float64"])
+    def test_other_dtype_exit2(self, workspace, trained, tmp_path, capsys, dtype):
+        params, meta = load_checkpoint(trained / "model.evck")
+        save_checkpoint(tmp_path / "m.evck", {k: v.astype(dtype) for k, v in params.items()},
+                        meta)
+        assert self.run_eval(workspace, tmp_path / "m.evck") == 2
+        assert_one_error(capsys, "m.evck does not fit the spiking network: tensor "
+                                 f"00.acc.weight is {dtype} there, float32 in the network")
 
 
 class TestMistypedSweepRecords:

@@ -9,7 +9,7 @@ import pytest
 
 from evsnn.augment import (COMMON_EDAS, SPECIFIC_EDAS, AugmentSpec, TransformSpec,
                            apply_pipeline)
-from evsnn.events import EventStream, InvalidStreamError
+from evsnn.events import EventStream, InvalidStreamError, voxelize
 from evsnn.nn import (Accumulator, Classifier, ConfigError, NetworkConfig, init_params,
                       synaptic_layers)
 from evsnn.nn import train as nn_train
@@ -133,6 +133,34 @@ class TestSettings:
             TrainSettings(epochs=-1)
         with pytest.raises(ValueError):
             TrainSettings(batch_size=0)
+
+
+class TestVoxelizeSet:
+    def test_batch_innermost(self, rng):
+        # (N, T, 2, H, W) over (T, 2, H, W, N) memory: forward's per-step
+        # cast of a batch-innermost input is a contiguous copy
+        out = voxelize_set([toy_stream(rng, i % 2) for i in range(5)], 3)
+        assert out.shape == (5, 3, 2, 8, 8) and out.dtype == np.uint8
+        assert out.transpose(1, 2, 3, 4, 0).flags.c_contiguous
+
+    def test_equals_stacked_voxelize(self, rng):
+        streams = [toy_stream(rng, i % 2, n=n) for i, n in enumerate([0, 1, 30, 200])]
+        np.testing.assert_array_equal(voxelize_set(streams, 4),
+                                      np.stack([voxelize(s, 4) for s in streams]))
+
+    def test_mixed_geometry(self, rng):
+        with pytest.raises(ValueError, match="16x8 stream does not voxelize"):
+            voxelize_set([toy_stream(rng, 0), toy_stream(rng, 0, width=16)], 2)
+
+    def test_invalid_stream(self, rng):
+        bad = EventStream(x=[0, 8], y=[0, 0], t=[0, 1], p=[1, 1], width=8, height=8,
+                          t_start=0, t_end=100)
+        with pytest.raises(InvalidStreamError, match="x_bounds"):
+            voxelize_set([toy_stream(rng, 0), bad], 2)
+
+    def test_empty(self):
+        with pytest.raises(ValueError):
+            voxelize_set([], 2)
 
 
 class TestTrainLoop:
