@@ -7,7 +7,8 @@ each value has its annotation's JSON type (float a number, tuple an array, null
 only for ``X | None``, a bool no number, a ``Literal`` its values'; other
 annotations unchecked), lies within the ``Bound`` of an ``Annotated`` one and is
 one of a ``Literal``'s values; post-inits and functions call ``bounded`` too.
-An object no definition describes gets a signature-only function as its schema.
+An object no definition describes gets a signature-only function as its schema,
+as do the command-line flags (``cli._flags``, which ``bounded`` names as flags).
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _schema(fn) -> tuple[dict, frozenset, bool, dict]:
 def bounded(fn, values: dict, where: str, error=SchemaError) -> None:
     """Raise ``error`` for a value outside its key's Bound or Literal in ``fn``'s signature
     (a missing key passes, None too for a Bound, NaN never), named ``folds.seed`` under a
-    section, ``layer 0 (IF): theta`` under another ``where``, alone under ``""``."""
+    section, ``--time-steps`` under ``"--"``, ``layer 0 (IF): theta`` under another
+    ``where``, alone under ``""``."""
     for key, rule in _schema(fn)[3].items():
         value = values.get(key)
         if isinstance(rule, Bound):
@@ -73,7 +75,8 @@ def bounded(fn, values: dict, where: str, error=SchemaError) -> None:
             limit, value = " or ".join(", ".join(rule).rsplit(", ", 1)), repr(value)
         else:
             continue
-        name = f"{where}.{key}" if where.isidentifier() else f"{where}: {key}" if where else key
+        name = ("--" + key.replace("_", "-") if where == "--" else f"{where}.{key}"
+                if where.isidentifier() else f"{where}: {key}" if where else key)
         raise error(f"{name} must be {limit}, got {value}")
 
 

@@ -293,11 +293,15 @@ class SweepResult:
     echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        want = 32 * self.k
-        for kind in {r["model_kind"] for r in self.records}:
-            got = sum(r["model_kind"] == kind for r in self.records)
-            if got != want:
-                raise ValueError(f"{kind}: expected {want} records, got {got}")
+        cells = {(mask, fold) for mask in range(32) for fold in range(self.k)}
+        for kind in sorted({r["model_kind"] for r in self.records}):
+            got = [(r["mask"], r["fold"]) for r in self.records if r["model_kind"] == kind]
+            if len(got) != len(cells):
+                raise ValueError(f"{kind}: expected {len(cells)} records, got {len(got)}")
+            if set(got) != cells:  # so some cell is missing, held twice or outside 32 x k
+                mask, fold = min(cells - set(got))
+                raise ValueError(f"{kind}: no record for mask {mask}, fold {fold}; each of "
+                                 f"the 32 x k={self.k} cells needs exactly one")
         self.records.sort(key=lambda r: (r["model_kind"], r["mask"], r["fold"]))
 
     def kinds(self) -> list[str]:
@@ -330,6 +334,9 @@ class SweepResult:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SweepResult":
         checked(_sweep_file, obj, "sweep result")
+        if tuple(obj["eda_names"]) != COMMON_EDAS:  # the bit order every mask is read in
+            raise ValueError(f"sweep result: eda_names must be {list(COMMON_EDAS)}, "
+                             f"got {obj['eda_names']}")
         for i, record in enumerate(obj["records"]):
             checked(_sweep_record, record, f"sweep record {i}")
         return cls(k=obj["k"], seed=obj["seed"], split_seed=obj["split_seed"],
@@ -340,7 +347,8 @@ class SweepResult:
 def _sweep_file(k: int, seed: int, split_seed: int, eda_names: list, records: list,
                 version: int = ..., config: dict = ...): ...
 def _sweep_record(mask: Annotated[int, Bound(0, 2 ** len(COMMON_EDAS) - 1)], fold: int,
-                  accuracy: Annotated[float, Bound(0, 1)], best_epoch: int, model_kind: str): ...
+                  accuracy: Annotated[float, Bound(0, 1)], best_epoch: int,
+                  model_kind: ModelKind): ...
 
 
 def format_sweep_text(result: SweepResult) -> str:
@@ -383,20 +391,16 @@ def sweep_common_eda(streams: list[EventStream], labels: np.ndarray,
 
 
 def run_specific_eda(streams: list[EventStream], labels: np.ndarray,
-                     config: NetworkConfig, settings: TrainSettings,
-                     sweep: SweepResult, which: str = "none", *,
+                     config: NetworkConfig, settings: TrainSettings, sweep: SweepResult,
+                     which: Literal["none", "eventdrop", "eventdrop+mirror"] = "none", *,
                      kind: str = "spiking", jobs: int = 1) -> FoldReport:
-    """Re-run CV on the sweep's best combination with specific augmentations
-    appended; which = none | eventdrop | eventdrop+mirror."""
-    extras = {"none": (), "eventdrop": ("eventdrop",),
-              "eventdrop+mirror": ("eventdrop", "mirror")}
-    if which not in extras:
-        raise ValueError(f"which must be one of {sorted(extras)}, got {which!r}")
+    """Re-run CV on the sweep's best combination with ``which``'s augmentations appended."""
+    bounded(run_specific_eda, {"which": which}, "", ValueError)
+    extras = () if which == "none" else tuple(which.split("+"))
     mask = sweep.best_mask(kind)
     cell_seed = derive_seed(sweep.seed, mask)
-    augment = spec_for_mask(mask, extra=extras[which], seed=cell_seed)
-    pipeline = [n for j, n in enumerate(sweep.eda_names) if mask >> j & 1]
-    pipeline += list(extras[which])
+    augment = spec_for_mask(mask, extra=extras, seed=cell_seed)
+    pipeline = [n for j, n in enumerate(sweep.eda_names) if mask >> j & 1] + list(extras)
     report = run_cv(streams, labels, config, settings, augment=augment,
                     kind=kind, k=sweep.k, split_seed=sweep.split_seed,
                     base_seed=cell_seed, jobs=jobs,

@@ -4,8 +4,9 @@ Subcommands: synth, voxelize, augment, train, eval, sweep, regress, energy.
 One experiment JSON file (--config) carries the configuration; --seed/--out
 override file values and print a provenance line when they do. Each command
 takes only the shared flags (--seed, --jobs, --out, --config) it reads, and a
-flag that another one would override is refused beside it. train, eval and
-energy run the CV plan's fold-0 cell, the cell bench.run_cv runs for fold 0.
+flag that another one would override is refused beside it. ``main`` checks the
+Bounds of ``_flags`` first, with ``bounded(..., "--")`` naming a key as its flag.
+train, eval and energy run the CV plan's fold-0 cell, the cell bench.run_cv runs for fold 0.
 
 Exit codes: 0 success, 2 schema/usage violation, 3 training divergence,
 4 I/O failure. Every command is deterministic given its inputs and seeds;
@@ -22,11 +23,12 @@ import resource
 import sys
 import time
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import _blas, bench, energy, regress, synth
-from ._schema import SchemaError, loads
+from ._schema import Bound, SchemaError, bounded, loads
 from .augment import AugmentSpec, TransformSpec, apply_pipeline
 from .evio import EventFileError, load_events, load_manifest, save_events
 from .events import InvalidStreamError, devoxelize_counts, voxelize
@@ -121,11 +123,6 @@ def _fold_zero(exp: Experiment):
 # subcommands
 
 def cmd_synth(args) -> int:
-    if args.classes < 1 or args.classes > len(synth.DEFAULT_TEMPLATES):
-        raise SchemaError(f"--classes must lie in [1, {len(synth.DEFAULT_TEMPLATES)}], "
-                          f"got {args.classes}")
-    if args.samples_per_class < 1:
-        raise SchemaError("--samples-per-class must be >= 1")
     params = synth.SynthParams(
         width=args.width, height=args.height, duration=args.duration,
         events_per_sample=args.events, templates=synth.DEFAULT_TEMPLATES[:args.classes])
@@ -139,8 +136,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_voxelize(args) -> int:
-    if not 1 <= args.time_steps <= 0xFFFF:
-        raise SchemaError(f"--time-steps must lie in [1, 65535], got {args.time_steps}")
     stream = load_events(args.input)
     tensor = voxelize(stream, args.time_steps)
     counts = devoxelize_counts(stream, args.time_steps)
@@ -160,8 +155,6 @@ def cmd_voxelize(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    if args.sample_index < 0:
-        raise SchemaError(f"--sample-index must be >= 0, got {args.sample_index}")
     if args.config is not None and args.prob is not None:
         raise SchemaError("--prob sets --pipeline's stages; --config's augment section "
                           "sets its own")
@@ -234,8 +227,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise SchemaError(f"--jobs must be >= 1, got {args.jobs}")
     start = time.monotonic()
     exp = _load_experiment_for(args)
     streams, labels = _dataset_for(exp)
@@ -278,8 +269,6 @@ def cmd_regress(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    if args.samples is not None and args.samples < 1:
-        raise SchemaError(f"--samples must be >= 1, got {args.samples}")
     exp = _load_experiment_for(args)
     streams, _, task = _fold_zero(exp)
     config, val_idx = exp.network, task.val_idx[:args.samples]
@@ -300,6 +289,11 @@ def cmd_energy(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _flags(classes: Annotated[int, Bound(1, len(synth.DEFAULT_TEMPLATES))],
+           samples_per_class: Annotated[int, Bound(1)], jobs: Annotated[int, Bound(1)],
+           samples: Annotated[int | None, Bound(1)], time_steps: Annotated[int, Bound(1, 0xFFFF)],
+           sample_index: Annotated[int, Bound(0)]): ...
 
 # flags several commands take, each written once; a command adds the ones it reads
 _SHARED = {"--seed": dict(type=int, help="override the experiment seed"),
@@ -384,6 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        bounded(_flags, vars(args), "--")
         return args.func(args)
     except (SchemaError, InvalidStreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Annotated, Iterator, Sequence
 
 import numpy as np
 
 from ._heap import keep_heap
+from ._schema import Bound, bounded
 
 POS_CHANNEL = 0  # polarity +1
 NEG_CHANNEL = 1  # polarity -1
@@ -169,7 +170,7 @@ def event_bins(stream: EventStream, time_bins: int) -> np.ndarray:
     return np.minimum(b, time_bins - 1, out=b)
 
 
-def voxelize(stream: EventStream, time_bins: int) -> np.ndarray:
+def voxelize(stream: EventStream, time_bins: Annotated[int, Bound(1)]) -> np.ndarray:
     """Discretize a valid stream into T binary per-polarity frames, a uint8
     (T, 2, H, W) array.
 
@@ -177,8 +178,7 @@ def voxelize(stream: EventStream, time_bins: int) -> np.ndarray:
     spatial cell (x, y) during time bin b; repeats saturate at 1.
     """
     keep_heap()
-    if time_bins < 1:
-        raise ValueError(f"time_bins must be >= 1, got {time_bins}")
+    bounded(voxelize, {"time_bins": time_bins}, "", ValueError)
     require_valid(stream)
     out = np.zeros((time_bins, 2, stream.height, stream.width), dtype=np.uint8)
     _scatter(stream, out)
@@ -204,9 +204,8 @@ def _scatter(stream: EventStream, out: np.ndarray) -> None:
     np.lib.stride_tricks.as_strided(out, (span,), (1,))[flat] = 1
 
 
-def devoxelize_counts(stream: EventStream, time_bins: int) -> np.ndarray:
+def devoxelize_counts(stream: EventStream, time_bins: Annotated[int, Bound(1)]) -> np.ndarray:
     """Per-bin event counts; sums to N. Companion oracle for ``voxelize``."""
-    if time_bins < 1:
-        raise ValueError(f"time_bins must be >= 1, got {time_bins}")
+    bounded(devoxelize_counts, {"time_bins": time_bins}, "", ValueError)
     require_valid(stream)
     return np.bincount(event_bins(stream, time_bins), minlength=time_bins).astype(np.int64)

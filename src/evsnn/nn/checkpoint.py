@@ -6,7 +6,7 @@ Layout (all integers little-endian):
     version u16  (currently 1)
     count   u32  number of tensors
     meta    u32 length + UTF-8 JSON (canonical: sorted keys, compact)
-    then per tensor, in ascending name order:
+    then per tensor, in strictly ascending name order (a reader refuses repeats):
         name  u16 length + UTF-8 bytes
         dtype u8 length + numpy dtype string (e.g. "<f4")
         ndim  u8, then u32 per dimension
@@ -93,6 +93,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     for k in range(count):
         (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
         name = text(name_len, "tensor name")
+        if params and name <= prev:
+            raise CheckpointError(f"tensor {name} follows tensor {prev}: names must ascend")
+        prev = name
         (dt_len,) = struct.unpack("<B", take(1, "dtype length"))
         try:
             dtype = np.dtype(text(dt_len, "dtype"))

@@ -34,9 +34,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((lse - z[np.arange(len(labels)), labels]).mean())
 
 
-def cosine_lr(epoch: int, total_epochs: int, lr_max: float) -> float:
-    if total_epochs < 1:
-        raise ValueError(f"total_epochs must be >= 1, got {total_epochs}")
+def cosine_lr(epoch: int, total_epochs: Annotated[int, Bound(1)], lr_max: float) -> float:
+    bounded(cosine_lr, {"total_epochs": total_epochs}, "", ValueError)
     lr = 0.5 * lr_max * (1.0 + np.cos(np.pi * epoch / total_epochs))
     return float(max(lr, 0.0))
 

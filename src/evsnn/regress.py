@@ -13,20 +13,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import betainc
+
+from ._schema import Bound, bounded
 
 
 class RankDeficientError(ValueError):
     """Design matrix is rank deficient; names the offending column."""
 
 
-def student_t_sf2(t: np.ndarray, df: int) -> np.ndarray:
+def student_t_sf2(t: np.ndarray, df: Annotated[int, Bound(1)]) -> np.ndarray:
     """Two-sided tail probability P(|T| >= t) for Student-t with df > 0."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
+    bounded(student_t_sf2, {"df": df}, "", ValueError)
     t = np.asarray(t, dtype=np.float64)
     out = np.ones_like(t)
     finite = np.isfinite(t)

@@ -39,16 +39,16 @@ class SynthParams:
     height: Annotated[int, Bound(1, 0xFFFF)] = 64
     duration: Annotated[int, Bound(1, 2**63 - 1)] = 600_000  # microseconds, int64
     events_per_sample: Annotated[int, Bound(1, 2**32 - 1)] = 3000  # more would not fit in memory
-    count_jitter: float = 0.1       # relative +- spread of the event count
-    noise_ratio: float = 0.05       # uniform background events / signal events
-    edge_sigma: float = 0.7         # px jitter on edge positions
-    ring_r_lo: float = 6.0
-    ring_r_hi: float = 24.0
-    ring_half_thickness: float = 2.5
-    bar_margin: float = 8.0
-    bar_half_thickness: float = 2.5
-    center_jitter: float = 3.0
-    static_radius: float = 12.0
+    count_jitter: Annotated[float, Bound(0, 1)] = 0.1  # relative +- spread of the event count
+    noise_ratio: Annotated[float, Bound(0)] = 0.05  # uniform background events / signal events
+    edge_sigma: Annotated[float, Bound(0)] = 0.7  # px jitter on edge positions
+    ring_r_lo: Annotated[float, Bound(0)] = 6.0
+    ring_r_hi: Annotated[float, Bound(0)] = 24.0
+    ring_half_thickness: Annotated[float, Bound(0)] = 2.5
+    bar_margin: Annotated[float, Bound(0)] = 8.0
+    bar_half_thickness: Annotated[float, Bound(0)] = 2.5
+    center_jitter: Annotated[float, Bound(0)] = 3.0
+    static_radius: Annotated[float, Bound(0)] = 12.0
     templates: tuple[str, ...] = DEFAULT_TEMPLATES
 
     def __post_init__(self):
@@ -56,6 +56,9 @@ class SynthParams:
             if name not in KNOWN_TEMPLATES:
                 raise SchemaError(f"unknown template {name!r}; known: {KNOWN_TEMPLATES}")
         bounded(SynthParams, vars(self), "")
+        if self.ring_r_lo > self.ring_r_hi:
+            raise SchemaError(f"ring_r_lo {self.ring_r_lo:g} must be <= ring_r_hi "
+                              f"{self.ring_r_hi:g}")
         bars = {"bar_sweep_h", "bar_sweep_v"} & set(self.templates)
         if bars and min(self.width, self.height) < 2 * self.bar_margin:
             raise SchemaError(
@@ -149,11 +152,11 @@ def _time_order(t: np.ndarray, duration: int) -> np.ndarray:
     return np.sort(t * n + np.arange(n)) % n
 
 
-def generate_dataset(params: SynthParams, samples_per_class: int,
+def generate_dataset(params: SynthParams, samples_per_class: Annotated[int, Bound(1)],
                      seed: Annotated[int, Bound(0)]) -> list[EventStream]:
     """All samples, class-major order; sample i of class c uses a seed derived
     from (seed, c * samples_per_class + i)."""
-    bounded(generate_dataset, {"seed": seed}, "")
+    bounded(generate_dataset, {"samples_per_class": samples_per_class, "seed": seed}, "")
     streams = []
     for c in range(params.num_classes):
         for j in range(samples_per_class):

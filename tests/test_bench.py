@@ -468,3 +468,53 @@ class TestWorkerThreads:
                                        initargs=(streams, labels)) as pool:
             threads = pool.submit(_worker_blas_threads).result(timeout=60)
         assert threads and all(n == 1 for n in threads)
+
+
+def grid_records(k=2, kind="spiking"):
+    """One record per (mask, fold) cell of a k-fold sweep."""
+    return [{"mask": m, "fold": f, "accuracy": 0.5, "best_epoch": 0, "model_kind": kind}
+            for m in range(32) for f in range(k)]
+
+
+class TestSweepCells:
+    """A sweep holds each (mask, fold) cell of 32 x k exactly once per model kind,
+    and its masks are read in the COMMON_EDAS bit order."""
+
+    def test_full_grid_per_kind(self):
+        result = SweepResult(k=2, seed=0, split_seed=0, eda_names=COMMON_EDAS,
+                             records=grid_records(kind="dense") + grid_records())
+        assert result.kinds() == ["dense", "spiking"]
+
+    @pytest.mark.parametrize("change, cell", [
+        (lambda rs: [r.update(mask=0) for r in rs], "mask 1, fold 0"),
+        (lambda rs: rs[0].update(fold=2), "mask 0, fold 0"),
+        (lambda rs: rs[0].update(fold=-1), "mask 0, fold 0"),
+        (lambda rs: rs[3].update(fold=0), "mask 1, fold 1"),
+        (lambda rs: rs[5].update(mask=40), "mask 2, fold 1"),
+    ], ids=["one_mask", "fold_k", "fold_negative", "repeated_cell", "mask_outside"])
+    def test_uncovered_cell_refused(self, change, cell):
+        records = grid_records()
+        change(records)
+        with pytest.raises(ValueError, match=f"^spiking: no record for {cell}; each of "
+                                             r"the 32 x k=2 cells needs exactly one$"):
+            SweepResult(k=2, seed=0, split_seed=0, eda_names=COMMON_EDAS, records=records)
+
+    @pytest.mark.parametrize("names", [COMMON_EDAS[::-1], COMMON_EDAS[:2],
+                                       COMMON_EDAS + ("mirror",)],
+                             ids=["reversed", "two", "six"])
+    def test_other_eda_names_refused(self, sweep_setup, names):
+        *_, result = sweep_setup
+        obj = json.loads(result.to_json())
+        obj["eda_names"] = list(names)
+        with pytest.raises(ValueError, match=re.escape(
+                f"sweep result: eda_names must be {list(COMMON_EDAS)}, got {list(names)}")):
+            SweepResult.from_json_dict(obj)
+
+    def test_model_kind_is_a_choice(self, sweep_setup):
+        *_, result = sweep_setup
+        obj = json.loads(result.to_json())
+        for record in obj["records"]:
+            record["model_kind"] = "bogus/x"
+        with pytest.raises(ValueError, match="^sweep record 0: model_kind must be spiking "
+                                             "or dense, got 'bogus/x'$"):
+            SweepResult.from_json_dict(obj)

@@ -168,3 +168,43 @@ def _one_tensor(name, dt):
 
 def _pack_head(count):
     return struct.pack("<4sHI", MAGIC, VERSION, count)
+
+
+def _tensors(*named):
+    """A checkpoint holding one float64 scalar per (name, value), in the order given."""
+    raw = _pack_head(len(named)) + struct.pack("<I", 2) + b"{}"
+    for name, value in named:
+        raw += (struct.pack("<H", len(name)) + name + struct.pack("<B", 3) + b"<f8"
+                + struct.pack("<B", 0) + struct.pack("<d", value))
+    return raw
+
+
+class TestNameOrder:
+    """Tensors come in strictly ascending name order, the order save_checkpoint
+    writes; a repeated name or any other order is a malformed file."""
+
+    @pytest.mark.parametrize("names, match", [
+        ((b"w", b"w"), "^tensor w follows tensor w: names must ascend$"),
+        ((b"w", b"b"), "^tensor b follows tensor w: names must ascend$"),
+        ((b"a", b"c", b"b"), "^tensor b follows tensor c: names must ascend$"),
+    ], ids=["repeated", "descending", "late"])
+    def test_refused(self, tmp_path, names, match):
+        path = tmp_path / "bad.evck"
+        path.write_bytes(_tensors(*((name, float(i)) for i, name in enumerate(names))))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_ascending_loads(self, tmp_path):
+        path = tmp_path / "m.evck"
+        path.write_bytes(_tensors((b"b", 1.0), (b"w", 2.0)))
+        params, _ = load_checkpoint(path)
+        assert list(params) == ["b", "w"] and params["w"] == 2.0
+
+    def test_saved_names_load_in_any_script(self, tmp_path):
+        # save_checkpoint's sorted() and the reader's check share code-point order
+        names = ["b", "B", "a.b", "a_b", "a", "é", "Z9", "z"]
+        path = tmp_path / "m.evck"
+        save_checkpoint(path, {n: np.full(1, i, np.float32) for i, n in enumerate(names)})
+        params, _ = load_checkpoint(path)
+        assert list(params) == sorted(names)
+        assert all(params[n][0] == i for i, n in enumerate(names))

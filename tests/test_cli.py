@@ -1,11 +1,13 @@
 """End-to-end command-line flows on a tiny synthetic dataset."""
 
 import argparse
+import inspect
 import json
 import os
 import re
 import shlex
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 
 import evsnn
-from evsnn.cli import build_parser, main
+from evsnn._schema import _schema
+from evsnn.cli import _flags, build_parser, main
 from evsnn.events import EventStream, voxelize
 from evsnn.evio import load_events, load_manifest, save_events
 from evsnn.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -940,3 +943,85 @@ class TestValueRules:
         assert main(["augment", str(first_event_file(workspace)), str(tmp_path / "o.evt"),
                      "--config", str(path)]) == 2
         assert_one_error(capsys, "augment: spec.seed must be >= 0, got -1")
+
+
+def flag_argv(command, workspace, tmp_path):
+    """A valid command line for each command that takes a bounded flag."""
+    evt, exp = str(first_event_file(workspace)), str(workspace / "exp.json")
+    return {"synth": synth_args(tmp_path / "out"), "voxelize": ["voxelize", evt],
+            "augment": ["augment", evt, str(tmp_path / "out"), "--pipeline", "crop"],
+            "sweep": ["sweep", "--config", exp, "--out", str(tmp_path / "out")],
+            "energy": ["energy", "--config", exp, "--out", str(tmp_path / "out")]}[command]
+
+
+class TestFlagRanges:
+    """Each flag range is a Bound of cli._flags: a value outside it exits 2 with
+    one ``error: --<flag> must be ...`` line, before the command writes anything."""
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("synth", "--classes", "0", "--classes must be >= 1, got 0"),
+        ("synth", "--classes", "5", "--classes must be <= 4, got 5"),
+        ("synth", "--samples-per-class", "0", "--samples-per-class must be >= 1, got 0"),
+        ("voxelize", "--time-steps", "0", "--time-steps must be >= 1, got 0"),
+        ("voxelize", "--time-steps", "65536", "--time-steps must be <= 65535, got 65536"),
+        ("augment", "--sample-index", "-1", "--sample-index must be >= 0, got -1"),
+        ("sweep", "--jobs", "0", "--jobs must be >= 1, got 0"),
+        ("energy", "--samples", "0", "--samples must be >= 1, got 0"),
+    ])
+    def test_out_of_range_exit2(self, workspace, tmp_path, capsys, command, flag, value,
+                                message):
+        assert main(flag_argv(command, workspace, tmp_path) + [flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bounded_keys_are_option_dests(self):
+        # bounded skips a key args lacks, so a misspelt keyword would drop its rule
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for p in sub.choices.values() for action in p._actions
+                 if action.option_strings}
+        rules = _schema(_flags)[3]
+        assert set(rules) == set(inspect.signature(_flags).parameters)
+        assert set(rules) <= dests
+
+
+class TestSweepFileFaults:
+    """A sweep file whose records miss a (mask, fold) cell, hold a model kind
+    outside the choices or read masks in another bit order exits 2 and writes
+    no regression."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc["eda_names"].reverse(),
+         "eda_names must be ['crop', 'hflip', 'noise', 'polflip', 'reverse'], "
+         "got ['reverse', 'polflip', 'noise', 'hflip', 'crop']"),
+        (lambda doc: doc.update(eda_names=["crop", "hflip"]),
+         "eda_names must be ['crop', 'hflip', 'noise', 'polflip', 'reverse'], "
+         "got ['crop', 'hflip']"),
+        (lambda doc: [r.update(mask=0) for r in doc["records"]],
+         "spiking: no record for mask 1, fold 0"),
+        (lambda doc: doc["records"][0].update(fold=2), "spiking: no record for mask 0, fold 0"),
+        (lambda doc: [r.update(model_kind="bogus/x") for r in doc["records"]],
+         "sweep record 0: model_kind must be spiking or dense, got 'bogus/x'"),
+    ], ids=["reversed_names", "two_names", "one_mask", "fold_k", "bogus_kind"])
+    def test_exit2(self, swept, tmp_path, capsys, change, message):
+        _, out_dir = swept
+        doc = json.loads((out_dir / "sweep.json").read_text())
+        change(doc)
+        scores = tmp_path / "sweep.json"
+        scores.write_text(json.dumps(doc))
+        assert main(["regress", "--scores", str(scores), "--out", str(tmp_path / "r")]) == 2
+        assert_one_error(capsys, message)
+        assert not (tmp_path / "r").exists()
+
+
+class TestCheckpointNameOrder:
+    @pytest.mark.parametrize("names", [(b"w", b"w"), (b"w", b"b")],
+                             ids=["repeated", "descending"])
+    def test_exit4(self, workspace, tmp_path, capsys, names):
+        raw = struct.pack("<4sHII", b"EVCK", 1, len(names), 2) + b"{}"
+        for name in names:  # a one-element float32 tensor each
+            raw += struct.pack("<H", 1) + name + b"\x03<f4" + struct.pack("<BI", 1, 1) + bytes(4)
+        (tmp_path / "m.evck").write_bytes(raw)
+        assert main(["eval", "--config", str(workspace / "exp.json"),
+                     "--checkpoint", str(tmp_path / "m.evck")]) == 4
+        assert_one_error(capsys, f"tensor {names[1].decode()} follows tensor w: names must ascend")

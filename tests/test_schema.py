@@ -9,11 +9,13 @@ import pytest
 
 from evsnn._schema import Bound, SchemaError, bounded, checked, loads
 from evsnn.augment import AugmentSpec, TransformSpec
-from evsnn.bench import run_cv
+from evsnn.bench import run_cv, run_specific_eda
 from evsnn.energy import stats_from_traces
+from evsnn.events import EventStream, devoxelize_counts, voxelize
 from evsnn.nn import ConfigError
 from evsnn.nn.network import forward, if_step, init_params, sew_tiny
-from evsnn.nn.train import TrainSettings
+from evsnn.nn.train import TrainSettings, cosine_lr
+from evsnn.regress import student_t_sf2
 from evsnn.synth import SynthParams
 
 
@@ -272,3 +274,42 @@ class TestLoads:
         for text in ("{nope", b"\xff\xfe\x00"):
             with pytest.raises(SchemaError, match=r"^f\.json: invalid JSON: "):
                 loads(text, "f.json")
+
+
+def flags(time_steps: Annotated[int, Bound(1, 0xFFFF)] = 6, pick: Literal["a", "b"] = "a"):
+    """Like cli._flags: keys are argparse dests."""
+
+
+class TestFlagNames:
+    @pytest.mark.parametrize("values, message", [
+        ({"time_steps": 0}, "--time-steps must be >= 1, got 0"),
+        ({"time_steps": 0x10000}, "--time-steps must be <= 65535, got 65536"),
+        ({"pick": "c"}, "--pick must be a or b, got 'c'"),
+    ])
+    def test_dash_where_names_the_flag(self, values, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            bounded(flags, values, "--")
+
+
+class TestLibraryBounds:
+    """A library count below its Bound raises ValueError, not SchemaError,
+    with the message its hand-written check gave."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: voxelize(make_stream(), 0), "time_bins must be >= 1, got 0"),
+        (lambda: devoxelize_counts(make_stream(), -2), "time_bins must be >= 1, got -2"),
+        (lambda: cosine_lr(0, 0, 0.1), "total_epochs must be >= 1, got 0"),
+        (lambda: student_t_sf2(np.array(1.0), 0), "df must be >= 1, got 0"),
+        (lambda: run_specific_eda([], np.zeros(0), sew_tiny(2), TrainSettings(), None,
+                                  "cutmix"),
+         "which must be none, eventdrop or eventdrop+mirror, got 'cutmix'"),
+    ], ids=["voxelize", "devoxelize_counts", "cosine_lr", "student_t_sf2",
+            "run_specific_eda"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            call()
+        assert not isinstance(info.value, SchemaError)
+
+
+def make_stream():
+    return EventStream(x=[0], y=[0], t=[0], p=[1], width=2, height=2, t_start=0, t_end=1)

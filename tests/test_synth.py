@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from evsnn._schema import SchemaError
 from evsnn.events import validate
 from evsnn.evio import load_manifest
 from evsnn import synth
@@ -210,3 +211,40 @@ class TestTimeOrder:
                                 seed=3)
         assert validate(stream) == []
         assert np.all(np.diff(stream.t) >= 0)
+
+
+FLOAT_FIELDS = ("count_jitter", "noise_ratio", "edge_sigma", "ring_r_lo", "ring_r_hi",
+                "ring_half_thickness", "bar_margin", "bar_half_thickness", "center_jitter",
+                "static_radius")
+
+
+class TestParamBounds:
+    """Every float field is bounded, so a library caller gets a SchemaError naming
+    the field instead of numpy's error from deep inside a draw."""
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_negative_refused(self, name):
+        with pytest.raises(SchemaError, match=f"^{name} must be >= 0, got -1$"):
+            SynthParams(**{name: -1})
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_nan_refused(self, name):
+        with pytest.raises(SchemaError, match=f"^{name} must be .*, got nan$"):
+            SynthParams(**{name: float("nan")})
+
+    def test_count_jitter_at_most_one(self):
+        SynthParams(count_jitter=1.0)
+        with pytest.raises(SchemaError, match=r"^count_jitter must be <= 1, got 2\.0$"):
+            SynthParams(count_jitter=2.0)
+
+    def test_ring_radii_ordered(self):
+        SynthParams(ring_r_lo=10.0, ring_r_hi=10.0)
+        with pytest.raises(SchemaError, match="^ring_r_lo 24 must be <= ring_r_hi 6$"):
+            SynthParams(ring_r_lo=24.0, ring_r_hi=6.0)
+
+    def test_zero_samples_per_class_refused(self, tmp_path):
+        with pytest.raises(SchemaError, match="^samples_per_class must be >= 1, got 0$"):
+            generate_dataset(FAST, 0, seed=0)
+        with pytest.raises(SchemaError, match="^samples_per_class must be >= 1, got 0$"):
+            write_dataset(tmp_path / "ds", FAST, 0, seed=0)
+        assert not (tmp_path / "ds").exists()
