@@ -1,6 +1,8 @@
-"""One reader for every JSON value the program takes in.
+"""One reader for every JSON value the program takes in, and its two writers.
 
-``loads`` decodes JSON text, refusing NaN and Infinity. ``checked`` holds an
+``loads`` decodes JSON text, refusing NaN and Infinity. ``dumps`` encodes an
+artifact (sorted keys, indent 2, a final newline) and ``canonical`` the compact
+sorted form that is hashed or embedded in a checkpoint. ``checked`` holds an
 object against the signature of the callable it feeds: its keys are the
 parameters (any key if there is ``**``), those without a default are required,
 each value has its annotation's JSON type (float a number, tuple an array, null
@@ -111,3 +113,13 @@ def loads(text: str | bytes, where: str):
         return json.loads(text, parse_constant=_refuse)
     except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError too
         raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+
+
+def dumps(obj) -> str:
+    """The text of a JSON artifact: sorted keys, indent 2, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def canonical(obj) -> str:
+    """The compact JSON of ``obj`` with sorted keys, the form that is hashed."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

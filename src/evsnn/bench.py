@@ -18,7 +18,6 @@ Protocol notes, fixed here:
 from __future__ import annotations
 
 import ctypes
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Annotated, Literal
@@ -26,12 +25,12 @@ from typing import Annotated, Literal
 import numpy as np
 
 from ._blas import openblas_functions as _openblas_functions
-from ._schema import Bound, bounded, checked
+from ._schema import Bound, bounded, checked, dumps
 from .augment import COMMON_EDAS, AugmentSpec, TransformSpec
-from .events import EventStream, voxelize
+from .events import EventStream, voxelize_set
 from .evio import DatasetManifest
 from .nn.network import ModelKind, NetworkConfig, config_to_json, init_params
-from .nn.train import TrainingDiverged, TrainSettings, accuracy, train, voxelize_set
+from .nn.train import TrainingDiverged, TrainSettings, accuracy, train
 
 
 class BenchError(RuntimeError):
@@ -231,7 +230,7 @@ class FoldReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.to_json_dict())
 
 
 def run_cv(streams: list[EventStream], labels: np.ndarray, config: NetworkConfig,
@@ -329,7 +328,7 @@ class SweepResult:
                 "records": self.records, "config": self.echo}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SweepResult":

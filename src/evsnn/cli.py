@@ -17,7 +17,6 @@ the only artifact allowed to differ between reruns is the run-ledger sidecar
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import resource
 import sys
@@ -28,14 +27,14 @@ from typing import Annotated
 import numpy as np
 
 from . import _blas, bench, energy, regress, synth
-from ._schema import Bound, SchemaError, bounded, loads
+from ._schema import Bound, SchemaError, bounded, dumps, loads
 from .augment import AugmentSpec, TransformSpec, apply_pipeline
 from .evio import EventFileError, load_events, load_manifest, save_events
-from .events import InvalidStreamError, devoxelize_counts, voxelize
+from .events import InvalidStreamError, devoxelize_counts, voxelize, voxelize_set
 from .experiment import Experiment, load_experiment
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.network import forward, param_shapes
-from .nn.train import TrainingDiverged, accuracy, voxelize_set
+from .nn.train import TrainingDiverged, accuracy
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -44,7 +43,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _write_text(path, dumps(obj))
 
 
 def _run_ledger(path: Path, exp: Experiment, command: str, seeds: dict,
@@ -236,7 +235,7 @@ def cmd_sweep(args) -> int:
         prob=exp.sweep_prob, jobs=args.jobs,
         echo={"experiment": exp.to_json_dict()})
     out_dir = Path(exp.out_dir)
-    _write_text(out_dir / "sweep.json", result.to_json())
+    _write_json(out_dir / "sweep.json", result.to_json_dict())
     _write_text(out_dir / "sweep.txt", bench.format_sweep_text(result))
     _run_ledger(out_dir / "sweep.runledger.json", exp, "sweep",
                 {"sweep_seed": exp.seed, "split_seed": exp.folds_seed},
@@ -261,7 +260,7 @@ def cmd_regress(args) -> int:
     for kind in result.kinds():
         masks, acc = result.arrays(kind)
         report = regress.eda_regression(masks, acc, result.eda_names)
-        _write_text(out_dir / f"regress_{kind}.json", report.to_json())
+        _write_json(out_dir / f"regress_{kind}.json", report.to_json_dict())
         _write_text(out_dir / f"regress_{kind}.txt", regress.format_text(report))
         print(f"[{kind}]")
         print(regress.format_text(report), end="")
@@ -281,7 +280,7 @@ def cmd_energy(args) -> int:
     report = energy.estimate_from_traces(config, traces,
                                          charging=exp.energy_charging)
     out_dir = Path(exp.out_dir)
-    _write_text(out_dir / "energy.json", report.to_json())
+    _write_json(out_dir / "energy.json", report.to_json_dict())
     _write_text(out_dir / "energy.txt", energy.format_text(report))
     print(energy.format_text(report), end="")
     return 0

@@ -19,7 +19,6 @@ Accounting rules, fixed here and labeled in reports:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Literal
 
@@ -125,9 +124,6 @@ class EnergyReport:
                                "position": self.band},
             "notes": self.notes,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def estimate(snn_stats: list[LayerStats], ann_layers: list[SynapticLayer],

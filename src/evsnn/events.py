@@ -170,38 +170,43 @@ def event_bins(stream: EventStream, time_bins: int) -> np.ndarray:
     return np.minimum(b, time_bins - 1, out=b)
 
 
-def voxelize(stream: EventStream, time_bins: Annotated[int, Bound(1)]) -> np.ndarray:
-    """Discretize a valid stream into T binary per-polarity frames, a uint8
-    (T, 2, H, W) array.
+def voxelize(stream: EventStream, time_bins: int) -> np.ndarray:
+    """Discretize a valid stream into T binary per-polarity frames, a
+    C-contiguous uint8 (T, 2, H, W) array: ``voxelize_set``'s one-stream case."""
+    return voxelize_set([stream], time_bins)[0]
 
-    Cell [b, ch, y, x] is 1 iff at least one event with that polarity falls in
-    spatial cell (x, y) during time bin b; repeats saturate at 1.
+
+def voxelize_set(streams: Sequence[EventStream],
+                 time_bins: Annotated[int, Bound(1)]) -> np.ndarray:
+    """The network batch of a non-empty list of valid streams that share the
+    first one's geometry: (N, T, 2, H, W) uint8 over (T, 2, H, W, N) memory,
+    the batch-innermost order ``forward``'s per-step cast reads.
+
+    Cell [n, b, ch, y, x] is 1 iff at least one event of stream n with that
+    polarity falls in spatial cell (x, y) during time bin b; repeats saturate
+    at 1. Each event is set through one flat index into the buffer.
     """
     keep_heap()
-    bounded(voxelize, {"time_bins": time_bins}, "", ValueError)
-    require_valid(stream)
-    out = np.zeros((time_bins, 2, stream.height, stream.width), dtype=np.uint8)
-    _scatter(stream, out)
-    return out
-
-
-def _scatter(stream: EventStream, out: np.ndarray) -> None:
-    """Set out[b, ch, y, x] = 1 for every event of a valid stream, with T =
-    ``out.shape[0]`` bins, through one flat index over ``out``'s strides; so
-    ``out`` may be any zeroed uint8 (T, 2, H, W) view, such as one sample of
-    a batch-innermost batch."""
-    if (out.dtype != np.uint8 or out.shape[1:] != (2, stream.height, stream.width)
-            or out.shape[0] < 1):
-        raise ValueError(f"a {stream.width}x{stream.height} stream does not voxelize "
-                         f"into {out.dtype} frames of shape {out.shape}")
-    s_t, s_c, s_y, s_x = out.strides  # bytes, which are elements of uint8
-    flat = event_bins(stream, out.shape[0])
-    flat *= s_t
-    flat += (stream.p < 0) * s_c  # channel NEG_CHANNEL = 1, POS_CHANNEL = 0
-    flat += stream.y * s_y
-    flat += stream.x * s_x
-    span = sum((n - 1) * s for n, s in zip(out.shape, out.strides)) + 1
-    np.lib.stride_tricks.as_strided(out, (span,), (1,))[flat] = 1
+    bounded(voxelize_set, {"time_bins": time_bins}, "", ValueError)
+    if not streams:
+        raise ValueError("voxelize_set needs at least one stream")
+    height, width = streams[0].height, streams[0].width
+    out = np.zeros((time_bins, 2, height, width, len(streams)), dtype=np.uint8)
+    s_t, s_c, s_y, s_x, _ = out.strides  # bytes, which are elements of uint8
+    cells = out.reshape(-1)
+    for n, stream in enumerate(streams):
+        require_valid(stream)
+        if (stream.height, stream.width) != (height, width):
+            raise ValueError(f"a {stream.width}x{stream.height} stream does not voxelize "
+                             f"into uint8 frames of shape {out.shape[:4]}")
+        flat = event_bins(stream, time_bins)
+        flat *= s_t
+        flat += (stream.p < 0) * s_c  # channel NEG_CHANNEL = 1, POS_CHANNEL = 0
+        flat += stream.y * s_y
+        flat += stream.x * s_x
+        flat += n
+        cells[flat] = 1
+    return out.transpose(4, 0, 1, 2, 3)
 
 
 def devoxelize_counts(stream: EventStream, time_bins: Annotated[int, Bound(1)]) -> np.ndarray:

@@ -25,7 +25,6 @@ the header or record field that holds it.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ._heap import keep_heap
-from ._schema import SchemaError, checked, loads
+from ._schema import SchemaError, checked, dumps, loads
 from .events import EventStream, _violations, require_valid
 
 MAGIC = b"EVT1"
@@ -147,7 +146,7 @@ class DatasetManifest:
     def to_json(self) -> str:
         doc = {"version": 1, "classes": list(self.class_names),
                "samples": [asdict(e) for e in self.entries]}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return dumps(doc)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json())

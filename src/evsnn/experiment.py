@@ -27,12 +27,11 @@ only, never part of the experiment.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Annotated
 
-from ._schema import Bound, SchemaError, bounded, checked, loads
+from ._schema import Bound, SchemaError, bounded, canonical, checked, loads
 from .augment import AugmentSpec
 from .energy import Charging
 from .nn.network import ModelKind, NetworkConfig, config_from_json, config_to_json, sew18, sew_tiny
@@ -95,12 +94,8 @@ class Experiment:
                 "sweep": {"prob": self.sweep_prob},
                 "energy": {"charging": self.energy_charging}}
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return hashlib.sha256(canonical(self.to_json_dict()).encode()).hexdigest()
 
 
 def experiment_from_json(obj: dict) -> Experiment:

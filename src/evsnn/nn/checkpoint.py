@@ -17,13 +17,12 @@ Writing is byte-deterministic for a given params dict and metadata.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .._schema import SchemaError, loads
+from .._schema import SchemaError, canonical, loads
 
 MAGIC = b"EVCK"
 VERSION = 1
@@ -36,8 +35,7 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    meta_bytes = json.dumps(meta or {}, sort_keys=True,
-                            separators=(",", ":")).encode()
+    meta_bytes = canonical(meta or {}).encode()
     chunks = [_HEAD.pack(MAGIC, VERSION, len(params)),
               struct.pack("<I", len(meta_bytes)), meta_bytes]
     for name in sorted(params):

@@ -14,10 +14,9 @@ from typing import Annotated
 
 import numpy as np
 
-from .._heap import keep_heap
 from .._schema import Bound, bounded
 from ..augment import AugmentSpec, apply_pipeline
-from ..events import EventStream, _scatter, require_valid
+from ..events import EventStream, voxelize_set
 from .network import NetworkConfig, _forward_mode, backward, forward
 
 
@@ -81,22 +80,6 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
 
 
-def voxelize_set(streams: list[EventStream], time_steps: int) -> np.ndarray:
-    """The network batch of a non-empty list of valid streams that share the
-    first one's geometry: (N, T, 2, H, W) uint8 over (T, 2, H, W, N) memory,
-    the batch-innermost order ``forward``'s per-step cast reads, each stream
-    scattered straight into its slot."""
-    keep_heap()
-    if not streams:
-        raise ValueError("voxelize_set needs at least one stream")
-    out = np.zeros((time_steps, 2, streams[0].height, streams[0].width, len(streams)),
-                   dtype=np.uint8).transpose(4, 0, 1, 2, 3)
-    for stream, slot in zip(streams, out):
-        require_valid(stream)
-        _scatter(stream, slot)
-    return out
-
-
 def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, int]:
     """Shuffle generator and augmentation master seed for one epoch, both
     derived from the run seed so epochs differ but replay exactly."""
@@ -106,21 +89,19 @@ def _epoch_rngs(seed: int, epoch: int) -> tuple[np.random.Generator, int]:
 
 
 def predict(config: NetworkConfig, params: dict, tensors: np.ndarray,
-            kind: str = "spiking", batch_size: int = 64) -> np.ndarray:
-    """Argmax class per sample; tensors (N, T, 2, H, W)."""
+            kind: str = "spiking") -> np.ndarray:
+    """Argmax class per sample; tensors (N, T, 2, H, W), run in chunks of 64."""
     mode = _forward_mode(kind)
     out = []
-    for i in range(0, len(tensors), batch_size):
-        logits, _ = forward(config, params, tensors[i:i + batch_size], mode=mode,
-                            record=False)
+    for i in range(0, len(tensors), 64):
+        logits, _ = forward(config, params, tensors[i:i + 64], mode=mode, record=False)
         out.append(np.argmax(logits, axis=1))
     return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
 
 def accuracy(config: NetworkConfig, params: dict, tensors: np.ndarray,
-             labels: np.ndarray, kind: str = "spiking",
-             batch_size: int = 64) -> float:
-    pred = predict(config, params, tensors, kind, batch_size)
+             labels: np.ndarray, kind: str = "spiking") -> float:
+    pred = predict(config, params, tensors, kind)
     return float((pred == np.asarray(labels)).mean())
 
 

@@ -11,7 +11,6 @@ so degrees of freedom from small smoke sweeps are handled exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -67,9 +66,6 @@ class RegressionReport:
             })
         return {"version": 1, "n": self.n, "df": self.df, "r2": self.r2,
                 "alpha": self.alpha, "terms": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def format_text(report: RegressionReport) -> str:

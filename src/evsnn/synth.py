@@ -19,6 +19,7 @@ available for tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Annotated
@@ -31,6 +32,7 @@ from .evio import DatasetManifest, ManifestEntry, save_events
 
 DEFAULT_TEMPLATES = ("ring_expand", "ring_contract", "bar_sweep_h", "bar_sweep_v")
 KNOWN_TEMPLATES = DEFAULT_TEMPLATES + ("static",)
+_Finite = Annotated[float, Bound(0, sys.float_info.max)]  # >= 0, and inf is refused
 
 
 @dataclass(frozen=True)
@@ -40,15 +42,15 @@ class SynthParams:
     duration: Annotated[int, Bound(1, 2**63 - 1)] = 600_000  # microseconds, int64
     events_per_sample: Annotated[int, Bound(1, 2**32 - 1)] = 3000  # more would not fit in memory
     count_jitter: Annotated[float, Bound(0, 1)] = 0.1  # relative +- spread of the event count
-    noise_ratio: Annotated[float, Bound(0)] = 0.05  # uniform background events / signal events
-    edge_sigma: Annotated[float, Bound(0)] = 0.7  # px jitter on edge positions
-    ring_r_lo: Annotated[float, Bound(0)] = 6.0
-    ring_r_hi: Annotated[float, Bound(0)] = 24.0
-    ring_half_thickness: Annotated[float, Bound(0)] = 2.5
-    bar_margin: Annotated[float, Bound(0)] = 8.0
-    bar_half_thickness: Annotated[float, Bound(0)] = 2.5
-    center_jitter: Annotated[float, Bound(0)] = 3.0
-    static_radius: Annotated[float, Bound(0)] = 12.0
+    noise_ratio: _Finite = 0.05  # uniform background events / signal events
+    edge_sigma: _Finite = 0.7  # px jitter on edge positions
+    ring_r_lo: _Finite = 6.0
+    ring_r_hi: _Finite = 24.0
+    ring_half_thickness: _Finite = 2.5
+    bar_margin: _Finite = 8.0
+    bar_half_thickness: _Finite = 2.5
+    center_jitter: _Finite = 3.0
+    static_radius: _Finite = 12.0
     templates: tuple[str, ...] = DEFAULT_TEMPLATES
 
     def __post_init__(self):

@@ -158,6 +158,18 @@ class TestCorruption:
         assert loaded["w"].dtype == dtype and loaded["w"].shape == (2, 3)
 
 
+def test_metadata_bytes_fixed(tmp_path):
+    """Metadata is written as compact sorted-key JSON with ASCII escapes."""
+    path = tmp_path / "m.evck"
+    save_checkpoint(path, {"w": np.ones(2, np.float32)},
+                    {"epoch": 3, "net": "tiny", "acc": 0.5, "tags": ["\u00e9", None, True],
+                     "nested": {"z": 1, "a": -2.5e-07}})
+    raw = path.read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 10)
+    assert raw[14:14 + size] == (b'{"acc":0.5,"epoch":3,"nested":{"a":-2.5e-07,"z":1},'
+                                 b'"net":"tiny","tags":["\\u00e9",null,true]}')
+
+
 def _one_tensor(name, dt):
     """A checkpoint holding one 2-element tensor, its name and dtype given raw."""
     return (_pack_head(1) + struct.pack("<I", 2) + b"{}"

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import evsnn
-from evsnn._schema import _schema
+from evsnn._schema import _schema, dumps
 from evsnn.cli import _flags, build_parser, main
 from evsnn.events import EventStream, voxelize
 from evsnn.evio import load_events, load_manifest, save_events
@@ -1025,3 +1025,19 @@ class TestCheckpointNameOrder:
         assert main(["eval", "--config", str(workspace / "exp.json"),
                      "--checkpoint", str(tmp_path / "m.evck")]) == 4
         assert_one_error(capsys, f"tensor {names[1].decode()} follows tensor w: names must ascend")
+
+
+class TestJsonArtifacts:
+    def test_each_is_its_dumps_text(self, workspace, trained, swept, conv_trained):
+        sweep_path, sweep_dir = swept
+        conv_path, conv_dir = conv_trained
+        assert main(["eval", "--config", str(workspace / "exp.json")]) == 0
+        assert main(["regress", "--config", str(sweep_path)]) == 0
+        assert main(["energy", "--config", str(conv_path), "--samples", "2"]) == 0
+        artifacts = [trained / "train_report.json", trained / "eval_report.json",
+                     trained / "train.runledger.json", conv_dir / "energy.json",
+                     sweep_dir / "sweep.json", sweep_dir / "sweep.runledger.json",
+                     sweep_dir / "regress_spiking.json", workspace / "ds" / "manifest.json"]
+        for path in artifacts:
+            text = path.read_text()
+            assert dumps(json.loads(text)) == text, path.name

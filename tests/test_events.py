@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from evsnn.events import (NEG_CHANNEL, POS_CHANNEL, InvalidStreamError,
                           devoxelize_counts, event_bins, require_valid, validate,
-                          voxelize)
+                          voxelize, voxelize_set)
 
 from conftest import make_stream, random_stream, stream_strategy
 
@@ -161,6 +161,19 @@ class TestVoxelize:
         assert v.shape == (5, 2, s.height, s.width) and v.dtype == np.uint8
         assert set(np.unique(v)) <= {0, 1}
         assert v.sum() <= s.n
+
+
+class TestVoxelizeSet:
+    @pytest.mark.parametrize("time_bins", [0, -1])
+    def test_bin_count_below_one_refused(self, rng, time_bins):
+        with pytest.raises(ValueError, match=f"^time_bins must be >= 1, got {time_bins}$"):
+            voxelize_set([random_stream(rng)], time_bins)
+
+    def test_one_stream_is_c_contiguous_frames(self, rng):
+        s = random_stream(rng, n=200)
+        v = voxelize(s, 3)
+        assert v.shape == (3, 2, s.height, s.width) and v.dtype == np.uint8
+        assert v.flags.c_contiguous
 
 
 class TestDevoxelize:

@@ -91,6 +91,15 @@ class TestSchema:
         b = experiment_from_json(base_obj(seed=1))
         assert a.config_hash() != b.config_hash()
 
+    def test_hash_of_fixed_experiment(self):
+        # the sha256 of the compact sorted-key JSON, as run ledgers record it
+        obj = base_obj(model_kind="dense", folds={"k": 4, "seed": 7}, seed=9,
+                       train={"epochs": 3, "lr": 0.2},
+                       augment={"seed": 1, "transforms":
+                                [{"kind": "polflip", "prob": 1.0}]})
+        assert experiment_from_json(obj).config_hash() == \
+            "6bf8d328f6da65dd8590d77d28f16277089c1766e600044be55f600f6b4403aa"
+
 
 class TestNetworkSection:
     def test_preset_dispatch(self):

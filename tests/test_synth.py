@@ -232,6 +232,11 @@ class TestParamBounds:
         with pytest.raises(SchemaError, match=f"^{name} must be .*, got nan$"):
             SynthParams(**{name: float("nan")})
 
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_infinity_refused(self, name):
+        with pytest.raises(SchemaError, match=f"^{name} must be <= .*, got inf$"):
+            SynthParams(**{name: float("inf")})
+
     def test_count_jitter_at_most_one(self):
         SynthParams(count_jitter=1.0)
         with pytest.raises(SchemaError, match=r"^count_jitter must be <= 1, got 2\.0$"):
