@@ -32,9 +32,19 @@ accumulator and classifier then run on the whole batch. The BPTT step
 moves the gradients in the last bits. So does a process held at one BLAS
 thread, such as a sweep worker. Reruns at one BLAS thread count are
 byte-identical. Against a whole-batch run, spike-mode logits, features and
-spike counts are bitwise equal (spikes are thresholded and their sums
-exact); the float32 input sums of a conv fed by a conv, and relaxed- and
-dense-mode values, can differ in the last bits.
+spike counts are bitwise equal (spikes are thresholded and counted); the
+float32 input sums below, and relaxed- and dense-mode values, can differ in
+the last bits.
+
+The energy ledger's activity counters take no extra pass in spike mode.
+Each threshold site counts its spikes from its threshold comparison, an
+exact integer whatever the batch. A conv whose input is a site's spikes, a
+power-of-two average pool of them or an additive SEW join of such values
+takes its input sum from those counts, exactly; the ``"input"`` count adds
+up the per-step float32 frames the encoder reads (exact while a step's
+binary frames hold fewer than 2**24 events). Float32 sums remain for the
+input of a conv fed by a conv's float output, of an ``and``/``iand`` join
+or of any other pool, and for every counter in relaxed and dense modes.
 """
 
 from __future__ import annotations
@@ -397,7 +407,9 @@ class ForwardTrace:
     features: np.ndarray                  # (B, T, d) per-step feature vectors
     feature_shape: tuple                  # encoder output shape before flattening
     caches: list | None                   # [t][encoder layer] tuples
-    spike_counts: dict[str, float]        # per threshold site, batch+steps total
+    # the counters, batch+steps totals; exact in spike mode where the module
+    # docstring says so, float32 sums elsewhere
+    spike_counts: dict[str, float]        # per threshold site, and "input"
     site_sizes: dict[str, int]            # per-sample neuron count per site
     synaptic_inputs: dict[str, tuple[float, int]]  # layer -> (input sum, size)
     accumulated: np.ndarray | None = None  # (B, d); the head's, set by forward
@@ -405,15 +417,20 @@ class ForwardTrace:
 
 
 def _if_apply(v, theta, mode, reset):
+    """(spikes, next membrane, spike count); the count, taken from the
+    threshold comparison, is None in relaxed mode."""
     if mode == "spike":  # for finite floats, heaviside(v - theta) bit for bit
-        x = (v >= theta).astype(v.dtype)
+        fired = v >= theta
+        count = int(np.count_nonzero(fired.ravel("K")))  # in memory order, no copy
+        x = fired.astype(v.dtype)
     else:
+        count = None
         x = arctan_surrogate(v - theta)
     if reset == "subtract":
         u = v - theta * x
     else:
         u = v * (1.0 - x)
-    return x, u
+    return x, u, count
 
 
 def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
@@ -422,7 +439,7 @@ def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
     then reset by subtraction (default) or to zero. Returns (spikes, U_next)."""
     bounded(if_step, {"reset": reset}, "", ValueError)
     v = np.asarray(u_prev, dtype=np.float64) + np.asarray(weighted_input)
-    return _if_apply(v, theta, "spike", reset)
+    return _if_apply(v, theta, "spike", reset)[:2]
 
 
 def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
@@ -535,22 +552,25 @@ def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
     pending: dict[str, np.ndarray] = {}
     delayed = config.input_timing == "delayed"
 
-    spike_counts: dict[str, float] = {"input": float(x.sum())}
+    spike_counts: dict[str, float] = {"input": 0.0}
     site_sizes: dict[str, int] = {
         "input": config.in_channels * config.height * config.width}
     syn_inputs: dict[str, tuple[float, int]] = {}
     caches: list | None = [] if record else None
     features = np.empty((b, t_steps, d), dtype=dtype)
 
-    def conv(name: str, h: np.ndarray, spec: Conv2d) -> np.ndarray:
+    def conv(name: str, h: np.ndarray, h_sum: float | None, spec: Conv2d) -> np.ndarray:
+        """The conv of h; its input sum is h_sum where that is held."""
         total, _ = syn_inputs.get(name, (0.0, 0))
-        syn_inputs[name] = (total + float(h.sum()), h[0].size)
+        syn_inputs[name] = (total + (float(h.sum()) if h_sum is None else h_sum), h[0].size)
         return conv2d_forward(h, params[f"{name}.weight"], params.get(f"{name}.bias"),
                               spec.stride, spec.padding)
 
     def site(name: str, drive: np.ndarray, theta: float):
+        """(spikes, membrane potential, spike count); the count is None in
+        relaxed and dense modes, whose counters are float sums."""
         if mode == "dense":  # ReLU; nothing carries across steps
-            v, spikes = drive, np.maximum(drive, 0.0)
+            v, spikes, count = drive, np.maximum(drive, 0.0), None
         else:
             if delayed:
                 inp = pending.get(name)
@@ -561,41 +581,52 @@ def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
                 inp = drive
             u_prev = membranes.get(name)  # None before the first step
             v = inp if u_prev is None else u_prev + inp
-            spikes, membranes[name] = _if_apply(v, theta, mode, config.reset)
-        spike_counts[name] = spike_counts.get(name, 0.0) + float(spikes.sum())
+            spikes, membranes[name], count = _if_apply(v, theta, mode, config.reset)
+        total = float(spikes.sum()) if count is None else count
+        spike_counts[name] = spike_counts.get(name, 0.0) + total
         site_sizes[name] = spikes[0].size
-        return spikes, v
+        return spikes, v, count
 
     for t in range(t_steps):
         # the encoder runs on batch-innermost activations (see nn.layers);
         # this cast is a contiguous copy for batch-innermost x, as voxelize_set builds it
         h = np.empty(x.shape[2:] + (b,), dtype=dtype).transpose(3, 0, 1, 2)
         h[...] = x[:, t]
+        # h_sum is h's sum wherever one is held: the frames' (the "input"
+        # count), a spike-mode site's count, their pools by a power-of-two
+        # window and their additive joins; None elsewhere
+        h_sum = float(h.sum())
+        spike_counts["input"] += h_sum
         step_cache: list = []
         for i, lay in enumerate(enc):
             tag = f"{i:02d}"
             if isinstance(lay, Conv2d):
                 step_cache.append((h,))
-                h = conv(f"{tag}.conv", h, lay)
+                h, h_sum = conv(f"{tag}.conv", h, h_sum, lay), None
             elif isinstance(lay, IF):
-                h, v = site(tag, h, lay.theta)
+                h, v, h_sum = site(tag, h, lay.theta)
                 step_cache.append((v, h))
             elif isinstance(lay, SEW):
-                s1, v1 = site(f"{tag}a", conv(f"{tag}.sew.conv1", h, lay.conv), lay.theta)
-                s2, v2 = site(f"{tag}b", conv(f"{tag}.sew.conv2", s1, lay.conv), lay.theta)
+                s1, v1, n1 = site(f"{tag}a", conv(f"{tag}.sew.conv1", h, h_sum, lay.conv),
+                                  lay.theta)
+                s2, v2, n2 = site(f"{tag}b", conv(f"{tag}.sew.conv2", s1, n1, lay.conv),
+                                  lay.theta)
                 step_cache.append((h, v1, s1, v2, s2))
                 if lay.g == "add":
                     h = s2 + h
+                    h_sum = None if n2 is None or h_sum is None else n2 + h_sum
                 elif lay.g == "and":
-                    h = s2 * h
+                    h, h_sum = s2 * h, None
                 else:  # iand
-                    h = (1.0 - s2) * h
+                    h, h_sum = (1.0 - s2) * h, None
             elif isinstance(lay, AvgPool):
                 h = avg_pool_forward(h, lay.window)
+                power_of_two = lay.window & (lay.window - 1) == 0
+                h_sum = h_sum / lay.window ** 2 if h_sum is not None and power_of_two else None
                 step_cache.append(())
             elif isinstance(lay, GlobalPool):
                 step_cache.append((h.shape[2], h.shape[3]))
-                h = global_pool_forward(h)
+                h, h_sum = global_pool_forward(h), None
         feature_shape = h.shape[1:]
         if h.ndim > 2:
             h = h.reshape(b, -1)

@@ -33,6 +33,7 @@ from .evio import DatasetManifest, ManifestEntry, save_events
 DEFAULT_TEMPLATES = ("ring_expand", "ring_contract", "bar_sweep_h", "bar_sweep_v")
 KNOWN_TEMPLATES = DEFAULT_TEMPLATES + ("static",)
 _Finite = Annotated[float, Bound(0, sys.float_info.max)]  # >= 0, and inf is refused
+_MAX_EVENTS = 2**32 - 1  # events in one sample, signal plus noise
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class SynthParams:
     width: Annotated[int, Bound(1, 0xFFFF)] = 64  # an event file stores u16 sizes
     height: Annotated[int, Bound(1, 0xFFFF)] = 64
     duration: Annotated[int, Bound(1, 2**63 - 1)] = 600_000  # microseconds, int64
-    events_per_sample: Annotated[int, Bound(1, 2**32 - 1)] = 3000  # more would not fit in memory
+    events_per_sample: Annotated[int, Bound(1, _MAX_EVENTS)] = 3000  # more would not fit in memory
     count_jitter: Annotated[float, Bound(0, 1)] = 0.1  # relative +- spread of the event count
     noise_ratio: _Finite = 0.05  # uniform background events / signal events
     edge_sigma: _Finite = 0.7  # px jitter on edge positions
@@ -61,6 +62,14 @@ class SynthParams:
         if self.ring_r_lo > self.ring_r_hi:
             raise SchemaError(f"ring_r_lo {self.ring_r_lo:g} must be <= ring_r_hi "
                               f"{self.ring_r_hi:g}")
+        # synth_generate draws at most `most` signal events, then
+        # round(noise_ratio * signal) noise events
+        most = max(1, round(self.events_per_sample * (1.0 + self.count_jitter)))
+        room, noise = max(_MAX_EVENTS - most, 0), self.noise_ratio * most
+        if noise > room + 1 or round(noise) > room:
+            raise SchemaError(
+                f"noise_ratio {self.noise_ratio:g} draws up to {noise:.0f} noise events "
+                f"beside {most} signal events; a sample holds at most {_MAX_EVENTS}")
         bars = {"bar_sweep_h", "bar_sweep_v"} & set(self.templates)
         if bars and min(self.width, self.height) < 2 * self.bar_margin:
             raise SchemaError(

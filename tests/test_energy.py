@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from evsnn import _blas
 from evsnn.energy import (
     BAND_HIGH,
     BAND_LOW,
@@ -27,6 +28,7 @@ from evsnn.nn import (
     SynapticLayer,
     forward,
     init_params,
+    sew_tiny,
     synaptic_layers,
 )
 
@@ -310,3 +312,19 @@ class TestFormatText:
         assert report.band == position
         assert report.to_json_dict()["reference_band"]["position"] == position
         assert f"measured ratio is {position} the band" in format_text(report)
+
+
+def test_report_equal_split_and_whole(rng, monkeypatch):
+    # forward(record=False) splits a 16-sample sew_tiny batch in a process
+    # whose OpenBLAS runs two threads; the report must not see it
+    config = sew_tiny(4, theta=0.5)
+    params = init_params(config, seed=1)
+    x = (rng.random((16, 6, 2, 64, 64)) < 0.05).astype(np.uint8)
+    reports, set_calls = [], []
+    monkeypatch.setattr(_blas, "set_threads", set_calls.append)
+    for threads in (2, 1):
+        monkeypatch.setattr(_blas, "threads", lambda: [threads])
+        _, trace = forward(config, params, x, record=False)
+        reports.append(estimate_from_traces(config, [trace]).to_json_dict())
+    assert set_calls == [[1], [2]]  # the first run split, the second did not
+    assert reports[0] == reports[1]

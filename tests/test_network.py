@@ -13,6 +13,7 @@ import pytest
 
 import evsnn
 from evsnn import _blas, _heap
+from evsnn.events import voxelize_set
 from evsnn.nn import (
     IF,
     SEW,
@@ -33,6 +34,7 @@ from evsnn.nn import (
     softmax,
 )
 from evsnn.nn import network
+from evsnn.synth import SynthParams, generate_dataset
 
 
 def tiny_config(classes=3, time_steps=3, g="add", **kw):
@@ -828,3 +830,36 @@ class TestShardedForward:
         x = binary_input(rng, config, batch, density=0.05)
         _, _, blas = self.run(monkeypatch, config, init_params(config, 1), x)
         assert blas.set_calls == ([[1], [2]] if splits else [])
+
+
+class TestExactCounts:
+    """In spike mode a site's count comes from its threshold comparison, and
+    a conv fed by spikes, their power-of-two pools or additive joins reuses
+    that count as its input sum: exact past float32's 2**24."""
+
+    def test_count_past_float32_integers(self, monkeypatch):
+        # 97 * 257 * 673 = 2**24 + 1 neurons of one channel, all firing in the
+        # one step; a float32 sum of that many ones rounds to 2**24
+        config = NetworkConfig(
+            time_steps=1, height=257, width=673, in_channels=1,
+            layers=(Conv2d(1, 1, k=1, padding=0), IF(),
+                    Conv2d(1, 1, k=1, padding=0, bias=False),
+                    GlobalPool(), IF(), Accumulator(1), Classifier(2)))
+        params = init_params(config, seed=0)
+        params["00.conv.weight"][...] = 0.0
+        params["00.conv.bias"][...] = 1.0  # v = 1 = theta everywhere
+        FakeBlas(monkeypatch, [1])
+        x = np.zeros((97, 1, 1, 257, 673), dtype=np.uint8)
+        _, trace = forward(config, params, x, record=False)
+        assert trace.spike_counts["01"] == 2**24 + 1
+        assert trace.synaptic_inputs["02.conv"] == (2**24 + 1, 257 * 673)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_input_count_of_a_batch_slice(self, monkeypatch, threads):
+        # the infer layout: 16 samples of a batch-innermost 64-sample set
+        streams = generate_dataset(SynthParams(), samples_per_class=16, seed=4)
+        x = voxelize_set(streams, time_bins=6)[16:32]
+        config = sew_tiny(4, theta=0.5)
+        FakeBlas(monkeypatch, [threads])
+        _, trace = forward(config, init_params(config, 1), x, record=False)
+        assert trace.spike_counts["input"] == x.sum()

@@ -247,6 +247,19 @@ class TestParamBounds:
         with pytest.raises(SchemaError, match="^ring_r_lo 24 must be <= ring_r_hi 6$"):
             SynthParams(ring_r_lo=24.0, ring_r_hi=6.0)
 
+    def test_noise_count_past_a_sample_refused(self):
+        with pytest.raises(SchemaError, match=r"^noise_ratio 1e\+20 draws up to \d+ noise "
+                                              r"events beside 3300 signal events; a sample "
+                                              r"holds at most 4294967295$"):
+            SynthParams(noise_ratio=1e20)
+
+    def test_largest_noise_ratio_that_fits(self):
+        # 1000 signal events at most, so room for 2**32 - 1 - 1000 noise events
+        SynthParams(events_per_sample=1000, count_jitter=0.0, noise_ratio=4294966.295)
+        with pytest.raises(SchemaError, match="^noise_ratio 4.29497e[+]06 draws up to "
+                                              "4294966296 noise events"):
+            SynthParams(events_per_sample=1000, count_jitter=0.0, noise_ratio=4294966.296)
+
     def test_zero_samples_per_class_refused(self, tmp_path):
         with pytest.raises(SchemaError, match="^samples_per_class must be >= 1, got 0$"):
             generate_dataset(FAST, 0, seed=0)
