@@ -28,8 +28,9 @@ builds the columns of the batch-innermost dy instead, padded by k-1-padding
 against the flipped kernel with in and out channels swapped, the weight
 gradient against the unpadded x, its kernel taps read back flipped. A
 strided conv takes the weight gradient from x's columns and folds its
-column gradient into a (C, Hp, Wp, B) buffer by k*k strided adds; for a
-batch-innermost x its input gradient is a view into that buffer.
+column gradient into an unpadded (C, H, W, B) buffer by k*k strided adds,
+each tap's window clipped to the image; for a batch-innermost x its input
+gradient is a view of that whole buffer.
 
 Every reduction runs in a fixed order that the input's memory order does
 not change, so both orders give bitwise-equal results: the GEMM shapes
@@ -74,27 +75,48 @@ def _batch_last(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _columns(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """GEMM-layout patch columns (C*k*k, OH*OW*B) of a padded (C, Hp, Wp, B)
-    array: one strided copy of its (C, k, k, OH, OW, B) window view."""
+    """GEMM-layout patch columns (C*k*k, OH*OW*B) of a padded, C-contiguous
+    (C, Hp, Wp, B) array: one strided copy of its read-only (C, k, k, OH, OW,
+    B) window view. The view is built by the ndarray constructor, not
+    ``as_strided``, whose Python wrapper costs several times the copy of a
+    small layer."""
     c, h, w, b = xp.shape
     sc, sh, sw, sb = xp.strides
     oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
-    win = np.lib.stride_tricks.as_strided(
-        xp, shape=(c, k, k, oh, ow, b),
-        strides=(sc, sh, sw, stride * sh, stride * sw, sb), writeable=False)
+    win = np.ndarray((c, k, k, oh, ow, b), xp.dtype, xp, 0,
+                     (sc, sh, sw, stride * sh, stride * sw, sb))
+    win.flags.writeable = False
     return win.reshape(c * k * k, oh * ow * b)
+
+
+def _taps(k: int, stride: int, padding: int, n_out: int, n_in: int) -> list:
+    """Along one axis, per kernel tap: (output slice, image slice) of the
+    outputs whose tap lands inside the unpadded image; None where none does."""
+    taps = []
+    for i in range(k):
+        first = max(0, -((i - padding) // stride))
+        last = min(n_out - 1, (n_in - 1 + padding - i) // stride)
+        start = i + stride * first - padding
+        taps.append((slice(first, last + 1),
+                     slice(start, start + stride * (last - first) + 1, stride))
+                    if first <= last else None)
+    return taps
 
 
 def _fold(dcols: np.ndarray, h: int, w: int, stride: int,
           padding: int) -> np.ndarray:
     """Sum (C, k, k, OH, OW, B) window gradients back onto the (C, H, W, B)
-    image they were cut from, overlaps added; the adjoint of ``_columns``."""
+    image they were cut from, overlaps added; the adjoint of ``_columns``.
+    Each tap's window is clipped to the image, so what fell on the padding
+    is never summed and the result is its own contiguous buffer."""
     c, k, _, oh, ow, b = dcols.shape
-    out = np.zeros((c, h + 2 * padding, w + 2 * padding, b), dtype=dcols.dtype)
-    for i in range(k):
-        for j in range(k):
-            out[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
-    return out[:, padding:padding + h, padding:padding + w]
+    out = np.zeros((c, h, w, b), dtype=dcols.dtype)
+    cols = _taps(k, stride, padding, ow, w)
+    for i, row in enumerate(_taps(k, stride, padding, oh, h)):
+        for j, col in enumerate(cols):
+            if row and col:
+                out[:, row[1], col[1]] += dcols[:, i, j, row[0], col[0]]
+    return out
 
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
@@ -102,7 +124,7 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     """x (B, C_in, H, W), weight (C_out, C_in, k, k) -> (B, C_out, OH, OW)."""
     b, _, h, w = x.shape
     c_out, _, k, _ = weight.shape
-    oh, ow = (conv_out_size(n, k, stride, padding) for n in (h, w))
+    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
     y = weight.reshape(c_out, -1) @ _columns(_batch_last(x, padding), k, stride)
     if bias is not None:
         y += bias[:, None]
@@ -123,7 +145,7 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
         # input pixel; dw[o, c, i, j] = sum_m x[c, m] * dcols[(o, k-1-i, k-1-j), m]
         q = k - 1 - padding
         dyp = _batch_last(dy, q)
-        db = dyp[:, q:q + oh, q:q + ow].sum(axis=(1, 2, 3)) if with_bias else None
+        db = np.add.reduce(dyp[:, q:q + oh, q:q + ow], axis=(1, 2, 3)) if with_bias else None
         dcols = _columns(dyp, k, 1)
         dw = dcols @ _batch_last(x, 0).reshape(c_in, h * w * b).T
         dw = dw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
@@ -134,7 +156,7 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
         dx = (w_flip @ dcols).reshape(c_in, h, w, b)
     else:
         dy_cm = _batch_last(dy, 0)
-        db = dy_cm.sum(axis=(1, 2, 3)) if with_bias else None
+        db = np.add.reduce(dy_cm, axis=(1, 2, 3)) if with_bias else None
         dy_flat = dy_cm.reshape(c_out, oh * ow * b)
         dw = (_columns(_batch_last(x, padding), k, stride) @ dy_flat.T).T.reshape(weight.shape)
         if not need_dx:
@@ -171,7 +193,8 @@ def global_pool_forward(x: np.ndarray) -> np.ndarray:
     """(B, C, H, W) -> (B, C) spatial mean. Each mean runs over one
     contiguous run of H*W values, as in a C-contiguous array, so x's memory
     order changes no bit of the result."""
-    means = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).mean(axis=(2, 3))
+    means = np.add.reduce(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), axis=(2, 3))
+    means /= x.shape[2] * x.shape[3]
     return _in_order_of(means, x)
 
 

@@ -27,7 +27,11 @@ side (sew_tiny at 64x64 and T=6: B >= 12), the second half on a
 short-lived thread, with OpenBLAS held at one thread for the call (at two,
 its helper threads compete with the halves for the cores). The halves'
 features are concatenated and their counters added, first half first; the
-accumulator and classifier then run on the whole batch. The BPTT step
+accumulator and classifier then run on the whole batch. The halves share
+the interpreter lock: numpy's work on them overlaps, but the Python work
+around each layer call runs one half at a time, so the step loops of
+``_encode`` and ``backward`` read names, tensors and conv geometry from a
+plan built once per call (``_layer_plan``). The BPTT step
 (``record=True``) runs whole: a split step measured no end-to-end gain and
 moves the gradients in the last bits. So does a process held at one BLAS
 thread, such as a sweep worker. Reruns at one BLAS thread count are
@@ -273,23 +277,45 @@ def _kaiming_uniform(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def _layer_plan(config: NetworkConfig) -> list[tuple]:
+    """Per encoder layer, in forward order: (layer, the names of its
+    threshold sites, its convs as (tensor name, Conv2d)); the one place
+    where sites and conv tensors are named and a SEW's conv is resolved.
+    ``_encode`` and ``backward`` build it once per call for their step
+    loops."""
+    plan = []
+    for i, lay in enumerate(config.encoder_layers):
+        tag = f"{i:02d}"
+        if isinstance(lay, Conv2d):
+            plan.append((lay, (), ((f"{tag}.conv", lay),)))
+        elif isinstance(lay, IF):
+            plan.append((lay, (tag,), ()))
+        elif isinstance(lay, SEW):
+            conv = lay.conv
+            plan.append((lay, (f"{tag}a", f"{tag}b"),
+                         ((f"{tag}.sew.conv1", conv), (f"{tag}.sew.conv2", conv))))
+        else:
+            plan.append((lay, (), ()))
+    return plan
+
+
 def _convs(config: NetworkConfig):
     """(tensor name, Conv2d, output (C, H, W), site it feeds) for every
     encoder conv in forward order. A plain conv feeds the first IF after it,
-    unless a Conv2d or SEW comes first."""
+    unless a Conv2d or SEW comes first; a SEW stage feeds its own site."""
     shapes = config.encoder_shapes()
-    enc = config.encoder_layers
-    for i, lay in enumerate(enc):
-        tag = f"{i:02d}"
+    plan = _layer_plan(config)
+    for i, (lay, sites, convs) in enumerate(plan):
         if isinstance(lay, Conv2d):
-            site = next((f"{j:02d}" if isinstance(nxt, IF) else None
-                         for j, nxt in enumerate(enc[i + 1:], i + 1)
+            site = next((nxt_sites[0] if isinstance(nxt, IF) else None
+                         for nxt, nxt_sites, _ in plan[i + 1:]
                          if isinstance(nxt, (IF, Conv2d, SEW))), None)
             out = shapes[i + 1] if len(shapes[i + 1]) == 3 else (shapes[i + 1][0], 1, 1)
-            yield f"{tag}.conv", lay, out, site
-        elif isinstance(lay, SEW):
-            yield f"{tag}.sew.conv1", lay.conv, shapes[i], f"{tag}a"
-            yield f"{tag}.sew.conv2", lay.conv, shapes[i], f"{tag}b"
+            (name, conv), = convs
+            yield name, conv, out, site
+        else:
+            for (name, conv), site in zip(convs, sites):
+                yield name, conv, shapes[i], site
 
 
 def _forward_mode(kind: ModelKind) -> str:
@@ -457,6 +483,9 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
 # at T=6: halves of 196,608 values (4 samples at 64x64, 16 at 32x32, 1 at
 # 128x128) ran no faster than the whole batch (at 64x64 1.2x slower, and
 # halves of 2 samples 1.7x); halves of 294,912 values and more ran faster.
+# Measured again with the per-call layer plan: halves of 196,608 values ran
+# 1.24x and 1.11x the whole batch's time at 32x32 and 64x64, 0.62x at
+# 128x128, so the floor stays.
 _SPLIT_MIN = 1 << 18
 
 
@@ -545,7 +574,9 @@ def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
     ``accumulated`` and ``logits``, left None for ``forward`` to fill in."""
     dtype = next(iter(params.values())).dtype
     b, t_steps = x.shape[0], config.time_steps
-    enc = config.encoder_layers
+    plan = _layer_plan(config)
+    weights = {name: (params[f"{name}.weight"], params.get(f"{name}.bias"))
+               for _, _, convs in plan for name, _ in convs}
     d = config.feature_dim
 
     membranes: dict[str, np.ndarray] = {}
@@ -559,12 +590,16 @@ def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
     caches: list | None = [] if record else None
     features = np.empty((b, t_steps, d), dtype=dtype)
 
-    def conv(name: str, h: np.ndarray, h_sum: float | None, spec: Conv2d) -> np.ndarray:
+    def conv(named: tuple, h: np.ndarray, h_sum: float | None) -> np.ndarray:
         """The conv of h; its input sum is h_sum where that is held."""
+        name, spec = named
         total, _ = syn_inputs.get(name, (0.0, 0))
-        syn_inputs[name] = (total + (float(h.sum()) if h_sum is None else h_sum), h[0].size)
-        return conv2d_forward(h, params[f"{name}.weight"], params.get(f"{name}.bias"),
-                              spec.stride, spec.padding)
+        if h_sum is None:
+            h_sum = float(np.add.reduce(h, axis=None))
+        syn_inputs[name] = (total + h_sum, h[0].size)
+        weight, bias = weights[name]
+        # looked up at call time: the benchmark tracer rebinds this name
+        return conv2d_forward(h, weight, bias, spec.stride, spec.padding)
 
     def site(name: str, drive: np.ndarray, theta: float):
         """(spikes, membrane potential, spike count); the count is None in
@@ -582,7 +617,7 @@ def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
             u_prev = membranes.get(name)  # None before the first step
             v = inp if u_prev is None else u_prev + inp
             spikes, membranes[name], count = _if_apply(v, theta, mode, config.reset)
-        total = float(spikes.sum()) if count is None else count
+        total = float(np.add.reduce(spikes, axis=None)) if count is None else count
         spike_counts[name] = spike_counts.get(name, 0.0) + total
         site_sizes[name] = spikes[0].size
         return spikes, v, count
@@ -595,22 +630,19 @@ def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
         # h_sum is h's sum wherever one is held: the frames' (the "input"
         # count), a spike-mode site's count, their pools by a power-of-two
         # window and their additive joins; None elsewhere
-        h_sum = float(h.sum())
+        h_sum = float(np.add.reduce(h, axis=None))
         spike_counts["input"] += h_sum
         step_cache: list = []
-        for i, lay in enumerate(enc):
-            tag = f"{i:02d}"
+        for lay, sites, convs in plan:
             if isinstance(lay, Conv2d):
                 step_cache.append((h,))
-                h, h_sum = conv(f"{tag}.conv", h, h_sum, lay), None
+                h, h_sum = conv(convs[0], h, h_sum), None
             elif isinstance(lay, IF):
-                h, v, h_sum = site(tag, h, lay.theta)
+                h, v, h_sum = site(sites[0], h, lay.theta)
                 step_cache.append((v, h))
             elif isinstance(lay, SEW):
-                s1, v1, n1 = site(f"{tag}a", conv(f"{tag}.sew.conv1", h, h_sum, lay.conv),
-                                  lay.theta)
-                s2, v2, n2 = site(f"{tag}b", conv(f"{tag}.sew.conv2", s1, n1, lay.conv),
-                                  lay.theta)
+                s1, v1, n1 = site(sites[0], conv(convs[0], h, h_sum), lay.theta)
+                s2, v2, n2 = site(sites[1], conv(convs[1], s1, n1), lay.theta)
                 step_cache.append((h, v1, s1, v2, s2))
                 if lay.g == "add":
                     h = s2 + h
@@ -672,7 +704,6 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
         config = _dense_view(config)
     labels = np.asarray(labels)
     b, t_steps = trace.batch, trace.time_steps
-    enc = config.encoder_layers
     delayed = config.input_timing == "delayed"
     grads = {name: np.zeros_like(value) for name, value in params.items()}
 
@@ -696,16 +727,23 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
 
     carry_u: dict[str, np.ndarray] = {}
     carry_p: dict[str, np.ndarray] = {}
+    plan = _layer_plan(config)
+    # each conv's weight and its parameters' gradient buffers
+    tensors = {name: (params[f"{name}.weight"], grads[f"{name}.weight"],
+                      grads.get(f"{name}.bias"))
+               for _, _, convs in plan for name, _ in convs}
 
-    def conv_back(name: str, x_in, g, spec: Conv2d, need_dx: bool = True):
+    def conv_back(named: tuple, x_in, g, need_dx: bool = True):
         """Returns gradient w.r.t. the conv input (None without ``need_dx``);
         accumulates its parameters'."""
-        dx, dw, db = conv2d_backward(x_in, params[f"{name}.weight"], g, spec.stride,
-                                     spec.padding, f"{name}.bias" in params,
-                                     need_dx=need_dx)
-        grads[f"{name}.weight"] += dw
+        name, spec = named
+        weight, g_weight, g_bias = tensors[name]
+        # looked up at call time: the benchmark tracer rebinds this name
+        dx, dw, db = conv2d_backward(x_in, weight, g, spec.stride, spec.padding,
+                                     g_bias is not None, need_dx=need_dx)
+        g_weight += dw
         if db is not None:
-            grads[f"{name}.bias"] += db
+            g_bias += db
         return dx
 
     def site_back(name: str, g_out, v, spikes, theta):
@@ -733,22 +771,20 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
 
     # the gradient stops at the input: nothing below the first weighted layer
     # runs, and that layer's first conv computes no input gradient
-    first = next((i for i, lay in enumerate(enc) if isinstance(lay, (Conv2d, SEW))),
-                 len(enc))
+    first = next((i for i, (_, _, convs) in enumerate(plan) if convs), len(plan))
+    steps = list(enumerate(plan))[first:][::-1]
     for t in reversed(range(t_steps)):
         g = dfeat
         if len(trace.feature_shape) == 3:  # undo the trailing flatten
             g = dfeat.reshape((b,) + trace.feature_shape)
         step_cache = trace.caches[t]
-        for i in reversed(range(first, len(enc))):
-            lay = enc[i]
-            tag = f"{i:02d}"
+        for i, (lay, sites, convs) in steps:
             cache = step_cache[i]
             if isinstance(lay, Conv2d):
-                g = conv_back(f"{tag}.conv", cache[0], g, lay, need_dx=i > first)
+                g = conv_back(convs[0], cache[0], g, need_dx=i > first)
             elif isinstance(lay, IF):
                 v, spikes = cache
-                g = site_back(tag, g, v, spikes, lay.theta)
+                g = site_back(sites[0], g, v, spikes, lay.theta)
             elif isinstance(lay, SEW):
                 x_in, v1, s1, v2, s2 = cache
                 if lay.g == "add":
@@ -757,10 +793,9 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
                     g_s2, g_res = g * x_in, g * s2
                 else:  # iand
                     g_s2, g_res = -g * x_in, g * (1.0 - s2)
-                g2 = site_back(f"{tag}b", g_s2, v2, s2, lay.theta)
-                g1 = site_back(f"{tag}a", conv_back(f"{tag}.sew.conv2", s1, g2, lay.conv),
-                               v1, s1, lay.theta)
-                g = conv_back(f"{tag}.sew.conv1", x_in, g1, lay.conv, need_dx=i > first)
+                g2 = site_back(sites[1], g_s2, v2, s2, lay.theta)
+                g1 = site_back(sites[0], conv_back(convs[1], s1, g2), v1, s1, lay.theta)
+                g = conv_back(convs[0], x_in, g1, need_dx=i > first)
                 if g is not None:
                     g = g + g_res
             elif isinstance(lay, AvgPool):

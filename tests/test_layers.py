@@ -17,6 +17,7 @@ from evsnn.nn.layers import (
     linear_backward,
     linear_forward,
 )
+from evsnn.nn.network import SEW, Conv2d, sew18, sew_tiny
 
 
 def conv_oracle(x, weight, bias, stride, padding):
@@ -443,3 +444,106 @@ class TestOutputFollowsInputOrder:
         assert global_pool_backward(np.asfortranarray(dy), 4, 3).tobytes() == back.tobytes()
         np.testing.assert_array_equal(back, np.broadcast_to(dy[:, :, None, None] / 12,
                                                             (b, 5, 4, 3)))
+
+
+def conv_geometries(config):
+    """(input (C, H, W), Conv2d) of every distinct conv of ``config``."""
+    seen = {}
+    for lay, shape in zip(config.encoder_layers, config.encoder_shapes()):
+        conv = lay.conv if isinstance(lay, SEW) else lay
+        if isinstance(conv, Conv2d):
+            seen[(shape, conv.k, conv.stride, conv.padding)] = (shape, conv)
+    return list(seen.values())
+
+
+COLUMN_CASES = [*conv_geometries(sew_tiny(4)), *conv_geometries(sew18(4)),
+                ((3, 5, 4), Conv2d(3, 3, k=1, padding=0))]
+
+
+def strided_columns(x, k, stride, padding):
+    """The patch columns from an ``as_strided`` window view of x (B, C, H,
+    W), padded and moved batch-last here, reshaped into a fresh array."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = np.ascontiguousarray(xp.transpose(1, 2, 3, 0))
+    c, h, w, b = xp.shape
+    sc, sh, sw, sb = xp.strides
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    win = np.lib.stride_tricks.as_strided(
+        xp, shape=(c, k, k, oh, ow, b),
+        strides=(sc, sh, sw, stride * sh, stride * sw, sb), writeable=False)
+    return np.array(win).reshape(c * k * k, oh * ow * b)
+
+
+class TestColumns:
+    """``_columns`` builds its window view with the ndarray constructor; it
+    must give what an ``as_strided`` view gives, and never a writeable
+    array over its input."""
+
+    @pytest.mark.parametrize("shape,conv", COLUMN_CASES,
+                             ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple)
+                             else f"k{v.k}s{v.stride}p{v.padding}")
+    @pytest.mark.parametrize("order", ["batch_major", "batch_innermost"])
+    def test_matches_as_strided(self, shape, conv, order, rng):
+        x = (rng.random((2, *shape)) < 0.3).astype(np.float32)
+        src = batch_innermost(x) if order == "batch_innermost" else x
+        padded = _batch_last(src, conv.padding)
+        got = _columns(padded, conv.k, conv.stride)
+        want = strided_columns(x, conv.k, conv.stride, conv.padding)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+        for base in (src, padded):
+            assert not (got.flags.writeable and np.shares_memory(got, base))
+
+    def test_view_of_the_input_is_read_only(self, rng):
+        # k=1, stride 1, unpadded and batch-innermost: the reshape is a view
+        x = batch_innermost(rng.random((3, 4, 5, 6)).astype(np.float32))
+        cols = _columns(_batch_last(x, 0), 1, 1)
+        assert np.shares_memory(cols, x) and not cols.flags.writeable
+
+
+def padded_fold(dcols, h, w, stride, padding):
+    """The fold into a zero-padded buffer, its padding cut off at the end."""
+    c, k, _, oh, ow, b = dcols.shape
+    out = np.zeros((c, h + 2 * padding, w + 2 * padding, b), dtype=dcols.dtype)
+    for i in range(k):
+        for j in range(k):
+            out[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += dcols[:, i, j]
+    return out[:, padding:padding + h, padding:padding + w]
+
+
+class TestFold:
+    """``_fold`` sums each tap clipped to the unpadded image: the same bits
+    as summing into a padded buffer, in a contiguous result."""
+
+    # (H, W, k, stride, padding): sew18's first conv, a stride of 3, k=1,
+    # and padding wider than the kernel, where some taps miss the image
+    @pytest.mark.parametrize("h,w,k,stride,padding", [
+        (16, 16, 3, 2, 1), (8, 8, 3, 2, 1), (20, 18, 7, 2, 3), (9, 11, 3, 3, 1),
+        (7, 7, 1, 2, 0), (6, 6, 2, 2, 3), (6, 6, 3, 2, 5), (10, 7, 5, 3, 2), (6, 6, 3, 1, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_padded_fold(self, h, w, k, stride, padding, dtype, rng):
+        oh, ow = conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding)
+        dcols = rng.standard_normal((3, k, k, oh, ow, 4)).astype(dtype)
+        got = _fold(dcols, h, w, stride, padding)
+        want = padded_fold(dcols, h, w, stride, padding)
+        assert got.flags.c_contiguous and got.shape == (3, h, w, 4)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_strided_input_gradient_owns_its_memory(self, rng):
+        x, weight, dy = layout_operands(rng, 16, 2, 2, 1)
+        dx, _, _ = conv2d_backward(batch_innermost(x), weight, batch_innermost(dy), 2, 1, True)
+        assert dx.base.flags.c_contiguous and dx.base.shape == (2, LAYOUT_H, LAYOUT_W, 16)
+
+
+class TestGlobalPoolMean:
+    @pytest.mark.parametrize("shape", [(3, 5, 4, 3), (16, 64, 4, 4), (2, 3, 16, 16),
+                                       (1, 4, 25, 25)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", ["batch_major", "batch_innermost"])
+    def test_bitwise_equal_to_mean(self, shape, dtype, order, rng):
+        x = rng.normal(size=shape).astype(dtype)
+        src = batch_innermost(x) if order == "batch_innermost" else x
+        got = np.ascontiguousarray(global_pool_forward(src))
+        assert got.dtype == dtype
+        assert got.tobytes() == x.mean(axis=(2, 3)).tobytes()

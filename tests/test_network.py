@@ -863,3 +863,48 @@ class TestExactCounts:
         FakeBlas(monkeypatch, [threads])
         _, trace = forward(config, init_params(config, 1), x, record=False)
         assert trace.spike_counts["input"] == x.sum()
+
+
+class TestConvCallCounts:
+    """The benchmark tracer counts convs by rebinding ``network.conv2d_forward``
+    and ``network.conv2d_backward``; every conv of every step must call the
+    module-level name at call time. sew_tiny has 9 convs, so 54 calls at
+    T=6, and a split forward makes each conv's calls once per half."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+
+        def counting(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(network, "conv2d_forward",
+                            counting("forward", network.conv2d_forward))
+        monkeypatch.setattr(network, "conv2d_backward",
+                            counting("backward", network.conv2d_backward))
+        return calls
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        config = sew_tiny(4, height=16, width=16, theta=0.5)
+        x = binary_input(np.random.default_rng(3), config, batch=4, density=0.1)
+        return config, init_params(config, 2), x
+
+    @pytest.mark.parametrize("record,threads,want", [(True, 2, 54), (False, 1, 54),
+                                                     (False, 2, 108)])
+    def test_forward(self, monkeypatch, calls, net, record, threads, want):
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1)
+        blas = FakeBlas(monkeypatch, [threads])
+        forward(*net, record=record)
+        assert calls == {"forward": want, "backward": 0}
+        assert blas.set_calls == ([[1], [2]] if want == 108 else [])
+
+    def test_backward(self, calls, net):
+        config, params, x = net
+        _, trace = forward(config, params, x)
+        calls["forward"] = 0
+        network.backward(config, params, trace, np.arange(len(x)) % 4)
+        assert calls == {"forward": 0, "backward": 54}
