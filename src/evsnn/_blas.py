@@ -1,8 +1,9 @@
 """OpenBLAS thread control through ctypes, without threadpoolctl.
 
 The sweep's pool workers hold their BLAS to one thread so parallel workers
-do not compete for the cores, and ``forward`` holds it there while it runs
-two half batches side by side.
+do not compete for the cores. ``forward`` holds it there while it encodes
+the first half of a split batch, and the helper process that encodes the
+second half holds its own there too.
 """
 
 from __future__ import annotations

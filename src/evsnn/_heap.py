@@ -13,7 +13,6 @@ from functools import cache
 # glibc mallopt parameters
 M_TOP_PAD = -2  # free bytes kept at the top of the heap on trim
 M_MMAP_THRESHOLD = -3  # smallest request served by its own mmap
-M_ARENA_MAX = -8  # most arenas the threads of a process allocate from
 
 
 @cache
@@ -26,12 +25,10 @@ def keep_heap() -> bool:
     Setting the top pad stops glibc from raising its mmap threshold as large
     blocks are freed, so the threshold is pinned at glibc's 64-bit maximum,
     32 MiB; below it no array is mmapped and faulted in again on each
-    allocation. One arena makes ``forward``'s helper thread allocate from
-    the same padded heap."""
+    allocation."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return False
     mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
-    return all([mallopt(M_TOP_PAD, 64 << 20), mallopt(M_MMAP_THRESHOLD, 32 << 20),
-                mallopt(M_ARENA_MAX, 1)])
+    return all([mallopt(M_TOP_PAD, 64 << 20), mallopt(M_MMAP_THRESHOLD, 32 << 20)])

@@ -21,17 +21,16 @@ join is additive. With one step the accumulator is a plain linear layer.
 
 Inference runs on both cores. ``forward(..., record=False)`` on a batch of
 B samples whose smaller half, floor(B/2) samples, holds at least
-``_SPLIT_MIN`` (2**18) input values, in a process whose OpenBLAS runs two or
+``_SPLIT_MIN`` (2**17) input values, in a process whose OpenBLAS runs two or
 more threads, encodes the first ceil(B/2) samples and the rest side by
-side (sew_tiny at 64x64 and T=6: B >= 12), the second half on a
-short-lived thread, with OpenBLAS held at one thread for the call (at two,
-its helper threads compete with the halves for the cores). The halves'
-features are concatenated and their counters added, first half first; the
-accumulator and classifier then run on the whole batch. The halves share
-the interpreter lock: numpy's work on them overlaps, but the Python work
-around each layer call runs one half at a time, so the step loops of
-``_encode`` and ``backward`` read names, tensors and conv geometry from a
-plan built once per call (``_layer_plan``). The BPTT step
+side (sew_tiny at 64x64 and T=6: B >= 6). The second half runs in this
+process's helper process (``evsnn._helper``), forked on the first such
+call, which reads the parameters and the half's input from a shared mapping
+and sends back that half's trace. Both halves run with OpenBLAS at one
+thread (at two, its threads compete with the halves for the cores). The
+halves' features are concatenated and their counters added, first half
+first; the accumulator and classifier then run on the whole batch. Where no
+helper can be reached, the batch runs whole. The BPTT step
 (``record=True``) runs whole: a split step measured no end-to-end gain and
 moves the gradients in the last bits. So does a process held at one BLAS
 thread, such as a sweep worker. Reruns at one BLAS thread count are
@@ -54,13 +53,12 @@ or of any other pool, and for every counter in relaxed and dense modes.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass, replace
 from typing import Annotated, Literal, Union
 
 import numpy as np
 
-from .. import _blas
+from .. import _blas, _helper
 from .._heap import keep_heap
 from .._schema import Bound, SchemaError, bounded, checked
 from .layers import (avg_pool_backward, avg_pool_forward, conv2d_backward,
@@ -478,15 +476,17 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
 
 
 # input values (samples x steps x channels x pixels) the smaller half of a
-# batch must hold for forward to split it; below it the two threads mostly
-# wait on each other for the interpreter lock. Measured on 2 cores, sew_tiny
-# at T=6: halves of 196,608 values (4 samples at 64x64, 16 at 32x32, 1 at
-# 128x128) ran no faster than the whole batch (at 64x64 1.2x slower, and
-# halves of 2 samples 1.7x); halves of 294,912 values and more ran faster.
-# Measured again with the per-call layer plan: halves of 196,608 values ran
-# 1.24x and 1.11x the whole batch's time at 32x32 and 64x64, 0.62x at
-# 128x128, so the floor stays.
-_SPLIT_MIN = 1 << 18
+# batch must hold for forward to split it. Measured on 2 cores, sew_tiny at
+# T=6, split time over whole-batch time: halves of 49,152 values ran
+# 0.66-0.68x at 64x64 but 0.94-0.98x at 32x32 and 16x16, where the helper's
+# pipe round trip and the copy into its mapping take most of what the split
+# saves; halves of 98,304 values ran 0.75-0.82x at 16x16 to 64x64 alone,
+# but a training epoch whose 4-sample 64x64 validation forward split that
+# way ran no faster (ten benchmark pairs, 3/10 faster); from 147,456 values
+# up every geometry from 16x16 to 128x128 ran 0.60-0.74x. At 8x8, where a
+# batch's GEMMs gain from OpenBLAS's second thread, splits ran 1.18-1.45x
+# at every size measured, at the floor before this one as well.
+_SPLIT_MIN = 1 << 17
 
 
 def forward(config: NetworkConfig, params: dict, x: np.ndarray,
@@ -500,8 +500,8 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     input, ReLU at every threshold site.
     ``record=False`` drops backward caches but keeps the activity counters;
     on a large enough batch, in a process whose OpenBLAS runs two or more
-    threads, it runs the two halves of the batch side by side (see the module
-    docstring).
+    threads, it encodes the second half of the batch in a helper process
+    while it encodes the first (see the module docstring).
     """
     bounded(forward, {"mode": mode}, "", ConfigError)
     keep_heap()
@@ -511,16 +511,15 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
         x = x.reshape(len(x), 1, config.in_channels, config.height, config.width)
     half = (len(x) + 1) // 2
     threads = [] if record or x[half:].size < _SPLIT_MIN else _blas.threads()
-    if max(threads, default=1) < 2:
-        trace = _encode(config, params, x, mode, record)
-    else:
+    halves = None
+    if max(threads, default=1) >= 2:
         _blas.set_threads([1] * len(threads))
         try:
-            trace = _joined(*_side_by_side(
-                lambda: _encode(config, params, x[:half], mode, False),
-                lambda: _encode(config, params, x[half:], mode, False)))
+            halves = _helper.beside(lambda: _encode(config, params, x[:half], mode, False),
+                                    _encode_half, {**params, "x": x[half:]}, config, mode)
         finally:
             _blas.set_threads(threads)
+    trace = _encode(config, params, x, mode, record) if halves is None else _joined(*halves)
 
     acc_tag, cls_tag = f"{len(config.layers) - 2:02d}", f"{len(config.layers) - 1:02d}"
     trace.accumulated = accumulate(trace.features, params[f"{acc_tag}.acc.weight"])
@@ -530,28 +529,11 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     return trace.logits, trace
 
 
-def _side_by_side(main, helper):
-    """(main(), helper()), the second run on a short-lived thread under the
-    caller's floating-point error settings. Once both have finished, an
-    exception of either is raised here, the main one's first."""
-    err, out = np.geterr(), {}
-
-    def run():
-        try:
-            with np.errstate(**err):
-                out["result"] = helper()
-        except BaseException as exc:  # raised in the caller below
-            out["error"] = exc
-
-    thread = threading.Thread(target=run, name="evsnn-forward-half")
-    thread.start()
-    try:
-        first = main()
-    finally:
-        thread.join()
-    if "error" in out:
-        raise out["error"]
-    return first, out["result"]
+def _encode_half(arrays: dict, config: NetworkConfig, mode: str) -> ForwardTrace:
+    """``_encode`` as the helper process runs it on a batch's second half:
+    the parameters and the half's input ``"x"`` in one dict."""
+    x = arrays.pop("x")
+    return _encode(config, arrays, x, mode, False)
 
 
 def _joined(first: ForwardTrace, second: ForwardTrace) -> ForwardTrace:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from evsnn import _helper
 from evsnn.events import EventStream
 
 
@@ -62,3 +63,16 @@ def stream_strategy(draw, max_events: int = 60, max_side: int = 16,
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_helper_across_patches(request):
+    """A test that monkeypatches starts and ends without a helper process:
+    the helper is a fork, so one forked while a patch of ``nn.network`` is
+    active keeps the patch after the test has undone it."""
+    if "monkeypatch" not in request.fixturenames:
+        yield
+        return
+    _helper.stop()
+    yield
+    _helper.stop()

@@ -357,5 +357,4 @@ class TestKeepHeap:
                "voxelize": lambda: voxelize(stream, 2)}[entry]
         run()
         run()
-        assert calls == [(_heap.M_TOP_PAD, 64 << 20), (_heap.M_MMAP_THRESHOLD, 32 << 20),
-                         (_heap.M_ARENA_MAX, 1)]
+        assert calls == [(_heap.M_TOP_PAD, 64 << 20), (_heap.M_MMAP_THRESHOLD, 32 << 20)]

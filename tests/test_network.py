@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import signal
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import evsnn
-from evsnn import _blas, _heap
+from evsnn import _blas, _heap, _helper
 from evsnn.events import voxelize_set
 from evsnn.nn import (
     IF,
@@ -537,8 +538,7 @@ class TestKeepHeap:
         monkeypatch.setattr(_heap.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
         forward(*net)
         forward(*net)
-        assert calls == [(_heap.M_TOP_PAD, 64 << 20), (_heap.M_MMAP_THRESHOLD, 32 << 20),
-                         (_heap.M_ARENA_MAX, 1)]
+        assert calls == [(_heap.M_TOP_PAD, 64 << 20), (_heap.M_MMAP_THRESHOLD, 32 << 20)]
 
     @pytest.mark.parametrize("libc", ["no_symbol", "no_library"])
     def test_no_op_without_mallopt(self, net, monkeypatch, libc):
@@ -686,12 +686,16 @@ def columns_independent_of_n(config, kind, batch):
 SPLIT_MIN = network._SPLIT_MIN
 
 
+class HalfFailed(Exception):
+    """Raised in one half of a split batch; defined here so that it pickles."""
+
+
 class TestShardedForward:
     """forward(record=False) on a large enough batch, in a process whose
-    OpenBLAS runs two or more threads, runs the two halves of the batch side
-    by side and returns the trace of the whole batch. The fixture below
-    lets every batch of two or more split; ``test_size_floor`` restores the
-    floor."""
+    OpenBLAS runs two or more threads, encodes the second half of the batch
+    in a helper process while the caller encodes the first, and returns the
+    trace of the whole batch. The fixture below lets every batch of two or
+    more split; ``test_size_floor`` restores the floor."""
 
     @pytest.fixture(autouse=True)
     def any_size_splits(self, monkeypatch):
@@ -762,16 +766,22 @@ class TestShardedForward:
         config = tiny_config()
         return config, init_params(config, seed=0), binary_input(rng, config, batch=4)
 
-    def test_no_thread_at_one_blas_thread(self, monkeypatch, small):
-        # as bench._init_worker leaves a sweep worker, or without OpenBLAS
-        def no_thread(*args, **kwargs):
-            raise AssertionError("forward started a thread")
+    def test_no_helper_without_a_split(self, monkeypatch, small):
+        # at one BLAS thread (as bench._init_worker leaves a sweep worker, or
+        # without OpenBLAS), with record=True, or below the size floor
+        def no_fork(*args, **kwargs):
+            raise AssertionError("forward forked a helper")
 
-        monkeypatch.setattr(network.threading, "Thread", no_thread)
+        monkeypatch.setattr(_helper, "_Helper", no_fork)
         for counts in ([1], []):
             blas = FakeBlas(monkeypatch, counts)
             forward(*small, record=False)
             assert blas.set_calls == []
+        blas = FakeBlas(monkeypatch, [2])
+        forward(*small, record=True)
+        monkeypatch.setattr(network, "_SPLIT_MIN", SPLIT_MIN)
+        forward(*small, record=False)
+        assert blas.set_calls == []
 
     def test_record_runs_whole(self, monkeypatch, small):
         blas = FakeBlas(monkeypatch, [2])
@@ -781,30 +791,34 @@ class TestShardedForward:
     @pytest.mark.parametrize("failing", ["main", "helper"])
     def test_error_in_a_half_is_raised_and_threads_restored(self, monkeypatch, small,
                                                             failing):
-        class HalfFailed(Exception):
-            pass
+        # the first sample is in the caller's half, the last in the helper's;
+        # a 7 in the input marks the half whose first conv fails
+        config, params, x = small
+        x = x.copy()
+        x[0 if failing == "main" else -1, 0, 0, 0, 0] = 7
 
-        def conv(*args, **kwargs):
-            if (threading.current_thread() is threading.main_thread()) == (failing == "main"):
+        def conv(h, *args, **kwargs):
+            if (h == 7).any():
                 raise HalfFailed(failing)
-            return conv2d_forward(*args, **kwargs)
+            return conv2d_forward(h, *args, **kwargs)
 
         conv2d_forward = network.conv2d_forward
         monkeypatch.setattr(network, "conv2d_forward", conv)
         blas = FakeBlas(monkeypatch, [2])
         with pytest.raises(HalfFailed, match=failing):
-            forward(*small, record=False)
+            forward(config, params, x, record=False)
         assert blas.set_calls == [[1], [2]]
-        assert threading.active_count() == 1
+        assert _helper._current.process.is_alive()  # an error leaves the helper serving
 
     @pytest.mark.parametrize("sample", [0, -1])
     def test_caller_error_settings_hold_in_either_half(self, monkeypatch, small, sample):
         config, params, x = small
         x = x.astype(np.float64)
         x[sample, 0, 0, 0, 0] = 1e39  # overflows the float32 cast of the first step
-        FakeBlas(monkeypatch, [2])
+        blas = FakeBlas(monkeypatch, [2])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             forward(config, params, x, record=False)
+        assert blas.set_calls == [[1], [2]]
 
     def test_real_blas_threads_restored(self, small, monkeypatch):
         before = _blas.threads()
@@ -821,15 +835,109 @@ class TestShardedForward:
             forward(*small, record=False)
         assert _blas.threads() == before
 
-    @pytest.mark.parametrize("batch,splits", [(11, False), (12, True)])
+    @pytest.mark.parametrize("batch,splits", [(5, False), (6, True)])
     def test_size_floor(self, monkeypatch, rng, batch, splits):
         # sew_tiny at 64x64, T=6: 49,152 input values per sample, so the
-        # smaller half reaches 2**18 at 6 samples
+        # smaller half reaches 2**17 at 3 samples
         monkeypatch.setattr(network, "_SPLIT_MIN", SPLIT_MIN)
         config = sew_tiny(4, theta=0.5)
         x = binary_input(rng, config, batch, density=0.05)
         _, _, blas = self.run(monkeypatch, config, init_params(config, 1), x)
         assert blas.set_calls == ([[1], [2]] if splits else [])
+
+    @staticmethod
+    def assert_same(got, want):
+        (logits, trace), (want_logits, want_trace) = got, want
+        assert logits.tobytes() == want_logits.tobytes()
+        assert trace.features.tobytes() == want_trace.features.tobytes()
+        assert trace.spike_counts == want_trace.spike_counts
+        assert trace.synaptic_inputs == want_trace.synaptic_inputs
+
+    def test_no_process_left_after_exit(self):
+        script = """
+from evsnn import _blas, _helper
+from evsnn.nn import network
+import numpy as np
+_blas.threads = lambda: [2]
+_blas.set_threads = lambda counts: None
+network._SPLIT_MIN = 1
+config = network.sew_tiny(4, height=16, width=16)
+network.forward(config, network.init_params(config, 0),
+                np.zeros((4, 6, 2, 16, 16), np.uint8), record=False)
+print(_helper._current.process.pid)
+"""
+        src = Path(evsnn.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(proc.stdout), 0)
+
+    def test_killed_helper_is_forked_again(self, monkeypatch, small):
+        FakeBlas(monkeypatch, [1])
+        want = forward(*small, record=False)
+        FakeBlas(monkeypatch, [2])
+        forward(*small, record=False)
+        killed = _helper._current.process
+        os.kill(killed.pid, signal.SIGKILL)
+        killed.join(timeout=30)
+        assert not killed.is_alive()
+        self.assert_same(forward(*small, record=False), want)
+        assert _helper._current.process is not killed and _helper._current.process.is_alive()
+
+    def test_forked_child_forks_its_own_helper(self, monkeypatch, small):
+        FakeBlas(monkeypatch, [2])
+        want = forward(*small, record=False)
+        parent_helper = _helper._current.process.pid
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports its helper's pid and whether its split matched
+            try:
+                got = forward(*small, record=False)[0].tobytes() == want[0].tobytes()
+                child_helper = _helper._current.process.pid
+                _helper.stop()
+                os.write(write, f"{child_helper} {int(got)}".encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read) as fh:
+            report = fh.read()
+        os.waitpid(pid, 0)
+        child_helper, same = map(int, report.split())
+        assert child_helper != parent_helper and same == 1
+        self.assert_same(forward(*small, record=False), want)
+        assert _helper._current.process.pid == parent_helper
+
+    def test_threads_take_turns(self, monkeypatch, rng):
+        # more caller threads than cores, every call split
+        monkeypatch.setattr(_blas, "threads", lambda: [2])
+        monkeypatch.setattr(_blas, "set_threads", lambda counts: None)
+        config = tiny_config()
+        params = init_params(config, 0)
+        inputs = [binary_input(rng, config, batch=6) for _ in range(4)]
+        wants = [forward(config, params, x, record=True) for x in inputs]  # whole
+        results: list = [None] * len(inputs)
+
+        def run(i):
+            results[i] = [forward(config, params, inputs[i], record=False) for _ in range(3)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, wants):
+            assert got is not None
+            for one in got:
+                self.assert_same(one, want)
 
 
 class TestExactCounts:
@@ -869,7 +977,9 @@ class TestConvCallCounts:
     """The benchmark tracer counts convs by rebinding ``network.conv2d_forward``
     and ``network.conv2d_backward``; every conv of every step must call the
     module-level name at call time. sew_tiny has 9 convs, so 54 calls at
-    T=6, and a split forward makes each conv's calls once per half."""
+    T=6. A split forward makes the same 54 in the caller's process, on its
+    half; the helper process makes the other half's, out of a monkeypatch's
+    reach."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -894,13 +1004,13 @@ class TestConvCallCounts:
         return config, init_params(config, 2), x
 
     @pytest.mark.parametrize("record,threads,want", [(True, 2, 54), (False, 1, 54),
-                                                     (False, 2, 108)])
+                                                     (False, 2, 54)])
     def test_forward(self, monkeypatch, calls, net, record, threads, want):
         monkeypatch.setattr(network, "_SPLIT_MIN", 1)
         blas = FakeBlas(monkeypatch, [threads])
         forward(*net, record=record)
         assert calls == {"forward": want, "backward": 0}
-        assert blas.set_calls == ([[1], [2]] if want == 108 else [])
+        assert blas.set_calls == ([[1], [2]] if threads == 2 and not record else [])
 
     def test_backward(self, calls, net):
         config, params, x = net
