@@ -1,9 +1,9 @@
 """OpenBLAS thread control through ctypes, without threadpoolctl.
 
 The sweep's pool workers hold their BLAS to one thread so parallel workers
-do not compete for the cores. ``forward`` holds it there while it encodes
-the first half of a split batch, and the helper process that encodes the
-second half holds its own there too.
+do not compete for the cores. ``_helper.beside`` holds it there while the
+caller works on the first half of a split batch, and the helper process that
+works on the second half holds its own there too.
 """
 
 from __future__ import annotations

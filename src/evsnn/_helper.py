@@ -2,8 +2,12 @@
 beside the caller.
 
 ``forward`` encodes the second half of a split batch here while the caller
-encodes the first: two processes do not share an interpreter lock, so the
-Python work around each layer's numpy calls runs on both cores at once.
+encodes the first, and the training step runs the forward and backward pass
+of a batch's second half here while the caller runs the first's: two
+processes do not share an interpreter lock, so the Python work around each
+layer's numpy calls runs on both cores at once. Only a process whose
+OpenBLAS runs two or more threads has a second core to give; while a call
+runs, the caller's OpenBLAS is held at one thread, as the helper's always is.
 
 The helper is a daemonic process forked on first use. The arrays it works on
 travel through an anonymous shared mapping made before the fork; only a
@@ -117,27 +121,38 @@ def _ready(size: int) -> _Helper | None:
 
 def beside(main: Callable, fn: Callable, arrays: dict[str, np.ndarray], *args):
     """(main(), fn(arrays, *args)): main runs here while this process's
-    helper runs fn on copies of ``arrays`` in the shared mapping, with its
-    OpenBLAS at one thread, under the caller's ``np.geterr()``. Once both
-    have finished, an exception of either is raised here, main's first.
-    Returns None where the helper cannot be reached; then the caller does
-    the work itself, and main's result, if it ran, is dropped."""
-    layout, size = _layout(arrays)
+    helper runs fn on copies of ``arrays`` in the shared mapping, under the
+    caller's ``np.geterr()``. Both run with OpenBLAS at one thread (at two,
+    its threads would compete with the two processes for the cores); the
+    caller's thread counts are restored on return. Once both have finished,
+    an exception of either is raised here, main's first. Returns None where
+    this process's OpenBLAS runs fewer than two threads (a sweep worker, or
+    no OpenBLAS found), having run neither, or where the helper cannot be
+    reached; then the caller does the work itself, and main's result, if it
+    ran, is dropped."""
     with _turns:
-        helper = _ready(size)
-        if helper is None:
+        threads = _blas.threads()
+        if max(threads, default=1) < 2:
             return None
-        for name, view in _views(helper.shared, layout).items():
-            view[...] = arrays[name]
+        layout, size = _layout(arrays)
+        _blas.set_threads([1] * len(threads))
         try:
-            helper.conn.send((fn, args, layout, np.geterr()))
-        except OSError:  # the helper is gone
-            _stop()
-            return None
-        try:
-            first = main()
+            helper = _ready(size)
+            if helper is None:
+                return None
+            for name, view in _views(helper.shared, layout).items():
+                view[...] = arrays[name]
+            try:
+                helper.conn.send((fn, args, layout, np.geterr()))
+            except OSError:  # the helper is gone
+                _stop()
+                return None
+            try:
+                first = main()
+            finally:
+                reply = _reply(helper)
         finally:
-            reply = _reply(helper)
+            _blas.set_threads(threads)
         if reply is None:
             return None
         ok, second = reply

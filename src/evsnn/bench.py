@@ -17,14 +17,13 @@ Protocol notes, fixed here:
 
 from __future__ import annotations
 
-import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Annotated, Literal
 
 import numpy as np
 
-from ._blas import openblas_functions as _openblas_functions
+from . import _blas
 from ._schema import Bound, bounded, checked, dumps
 from .augment import COMMON_EDAS, AugmentSpec, TransformSpec
 from .events import EventStream, voxelize_set
@@ -95,8 +94,7 @@ def _init_worker(streams: list[EventStream], labels: np.ndarray) -> None:
     OpenBLAS at one thread, so parallel workers do not compete for the cores."""
     global _DATA
     _DATA = (streams, labels)
-    for set_threads in _openblas_functions("set_num_threads", None, ctypes.c_int):
-        set_threads(1)
+    _blas.set_threads([1] * len(_blas.threads()))
 
 
 @dataclass(frozen=True)

@@ -19,21 +19,23 @@ T binary frames are stacked along the input channels of one step (the first
 conv widened to take them), every threshold site is a ReLU, and every SEW
 join is additive. With one step the accumulator is a plain linear layer.
 
-Inference runs on both cores. ``forward(..., record=False)`` on a batch of
-B samples whose smaller half, floor(B/2) samples, holds at least
-``_SPLIT_MIN`` (2**17) input values, in a process whose OpenBLAS runs two or
-more threads, encodes the first ceil(B/2) samples and the rest side by
-side (sew_tiny at 64x64 and T=6: B >= 6). The second half runs in this
-process's helper process (``evsnn._helper``), forked on the first such
-call, which reads the parameters and the half's input from a shared mapping
-and sends back that half's trace. Both halves run with OpenBLAS at one
-thread (at two, its threads compete with the halves for the cores). The
-halves' features are concatenated and their counters added, first half
-first; the accumulator and classifier then run on the whole batch. Where no
-helper can be reached, the batch runs whole. The BPTT step
-(``record=True``) runs whole: a split step measured no end-to-end gain and
-moves the gradients in the last bits. So does a process held at one BLAS
-thread, such as a sweep worker. Reruns at one BLAS thread count are
+Inference and training run on both cores. A batch of B samples whose
+second half, floor(B/2) samples, holds at least ``_SPLIT_MIN`` (2**17)
+input values, in a process whose OpenBLAS runs two or more threads, is
+split: the caller works on the first ceil(B/2) samples while this process's
+helper process (``evsnn._helper``), forked on the first such call, works on
+the rest, reading the parameters and the half's input from a shared
+mapping. Both run with OpenBLAS at one thread (at two, its threads compete
+with the halves for the cores). ``forward(..., record=False)`` splits so
+(sew_tiny at 64x64 and T=6: B >= 6): the helper sends back its half's trace,
+the halves' features are concatenated and their counters added, first half
+first, and the accumulator and classifier then run on the whole batch.
+Where no helper can be reached, the batch runs whole. The BPTT step
+(``record=True``) does not split here: ``nn.train`` defines a training
+batch's gradient as the sum of its halves' gradients, each taken by
+``forward`` and ``backward`` on one half, and runs the second half in the
+helper under the same rule. A process held at one BLAS thread, such as a
+sweep worker, never splits. Reruns at one BLAS thread count are
 byte-identical. Against a whole-batch run, spike-mode logits, features and
 spike counts are bitwise equal (spikes are thresholded and counted); the
 float32 input sums below, and relaxed- and dense-mode values, can differ in
@@ -58,7 +60,7 @@ from typing import Annotated, Literal, Union
 
 import numpy as np
 
-from .. import _blas, _helper
+from .. import _helper
 from .._heap import keep_heap
 from .._schema import Bound, SchemaError, bounded, checked
 from .layers import (avg_pool_backward, avg_pool_forward, conv2d_backward,
@@ -476,16 +478,20 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
 
 
 # input values (samples x steps x channels x pixels) the smaller half of a
-# batch must hold for forward to split it. Measured on 2 cores, sew_tiny at
-# T=6, split time over whole-batch time: halves of 49,152 values ran
-# 0.66-0.68x at 64x64 but 0.94-0.98x at 32x32 and 16x16, where the helper's
-# pipe round trip and the copy into its mapping take most of what the split
-# saves; halves of 98,304 values ran 0.75-0.82x at 16x16 to 64x64 alone,
-# but a training epoch whose 4-sample 64x64 validation forward split that
-# way ran no faster (ten benchmark pairs, 3/10 faster); from 147,456 values
-# up every geometry from 16x16 to 128x128 ran 0.60-0.74x. At 8x8, where a
-# batch's GEMMs gain from OpenBLAS's second thread, splits ran 1.18-1.45x
-# at every size measured, at the floor before this one as well.
+# batch must hold for forward or a training step to split it. Measured on 2
+# cores, sew_tiny at T=6. forward, split time over whole-batch time: halves
+# of 49,152 values ran 0.66-0.68x at 64x64 but 0.94-0.98x at 32x32 and
+# 16x16, where the helper's pipe round trip and the copy into its mapping
+# take most of what the split saves; halves of 98,304 values ran 0.75-0.82x
+# at 16x16 to 64x64 alone, but a training epoch whose 4-sample 64x64
+# validation forward split that way ran no faster (ten benchmark pairs, 3/10
+# faster); from 147,456 values up every geometry from 16x16 to 128x128 ran
+# 0.60-0.74x. At 8x8, where a batch's GEMMs gain from OpenBLAS's second
+# thread, splits ran 1.18-1.45x at every size measured, at the floor before
+# this one as well. The training step (forward and backward per half), split
+# time over both halves run here at two threads, two rounds at 16x16 to
+# 64x64: halves of 49,152 values ran 0.92-1.14x, of 98,304 0.81-1.01x, of
+# 147,456 0.74-0.99x and of 196,608 or more 0.59-0.85x. One floor serves both.
 _SPLIT_MIN = 1 << 17
 
 
@@ -510,15 +516,9 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
         config = _dense_view(config)
         x = x.reshape(len(x), 1, config.in_channels, config.height, config.width)
     half = (len(x) + 1) // 2
-    threads = [] if record or x[half:].size < _SPLIT_MIN else _blas.threads()
-    halves = None
-    if max(threads, default=1) >= 2:
-        _blas.set_threads([1] * len(threads))
-        try:
-            halves = _helper.beside(lambda: _encode(config, params, x[:half], mode, False),
-                                    _encode_half, {**params, "x": x[half:]}, config, mode)
-        finally:
-            _blas.set_threads(threads)
+    halves = None if record else _beside(
+        lambda: _encode(config, params, x[:half], mode, False),
+        _encode_half, {**params, "x": x[half:]}, config, mode)
     trace = _encode(config, params, x, mode, record) if halves is None else _joined(*halves)
 
     acc_tag, cls_tag = f"{len(config.layers) - 2:02d}", f"{len(config.layers) - 1:02d}"
@@ -527,6 +527,14 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
                                   params.get(f"{cls_tag}.cls.bias"))
     trace.synaptic_inputs[f"{acc_tag}.acc"] = (float(trace.features.sum()), config.feature_dim)
     return trace.logits, trace
+
+
+def _beside(main, fn, arrays: dict, *args):
+    """``_helper.beside(main, fn, arrays, *args)`` where the batch's second
+    half, ``arrays["x"]``, holds at least ``_SPLIT_MIN`` values; None, having
+    run neither, for a smaller one. The split rule of ``forward`` and of the
+    training step."""
+    return None if arrays["x"].size < _SPLIT_MIN else _helper.beside(main, fn, arrays, *args)
 
 
 def _encode_half(arrays: dict, config: NetworkConfig, mode: str) -> ForwardTrace:
@@ -672,8 +680,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
-             labels: np.ndarray) -> dict[str, np.ndarray]:
-    """Mean cross-entropy gradients for every parameter, by BPTT.
+             labels: np.ndarray, denominator: int | None = None) -> dict[str, np.ndarray]:
+    """Cross-entropy gradients for every parameter, by BPTT: of the loss
+    summed over the trace's samples and divided by ``denominator``, by
+    default the trace's batch (the mean loss). A training step passes its
+    whole batch's size for each half of the batch.
 
     At threshold sites the local derivative is the arctan surrogate at
     (V - theta); the membrane carry and the reset term are differentiated with
@@ -689,10 +700,10 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
     delayed = config.input_timing == "delayed"
     grads = {name: np.zeros_like(value) for name, value in params.items()}
 
-    # loss head: mean cross-entropy over the batch
+    # loss head: cross-entropy summed over the batch, over the denominator
     dlogits = softmax(trace.logits)
     dlogits[np.arange(b), labels] -= 1.0
-    dlogits /= b
+    dlogits /= b if denominator is None else denominator
 
     cls_tag = f"{len(config.layers) - 1:02d}"
     acc_tag = f"{len(config.layers) - 2:02d}"

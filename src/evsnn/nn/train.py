@@ -4,20 +4,30 @@ Training consumes event streams, not tensors: every epoch re-augments each
 training sample with an epoch-derived seed and voxelizes the result, so the
 model sees fresh perturbations while the whole run stays replayable from one
 integer seed. Validation tensors are voxelized once and cached.
+
+A training batch's gradient is, by definition, the gradient of its first
+ceil(B/2) samples plus that of the rest, each taken by ``forward`` and
+``backward`` on its half with the loss summed over the half and divided by
+B, added in that order (a batch of one sample is its own first half). Where
+``nn.network``'s split rule holds (two or more BLAS threads, a large enough
+second half), the second half runs in the helper process beside the first;
+elsewhere, below the size floor, at one BLAS thread or where the helper
+cannot be reached, the halves run one after the other here. Either way the
+bits are the same, so trained parameters never depend on the core count,
+the thread count or the helper's health.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Annotated
 
 import numpy as np
 
-from .._schema import Bound, bounded
+from .._schema import Bound, bounded, canonical
 from ..augment import AugmentSpec, apply_pipeline
 from ..events import EventStream, voxelize_set
-from .network import NetworkConfig, _forward_mode, backward, forward
+from .network import NetworkConfig, _beside, _forward_mode, backward, forward
 
 
 class TrainingDiverged(RuntimeError):
@@ -105,14 +115,52 @@ def accuracy(config: NetworkConfig, params: dict, tensors: np.ndarray,
     return float((pred == np.asarray(labels)).mean())
 
 
+def _grads(config: NetworkConfig, params: dict, x: np.ndarray, labels: np.ndarray,
+           mode: str, denominator: int) -> tuple[np.ndarray, dict]:
+    """Forward and BPTT on one half of a batch: its logits and the gradients
+    of its loss summed and divided by ``denominator``. The half's trace dies
+    on return, so the next forward never runs beside it."""
+    logits, trace = forward(config, params, x, mode=mode)
+    return logits, backward(config, params, trace, labels, denominator)
+
+
+def _grads_half(arrays: dict, config: NetworkConfig, mode: str,
+                denominator: int) -> tuple[np.ndarray, dict]:
+    """``_grads`` as the helper process runs it on a batch's second half:
+    the parameters, the half's input ``"x"`` and its ``"labels"`` in one
+    dict."""
+    x, labels = arrays.pop("x"), arrays.pop("labels")
+    return _grads(config, arrays, x, labels, mode, denominator)
+
+
+def _batch_grads(config: NetworkConfig, params: dict, batch: np.ndarray,
+                 labels: np.ndarray, mode: str) -> tuple[np.ndarray, dict]:
+    """The batch's logits and gradient, as the module docstring defines it."""
+    b = len(batch)
+    half = (b + 1) // 2
+    first = lambda: _grads(config, params, batch[:half], labels[:half], mode, b)
+    halves = _beside(first, _grads_half,
+                     {**params, "x": batch[half:], "labels": labels[half:]}, config, mode, b)
+    if halves is None:  # one half after the other
+        halves = [first()]
+        if half < b:  # a batch of one is its own first half
+            halves.append(_grads(config, params, batch[half:], labels[half:], mode, b))
+    logits, grads = halves[0]
+    if len(halves) == 2:
+        second_logits, second = halves[1]
+        for name, g in grads.items():
+            g += second[name]
+        logits = np.concatenate([logits, second_logits])
+    return logits, grads
+
+
 def _train_step(config: NetworkConfig, params: dict, batch: np.ndarray,
                 labels: np.ndarray, mode: str, lr: float, momentum: float,
                 velocity: dict | None) -> tuple[np.ndarray, dict]:
-    """Forward, BPTT and one SGD update on one batch; returns the logits and
-    the velocity. The trace and the gradients die on return, so the next
-    step's forward never runs beside them."""
-    logits, trace = forward(config, params, batch, mode=mode)
-    grads = backward(config, params, trace, labels)
+    """The batch's gradient and one SGD update; returns the logits and the
+    velocity. The gradients die on return, so the next step's forward never
+    runs beside them."""
+    logits, grads = _batch_grads(config, params, batch, labels, mode)
     return logits, sgd_step(params, grads, lr, momentum, velocity)
 
 
@@ -163,7 +211,7 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
                "train_acc": hit_sum / n, "val_acc": val_acc}
         best.history.append(row)
         if log_file is not None:
-            log_file.write(json.dumps(row, sort_keys=True) + "\n")
+            log_file.write(canonical(row) + "\n")
         if val_acc > best.best_val_acc:
             best.best_val_acc = val_acc
             best.best_epoch = epoch

@@ -6,7 +6,6 @@ training run is shared between criteria 5 and 8 through a module fixture;
 everything else is self-contained and fast.
 """
 
-import ctypes
 import json
 import math
 import time
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from evsnn import synth
+from evsnn import _blas, synth
 from evsnn.augment import (
     COMMON_EDAS,
     crop,
@@ -27,7 +26,6 @@ from evsnn.augment import (
     reverse,
 )
 from evsnn.bench import (
-    _openblas_functions,
     derive_seed,
     run_cv,
     spec_for_mask,
@@ -342,7 +340,7 @@ def test_criterion_5_end_to_end_learning(full_run):
     spiking, dense, wall = full_run
     epochs = max(f["epochs_run"] for f in spiking.per_fold)
     ok = spiking.mean_acc >= 0.90 and epochs <= 50 and wall <= 900.0
-    threads = [get() for get in _openblas_functions("get_num_threads", ctypes.c_int)]
+    threads = _blas.threads()
     report(5, ok, f"10-fold mean accuracy {spiking.mean_acc:.3f} (>= 0.90) "
                   f"with crop+hflip, <= {epochs} epochs/fold (<= 50), "
                   f"{wall:.0f}s (<= 900s) in one process at OpenBLAS threads "

@@ -1,6 +1,5 @@
 """Fold planning, cross-validation, and the 32-combination sweep."""
 
-import ctypes
 import json
 import re
 import sys
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from evsnn import bench
+from evsnn import _blas, bench
 from evsnn.augment import COMMON_EDAS
 from evsnn.bench import (
     BenchError,
@@ -436,7 +435,7 @@ def in_process_pool(monkeypatch) -> list[int]:
             return map(fn, items)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(bench, "_openblas_functions", lambda *args: [])
+    monkeypatch.setattr(_blas, "set_threads", lambda counts: None)
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
     monkeypatch.setattr(bench, "_DATA", None)
     return sizes
@@ -455,13 +454,13 @@ class TestPoolSize:
 
 
 def _worker_blas_threads():
-    return [get() for get in bench._openblas_functions("get_num_threads", ctypes.c_int)]
+    return _blas.threads()
 
 
 class TestWorkerThreads:
     def test_pool_worker_runs_one_blas_thread(self):
         # without threadpoolctl the initializer sets OpenBLAS through ctypes
-        if not bench._openblas_functions("get_num_threads", ctypes.c_int):
+        if not _blas.threads():
             pytest.skip("no OpenBLAS loaded in this process")
         streams, labels = toy_dataset(n=4)
         with bench.ProcessPoolExecutor(max_workers=1, initializer=bench._init_worker,

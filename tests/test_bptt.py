@@ -23,7 +23,7 @@ from evsnn.nn import (
     init_params,
     softmax,
 )
-from evsnn.nn.train import cross_entropy
+from evsnn.nn.train import _batch_grads, cross_entropy
 
 
 def small_config(g="add", reset="subtract", input_timing="same_step",
@@ -37,14 +37,16 @@ def small_config(g="add", reset="subtract", input_timing="same_step",
                          reset=reset, input_timing=input_timing)
 
 
-def fd_check(config, params, x, labels, eps=1e-5):
-    """Max norm-relative error between BPTT and central differences."""
+def fd_check(config, params, x, labels, eps=1e-5, grads=None):
+    """Max norm-relative error between BPTT (``grads``, by default one
+    backward pass over the whole batch) and central differences."""
     def loss():
         logits, _ = forward(config, params, x, mode="relaxed")
         return cross_entropy(logits, labels)
 
-    _, trace = forward(config, params, x, mode="relaxed")
-    grads = backward(config, params, trace, labels)
+    if grads is None:
+        _, trace = forward(config, params, x, mode="relaxed")
+        grads = backward(config, params, trace, labels)
     worst = 0.0
     for name, w in params.items():
         fd = np.zeros_like(w)
@@ -100,6 +102,16 @@ class TestFiniteDifferences:
         params = init_params(config, seed=13, dtype=np.float64)
         x, labels = xy(config)
         assert fd_check(config, params, x, labels) < 1e-4
+
+    @pytest.mark.parametrize("batch", [3, 4])
+    def test_training_step_halves(self, xy, batch):
+        # a training step's gradient: its halves' gradients, each over the
+        # whole batch's size, added
+        config = small_config()
+        params = init_params(config, seed=15, dtype=np.float64)
+        x, labels = xy(config, batch=batch)
+        grads = _batch_grads(config, params, x, labels, "relaxed")[1]
+        assert fd_check(config, params, x, labels, grads=grads) < 1e-4
 
     def test_passthrough(self, xy):
         config = NetworkConfig(time_steps=2, height=2, width=2,

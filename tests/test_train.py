@@ -2,17 +2,25 @@
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evsnn
+from evsnn import _blas, _helper
 from evsnn.augment import (COMMON_EDAS, SPECIFIC_EDAS, AugmentSpec, TransformSpec,
                            apply_pipeline)
 from evsnn.events import EventStream, InvalidStreamError, voxelize
 from evsnn.nn import (Accumulator, Classifier, ConfigError, NetworkConfig, init_params,
-                      synaptic_layers)
+                      network, sew_tiny, synaptic_layers)
 from evsnn.nn import train as nn_train
+from evsnn.nn.checkpoint import save_checkpoint
 from evsnn.nn.train import (
     TrainingDiverged,
     TrainSettings,
@@ -271,7 +279,7 @@ class TestTrainLoop:
 
         monkeypatch.setattr(nn_train, "forward", recording_forward)
         train(config, params, tr_s, tr_y, va_x, va_y, self.settings(epochs=2))
-        assert len(traces) == 6  # 12 streams, batch 4, 2 epochs
+        assert len(traces) == 12  # 12 streams, batch 4 in halves of 2, 2 epochs
 
     def test_batch_built_batch_innermost(self, rng, monkeypatch):
         # each training batch is a (B, T, C, H, W) view over (T, C, H, W, B)
@@ -279,15 +287,14 @@ class TestTrainLoop:
         config = toy_config()
         params = init_params(config, seed=0)
         tr_s, tr_y, va_x, va_y = toy_data(rng)
-        real_forward, batches = nn_train.forward, []
+        real_step, batches = nn_train._train_step, []
 
-        def recording_forward(config, params, x, **kwargs):
-            if kwargs.get("record", True):
-                assert x.transpose(1, 2, 3, 4, 0).flags.c_contiguous
-                batches.append(x.copy())
-            return real_forward(config, params, x, **kwargs)
+        def recording_step(config, params, batch, *args):
+            assert batch.transpose(1, 2, 3, 4, 0).flags.c_contiguous
+            batches.append(batch.copy())
+            return real_step(config, params, batch, *args)
 
-        monkeypatch.setattr(nn_train, "forward", recording_forward)
+        monkeypatch.setattr(nn_train, "_train_step", recording_step)
         settings = self.settings(epochs=1)
         train(config, params, tr_s, tr_y, va_x, va_y, settings)
         order = nn_train._epoch_rngs(settings.seed, 0)[0].permutation(len(tr_s))
@@ -304,14 +311,13 @@ class TestTrainLoop:
         tr_s, tr_y, va_x, va_y = toy_data(rng)
         spec = AugmentSpec(tuple(TransformSpec(kind, prob=0.5)
                                  for kind in COMMON_EDAS + SPECIFIC_EDAS))
-        real_forward, batches = nn_train.forward, []
+        real_step, batches = nn_train._train_step, []
 
-        def recording_forward(config, params, x, **kwargs):
-            if kwargs.get("record", True):
-                batches.append(x.copy())
-            return real_forward(config, params, x, **kwargs)
+        def recording_step(config, params, batch, *args):
+            batches.append(batch.copy())
+            return real_step(config, params, batch, *args)
 
-        monkeypatch.setattr(nn_train, "forward", recording_forward)
+        monkeypatch.setattr(nn_train, "_train_step", recording_step)
         settings = self.settings(epochs=2, batch_size=5)
         train(config, params, tr_s, tr_y, va_x, va_y, settings, augment=spec)
         want = []
@@ -340,6 +346,183 @@ class TestTrainLoop:
         params = init_params(config, seed=0)
         out = predict(config, params, np.zeros((0, 2, 2, 8, 8), dtype=np.uint8))
         assert out.shape == (0,)
+
+
+SPLIT_MIN = network._SPLIT_MIN  # the floor the fixtures below may lower
+
+
+def fake_threads(monkeypatch, count):
+    """Fakes the OpenBLAS thread lookup at ``count`` threads; returns the
+    list of the thread counts then set."""
+    calls = []
+    monkeypatch.setattr(_blas, "threads", lambda: [count])
+    monkeypatch.setattr(_blas, "set_threads", calls.append)
+    return calls
+
+
+class TestHalfBatchGradient:
+    """A training batch's gradient is the sum of its two halves' gradients,
+    each over the whole batch's size, first half first. Split (the second
+    half in the helper process, at two BLAS threads) or whole (both halves
+    here, at one), the bits are the same. The fixture lets every batch of
+    two or more split."""
+
+    @pytest.fixture(autouse=True)
+    def any_size_splits(self, monkeypatch):
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1)
+
+    @pytest.fixture
+    def data(self, rng):
+        # 16x16 sew_tiny: convs, IF sites and SEW blocks, so each half runs
+        # the encoder's BPTT
+        streams = [toy_stream(rng, i % 2, width=16, height=16, n=120) for i in range(16)]
+        labels = np.array([s.label for s in streams])
+        return (sew_tiny(2, height=16, width=16, time_steps=2, theta=0.5),
+                streams[:12], labels[:12], voxelize_set(streams[12:], 2), labels[12:])
+
+    def train_run(self, data, kind="spiking", batch_size=4):
+        config, streams, labels, val_x, val_y = data
+        params = init_params(config, 3, kind=kind)
+        settings = TrainSettings(epochs=2, batch_size=batch_size, lr=0.1, seed=1,
+                                 early_stop_acc=None)
+        return params, train(config, params, streams, labels, val_x, val_y, settings,
+                             kind=kind)
+
+    @staticmethod
+    def assert_same_run(got, want, tmp_path):
+        (params, result), (want_params, want_result) = got, want
+        assert list(params) == list(want_params)
+        for name in params:
+            assert params[name].tobytes() == want_params[name].tobytes(), name
+        assert result.history == want_result.history
+        for run, (_, res) in enumerate((got, want)):
+            save_checkpoint(tmp_path / f"{run}.evck", res.params, {"epoch": res.best_epoch})
+        assert (tmp_path / "0.evck").read_bytes() == (tmp_path / "1.evck").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["spike", "relaxed", "dense"])
+    @pytest.mark.parametrize("batch", [16, 5, 1])
+    def test_gradients_bitwise_equal(self, monkeypatch, data, mode, batch):
+        config, streams, labels, val_x, val_y = data
+        params = init_params(config, 1, kind="dense" if mode == "dense" else "spiking")
+        x = voxelize_set((streams + streams)[:batch], 2)
+        y = np.concatenate([labels, labels])[:batch]
+        split_calls = fake_threads(monkeypatch, 2)
+        logits, grads = nn_train._batch_grads(config, params, x, y, mode)
+        assert split_calls == ([[1], [2]] if batch > 1 else [])  # one sample never splits
+        assert fake_threads(monkeypatch, 1) == []
+        want_logits, want = nn_train._batch_grads(config, params, x, y, mode)
+        assert logits.shape == (batch, 2) and logits.tobytes() == want_logits.tobytes()
+        assert list(grads) == list(params)
+        for name in params:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+        assert any(np.any(g) for name, g in grads.items() if name.startswith("00."))
+
+    @pytest.mark.parametrize("kind", ["spiking", "dense"])
+    # 12 samples in batches of 5, 5 and 2 (halves of 3 + 2 and 1 + 1), or of 1
+    @pytest.mark.parametrize("batch_size,split_steps", [(5, 3), (1, 0)])
+    def test_epochs_bitwise_equal(self, monkeypatch, data, tmp_path, kind, batch_size,
+                                  split_steps):
+        split_calls = fake_threads(monkeypatch, 2)
+        split = self.train_run(data, kind, batch_size)
+        # two epochs, each with its split steps and its split validation forward
+        assert split_calls == [[1], [2]] * 2 * (split_steps + 1)
+        fake_threads(monkeypatch, 1)
+        self.assert_same_run(split, self.train_run(data, kind, batch_size), tmp_path)
+
+    @staticmethod
+    def kill_helper_at_second_job(monkeypatch, tmp_path):
+        """Makes the helper SIGKILL itself at the start of its second job,
+        once; that step runs both halves here and the next step forks a new
+        helper. Returns the flag file the helper leaves."""
+        caller, jobs, real_grads = os.getpid(), [0], nn_train._grads
+        killed = tmp_path / "killed"
+
+        def dying(*args):
+            if os.getpid() != caller:
+                jobs[0] += 1
+                if jobs[0] == 2 and not killed.exists():
+                    killed.touch()
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real_grads(*args)
+
+        monkeypatch.setattr(nn_train, "_grads", dying)
+        return killed
+
+    def test_helper_killed_mid_epoch(self, monkeypatch, data, tmp_path):
+        killed = self.kill_helper_at_second_job(monkeypatch, tmp_path)
+        fake_threads(monkeypatch, 2)
+        split = self.train_run(data)
+        assert killed.exists() and _helper._current.process.is_alive()
+        fake_threads(monkeypatch, 1)
+        self.assert_same_run(split, self.train_run(data), tmp_path)
+
+    def test_real_blas_paths(self, monkeypatch, data, tmp_path):
+        # the real OpenBLAS, nothing faked: split at its thread count, halves
+        # one after the other at that count below the size floor, and a
+        # helper killed mid-epoch, each against a run held at one thread
+        before = _blas.threads()
+        if max(before, default=1) < 2:
+            pytest.skip("OpenBLAS runs one thread here, so a training step does not split")
+        caller, seen, real_grads = os.getpid(), [], nn_train._grads
+
+        def spy(*args):  # the caller's OpenBLAS threads at each half it runs
+            if os.getpid() == caller:
+                seen.append(_blas.threads())
+            return real_grads(*args)
+
+        monkeypatch.setattr(nn_train, "_grads", spy)
+        _blas.set_threads([1] * len(before))
+        try:
+            whole = self.train_run(data)
+        finally:
+            _blas.set_threads(before)
+        assert _blas.threads() == before
+
+        seen.clear()
+        self.assert_same_run(self.train_run(data), whole, tmp_path)
+        assert seen and all(t == [1] * len(before) for t in seen)  # every step split
+
+        _helper.stop()
+        seen.clear()
+        with monkeypatch.context() as floor:
+            floor.setattr(network, "_SPLIT_MIN", SPLIT_MIN)  # no toy half reaches it
+            self.assert_same_run(self.train_run(data), whole, tmp_path)
+        assert seen and all(t == before for t in seen) and _helper._current is None
+
+        killed = self.kill_helper_at_second_job(monkeypatch, tmp_path)
+        self.assert_same_run(self.train_run(data), whole, tmp_path)
+        assert killed.exists() and _helper._current.process.is_alive()
+        assert _blas.threads() == before
+
+    def test_no_process_left_after_exit(self):
+        script = """
+import numpy as np
+from evsnn import _blas, _helper
+from evsnn.events import EventStream, voxelize_set
+from evsnn.nn import network
+from evsnn.nn.train import TrainSettings, train
+_blas.threads = lambda: [2]
+_blas.set_threads = lambda counts: None
+network._SPLIT_MIN = 1
+rng = np.random.default_rng(0)
+streams = [EventStream(x=rng.integers(0, 8, 40), y=rng.integers(0, 8, 40),
+                       t=np.sort(rng.integers(0, 100, 40)), p=rng.integers(0, 2, 40) * 2 - 1,
+                       width=8, height=8, t_start=0, t_end=100, label=i % 2)
+           for i in range(8)]
+labels = np.array([s.label for s in streams])
+config = network.sew_tiny(2, height=8, width=8, time_steps=2)
+train(config, network.init_params(config, 0), streams, labels, voxelize_set(streams, 2),
+      labels, TrainSettings(epochs=1, batch_size=4))
+print(_helper._current.process.pid)
+"""
+        src = Path(evsnn.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(proc.stdout), 0)
 
 
 @pytest.mark.parametrize("call", [
