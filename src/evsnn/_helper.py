@@ -1,13 +1,9 @@
 """One helper process per Python process, which runs a function on arrays
 beside the caller.
 
-``forward`` encodes the second half of a split batch here while the caller
-encodes the first, and the training step runs the forward and backward pass
-of a batch's second half here while the caller runs the first's: two
-processes do not share an interpreter lock, so the Python work around each
-layer's numpy calls runs on both cores at once. Only a process whose
-OpenBLAS runs two or more threads has a second core to give; while a call
-runs, the caller's OpenBLAS is held at one thread, as the helper's always is.
+``nn.network`` runs the second half of a split batch here while the caller
+runs the first: two processes do not share an interpreter lock, so the
+Python work around each layer's numpy calls runs on both cores at once.
 
 The helper is a daemonic process forked on first use. The arrays it works on
 travel through an anonymous shared mapping made before the fork; only a
@@ -126,10 +122,9 @@ def beside(main: Callable, fn: Callable, arrays: dict[str, np.ndarray], *args):
     its threads would compete with the two processes for the cores); the
     caller's thread counts are restored on return. Once both have finished,
     an exception of either is raised here, main's first. Returns None where
-    this process's OpenBLAS runs fewer than two threads (a sweep worker, or
-    no OpenBLAS found), having run neither, or where the helper cannot be
-    reached; then the caller does the work itself, and main's result, if it
-    ran, is dropped."""
+    this process's OpenBLAS runs fewer than two threads (no second core to
+    give, or no OpenBLAS found), having run neither, or where the helper
+    cannot be reached; main's result, if it ran, is then dropped."""
     with _turns:
         threads = _blas.threads()
         if max(threads, default=1) < 2:

@@ -19,23 +19,21 @@ T binary frames are stacked along the input channels of one step (the first
 conv widened to take them), every threshold site is a ReLU, and every SEW
 join is additive. With one step the accumulator is a plain linear layer.
 
-Inference and training run on both cores. A batch of B samples whose
-second half, floor(B/2) samples, holds at least ``_SPLIT_MIN`` (2**17)
-input values, in a process whose OpenBLAS runs two or more threads, is
-split: the caller works on the first ceil(B/2) samples while this process's
-helper process (``evsnn._helper``), forked on the first such call, works on
-the rest, reading the parameters and the half's input from a shared
-mapping. Both run with OpenBLAS at one thread (at two, its threads compete
-with the halves for the cores). ``forward(..., record=False)`` splits so
-(sew_tiny at 64x64 and T=6: B >= 6): the helper sends back its half's trace,
-the halves' features are concatenated and their counters added, first half
-first, and the accumulator and classifier then run on the whole batch.
-Where no helper can be reached, the batch runs whole. The BPTT step
-(``record=True``) does not split here: ``nn.train`` defines a training
-batch's gradient as the sum of its halves' gradients, each taken by
-``forward`` and ``backward`` on one half, and runs the second half in the
-helper under the same rule. A process held at one BLAS thread, such as a
-sweep worker, never splits. Reruns at one BLAS thread count are
+The split rule, decided by the batch alone (``_halves``): a batch of B
+samples whose second half, floor(B/2) samples, holds fewer than
+``_SPLIT_MIN`` (2**17) input values runs whole, and any other (sew_tiny at
+64x64 and T=6: B >= 6) runs as two halves, the first ceil(B/2) samples and
+the rest. ``forward(..., record=False)`` encodes each half, concatenates
+their features and adds their counters, first half first, and runs the
+accumulator and classifier on the whole batch; ``nn.train`` takes a
+training batch's gradient as the sum of its halves' gradients, and
+``forward(..., record=True)``, which it runs on each, never splits. Where
+this process's OpenBLAS runs two or more threads, the second half runs in
+its helper process (``evsnn._helper``, forked on first use) beside the
+first, both at one BLAS thread; elsewhere, such as in a sweep worker held
+at one thread, or where the helper cannot be reached, it runs here after
+the first. Where a half runs never changes a result, so results do not
+depend on the thread count or the helper's health, and reruns are
 byte-identical. Against a whole-batch run, spike-mode logits, features and
 spike counts are bitwise equal (spikes are thresholded and counted); the
 float32 input sums below, and relaxed- and dense-mode values, can differ in
@@ -492,6 +490,9 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
 # time over both halves run here at two threads, two rounds at 16x16 to
 # 64x64: halves of 49,152 values ran 0.92-1.14x, of 98,304 0.81-1.01x, of
 # 147,456 0.74-0.99x and of 196,608 or more 0.59-0.85x. One floor serves both.
+# The floor is part of what a batch computes: retuning it changes the
+# trained bits, and the float-mode logits and float32 counters, of batches
+# that cross it, never spike-mode logits, features or spike counts.
 _SPLIT_MIN = 1 << 17
 
 
@@ -504,10 +505,8 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     surrogate in the forward pass too (diagnostic, exactly differentiable);
     mode='dense' runs the non-spiking twin: one step on the time-folded
     input, ReLU at every threshold site.
-    ``record=False`` drops backward caches but keeps the activity counters;
-    on a large enough batch, in a process whose OpenBLAS runs two or more
-    threads, it encodes the second half of the batch in a helper process
-    while it encodes the first (see the module docstring).
+    ``record=False`` drops backward caches but keeps the activity counters,
+    and encodes a large enough batch in halves (see the module docstring).
     """
     bounded(forward, {"mode": mode}, "", ConfigError)
     keep_heap()
@@ -516,7 +515,7 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
         config = _dense_view(config)
         x = x.reshape(len(x), 1, config.in_channels, config.height, config.width)
     half = (len(x) + 1) // 2
-    halves = None if record else _beside(
+    halves = None if record else _halves(
         lambda: _encode(config, params, x[:half], mode, False),
         _encode_half, {**params, "x": x[half:]}, config, mode)
     trace = _encode(config, params, x, mode, record) if halves is None else _joined(*halves)
@@ -529,17 +528,19 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     return trace.logits, trace
 
 
-def _beside(main, fn, arrays: dict, *args):
-    """``_helper.beside(main, fn, arrays, *args)`` where the batch's second
-    half, ``arrays["x"]``, holds at least ``_SPLIT_MIN`` values; None, having
-    run neither, for a smaller one. The split rule of ``forward`` and of the
-    training step."""
-    return None if arrays["x"].size < _SPLIT_MIN else _helper.beside(main, fn, arrays, *args)
+def _halves(main, fn, arrays: dict, *args):
+    """The split rule: None, having run neither, where the batch's second
+    half, ``arrays["x"]``, holds fewer than ``_SPLIT_MIN`` values; else
+    (main(), fn(arrays, *args)), fn in the helper process where it can run
+    there, else here after main."""
+    if arrays["x"].size < _SPLIT_MIN:
+        return None
+    return _helper.beside(main, fn, arrays, *args) or (main(), fn(arrays, *args))
 
 
 def _encode_half(arrays: dict, config: NetworkConfig, mode: str) -> ForwardTrace:
-    """``_encode`` as the helper process runs it on a batch's second half:
-    the parameters and the half's input ``"x"`` in one dict."""
+    """``_encode`` as ``_halves`` runs it on a batch's second half: the
+    parameters and the half's input ``"x"`` in one dict."""
     x = arrays.pop("x")
     return _encode(config, arrays, x, mode, False)
 

@@ -5,16 +5,10 @@ training sample with an epoch-derived seed and voxelizes the result, so the
 model sees fresh perturbations while the whole run stays replayable from one
 integer seed. Validation tensors are voxelized once and cached.
 
-A training batch's gradient is, by definition, the gradient of its first
-ceil(B/2) samples plus that of the rest, each taken by ``forward`` and
-``backward`` on its half with the loss summed over the half and divided by
-B, added in that order (a batch of one sample is its own first half). Where
-``nn.network``'s split rule holds (two or more BLAS threads, a large enough
-second half), the second half runs in the helper process beside the first;
-elsewhere, below the size floor, at one BLAS thread or where the helper
-cannot be reached, the halves run one after the other here. Either way the
-bits are the same, so trained parameters never depend on the core count,
-the thread count or the helper's health.
+A training batch's gradient follows ``nn.network``'s split rule: below its
+floor, the whole batch's; else the gradient of its first half plus that of
+the rest, each taken by ``forward`` and ``backward`` on its half with the
+loss summed over the half and divided by B, added in that order.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ import numpy as np
 from .._schema import Bound, bounded, canonical
 from ..augment import AugmentSpec, apply_pipeline
 from ..events import EventStream, voxelize_set
-from .network import NetworkConfig, _beside, _forward_mode, backward, forward
+from .network import NetworkConfig, _forward_mode, _halves, backward, forward
 
 
 class TrainingDiverged(RuntimeError):
@@ -111,8 +105,18 @@ def predict(config: NetworkConfig, params: dict, tensors: np.ndarray,
 
 def accuracy(config: NetworkConfig, params: dict, tensors: np.ndarray,
              labels: np.ndarray, kind: str = "spiking") -> float:
-    pred = predict(config, params, tensors, kind)
-    return float((pred == np.asarray(labels)).mean())
+    labels = _labelled(tensors, labels)
+    return float((predict(config, params, tensors, kind) == labels).mean())
+
+
+def _labelled(tensors: np.ndarray, labels) -> np.ndarray:
+    """labels as an array of one label per sample; ValueError where the
+    counts differ or there is no sample."""
+    labels = np.asarray(labels)
+    if labels.shape != (len(tensors),) or not len(tensors):
+        raise ValueError(f"need one label per sample and at least one sample, "
+                         f"got {len(tensors)} samples and labels of shape {labels.shape}")
+    return labels
 
 
 def _grads(config: NetworkConfig, params: dict, x: np.ndarray, labels: np.ndarray,
@@ -126,9 +130,8 @@ def _grads(config: NetworkConfig, params: dict, x: np.ndarray, labels: np.ndarra
 
 def _grads_half(arrays: dict, config: NetworkConfig, mode: str,
                 denominator: int) -> tuple[np.ndarray, dict]:
-    """``_grads`` as the helper process runs it on a batch's second half:
-    the parameters, the half's input ``"x"`` and its ``"labels"`` in one
-    dict."""
+    """``_grads`` as ``_halves`` runs it on a batch's second half: the
+    parameters, the half's input ``"x"`` and its ``"labels"`` in one dict."""
     x, labels = arrays.pop("x"), arrays.pop("labels")
     return _grads(config, arrays, x, labels, mode, denominator)
 
@@ -138,20 +141,15 @@ def _batch_grads(config: NetworkConfig, params: dict, batch: np.ndarray,
     """The batch's logits and gradient, as the module docstring defines it."""
     b = len(batch)
     half = (b + 1) // 2
-    first = lambda: _grads(config, params, batch[:half], labels[:half], mode, b)
-    halves = _beside(first, _grads_half,
-                     {**params, "x": batch[half:], "labels": labels[half:]}, config, mode, b)
-    if halves is None:  # one half after the other
-        halves = [first()]
-        if half < b:  # a batch of one is its own first half
-            halves.append(_grads(config, params, batch[half:], labels[half:], mode, b))
-    logits, grads = halves[0]
-    if len(halves) == 2:
-        second_logits, second = halves[1]
-        for name, g in grads.items():
-            g += second[name]
-        logits = np.concatenate([logits, second_logits])
-    return logits, grads
+    halves = _halves(lambda: _grads(config, params, batch[:half], labels[:half], mode, b),
+                     _grads_half, {**params, "x": batch[half:], "labels": labels[half:]},
+                     config, mode, b)
+    if halves is None:
+        return _grads(config, params, batch, labels, mode, b)
+    (logits, grads), (second_logits, second) = halves
+    for name, g in grads.items():
+        g += second[name]
+    return np.concatenate([logits, second_logits]), grads
 
 
 def _train_step(config: NetworkConfig, params: dict, batch: np.ndarray,
@@ -177,6 +175,7 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
     accuracy (earliest epoch wins ties, so reruns are reproducible).
     """
     mode = _forward_mode(kind)
+    _labelled(val_tensors, val_labels)
     train_labels = np.asarray(train_labels)
     n = len(train_streams)
     velocity = None

@@ -243,6 +243,19 @@ class TestTraceStats:
         assert first.layer.out_site == "01"
         assert first.spikes == trace.spike_counts["01"] / 3
 
+    def test_output_charging_counts_output_neurons(self, rng):
+        # sew_tiny's plain convs are strided: each one's neuron count is
+        # C_out * OH * OW of its output, not the size of its input
+        config = sew_tiny(4, height=32, width=32, theta=0.5)
+        x = (rng.random((2, 6, 2, 32, 32)) < 0.1).astype(np.uint8)
+        _, trace = forward(config, init_params(config, 1), x)
+        stats, _ = stats_from_traces(config, [trace], charging="output")
+        neurons = {st.layer.name: st.neurons for st in stats if st.layer.op == "conv"}
+        assert {name: neurons[name] for name in ("00.conv", "04.conv", "07.conv")} == {
+            "00.conv": 16 * 16 * 16, "04.conv": 32 * 4 * 4, "07.conv": 64 * 2 * 2}
+        assert all(st.neurons == st.layer.c_out * st.layer.out_h * st.layer.out_w
+                   for st in stats if st.layer.op == "conv")
+
     def test_charging_must_be_known(self, rng):
         config, trace, _ = trace_setup(rng)
         with pytest.raises(ValueError, match="charging"):

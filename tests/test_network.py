@@ -14,6 +14,8 @@ import pytest
 
 import evsnn
 from evsnn import _blas, _heap, _helper
+from evsnn._schema import canonical
+from evsnn.energy import estimate_from_traces
 from evsnn.events import voxelize_set
 from evsnn.nn import (
     IF,
@@ -664,26 +666,13 @@ class FakeBlas:
         self.counts = list(counts)
 
 
-def columns_independent_of_n(config, kind, batch):
-    """Whether this BLAS gives every output column of each conv GEMM of
-    ``config`` the same bits at the full batch as at either half of it."""
-    rng = np.random.default_rng(0)
-    half = (batch + 1) // 2
-    for lay in network.synaptic_layers(config, kind):
-        if lay.op != "conv":
-            continue
-        pixels = lay.out_h * lay.out_w
-        w = rng.standard_normal((lay.c_out, lay.c_in * lay.k * lay.k)).astype(np.float32)
-        cols = rng.standard_normal((w.shape[1], pixels, batch)).astype(np.float32)
-        full = (w @ cols.reshape(w.shape[1], -1)).reshape(-1, pixels, batch)
-        for part in (slice(0, half), slice(half, batch)):
-            own = w @ np.ascontiguousarray(cols[:, :, part]).reshape(w.shape[1], -1)
-            if not np.array_equal(own, full[:, :, part].reshape(len(w), -1)):
-                return False
-    return True
-
-
 SPLIT_MIN = network._SPLIT_MIN
+
+# sew_tiny with each SEW join, and a config with a conv-fed conv
+NETS = {"sew_add": lambda: sew_tiny(4, height=32, width=32, theta=0.5),
+        "sew_and": lambda: sew_tiny(4, height=32, width=32, theta=0.5, g="and"),
+        "sew_iand": lambda: sew_tiny(4, height=32, width=32, theta=0.5, g="iand"),
+        "mixed": mixed_config}
 
 
 class HalfFailed(Exception):
@@ -691,11 +680,12 @@ class HalfFailed(Exception):
 
 
 class TestShardedForward:
-    """forward(record=False) on a large enough batch, in a process whose
-    OpenBLAS runs two or more threads, encodes the second half of the batch
-    in a helper process while the caller encodes the first, and returns the
-    trace of the whole batch. The fixture below lets every batch of two or
-    more split; ``test_size_floor`` restores the floor."""
+    """forward(record=False) on a large enough batch encodes it in halves
+    and returns the trace of the whole batch: in a process whose OpenBLAS
+    runs two or more threads, the second half in a helper process while the
+    caller encodes the first; at one, both here. The fixture below lets
+    every batch of two or more split; ``test_size_floor`` restores the
+    floor."""
 
     @pytest.fixture(autouse=True)
     def any_size_splits(self, monkeypatch):
@@ -755,11 +745,30 @@ class TestShardedForward:
         x = binary_input(rng, config, batch, density=0.05)
         logits, trace, _ = self.run(monkeypatch, config, params, x, mode)
         want_logits, want, _ = self.run(monkeypatch, config, params, x, mode, threads=1)
-        self.assert_close(trace.spike_counts, want.spike_counts)
-        self.assert_close(trace.synaptic_inputs, want.synaptic_inputs)
-        if not columns_independent_of_n(config, kind, batch):
-            pytest.skip("this BLAS gives a GEMM column other bits at another width")
+        assert trace.spike_counts == want.spike_counts
+        assert trace.synaptic_inputs == want.synaptic_inputs
         assert logits.tobytes() == want_logits.tobytes()
+
+    @pytest.mark.parametrize("mode", ["spike", "relaxed", "dense"])
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_thread_count_changes_nothing(self, monkeypatch, rng, name, mode):
+        # at two BLAS threads the second half runs in the helper, at one
+        # here after the first: the same bits either way, energy report too
+        config = NETS[name]()
+        params = init_params(config, 1, kind="dense" if mode == "dense" else "spiking")
+        x = binary_input(rng, config, 16, density=0.05)
+        runs = []
+        for threads in (1, 2):
+            logits, trace, blas = self.run(monkeypatch, config, params, x, mode, threads)
+            assert blas.set_calls == ([[1], [2]] if threads == 2 else [])
+            # the ledger refuses mixed's float-mode traces: the input sum of
+            # its conv-fed 04.conv is negative there
+            report = (None if name == "mixed" and mode != "spike"
+                      else canonical(estimate_from_traces(config, [trace]).to_json_dict()))
+            runs.append((logits.tobytes(), trace.features.tobytes(),
+                         trace.accumulated.tobytes(), trace.spike_counts,
+                         trace.synaptic_inputs, trace.site_sizes, report))
+        assert runs[0] == runs[1]
 
     @pytest.fixture
     def small(self, rng):
@@ -973,13 +982,83 @@ class TestExactCounts:
         assert trace.spike_counts["input"] == x.sum()
 
 
+class TestCounterReferences:
+    """Every counter against a float64 reference taken from the tensors
+    themselves: a conv's input sum from the inputs ``conv2d_forward``
+    receives, a site's spike count from the site's outputs in the
+    record=True caches. At one BLAS thread both halves of a split batch run
+    in this process, inside the patch's reach."""
+
+    RTOL = 1e-6  # the float32 sums of relaxed, dense and conv-fed values
+
+    @pytest.fixture(params=sorted(NETS))
+    def net(self, request):
+        return NETS[request.param]()
+
+    def assert_matches(self, got: dict, want: dict):
+        assert list(got) == list(want)
+        np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=self.RTOL)
+
+    @pytest.mark.parametrize("mode", ["spike", "relaxed", "dense"])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_synaptic_inputs(self, monkeypatch, net, mode, split):
+        kind = "dense" if mode == "dense" else "spiking"
+        params = init_params(net, 1, kind=kind)
+        x = binary_input(np.random.default_rng(5), net, batch=6, density=0.1)
+        FakeBlas(monkeypatch, [1])
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1 if split else SPLIT_MIN)
+        inputs, conv = [], network.conv2d_forward
+
+        def recording(h, *args, **kwargs):
+            inputs.append((float(np.sum(h, dtype=np.float64)), h[0].size))
+            return conv(h, *args, **kwargs)
+
+        monkeypatch.setattr(network, "conv2d_forward", recording)
+        _, trace = forward(net, params, x, mode=mode, record=False)
+        layers = network.synaptic_layers(net, kind)
+        convs = [lay.name for lay in layers if lay.op == "conv"]
+        assert len(inputs) == len(convs) * (1 if mode == "dense" else net.time_steps) * (1 + split)
+        totals, sizes = {}, {}
+        for i, (total, size) in enumerate(inputs):  # each half steps through every conv
+            name = convs[i % len(convs)]
+            totals[name] = totals.get(name, 0.0) + total
+            sizes[name] = size
+        acc = layers[-2].name
+        totals[acc] = float(np.sum(trace.features, dtype=np.float64))
+        sizes[acc] = net.feature_dim
+        self.assert_matches({k: v for k, (v, _) in trace.synaptic_inputs.items()}, totals)
+        assert {k: n for k, (_, n) in trace.synaptic_inputs.items()} == sizes
+
+    @pytest.mark.parametrize("mode", ["spike", "relaxed", "dense"])
+    def test_spike_counts(self, monkeypatch, net, mode):
+        params = init_params(net, 1, kind="dense" if mode == "dense" else "spiking")
+        x = binary_input(np.random.default_rng(6), net, batch=6, density=0.1)
+        FakeBlas(monkeypatch, [1])
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1)
+        _, recorded = forward(net, params, x, mode=mode, record=True)
+        view = network._dense_view(net) if mode == "dense" else net
+        counts = {"input": float(np.sum(x, dtype=np.float64))}
+        sizes = {"input": view.in_channels * view.height * view.width}
+        for step in recorded.caches:
+            for (lay, sites, _), cache in zip(network._layer_plan(view), step):
+                outputs = ((cache[1],) if isinstance(lay, IF)
+                           else (cache[2], cache[4]) if isinstance(lay, SEW) else ())
+                for site, out in zip(sites, outputs):
+                    counts[site] = counts.get(site, 0.0) + float(np.sum(out, dtype=np.float64))
+                    sizes[site] = out[0].size
+        split = forward(net, params, x, mode=mode, record=False)[1]
+        for trace in (recorded, split):
+            self.assert_matches(trace.spike_counts, counts)
+            assert trace.site_sizes == sizes
+
+
 class TestConvCallCounts:
     """The benchmark tracer counts convs by rebinding ``network.conv2d_forward``
     and ``network.conv2d_backward``; every conv of every step must call the
     module-level name at call time. sew_tiny has 9 convs, so 54 calls at
-    T=6. A split forward makes the same 54 in the caller's process, on its
-    half; the helper process makes the other half's, out of a monkeypatch's
-    reach."""
+    T=6. A split forward makes 54 per half: at one BLAS thread both halves
+    run in the caller's process, 108 calls; at two the helper process makes
+    the second half's, out of a monkeypatch's reach."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1003,7 +1082,7 @@ class TestConvCallCounts:
         x = binary_input(np.random.default_rng(3), config, batch=4, density=0.1)
         return config, init_params(config, 2), x
 
-    @pytest.mark.parametrize("record,threads,want", [(True, 2, 54), (False, 1, 54),
+    @pytest.mark.parametrize("record,threads,want", [(True, 2, 54), (False, 1, 108),
                                                      (False, 2, 54)])
     def test_forward(self, monkeypatch, calls, net, record, threads, want):
         monkeypatch.setattr(network, "_SPLIT_MIN", 1)

@@ -279,7 +279,8 @@ class TestTrainLoop:
 
         monkeypatch.setattr(nn_train, "forward", recording_forward)
         train(config, params, tr_s, tr_y, va_x, va_y, self.settings(epochs=2))
-        assert len(traces) == 12  # 12 streams, batch 4 in halves of 2, 2 epochs
+        # 12 streams in batches of 4, each whole below the split floor, 2 epochs
+        assert len(traces) == 6
 
     def test_batch_built_batch_innermost(self, rng, monkeypatch):
         # each training batch is a (B, T, C, H, W) view over (T, C, H, W, B)
@@ -340,6 +341,39 @@ class TestTrainLoop:
         wide = toy_stream(rng, 0, width=16)
         with pytest.raises(ValueError, match="16x8 stream does not voxelize"):
             train(config, params, tr_s[:-1] + [wide], tr_y, va_x, va_y, self.settings())
+
+    @pytest.mark.parametrize("labels", [np.array([0]), np.array([], dtype=np.int64),
+                                        np.zeros((6, 1), dtype=np.int64)])
+    def test_accuracy_needs_one_label_per_sample(self, labels):
+        # six samples against one label broadcast to a score of 1.0
+        config = toy_config()
+        params = init_params(config, seed=0)
+        with pytest.raises(ValueError, match="one label per sample"):
+            accuracy(config, params, np.zeros((6, 2, 2, 8, 8), dtype=np.uint8), labels)
+
+    def test_accuracy_needs_a_sample(self):
+        # no sample read NaN, with two RuntimeWarnings
+        config = toy_config()
+        params = init_params(config, seed=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            accuracy(config, params, np.zeros((0, 2, 2, 8, 8), dtype=np.uint8),
+                     np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("n_val", [0, 3])
+    def test_validation_set_checked_before_training(self, rng, monkeypatch, n_val):
+        # an empty one ran every epoch and returned the initial parameters
+        # with best_epoch -1: a NaN accuracy never beats -1
+        config = toy_config()
+        params = init_params(config, seed=0)
+        tr_s, tr_y, va_x, _ = toy_data(rng)
+
+        def no_step(*args):
+            raise AssertionError("a step ran before the validation set was checked")
+
+        monkeypatch.setattr(nn_train, "_train_step", no_step)
+        with pytest.raises(ValueError, match="one label per sample"):
+            train(config, params, tr_s, tr_y, va_x[:n_val], np.zeros(2, dtype=np.int64),
+                  self.settings())
 
     def test_predict_empty(self):
         config = toy_config()
@@ -429,6 +463,27 @@ class TestHalfBatchGradient:
         fake_threads(monkeypatch, 1)
         self.assert_same_run(split, self.train_run(data, kind, batch_size), tmp_path)
 
+    @pytest.mark.parametrize("mode", ["spike", "relaxed", "dense"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_step_rule(self, monkeypatch, data, mode, threads):
+        # below the floor a step is _grads on the whole batch; above it, the
+        # sum of _grads on its halves, first half first; at either thread count
+        config, streams, labels = data[:3]
+        params = init_params(config, 1, kind="dense" if mode == "dense" else "spiking")
+        x, y = voxelize_set(streams[:5], 2), labels[:5]
+        fake_threads(monkeypatch, threads)
+        halves = [nn_train._grads(config, params, x[part], y[part], mode, 5)
+                  for part in (slice(0, 3), slice(3, 5))]
+        for name, g in halves[0][1].items():
+            g += halves[1][1][name]
+        for floor, (want_logits, want) in (
+                (SPLIT_MIN, nn_train._grads(config, params, x, y, mode, 5)),
+                (1, (np.concatenate([halves[0][0], halves[1][0]]), halves[0][1]))):
+            monkeypatch.setattr(network, "_SPLIT_MIN", floor)
+            logits, grads = nn_train._batch_grads(config, params, x, y, mode)
+            assert logits.tobytes() == want_logits.tobytes()
+            assert all(grads[name].tobytes() == want[name].tobytes() for name in params)
+
     @staticmethod
     def kill_helper_at_second_job(monkeypatch, tmp_path):
         """Makes the helper SIGKILL itself at the start of its second job,
@@ -457,9 +512,10 @@ class TestHalfBatchGradient:
         self.assert_same_run(split, self.train_run(data), tmp_path)
 
     def test_real_blas_paths(self, monkeypatch, data, tmp_path):
-        # the real OpenBLAS, nothing faked: split at its thread count, halves
-        # one after the other at that count below the size floor, and a
-        # helper killed mid-epoch, each against a run held at one thread
+        # the real OpenBLAS, nothing faked: split at its thread count and a
+        # helper killed mid-epoch, each against a run held at one thread; and
+        # below the size floor, a step is _grads on the whole batch at that
+        # count, and a run equals one held at one thread
         before = _blas.threads()
         if max(before, default=1) < 2:
             pytest.skip("OpenBLAS runs one thread here, so a training step does not split")
@@ -486,8 +542,22 @@ class TestHalfBatchGradient:
         seen.clear()
         with monkeypatch.context() as floor:
             floor.setattr(network, "_SPLIT_MIN", SPLIT_MIN)  # no toy half reaches it
-            self.assert_same_run(self.train_run(data), whole, tmp_path)
-        assert seen and all(t == before for t in seen) and _helper._current is None
+            config, streams, labels = data[:3]
+            params = init_params(config, 3)
+            x, y = voxelize_set(streams[:4], 2), labels[:4]
+            logits, grads = nn_train._batch_grads(config, params, x, y, "spike")
+            assert seen == [before]  # one whole-batch _grads, at the real count
+            want_logits, want = real_grads(config, params, x, y, "spike", 4)
+            assert logits.tobytes() == want_logits.tobytes()
+            assert all(grads[name].tobytes() == want[name].tobytes() for name in params)
+            _blas.set_threads([1] * len(before))
+            try:
+                whole_below = self.train_run(data)
+            finally:
+                _blas.set_threads(before)
+            self.assert_same_run(self.train_run(data), whole_below, tmp_path)
+        assert all(t in (before, [1] * len(before)) for t in seen)
+        assert _helper._current is None
 
         killed = self.kill_helper_at_second_job(monkeypatch, tmp_path)
         self.assert_same_run(self.train_run(data), whole, tmp_path)
