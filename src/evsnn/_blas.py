@@ -1,9 +1,9 @@
 """OpenBLAS thread control through ctypes, without threadpoolctl.
 
 The sweep's pool workers hold their BLAS to one thread so parallel workers
-do not compete for the cores. ``_helper.beside`` holds it there while the
-caller works on the first half of a split batch, and the helper process that
-works on the second half holds its own there too.
+do not compete for the cores. ``_helper`` holds the caller's there from the
+fork of the helper process that runs the second half of a split batch, which
+inherits the one thread, until the helper stops.
 """
 
 from __future__ import annotations

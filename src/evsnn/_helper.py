@@ -5,15 +5,18 @@ beside the caller.
 runs the first: two processes do not share an interpreter lock, so the
 Python work around each layer's numpy calls runs on both cores at once.
 
-The helper is a daemonic process forked on first use. The arrays it works on
-travel through an anonymous shared mapping made before the fork; only a
-small job message and the function's result go through the pipe. A call
-that needs more room than the mapping has forks a new helper with a larger
-one. Callers from several threads take turns. A helper that died is forked
-again; a call that cannot reach the helper returns None, and the caller runs
-the work itself. A forked child forgets its parent's helper and forks its
-own. At interpreter exit multiprocessing stops and joins the helper, as it
-does every daemonic process; ``stop`` does the same at any time.
+The helper is a daemonic process forked on first use where this process's
+OpenBLAS runs two or more threads. The fork drops the caller's OpenBLAS to
+one thread, which the helper inherits, until the helper stops (at two, the
+two processes' BLAS threads would compete for the cores). The arrays it
+works on travel through an anonymous shared mapping made before the fork;
+only a small job message and the function's result go through the pipe. A
+call that needs more room than the mapping has forks a new helper with a
+larger one. Callers from several threads take turns. A helper that died is
+forked again. A forked child forgets its parent's helper, with the counts
+from before its fork, and forks its own. At interpreter exit multiprocessing
+stops and joins the helper, as it does every daemonic process; ``stop`` does
+the same at any time, and gives the caller its counts back.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ _JOIN_S = 5.0         # how long ``stop`` waits for the helper to leave
 
 
 class _Helper:
-    """The helper process, its pipe end and the mapping it reads."""
+    """The helper process, its pipe end, its mapping and the caller's thread counts."""
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self, size: int, threads: list[int]):
+        self.size, self.threads = size, threads
         self.shared = mmap.mmap(-1, size)  # MAP_SHARED | MAP_ANONYMOUS
         fork = multiprocessing.get_context("fork")
         self.conn, child_end = fork.Pipe()
@@ -81,7 +84,6 @@ def _serve(conn, caller_end, shared: mmap.mmap) -> None:
     or goes away."""
     caller_end.close()  # so the caller's exit reads as the end of the pipe here
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
-    _blas.set_threads([1] * len(_blas.threads()))
     while True:
         try:
             job = conn.recv()
@@ -103,53 +105,49 @@ def _serve(conn, caller_end, shared: mmap.mmap) -> None:
 
 def _ready(size: int) -> _Helper | None:
     """This process's live helper with at least ``size`` bytes of mapping,
-    forked if there is none; None if it cannot be forked."""
+    forked if there is none; None where OpenBLAS runs fewer than two threads
+    (no second core to give, or no OpenBLAS found) or the fork fails."""
     global _current
     if _current is not None and (_current.size < size or not _current.process.is_alive()):
         _stop()
     if _current is None:
+        threads = _blas.threads()
+        if max(threads, default=1) < 2:
+            return None
+        _blas.set_threads([1] * len(threads))
         try:
-            _current = _Helper(max(_MIN_SIZE, 1 << (size - 1).bit_length()))
+            _current = _Helper(max(_MIN_SIZE, 1 << (size - 1).bit_length()), threads)
         except OSError:
+            _blas.set_threads(threads)
             return None
     return _current
 
 
-def beside(main: Callable, fn: Callable, arrays: dict[str, np.ndarray], *args):
-    """(main(), fn(arrays, *args)): main runs here while this process's
-    helper runs fn on copies of ``arrays`` in the shared mapping, under the
-    caller's ``np.geterr()``. Both run with OpenBLAS at one thread (at two,
-    its threads would compete with the two processes for the cores); the
-    caller's thread counts are restored on return. Once both have finished,
-    an exception of either is raised here, main's first. Returns None where
-    this process's OpenBLAS runs fewer than two threads (no second core to
-    give, or no OpenBLAS found), having run neither, or where the helper
-    cannot be reached; main's result, if it ran, is then dropped."""
+def beside(fn: Callable, here: dict[str, np.ndarray], there: dict[str, np.ndarray], *args):
+    """(fn(here, *args), fn(there, *args)), the second run by the helper on
+    copies of ``there`` in the shared mapping, under the caller's
+    ``np.geterr()``, while the first runs here; an exception of either is
+    raised once both have finished, the first's first. The second runs here
+    where the helper dies in the job. None, having run neither, where there
+    is no helper to be had or reached."""
     with _turns:
-        threads = _blas.threads()
-        if max(threads, default=1) < 2:
+        layout, size = _layout(there)
+        helper = _ready(size)
+        if helper is None:
             return None
-        layout, size = _layout(arrays)
-        _blas.set_threads([1] * len(threads))
+        for name, view in _views(helper.shared, layout).items():
+            view[...] = there[name]
         try:
-            helper = _ready(size)
-            if helper is None:
-                return None
-            for name, view in _views(helper.shared, layout).items():
-                view[...] = arrays[name]
-            try:
-                helper.conn.send((fn, args, layout, np.geterr()))
-            except OSError:  # the helper is gone
-                _stop()
-                return None
-            try:
-                first = main()
-            finally:
-                reply = _reply(helper)
-        finally:
-            _blas.set_threads(threads)
-        if reply is None:
+            helper.conn.send((fn, args, layout, np.geterr()))
+        except OSError:  # the helper is gone
+            _stop()
             return None
+        try:
+            first = fn(here, *args)
+        finally:
+            reply = _reply(helper)
+        if reply is None:
+            return first, fn(there, *args)
         ok, second = reply
         if not ok:
             raise second
@@ -170,10 +168,17 @@ def _reply(helper: _Helper):
 
 
 def stop() -> None:
-    """Stop and join this process's helper, if it has one; the next call
-    forks a new one."""
+    """Stop and join this process's helper, if it has one, giving back the
+    thread counts its fork took; the next call forks a new one."""
     with _turns:
         _stop()
+
+
+def threads() -> list[int]:
+    """This process's OpenBLAS thread counts: while a helper lives, those
+    from before its fork; else ``_blas.threads()``."""
+    helper = _current
+    return _blas.threads() if helper is None else list(helper.threads)
 
 
 def _stop() -> None:
@@ -181,6 +186,7 @@ def _stop() -> None:
     helper, _current = _current, None
     if helper is None:
         return
+    _blas.set_threads(helper.threads)
     try:
         helper.conn.send(None)
     except OSError:
@@ -194,14 +200,15 @@ def _stop() -> None:
 
 
 def _forget() -> None:
-    """In a forked child: drop the parent's helper without stopping it, and
-    renew the lock another thread may have held at the fork."""
+    """In a forked child: drop the parent's helper without stopping it, take
+    back its thread counts, and renew the lock another thread may have held."""
     global _current, _turns
     _turns = threading.Lock()
     if _current is not None:
         # else multiprocessing would SIGTERM the parent's helper at this child's exit
         multiprocessing.process._children.discard(_current.process)
         _current.conn.close()
+        _blas.set_threads(_current.threads)
         _current = None
 
 

@@ -26,7 +26,7 @@ from typing import Annotated
 
 import numpy as np
 
-from . import _blas, bench, energy, regress, synth
+from . import _helper, bench, energy, regress, synth
 from ._schema import Bound, SchemaError, bounded, dumps, loads
 from .augment import AugmentSpec, TransformSpec, apply_pipeline
 from .evio import EventFileError, load_events, load_manifest, save_events
@@ -51,8 +51,10 @@ def _run_ledger(path: Path, exp: Experiment, command: str, seeds: dict,
     """Timing sidecar; excluded from the byte-determinism contract. It also
     records the core count and the thread count of each loaded OpenBLAS,
     the two settings a wall time depends on, and the minor page faults and
-    the largest resident memory of this process and its finished workers."""
-    threads = _blas.threads()
+    the largest resident memory of this process and its finished workers.
+    The thread counts are this process's own, not the one thread it runs
+    at while a helper process lives (``evsnn._helper``)."""
+    threads = _helper.threads()
     usage = [resource.getrusage(who) for who in (resource.RUSAGE_SELF,
                                                  resource.RUSAGE_CHILDREN)]
     # ru_maxrss is KiB on Linux, bytes on macOS

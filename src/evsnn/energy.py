@@ -14,6 +14,10 @@ Accounting rules, fixed here and labeled in reports:
   - the accumulator head sees binary features and is rate-charged like any
     spiking layer; the classifier runs once on the real-valued accumulated
     vector and is charged one dense pass at the MAC cost (rs None marks it);
+  - a layer whose input is a conv's real-valued output (a conv fed by a
+    conv, as the network's config says) has no input spikes: it is charged
+    one dense pass per time step at the MAC cost, rs None, unless output
+    charging gives it its output site's spikes;
   - pooling, thresholds, and residual junctions are free.
 """
 
@@ -51,12 +55,14 @@ class LayerStats:
     """One weighted layer plus its measured input activity.
 
     spikes is the per-sample total over all time-steps (batch-averaged);
-    None marks a layer charged as one dense pass (the classifier head).
+    None marks a layer charged as ``passes`` dense passes: the classifier
+    head once, a layer fed by a conv's real-valued output once per step.
     """
 
     layer: SynapticLayer
     spikes: float | None
     neurons: int
+    passes: int = 1
 
     def __post_init__(self):
         if self.neurons <= 0:
@@ -143,10 +149,14 @@ def estimate(snn_stats: list[LayerStats], ann_layers: list[SynapticLayer],
     for st in snn_stats:
         fa = flops_ann(st.layer)
         if st.spikes is None:
-            e = fa * constants.e_mac
+            e = fa * st.passes * constants.e_mac
             row = {"name": st.layer.name, "op": st.layer.op, "flops_ann": fa,
-                   "rs": None, "flops_snn": float(fa), "energy_pj": e,
-                   "charged": "dense pass at E_MAC"}
+                   "rs": None, "flops_snn": float(fa * st.passes), "energy_pj": e,
+                   "charged": ("dense pass at E_MAC" if st.passes == 1
+                               else f"{st.passes} dense passes at E_MAC")}
+            if st.layer.real_input:
+                notes.append(f"{st.layer.name}: real-valued input (a conv's output) "
+                             f"charged {st.passes} dense passes at E_MAC")
         else:
             rs = spike_rate(st)
             fs = flops_snn(st.layer, rs)
@@ -190,6 +200,9 @@ def stats_from_traces(config: NetworkConfig, traces: list[ForwardTrace],
         if charging == "output" and layer.out_site is not None:
             total = sum(tr.spike_counts[layer.out_site] for tr in traces)
             neurons = traces[0].site_sizes[layer.out_site]
+        elif layer.real_input:
+            stats.append(LayerStats(layer, None, layer.c_in, config.time_steps))
+            continue
         else:
             total = sum(tr.synaptic_inputs[layer.name][0] for tr in traces)
             neurons = traces[0].synaptic_inputs[layer.name][1]

@@ -30,14 +30,14 @@ training batch's gradient as the sum of its halves' gradients, and
 ``forward(..., record=True)``, which it runs on each, never splits. Where
 this process's OpenBLAS runs two or more threads, the second half runs in
 its helper process (``evsnn._helper``, forked on first use) beside the
-first, both at one BLAS thread; elsewhere, such as in a sweep worker held
-at one thread, or where the helper cannot be reached, it runs here after
-the first. Where a half runs never changes a result, so results do not
-depend on the thread count or the helper's health, and reruns are
-byte-identical. Against a whole-batch run, spike-mode logits, features and
-spike counts are bitwise equal (spikes are thresholded and counted); the
-float32 input sums below, and relaxed- and dense-mode values, can differ in
-the last bits.
+first; the fork leaves both at one BLAS thread until the helper stops. In
+a sweep worker held at one thread, or where the helper cannot be reached,
+it runs here after the first. Where a half runs never changes a result, so
+results do not depend on the thread count or the helper's health, and
+reruns are byte-identical. Against a whole-batch run, spike-mode logits,
+features and spike counts are bitwise equal (spikes are thresholded and
+counted); the float32 input sums below, and relaxed- and dense-mode values,
+can differ in the last bits.
 
 The energy ledger's activity counters take no extra pass in spike mode.
 Each threshold site counts its spikes from its threshold comparison, an
@@ -298,22 +298,32 @@ def _layer_plan(config: NetworkConfig) -> list[tuple]:
 
 
 def _convs(config: NetworkConfig):
-    """(tensor name, Conv2d, output (C, H, W), site it feeds) for every
-    encoder conv in forward order. A plain conv feeds the first IF after it,
-    unless a Conv2d or SEW comes first; a SEW stage feeds its own site."""
+    """(tensor name, Conv2d, output (C, H, W), site it feeds, whether its
+    input is a conv's real-valued output) for every encoder conv in forward
+    order. A plain conv feeds the first IF after it, unless a Conv2d or SEW
+    comes first; a SEW stage feeds its own site, and its second stage reads
+    the first's spikes."""
     shapes = config.encoder_shapes()
     plan = _layer_plan(config)
     for i, (lay, sites, convs) in enumerate(plan):
+        real = _conv_output_reaches(config.encoder_layers[:i])
         if isinstance(lay, Conv2d):
             site = next((nxt_sites[0] if isinstance(nxt, IF) else None
                          for nxt, nxt_sites, _ in plan[i + 1:]
                          if isinstance(nxt, (IF, Conv2d, SEW))), None)
             out = shapes[i + 1] if len(shapes[i + 1]) == 3 else (shapes[i + 1][0], 1, 1)
             (name, conv), = convs
-            yield name, conv, out, site
+            yield name, conv, out, site, real
         else:
-            for (name, conv), site in zip(convs, sites):
-                yield name, conv, shapes[i], site
+            for (name, conv), site, stage_real in zip(convs, sites, (real, False)):
+                yield name, conv, shapes[i], site, stage_real
+
+
+def _conv_output_reaches(layers) -> bool:
+    """Whether the output of ``layers`` is a conv's real-valued output: their
+    last Conv2d or IF is a Conv2d (pools and SEW joins carry its values)."""
+    last = next((lay for lay in reversed(layers) if isinstance(lay, (Conv2d, IF))), None)
+    return isinstance(last, Conv2d)
 
 
 def _forward_mode(kind: ModelKind) -> str:
@@ -354,7 +364,8 @@ class SynapticLayer:
     k = out_h = out_w = 1 so one FLOP formula covers both shapes. ``out_site``
     is the threshold site fed by this layer (None for the head layers), used
     by the alternative output-rate charging rule. ``bias`` says whether the
-    layer has a bias tensor.
+    layer has a bias tensor. ``real_input`` says whether its input is a
+    conv's real-valued output rather than spikes, their pools and joins.
     """
 
     name: str
@@ -366,6 +377,7 @@ class SynapticLayer:
     c_out: int
     out_site: str | None = None
     bias: bool = False
+    real_input: bool = False
 
     @property
     def macs(self) -> int:
@@ -376,12 +388,14 @@ def synaptic_layers(config: NetworkConfig, kind: str = "spiking") -> list[Synapt
     """Every weighted layer in forward order, with resolved shapes."""
     if _forward_mode(kind) == "dense":
         config = _dense_view(config)
-    out = [SynapticLayer(name, "conv", conv.k, oh, ow, conv.c_in, conv.c_out, site, conv.bias)
-           for name, conv, (_, oh, ow), site in _convs(config)]
+    out = [SynapticLayer(name, "conv", conv.k, oh, ow, conv.c_in, conv.c_out, site, conv.bias,
+                         real)
+           for name, conv, (_, oh, ow), site, real in _convs(config)]
     d = config.feature_dim
     acc_tag = f"{len(config.layers) - 2:02d}"
     cls_tag = f"{len(config.layers) - 1:02d}"
-    out.append(SynapticLayer(f"{acc_tag}.acc", "linear", 1, 1, 1, d, d))
+    out.append(SynapticLayer(f"{acc_tag}.acc", "linear", 1, 1, 1, d, d,
+                             real_input=_conv_output_reaches(config.encoder_layers)))
     out.append(SynapticLayer(f"{cls_tag}.cls", "linear", 1, 1, 1, d,
                              config.classifier.classes, bias=config.classifier.bias))
     return out
@@ -492,7 +506,10 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
 # 147,456 0.74-0.99x and of 196,608 or more 0.59-0.85x. One floor serves both.
 # The floor is part of what a batch computes: retuning it changes the
 # trained bits, and the float-mode logits and float32 counters, of batches
-# that cross it, never spike-mode logits, features or spike counts.
+# that cross it, never spike-mode logits, features or spike counts. These
+# times were taken with OpenBLAS set 2 -> 1 -> 2 threads around each split
+# call, before the helper's lifetime held the caller at one thread; the
+# floor was not retuned for that.
 _SPLIT_MIN = 1 << 17
 
 
@@ -514,10 +531,7 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     if mode == "dense":  # the T frames of a sample stacked along its channels
         config = _dense_view(config)
         x = x.reshape(len(x), 1, config.in_channels, config.height, config.width)
-    half = (len(x) + 1) // 2
-    halves = None if record else _halves(
-        lambda: _encode(config, params, x[:half], mode, False),
-        _encode_half, {**params, "x": x[half:]}, config, mode)
+    halves = None if record else _halves(_encode_half, params, {"x": x}, config, mode)
     trace = _encode(config, params, x, mode, record) if halves is None else _joined(*halves)
 
     acc_tag, cls_tag = f"{len(config.layers) - 2:02d}", f"{len(config.layers) - 1:02d}"
@@ -528,18 +542,21 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     return trace.logits, trace
 
 
-def _halves(main, fn, arrays: dict, *args):
-    """The split rule: None, having run neither, where the batch's second
-    half, ``arrays["x"]``, holds fewer than ``_SPLIT_MIN`` values; else
-    (main(), fn(arrays, *args)), fn in the helper process where it can run
-    there, else here after main."""
-    if arrays["x"].size < _SPLIT_MIN:
+def _halves(fn, params: dict, batch: dict, *args):
+    """The split rule: each half is ``params`` plus every array of ``batch``
+    cut at ceil(B/2); None where the second's input ``"x"`` holds fewer than
+    ``_SPLIT_MIN`` values, else (fn(first, *args), fn(second, *args)), the
+    second in the helper process where it can run there."""
+    cut = (len(batch["x"]) + 1) // 2
+    first = {**params, **{name: a[:cut] for name, a in batch.items()}}
+    second = {**params, **{name: a[cut:] for name, a in batch.items()}}
+    if second["x"].size < _SPLIT_MIN:
         return None
-    return _helper.beside(main, fn, arrays, *args) or (main(), fn(arrays, *args))
+    return _helper.beside(fn, first, second, *args) or (fn(first, *args), fn(second, *args))
 
 
 def _encode_half(arrays: dict, config: NetworkConfig, mode: str) -> ForwardTrace:
-    """``_encode`` as ``_halves`` runs it on a batch's second half: the
+    """``_encode`` as ``_halves`` runs it on each half of a batch: the
     parameters and the half's input ``"x"`` in one dict."""
     x = arrays.pop("x")
     return _encode(config, arrays, x, mode, False)

@@ -130,7 +130,7 @@ def _grads(config: NetworkConfig, params: dict, x: np.ndarray, labels: np.ndarra
 
 def _grads_half(arrays: dict, config: NetworkConfig, mode: str,
                 denominator: int) -> tuple[np.ndarray, dict]:
-    """``_grads`` as ``_halves`` runs it on a batch's second half: the
+    """``_grads`` as ``_halves`` runs it on each half of a batch: the
     parameters, the half's input ``"x"`` and its ``"labels"`` in one dict."""
     x, labels = arrays.pop("x"), arrays.pop("labels")
     return _grads(config, arrays, x, labels, mode, denominator)
@@ -140,10 +140,7 @@ def _batch_grads(config: NetworkConfig, params: dict, batch: np.ndarray,
                  labels: np.ndarray, mode: str) -> tuple[np.ndarray, dict]:
     """The batch's logits and gradient, as the module docstring defines it."""
     b = len(batch)
-    half = (b + 1) // 2
-    halves = _halves(lambda: _grads(config, params, batch[:half], labels[:half], mode, b),
-                     _grads_half, {**params, "x": batch[half:], "labels": labels[half:]},
-                     config, mode, b)
+    halves = _halves(_grads_half, params, {"x": batch, "labels": labels}, config, mode, b)
     if halves is None:
         return _grads(config, params, batch, labels, mode, b)
     (logits, grads), (second_logits, second) = halves

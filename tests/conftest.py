@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -69,10 +73,28 @@ def rng():
 def no_helper_across_patches(request):
     """A test that monkeypatches starts and ends without a helper process:
     the helper is a fork, so one forked while a patch of ``nn.network`` is
-    active keeps the patch after the test has undone it."""
+    active keeps the patch after the test has undone it. The stop at the end
+    runs before the patches are undone, so a faked ``_blas`` gets back the
+    faked thread counts it gave the helper's fork."""
     if "monkeypatch" not in request.fixturenames:
         yield
         return
+    request.getfixturevalue("monkeypatch")  # set up first, so undone after this fixture
     _helper.stop()
     yield
     _helper.stop()
+
+
+def logging_pids(monkeypatch, module, name: str, log: Path) -> None:
+    """Wraps ``module.<name>`` so each call appends its process id to
+    ``log``. The wrapper pickles by the wrapped function's name, so a helper
+    process forked after the patch runs it too."""
+    real = getattr(module, name)
+
+    @functools.wraps(real)
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, logged)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from evsnn import _blas, synth
+from evsnn import _helper, synth
 from evsnn.augment import (
     COMMON_EDAS,
     crop,
@@ -340,11 +340,12 @@ def test_criterion_5_end_to_end_learning(full_run):
     spiking, dense, wall = full_run
     epochs = max(f["epochs_run"] for f in spiking.per_fold)
     ok = spiking.mean_acc >= 0.90 and epochs <= 50 and wall <= 900.0
-    threads = _blas.threads()
+    threads = _helper.threads()
     report(5, ok, f"10-fold mean accuracy {spiking.mean_acc:.3f} (>= 0.90) "
                   f"with crop+hflip, <= {epochs} epochs/fold (<= 50), "
                   f"{wall:.0f}s (<= 900s) in one process at OpenBLAS threads "
-                  f"{threads or 'unknown'}; dense baseline "
+                  f"{threads or 'unknown'} (one while a split batch's helper "
+                  f"lives); dense baseline "
                   f"{dense.mean_acc:.3f} under the identical protocol")
     assert spiking.mean_acc >= 0.90
     assert epochs <= 50

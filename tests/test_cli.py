@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import evsnn
+from evsnn import _blas, _helper
 from evsnn._schema import _schema, dumps
 from evsnn.cli import _flags, build_parser, main
 from evsnn.events import EventStream, voxelize
@@ -31,6 +32,7 @@ from evsnn.nn import (
     GlobalPool,
     NetworkConfig,
 )
+from evsnn.nn import network
 from evsnn.nn.network import config_to_json
 
 
@@ -232,6 +234,22 @@ class TestTrain:
         threads = ledger["openblas_threads"]
         assert isinstance(threads, list)
         assert all(isinstance(n, int) and n >= 1 for n in threads)
+
+    def test_ledger_of_a_split_run_records_the_callers_threads(self, workspace, conv_trained,
+                                                                 tmp_path, monkeypatch):
+        # every batch splits; the helper's fork drops the caller to one
+        # thread, and the ledger still reads the counts from before it
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1)
+        counts = [[3, 2]]
+        monkeypatch.setattr(_blas, "threads", lambda: list(counts[-1]))
+        monkeypatch.setattr(_blas, "set_threads", lambda c: counts.append(list(c)))
+        exp = json.loads(conv_trained[0].read_text())
+        path = workspace / "split_exp.json"
+        path.write_text(json.dumps({**exp, "out_dir": str(tmp_path / "run")}))
+        assert main(["train", "--config", str(path)]) == 0
+        assert counts == [[3, 2], [1, 1]] and _helper._current.process.is_alive()
+        ledger = json.loads((tmp_path / "run" / "train.runledger.json").read_text())
+        assert ledger["openblas_threads"] == [3, 2]
 
     def test_ledger_records_page_faults_and_peak_rss(self, trained):
         ledger = json.loads((trained / "train.runledger.json").read_text())
@@ -474,6 +492,28 @@ class TestEnergyCommand:
         assert doc["constants_pj"]["e_mac"] == 4.6
         assert doc["samples"] == 2
         assert (out_dir / "energy.txt").exists()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_conv_fed_conv_charged_dense_passes(self, workspace, tmp_path, capsys, seed):
+        # 04.conv reads 03.conv's real-valued output, whose sum can be
+        # negative: it is charged T dense passes at E_MAC, whatever the sum
+        net = NetworkConfig(time_steps=2, height=16, width=16, layers=(
+            Conv2d(2, 8), AvgPool(2), IF(), Conv2d(8, 8, k=3, stride=2, padding=1, bias=False),
+            Conv2d(8, 12, k=1, padding=0), IF(), SEW(12, k=1, bias=False), GlobalPool(), IF(),
+            Accumulator(12), Classifier(2)))
+        exp = {"dataset": "ds/manifest.json", "network": config_to_json(net),
+               "train": {"epochs": 0, "batch_size": 8}, "folds": {"k": 3, "seed": 0},
+               "seed": seed, "out_dir": str(tmp_path / "run")}
+        path = workspace / f"mixed_exp_{seed}.json"
+        path.write_text(json.dumps(exp))
+        assert main(["train", "--config", str(path)]) == 0
+        assert main(["energy", "--config", str(path)]) == 0
+        doc = json.loads((tmp_path / "run" / "energy.json").read_text())
+        row = next(r for r in doc["snn_layers"] if r["name"] == "04.conv")
+        assert row["rs"] is None and row["charged"] == "2 dense passes at E_MAC"
+        assert row["energy_pj"] == 2 * row["flops_ann"] * 4.6
+        assert all(r["rs"] is not None for r in doc["snn_layers"]
+                   if r["name"] not in ("04.conv", "10.cls"))
 
     def test_passthrough_has_no_dense_twin(self, workspace, trained, capsys):
         # time folding would change the encoder-less feature size, so the

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evsnn import _blas
+from evsnn import _blas, _helper
 from evsnn.energy import (
     BAND_HIGH,
     BAND_LOW,
@@ -21,6 +21,7 @@ from evsnn.nn import (
     IF,
     SEW,
     Accumulator,
+    AvgPool,
     Classifier,
     Conv2d,
     GlobalPool,
@@ -285,6 +286,56 @@ class TestTraceStats:
         assert ann[0].out_h == spk[0].out_h
 
 
+class TestConvFedConv:
+    """A layer whose input is a conv's real-valued output has no input
+    spikes. The config marks it, not the sign of its input sum, and it is
+    charged T dense passes at E_MAC."""
+
+    @staticmethod
+    def config():
+        # conv -> AvgPool -> IF, then 03.conv feeding 04.conv with no site between
+        return NetworkConfig(time_steps=2, height=16, width=16, layers=(
+            Conv2d(2, 8), AvgPool(2), IF(), Conv2d(8, 8, k=3, stride=2, padding=1, bias=False),
+            Conv2d(8, 12, k=1, padding=0), IF(), SEW(12, k=1, bias=False), GlobalPool(), IF(),
+            Accumulator(12), Classifier(3)))
+
+    def test_listing_marks_real_inputs(self):
+        assert {lay.name: lay.real_input for lay in synaptic_layers(self.config())} == {
+            "00.conv": False, "03.conv": False, "04.conv": True, "06.sew.conv1": False,
+            "06.sew.conv2": False, "09.acc": False, "10.cls": False}
+        # a SEW fed straight by a conv, and features that are a conv's output
+        config = NetworkConfig(time_steps=2, height=8, width=8, layers=(
+            Conv2d(2, 4), SEW(4), AvgPool(2), Conv2d(4, 4), GlobalPool(),
+            Accumulator(4), Classifier(2)))
+        assert {lay.name: lay.real_input for lay in synaptic_layers(config)} == {
+            "00.conv": False, "01.sew.conv1": True, "01.sew.conv2": False, "03.conv": True,
+            "05.acc": True, "06.cls": False}
+
+    @pytest.mark.parametrize("mode", ["spike", "relaxed", "dense"])
+    def test_charged_dense_passes(self, rng, mode):
+        config = self.config()
+        params = init_params(config, 1, kind="dense" if mode == "dense" else "spiking")
+        # 03.conv's output, 04.conv's input, is <= 0 wherever its input fires
+        params["03.conv.weight"] = -np.abs(params["03.conv.weight"])
+        x = (rng.random((8, 2, 2, 16, 16)) < 0.1).astype(np.uint8)
+        _, trace = forward(config, params, x, mode=mode, record=False)
+        assert trace.synaptic_inputs["04.conv"][0] < 0
+        report = estimate_from_traces(config, [trace])
+        rows = {row["name"]: row for row in report.rows}
+        row = rows.pop("04.conv")
+        assert row["rs"] is None and row["flops_snn"] == 2 * row["flops_ann"]
+        assert row["energy_pj"] == 2 * row["flops_ann"] * 4.6
+        assert row["charged"] == "2 dense passes at E_MAC"
+        assert rows.pop("10.cls")["charged"] == "dense pass at E_MAC"
+        assert all(row["rs"] is not None for row in rows.values())
+        assert "04.conv: real-valued input (a conv's output) charged 2 dense passes " \
+               "at E_MAC" in report.notes
+        # output charging gives 04.conv the spikes of the site it feeds
+        output = estimate_from_traces(config, [trace], charging="output")
+        row = next(row for row in output.rows if row["name"] == "04.conv")
+        assert row["rs"] == trace.spike_counts["05"] / 8 / trace.site_sizes["05"]
+
+
 class TestFormatText:
     def test_constants_block_verbatim(self, rng):
         config, trace, _ = trace_setup(rng)
@@ -336,8 +387,11 @@ def test_report_equal_split_and_whole(rng, monkeypatch):
     reports, set_calls = [], []
     monkeypatch.setattr(_blas, "set_threads", set_calls.append)
     for threads in (2, 1):
+        _helper.stop()
         monkeypatch.setattr(_blas, "threads", lambda: [threads])
         _, trace = forward(config, params, x, record=False)
         reports.append(estimate_from_traces(config, [trace]).to_json_dict())
-    assert set_calls == [[1], [2]]  # the first run split, the second did not
+    # the first run split and forked the helper, whose stop gave the count
+    # back; the second did not split
+    assert set_calls == [[1], [2]]
     assert reports[0] == reports[1]

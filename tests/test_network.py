@@ -1,5 +1,7 @@
 """Network config validation, forward semantics, accumulation, JSON."""
 
+import functools
+import json
 import os
 import platform
 import subprocess
@@ -38,6 +40,7 @@ from evsnn.nn import (
 )
 from evsnn.nn import network
 from evsnn.synth import SynthParams, generate_dataset
+from conftest import logging_pids
 
 
 def tiny_config(classes=3, time_steps=3, g="add", **kw):
@@ -654,9 +657,12 @@ class TestBatchInnermostActivations:
 
 class FakeBlas:
     """Stands in for the OpenBLAS thread lookup, so a test picks whether
-    ``forward`` splits and sees every count it sets."""
+    ``forward`` forks a helper and sees every count it sets. A helper that
+    lives from before is stopped first: it would run the halves whatever
+    the new counts."""
 
     def __init__(self, monkeypatch, counts):
+        _helper.stop()
         self.counts, self.set_calls = counts, []
         monkeypatch.setattr(_blas, "threads", lambda: list(self.counts))
         monkeypatch.setattr(_blas, "set_threads", self.set_threads)
@@ -721,7 +727,7 @@ class TestShardedForward:
         params = init_params(config, 1)
         x = binary_input(rng, config, batch, density=0.05)
         logits, trace, blas = self.run(monkeypatch, config, params, x, threads=2)
-        assert blas.set_calls == [[1], [2]]
+        assert blas.set_calls == [[1]]
         want_logits, want, whole = self.run(monkeypatch, config, params, x, threads=1)
         assert whole.set_calls == []
         assert logits.tobytes() == want_logits.tobytes()
@@ -753,18 +759,16 @@ class TestShardedForward:
     @pytest.mark.parametrize("name", sorted(NETS))
     def test_thread_count_changes_nothing(self, monkeypatch, rng, name, mode):
         # at two BLAS threads the second half runs in the helper, at one
-        # here after the first: the same bits either way, energy report too
+        # here after the first: the same bits either way, energy report too,
+        # which charges mixed's conv-fed 04.conv as dense passes in every mode
         config = NETS[name]()
         params = init_params(config, 1, kind="dense" if mode == "dense" else "spiking")
         x = binary_input(rng, config, 16, density=0.05)
         runs = []
         for threads in (1, 2):
             logits, trace, blas = self.run(monkeypatch, config, params, x, mode, threads)
-            assert blas.set_calls == ([[1], [2]] if threads == 2 else [])
-            # the ledger refuses mixed's float-mode traces: the input sum of
-            # its conv-fed 04.conv is negative there
-            report = (None if name == "mixed" and mode != "spike"
-                      else canonical(estimate_from_traces(config, [trace]).to_json_dict()))
+            assert blas.set_calls == ([[1]] if threads == 2 else [])
+            report = canonical(estimate_from_traces(config, [trace]).to_json_dict())
             runs.append((logits.tobytes(), trace.features.tobytes(),
                          trace.accumulated.tobytes(), trace.spike_counts,
                          trace.synaptic_inputs, trace.site_sizes, report))
@@ -816,8 +820,10 @@ class TestShardedForward:
         blas = FakeBlas(monkeypatch, [2])
         with pytest.raises(HalfFailed, match=failing):
             forward(config, params, x, record=False)
-        assert blas.set_calls == [[1], [2]]
+        assert blas.set_calls == [[1]]
         assert _helper._current.process.is_alive()  # an error leaves the helper serving
+        _helper.stop()
+        assert blas.set_calls == [[1], [2]]
 
     @pytest.mark.parametrize("sample", [0, -1])
     def test_caller_error_settings_hold_in_either_half(self, monkeypatch, small, sample):
@@ -827,13 +833,14 @@ class TestShardedForward:
         blas = FakeBlas(monkeypatch, [2])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             forward(config, params, x, record=False)
-        assert blas.set_calls == [[1], [2]]
+        assert blas.set_calls == [[1]]
 
     def test_real_blas_threads_restored(self, small, monkeypatch):
         before = _blas.threads()
         if max(before, default=1) < 2:
             pytest.skip("OpenBLAS runs one thread here, so forward does not split")
         forward(*small, record=False)
+        _helper.stop()
         assert _blas.threads() == before
 
         def failing(*args, **kwargs):
@@ -842,6 +849,7 @@ class TestShardedForward:
         monkeypatch.setattr(network, "conv2d_forward", failing)
         with pytest.raises(RuntimeError, match="conv failed"):
             forward(*small, record=False)
+        _helper.stop()
         assert _blas.threads() == before
 
     @pytest.mark.parametrize("batch,splits", [(5, False), (6, True)])
@@ -852,7 +860,7 @@ class TestShardedForward:
         config = sew_tiny(4, theta=0.5)
         x = binary_input(rng, config, batch, density=0.05)
         _, _, blas = self.run(monkeypatch, config, init_params(config, 1), x)
-        assert blas.set_calls == ([[1], [2]] if splits else [])
+        assert blas.set_calls == ([[1]] if splits else [])
 
     @staticmethod
     def assert_same(got, want):
@@ -947,6 +955,145 @@ print(_helper._current.process.pid)
             assert got is not None
             for one in got:
                 self.assert_same(one, want)
+
+
+class TestThreadHandOff:
+    """The helper's lifetime holds the OpenBLAS hand-off: its fork drops the
+    caller to one thread, its stop gives the caller's counts back, and no
+    split call in between sets a count."""
+
+    @pytest.fixture(autouse=True)
+    def any_size_splits(self, monkeypatch):
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1)
+
+    @pytest.fixture
+    def small(self, rng):
+        config = tiny_config()
+        return config, init_params(config, seed=0), binary_input(rng, config, batch=4)
+
+    def test_one_thread_from_first_split_until_stop(self, monkeypatch, small):
+        blas = FakeBlas(monkeypatch, [2, 3])
+        seen, conv = [], network.conv2d_forward
+
+        def spy(*args, **kwargs):  # the caller's counts at each of its convs
+            seen.append(_blas.threads())
+            return conv(*args, **kwargs)
+
+        monkeypatch.setattr(network, "conv2d_forward", spy)
+        forward(*small, record=True)  # no split: the caller's own counts
+        assert seen and all(t == [2, 3] for t in seen) and _helper._current is None
+        seen.clear()
+        forward(*small, record=False)
+        forward(*small, record=True)  # a whole batch beside the living helper
+        forward(*small, record=False)
+        assert seen and all(t == [1, 1] for t in seen)
+        assert blas.set_calls == [[1, 1]]
+        assert _helper.threads() == [2, 3] and _blas.threads() == [1, 1]
+        _helper.stop()
+        assert blas.set_calls == [[1, 1], [2, 3]]
+        assert _helper.threads() == _blas.threads() == [2, 3]
+
+    def test_each_split_runs_the_half_once_here_once_there(self, monkeypatch, small,
+                                                           tmp_path):
+        log = tmp_path / "pids"
+        logging_pids(monkeypatch, network, "_encode_half", log)
+        FakeBlas(monkeypatch, [2])
+        for _ in range(2):
+            forward(*small, record=False)
+        pids = log.read_text().split()
+        helper = str(_helper._current.process.pid)
+        assert sorted(pids) == sorted([str(os.getpid()), helper] * 2)
+
+    def test_killed_mid_job_gives_threads_back(self, monkeypatch, small, tmp_path):
+        # the helper SIGKILLs itself at its first job: the caller finishes
+        # its own half, finds the pipe closed, takes its counts back and
+        # runs the second half here; the next split forks again
+        want = forward(*small, record=True)
+        killed, caller, real = tmp_path / "killed", os.getpid(), network._encode_half
+
+        @functools.wraps(real)
+        def dying(*args):
+            if os.getpid() != caller and not killed.exists():
+                killed.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(network, "_encode_half", dying)
+        blas = FakeBlas(monkeypatch, [2])
+        got = forward(*small, record=False)
+        assert killed.exists() and _helper._current is None
+        assert blas.set_calls == [[1], [2]] and _blas.threads() == [2]
+        TestShardedForward.assert_same(got, want)
+        TestShardedForward.assert_same(forward(*small, record=False), want)
+        assert blas.set_calls == [[1], [2], [1]] and _helper._current.process.is_alive()
+
+    def test_real_blas_in_helper_and_forked_child(self):
+        # a fresh interpreter at two OpenBLAS threads: one in the caller and
+        # the helper while the helper lives, the caller's own counts in a
+        # child forked meanwhile and after the stop
+        script = """
+import json, os
+import numpy as np
+from evsnn import _blas, _helper
+from evsnn.nn import network
+
+def counts(arrays):
+    return _blas.threads()
+
+before = _blas.threads()
+if max(before, default=1) < 2:
+    print(json.dumps(None))
+    raise SystemExit
+network._SPLIT_MIN = 1
+config = network.sew_tiny(4, height=16, width=16)
+x = np.zeros((4, 6, 2, 16, 16), np.uint8)
+network.forward(config, network.init_params(config, 0), x, record=False)
+during = _blas.threads()
+here, helper = _helper.beside(counts, {}, {"x": x})
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.write(write, json.dumps([_blas.threads(), _helper._current is None]).encode())
+    os._exit(0)
+os.close(write)
+with os.fdopen(read) as fh:
+    child = json.loads(fh.read())
+os.waitpid(pid, 0)
+_helper.stop()
+print(json.dumps([before, during, here, helper, child, _blas.threads()]))
+"""
+        src = Path(evsnn.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        got = json.loads(proc.stdout)
+        if got is None:
+            pytest.skip("no OpenBLAS at two threads in a fresh interpreter")
+        before, during, here, helper, (child, forgot), after = got
+        one = [1] * len(before)
+        assert (during, here, helper) == (one, one, one)
+        assert child == before and forgot
+        assert after == before
+
+    def test_halves_cut_every_batch_array(self, monkeypatch):
+        FakeBlas(monkeypatch, [1])  # both halves here
+        params = {"w": np.ones(2)}
+        batch = {"x": np.arange(10).reshape(5, 2), "labels": np.arange(5)}
+        calls = []
+
+        def fn(arrays, *args):
+            calls.append(({name: a.tolist() for name, a in arrays.items()}, args))
+            return len(calls)
+
+        assert network._halves(fn, params, batch, "a", 7) == (1, 2)
+        assert calls == [({"w": [1.0, 1.0], "x": [[0, 1], [2, 3], [4, 5]],
+                           "labels": [0, 1, 2]}, ("a", 7)),
+                         ({"w": [1.0, 1.0], "x": [[6, 7], [8, 9]], "labels": [3, 4]},
+                          ("a", 7))]
+        monkeypatch.setattr(network, "_SPLIT_MIN", 5)  # the second half holds 4 values
+        assert network._halves(fn, params, batch) is None and len(calls) == 2
 
 
 class TestExactCounts:
@@ -1089,7 +1236,7 @@ class TestConvCallCounts:
         blas = FakeBlas(monkeypatch, [threads])
         forward(*net, record=record)
         assert calls == {"forward": want, "backward": 0}
-        assert blas.set_calls == ([[1], [2]] if threads == 2 and not record else [])
+        assert blas.set_calls == ([[1]] if threads == 2 and not record else [])
 
     def test_backward(self, calls, net):
         config, params, x = net

@@ -32,6 +32,7 @@ from evsnn.nn.train import (
     train,
     voxelize_set,
 )
+from conftest import logging_pids
 
 
 def toy_config(classes=2):
@@ -386,8 +387,10 @@ SPLIT_MIN = network._SPLIT_MIN  # the floor the fixtures below may lower
 
 
 def fake_threads(monkeypatch, count):
-    """Fakes the OpenBLAS thread lookup at ``count`` threads; returns the
-    list of the thread counts then set."""
+    """Fakes the OpenBLAS thread lookup at ``count`` threads, having stopped
+    any helper forked at the counts before; returns the list of the thread
+    counts then set."""
+    _helper.stop()
     calls = []
     monkeypatch.setattr(_blas, "threads", lambda: [count])
     monkeypatch.setattr(_blas, "set_threads", calls.append)
@@ -442,7 +445,7 @@ class TestHalfBatchGradient:
         y = np.concatenate([labels, labels])[:batch]
         split_calls = fake_threads(monkeypatch, 2)
         logits, grads = nn_train._batch_grads(config, params, x, y, mode)
-        assert split_calls == ([[1], [2]] if batch > 1 else [])  # one sample never splits
+        assert split_calls == ([[1]] if batch > 1 else [])  # one sample never splits
         assert fake_threads(monkeypatch, 1) == []
         want_logits, want = nn_train._batch_grads(config, params, x, y, mode)
         assert logits.shape == (batch, 2) and logits.tobytes() == want_logits.tobytes()
@@ -458,8 +461,9 @@ class TestHalfBatchGradient:
                                   split_steps):
         split_calls = fake_threads(monkeypatch, 2)
         split = self.train_run(data, kind, batch_size)
-        # two epochs, each with its split steps and its split validation forward
-        assert split_calls == [[1], [2]] * 2 * (split_steps + 1)
+        # two epochs, each with its split steps and its split validation
+        # forward: the first split forks the helper, which outlives the run
+        assert split_calls == [[1]]
         fake_threads(monkeypatch, 1)
         self.assert_same_run(split, self.train_run(data, kind, batch_size), tmp_path)
 
@@ -483,6 +487,19 @@ class TestHalfBatchGradient:
             logits, grads = nn_train._batch_grads(config, params, x, y, mode)
             assert logits.tobytes() == want_logits.tobytes()
             assert all(grads[name].tobytes() == want[name].tobytes() for name in params)
+
+    def test_each_split_runs_the_half_once_here_once_there(self, monkeypatch, data,
+                                                           tmp_path):
+        config, streams, labels = data[:3]
+        params = init_params(config, 1)
+        x, y = voxelize_set(streams[:5], 2), labels[:5]
+        log = tmp_path / "pids"
+        logging_pids(monkeypatch, nn_train, "_grads_half", log)
+        fake_threads(monkeypatch, 2)
+        for _ in range(2):
+            nn_train._batch_grads(config, params, x, y, "spike")
+        helper = str(_helper._current.process.pid)
+        assert sorted(log.read_text().split()) == sorted([str(os.getpid()), helper] * 2)
 
     @staticmethod
     def kill_helper_at_second_job(monkeypatch, tmp_path):
@@ -562,6 +579,7 @@ class TestHalfBatchGradient:
         killed = self.kill_helper_at_second_job(monkeypatch, tmp_path)
         self.assert_same_run(self.train_run(data), whole, tmp_path)
         assert killed.exists() and _helper._current.process.is_alive()
+        _helper.stop()
         assert _blas.threads() == before
 
     def test_no_process_left_after_exit(self):
