@@ -117,10 +117,11 @@ class FoldTask:
 
 
 def fold_task(plan: FoldPlan, fold: int, seed: int, select: int | None = None,
-              **fields) -> FoldTask:
+              shuffled: bool = False, **fields) -> FoldTask:
     """The cell that reports ``fold`` of ``plan``, selects its best epoch on
     fold ``select`` (None: on ``fold``) and trains on the other folds, its
-    parameter and training seeds derived from (seed, fold)."""
+    parameter, training and, where ``shuffled``, bin-shuffling seeds derived
+    from (seed, fold)."""
     held = (fold,) if select is None else (fold, select)
     train_idx = plan.train_indices(*held)
     if not train_idx:
@@ -128,7 +129,9 @@ def fold_task(plan: FoldPlan, fold: int, seed: int, select: int | None = None,
     return FoldTask(fold=fold, train_idx=train_idx, val_idx=plan.folds[fold],
                     select_idx=None if select is None else plan.folds[select],
                     param_seed=derive_seed(seed, fold, 0),
-                    train_seed=derive_seed(seed, fold, 1), **fields)
+                    train_seed=derive_seed(seed, fold, 1),
+                    shuffled_eval_seed=derive_seed(seed, fold, 2) if shuffled else None,
+                    **fields)
 
 
 def shuffle_bins(tensors: np.ndarray, seed: list[int]) -> np.ndarray:
@@ -246,9 +249,8 @@ def run_cv(streams: list[EventStream], labels: np.ndarray, config: NetworkConfig
     # nested: train on k-2 folds, select the best epoch on the next fold,
     # then report the untouched fold
     tasks = [fold_task(plan, fold, base_seed, (fold + 1) % k if validation == "nested" else None,
-                       config=config, settings=settings, augment=augment, kind=kind,
-                       shuffled_eval_seed=derive_seed(base_seed, fold, 2)
-                       if eval_shuffled_bins else None)
+                       shuffled=eval_shuffled_bins, config=config, settings=settings,
+                       augment=augment, kind=kind)
              for fold in range(k)]
     results = _execute(tasks, streams, labels, jobs)
     fold_acc = [r["accuracy"] for r in results]

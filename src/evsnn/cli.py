@@ -110,14 +110,14 @@ def _checkpoint_for(args, exp: Experiment, kind: str):
     return path, params, meta
 
 
-def _fold_zero(exp: Experiment):
+def _fold_zero(exp: Experiment, shuffled: bool = False):
     """The dataset and the cell of the single-run train/eval protocol, which
     holds out fold 0 of the CV plan."""
     streams, labels = _dataset_for(exp)
     plan = bench.kfold_split(len(streams), exp.folds_k, exp.folds_seed)
     return streams, labels, bench.fold_task(
-        plan, 0, exp.seed, config=exp.network, settings=exp.train, augment=exp.augment,
-        kind=exp.model_kind)
+        plan, 0, exp.seed, shuffled=shuffled, config=exp.network, settings=exp.train,
+        augment=exp.augment, kind=exp.model_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +208,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     exp = _load_experiment_for(args)
-    streams, labels, task = _fold_zero(exp)
+    streams, labels, task = _fold_zero(exp, args.shuffled_bins)
     config, val_idx = exp.network, task.val_idx
     ckpt, params, meta = _checkpoint_for(args, exp, exp.model_kind)
     tensors = voxelize_set([streams[i] for i in val_idx], config.time_steps)
     val_labels = labels[list(val_idx)]
     if args.shuffled_bins:
-        tensors = bench.shuffle_bins(tensors, [exp.seed, 0, 2])
+        tensors = bench.shuffle_bins(tensors, [task.shuffled_eval_seed])
     acc = accuracy(config, params, tensors, val_labels, exp.model_kind)
     out_dir = Path(exp.out_dir)
     _write_json(out_dir / "eval_report.json", {

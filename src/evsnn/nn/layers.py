@@ -4,14 +4,10 @@ All functions are pure and batch-first: x is (B, C, H, W) or (B, D).
 Backward functions take the cached forward input and the upstream gradient
 and return input/parameter gradients.
 
-A result keeps the memory order of its input, read from the strides. An
-activation is either C-contiguous or a (B, C, H, W) view over
-batch-innermost (C, H, W, B) memory, the order the network keeps between
-its layers. A C-contiguous input gives a C-contiguous output; a
-batch-innermost input gives a batch-innermost view, with no copy back. At
-B=1 the two orders are the same memory. ``global_pool_backward`` is the one
-exception: its (B, C) gradient has no spatial order, and it writes
-batch-innermost memory.
+The network keeps its activations batch-innermost between layers: a (B, C,
+H, W) view over (C, H, W, B) memory, a (B, C) one over (C, B). The convs and
+the global pools return that layout whatever the memory order of their
+input, which may be either. The average pools keep their input's order.
 
 Convolution cost here is layout copies more than arithmetic, so inside a
 conv the batch axis is innermost. The input, and backward dy, is zero-padded
@@ -20,7 +16,7 @@ array (an unpadded one is used as it is), a transposing copy otherwise. A
 stride-1 window row is then one contiguous run of OW*B values. Patch columns
 (C*k*k, OH*OW*B) are one strided copy of its (C, k, k, OH, OW, B) window
 view. The forward is one GEMM plus the bias, whose (C_out, OH, OW, B) output
-is handed back in the input's order.
+is returned as a (B, C_out, OH, OW) view.
 
 x's columns are built once, in the forward. The backward of a stride-1 conv
 builds the columns of the batch-innermost dy instead, padded by k-1-padding
@@ -29,8 +25,8 @@ against the flipped kernel with in and out channels swapped, the weight
 gradient against the unpadded x, its kernel taps read back flipped. A
 strided conv takes the weight gradient from x's columns and folds its
 column gradient into an unpadded (C, H, W, B) buffer by k*k strided adds,
-each tap's window clipped to the image; for a batch-innermost x its input
-gradient is a view of that whole buffer.
+each tap's window clipped to the image; its input gradient is a view of
+that whole buffer.
 
 Every reduction runs in a fixed order that the input's memory order does
 not change, so both orders give bitwise-equal results: the GEMM shapes
@@ -47,19 +43,6 @@ import numpy as np
 
 def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
-
-
-def _batch_innermost(x: np.ndarray) -> bool:
-    """Whether x (B, ...) keeps its batch axis innermost in memory. A
-    C-contiguous x counts as batch-major; at B=1 both are the same memory."""
-    return x.strides[0] == x.itemsize and not x.flags.c_contiguous
-
-
-def _in_order_of(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A batch-last (..., B) result as (B, ...) in x's memory order: a view
-    for a batch-innermost x, a C-contiguous copy otherwise."""
-    y = a.transpose(-1, *range(a.ndim - 1))
-    return y if _batch_innermost(x) else np.ascontiguousarray(y)
 
 
 def _batch_last(x: np.ndarray, p: int) -> np.ndarray:
@@ -128,15 +111,15 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     y = weight.reshape(c_out, -1) @ _columns(_batch_last(x, padding), k, stride)
     if bias is not None:
         y += bias[:, None]
-    return _in_order_of(y.reshape(c_out, oh, ow, b), x)
+    return y.reshape(c_out, oh, ow, b).transpose(3, 0, 1, 2)
 
 
 def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
                     stride: int, padding: int, with_bias: bool, need_dx: bool = True,
                     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """Gradients (dx, dweight, dbias) for conv2d_forward; dx in x's memory
-    order. With ``need_dx`` false (a conv whose input needs no gradient) dx
-    is None."""
+    """Gradients (dx, dweight, dbias) for conv2d_forward; dx a (B, C_in, H,
+    W) view over batch-innermost memory. With ``need_dx`` false (a conv whose
+    input needs no gradient) dx is None."""
     b, c_in, h, w = x.shape
     c_out, _, k, _ = weight.shape
     oh, ow = dy.shape[2], dy.shape[3]
@@ -163,7 +146,7 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
             return None, dw, db
         dcols = weight.reshape(c_out, -1).T @ dy_flat          # (C_in*k*k, OH*OW*B)
         dx = _fold(dcols.reshape(c_in, k, k, oh, ow, b), h, w, stride, padding)
-    return _in_order_of(dx, x), dw, db
+    return dx.transpose(3, 0, 1, 2), dw, db
 
 
 def avg_pool_forward(x: np.ndarray, window: int) -> np.ndarray:
@@ -190,12 +173,12 @@ def avg_pool_backward(dy: np.ndarray, window: int) -> np.ndarray:
 
 
 def global_pool_forward(x: np.ndarray) -> np.ndarray:
-    """(B, C, H, W) -> (B, C) spatial mean. Each mean runs over one
-    contiguous run of H*W values, as in a C-contiguous array, so x's memory
-    order changes no bit of the result."""
+    """(B, C, H, W) -> (B, C) spatial mean, a view over (C, B) memory. Each
+    mean runs over one contiguous run of H*W values, as in a C-contiguous
+    array, so x's memory order changes no bit of the result."""
     means = np.add.reduce(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), axis=(2, 3))
     means /= x.shape[2] * x.shape[3]
-    return _in_order_of(means, x)
+    return means.T
 
 
 def global_pool_backward(dy: np.ndarray, h: int, w: int) -> np.ndarray:

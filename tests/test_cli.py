@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import evsnn
-from evsnn import _blas, _helper
+from evsnn import _blas, _helper, bench
 from evsnn._schema import _schema, dumps
 from evsnn.cli import _flags, build_parser, main
-from evsnn.events import EventStream, voxelize
+from evsnn.events import EventStream, voxelize, voxelize_set
 from evsnn.evio import load_events, load_manifest, save_events
 from evsnn.nn.checkpoint import load_checkpoint, save_checkpoint
 from evsnn.nn import (
@@ -33,7 +33,8 @@ from evsnn.nn import (
     NetworkConfig,
 )
 from evsnn.nn import network
-from evsnn.nn.network import config_to_json
+from evsnn.nn.network import config_to_json, sew_tiny
+from evsnn.nn.train import accuracy
 
 
 def passthrough_net(classes=2, side=16):
@@ -401,6 +402,33 @@ class TestEval:
         shuffled = json.loads((trained / "eval_report.json").read_text())
         assert shuffled["shuffled_bins"] is True
         assert shuffled["accuracy"] == plain["accuracy"]
+
+    def test_shuffled_bins_use_run_cv_fold_zero_permutation(self, tmp_path):
+        # a model that reads bin order, trained so that run_cv's fold-0
+        # permutation and a permutation drawn from (seed, 0, 2) directly
+        # score differently
+        assert main(["synth", "--classes", "4", "--samples-per-class", "12",
+                     "--width", "32", "--height", "32", "--events", "1500",
+                     "--out", str(tmp_path / "ds"), "--seed", "3"]) == 0
+        exp = {"dataset": "ds/manifest.json",
+               "network": {"preset": "sew_tiny", "classes": 4, "height": 32, "width": 32,
+                           "theta": 0.5},
+               "train": {"epochs": 8, "batch_size": 8, "lr": 0.002, "early_stop_acc": None},
+               "folds": {"k": 4, "seed": 0}, "seed": 5, "out_dir": str(tmp_path / "run")}
+        (tmp_path / "exp.json").write_text(json.dumps(exp))
+        assert main(["train", "--config", str(tmp_path / "exp.json")]) == 0
+        assert main(["eval", "--config", str(tmp_path / "exp.json"), "--shuffled-bins"]) == 0
+        got = json.loads((tmp_path / "run" / "eval_report.json").read_text())["accuracy"]
+
+        streams, labels = bench.load_dataset(load_manifest(tmp_path / "ds" / "manifest.json"))
+        val = list(bench.kfold_split(len(streams), 4, 0).folds[0])
+        tensors = voxelize_set([streams[i] for i in val], 6)
+        params, _ = load_checkpoint(tmp_path / "run" / "model.evck")
+        config = sew_tiny(4, 32, 32, theta=0.5)
+        scores = [accuracy(config, params, bench.shuffle_bins(tensors, seed), labels[val])
+                  for seed in ([bench.derive_seed(5, 0, 2)], [5, 0, 2])]
+        assert scores[0] != scores[1]
+        assert got == scores[0]
 
     def test_missing_checkpoint_exit4(self, workspace, tmp_path):
         rc = main(["eval", "--config", str(workspace / "exp.json"),

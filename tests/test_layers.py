@@ -268,7 +268,7 @@ class TestConvBackwardPaths:
         dy = rng.normal(size=(4, c_out, oh, ow)).astype(np.float32)
         dx, dw, db = conv2d_backward(x, weight, dy, stride, padding, with_bias=True)
         assert dx.dtype == dw.dtype == db.dtype == np.float32
-        assert dx.flags.c_contiguous
+        assert dx.transpose(1, 2, 3, 0).flags.c_contiguous
         for got, want in zip((dx, dw, db), conv_backward_direct(x, weight, dy, stride, padding)):
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
 
@@ -284,10 +284,10 @@ class TestConvBackwardPaths:
         assert skipped[1].tobytes() == dw.tobytes()
         assert skipped[2].tobytes() == db.tobytes()
 
-    def test_forward_output_is_batch_major(self, rng):
+    def test_forward_output_is_batch_innermost(self, rng):
         y = conv2d_forward(rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3)),
                            rng.normal(size=4), 2, 1)
-        assert y.shape == (2, 4, 3, 3) and y.flags.c_contiguous
+        assert y.shape == (2, 4, 3, 3) and y.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
 class TestAvgPoolSum:
@@ -334,7 +334,7 @@ class TestBatchInnermostLayout:
         x, weight, dy = layout_operands(rng, b, c_in, stride, padding)
         bias = rng.normal(size=LAYOUT_C_OUT)
         got = conv2d_forward(x, weight, bias, stride, padding)
-        assert got.shape == dy.shape and got.flags.c_contiguous
+        assert got.shape == dy.shape and got.transpose(1, 2, 3, 0).flags.c_contiguous
         np.testing.assert_allclose(got, conv_oracle(x, weight, bias, stride, padding),
                                    rtol=1e-12, atol=1e-12)
 
@@ -342,7 +342,7 @@ class TestBatchInnermostLayout:
     def test_backward_matches_direct_sum(self, b, c_in, stride, padding, rng):
         x, weight, dy = layout_operands(rng, b, c_in, stride, padding)
         dx, dw, db = conv2d_backward(x, weight, dy, stride, padding, with_bias=True)
-        assert dx.shape == x.shape and dx.flags.c_contiguous
+        assert dx.shape == x.shape and dx.transpose(1, 2, 3, 0).flags.c_contiguous
         for got, want in zip((dx, dw, db), conv_backward_direct(x, weight, dy, stride, padding)):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
@@ -354,6 +354,19 @@ class TestBatchInnermostLayout:
         _, want_dw, want_db = conv_backward_direct(x, weight, dy, stride, padding)
         np.testing.assert_allclose(dw, want_dw, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(db, want_db, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_c_contiguous_input_gives_a_batch_innermost_view(self, stride, rng):
+        # one result layout: a view of the batch-last buffer the computation
+        # filled, never a copy into the input's C order
+        x, weight, dy = layout_operands(rng, 3, 2, stride, 1)
+        assert x.flags.c_contiguous and dy.flags.c_contiguous
+        y = conv2d_forward(x, weight, None, stride, 1)
+        dx, _, _ = conv2d_backward(x, weight, dy, stride, 1, True)
+        for got in (y, dx):
+            assert not got.flags.owndata and got.transpose(1, 2, 3, 0).flags.c_contiguous
+        means = global_pool_forward(x)
+        assert not means.flags.owndata and means.T.flags.c_contiguous
 
     @pytest.mark.parametrize("b,stride,padding", [(1, 1, 0), (3, 2, 1), (16, 2, 2)])
     def test_im2col_rows_are_patches(self, b, stride, padding, rng):
@@ -376,15 +389,14 @@ def batch_innermost(a):
 
 def assert_order_kept(got, want, b):
     """got (from a batch-innermost input) keeps the batch axis innermost and
-    equals want (from the C-contiguous input) bit for bit; want is
-    C-contiguous. At B=1 the two orders are the same memory."""
-    assert want.flags.c_contiguous
+    equals want (from the C-contiguous input) bit for bit. At B=1 the two
+    orders are the same memory."""
     assert got.shape == want.shape and got.dtype == want.dtype
     if b == 1:
         assert got.flags.c_contiguous
     else:
         assert got.strides[0] == got.itemsize
-    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # B=1 is where both orders are contiguous; stride 1 takes the correlation
