@@ -1,9 +1,10 @@
 """One helper process per Python process, which runs a function on arrays
 beside the caller.
 
-``nn.network`` runs the second half of a split batch here while the caller
-runs the first: two processes do not share an interpreter lock, so the
-Python work around each layer's numpy calls runs on both cores at once.
+``beside`` runs a function on both halves of a split batch, the second here
+while the caller runs the first (two processes do not share an interpreter
+lock, so both cores work), or in the caller after the first where no helper
+can be had, reached and kept through the job; it always returns both results.
 
 The helper is a daemonic process forked on first use where this process's
 OpenBLAS runs two or more threads. The fork drops the caller's OpenBLAS to
@@ -103,11 +104,13 @@ def _serve(conn, caller_end, shared: mmap.mmap) -> None:
             return         # the caller finds the pipe closed and runs the work itself
 
 
-def _ready(size: int) -> _Helper | None:
-    """This process's live helper with at least ``size`` bytes of mapping,
-    forked if there is none; None where OpenBLAS runs fewer than two threads
-    (no second core to give, or no OpenBLAS found) or the fork fails."""
+def _handed(fn: Callable, there: dict[str, np.ndarray], args: tuple) -> _Helper | None:
+    """This process's live helper, forked if need be with room for ``there``,
+    sent the job fn(there, *args) on copies of ``there`` in its mapping; None
+    where OpenBLAS runs fewer than two threads (no second core to give, or no
+    OpenBLAS found) or the fork or the send fails."""
     global _current
+    layout, size = _layout(there)
     if _current is not None and (_current.size < size or not _current.process.is_alive()):
         _stop()
     if _current is None:
@@ -120,38 +123,38 @@ def _ready(size: int) -> _Helper | None:
         except OSError:
             _blas.set_threads(threads)
             return None
+    for name, view in _views(_current.shared, layout).items():
+        view[...] = there[name]
+    try:
+        _current.conn.send((fn, args, layout, np.geterr()))
+    except OSError:  # the helper is gone
+        _stop()
+        return None
     return _current
 
 
-def beside(fn: Callable, here: dict[str, np.ndarray], there: dict[str, np.ndarray], *args):
-    """(fn(here, *args), fn(there, *args)), the second run by the helper on
-    copies of ``there`` in the shared mapping, under the caller's
-    ``np.geterr()``, while the first runs here; an exception of either is
-    raised once both have finished, the first's first. The second runs here
-    where the helper dies in the job. None, having run neither, where there
-    is no helper to be had or reached."""
-    with _turns:
-        layout, size = _layout(there)
-        helper = _ready(size)
-        if helper is None:
-            return None
-        for name, view in _views(helper.shared, layout).items():
-            view[...] = there[name]
-        try:
-            helper.conn.send((fn, args, layout, np.geterr()))
-        except OSError:  # the helper is gone
-            _stop()
-            return None
-        try:
-            first = fn(here, *args)
-        finally:
-            reply = _reply(helper)
-        if reply is None:
-            return first, fn(there, *args)
-        ok, second = reply
-        if not ok:
-            raise second
-        return first, second
+def beside(fn: Callable, here: dict, there: dict, *args) -> tuple:
+    """(fn(here, *args), fn(there, *args)): the only code that decides where
+    the second runs. Where a helper can be had, reached and kept through the
+    job, the second runs there on copies of ``there`` in the shared mapping,
+    under the caller's ``np.geterr()``, while the first runs here, and an
+    exception of either is raised once both have finished, the first's
+    first; else the second runs here after the first."""
+    with _turns:  # held only while a job is in the helper's hands
+        helper = _handed(fn, there, args)
+        if helper is not None:
+            try:
+                first = fn(here, *args)
+            finally:
+                reply = _reply(helper)
+    if helper is None:
+        first, reply = fn(here, *args), None
+    if reply is None:  # no helper took the job, or it died in it
+        return first, fn(there, *args)
+    ok, second = reply
+    if not ok:
+        raise second
+    return first, second
 
 
 def _reply(helper: _Helper):

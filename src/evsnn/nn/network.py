@@ -19,25 +19,24 @@ T binary frames are stacked along the input channels of one step (the first
 conv widened to take them), every threshold site is a ReLU, and every SEW
 join is additive. With one step the accumulator is a plain linear layer.
 
-The split rule, decided by the batch alone (``_halves``): a batch of B
-samples whose second half, floor(B/2) samples, holds fewer than
-``_SPLIT_MIN`` (2**17) input values runs whole, and any other (sew_tiny at
-64x64 and T=6: B >= 6) runs as two halves, the first ceil(B/2) samples and
-the rest. ``forward(..., record=False)`` encodes each half, concatenates
-their features and adds their counters, first half first, and runs the
-accumulator and classifier on the whole batch; ``nn.train`` takes a
-training batch's gradient as the sum of its halves' gradients, and
-``forward(..., record=True)``, which it runs on each, never splits. Where
-this process's OpenBLAS runs two or more threads, the second half runs in
-its helper process (``evsnn._helper``, forked on first use) beside the
-first; the fork leaves both at one BLAS thread until the helper stops. In
-a sweep worker held at one thread, or where the helper cannot be reached,
-it runs here after the first. Where a half runs never changes a result, so
-results do not depend on the thread count or the helper's health, and
-reruns are byte-identical. Against a whole-batch run, spike-mode logits,
-features and spike counts are bitwise equal (spikes are thresholded and
-counted); the float32 input sums below, and relaxed- and dense-mode values,
-can differ in the last bits.
+The split rule, decided by the batch alone (``_parts``, which returns one
+result per part, in order): a batch of B samples whose second half, floor(B/2)
+samples, holds fewer than ``_SPLIT_MIN`` (2**17) input values runs whole, as
+one part; any other (sew_tiny at 64x64 and T=6: B >= 6) as two, the first
+ceil(B/2) samples and the rest. ``forward(..., record=False)`` encodes each
+part, concatenates their features and adds their counters left to right, and
+runs the accumulator and classifier on the whole batch; ``nn.train`` sums its
+parts' gradients, first part first, each from ``forward(..., record=True)``,
+which never splits. ``evsnn._helper.beside`` alone decides where a second half
+runs: where this process's OpenBLAS runs two or more threads, in its helper
+process (forked on first use) beside the first, the fork leaving both at one
+BLAS thread until the helper stops; in a sweep worker held at one thread, or
+where no helper can be had, reached and kept through the job, here after the
+first. Where a half runs never changes a result, so results do not depend on
+the thread count or the helper's health, and reruns are byte-identical.
+Against a whole-batch run, spike-mode logits, features and spike counts are
+bitwise equal (spikes are thresholded and counted); the float32 input sums
+below, and relaxed- and dense-mode values, can differ in the last bits.
 
 The energy ledger's activity counters take no extra pass in spike mode.
 Each threshold site counts its spikes from its threshold comparison, an
@@ -531,8 +530,8 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     if mode == "dense":  # the T frames of a sample stacked along its channels
         config = _dense_view(config)
         x = x.reshape(len(x), 1, config.in_channels, config.height, config.width)
-    halves = None if record else _halves(_encode_half, params, {"x": x}, config, mode)
-    trace = _encode(config, params, x, mode, record) if halves is None else _joined(*halves)
+    trace = (_encode({**params, "x": x}, config, mode, True) if record
+             else _joined(*_parts(_encode, params, {"x": x}, config, mode, False)))
 
     acc_tag, cls_tag = f"{len(config.layers) - 2:02d}", f"{len(config.layers) - 1:02d}"
     trace.accumulated = accumulate(trace.features, params[f"{acc_tag}.acc.weight"])
@@ -542,48 +541,43 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     return trace.logits, trace
 
 
-def _halves(fn, params: dict, batch: dict, *args):
-    """The split rule: each half is ``params`` plus every array of ``batch``
-    cut at ceil(B/2); None where the second's input ``"x"`` holds fewer than
-    ``_SPLIT_MIN`` values, else (fn(first, *args), fn(second, *args)), the
-    second in the helper process where it can run there."""
+def _parts(fn, params: dict, batch: dict, *args) -> tuple:
+    """The split rule: fn(part, *args) for each part of ``batch``, a part
+    being ``params`` plus every array of ``batch`` cut alike: the whole batch
+    where the rest after ceil(B/2) samples holds fewer than ``_SPLIT_MIN``
+    values of ``"x"``, else the two halves, run by ``_helper.beside``."""
     cut = (len(batch["x"]) + 1) // 2
+    if batch["x"][cut:].size < _SPLIT_MIN:
+        return (fn({**params, **batch}, *args),)
     first = {**params, **{name: a[:cut] for name, a in batch.items()}}
     second = {**params, **{name: a[cut:] for name, a in batch.items()}}
-    if second["x"].size < _SPLIT_MIN:
-        return None
-    return _helper.beside(fn, first, second, *args) or (fn(first, *args), fn(second, *args))
+    return _helper.beside(fn, first, second, *args)
 
 
-def _encode_half(arrays: dict, config: NetworkConfig, mode: str) -> ForwardTrace:
-    """``_encode`` as ``_halves`` runs it on each half of a batch: the
-    parameters and the half's input ``"x"`` in one dict."""
-    x = arrays.pop("x")
-    return _encode(config, arrays, x, mode, False)
+def _joined(trace: ForwardTrace, *rest: ForwardTrace) -> ForwardTrace:
+    """The encoder trace of a batch from those of its parts, in order: batch
+    sizes added, features concatenated, counters added key by key, left to
+    right."""
+    for part in rest:
+        trace = replace(
+            trace, batch=trace.batch + part.batch,
+            features=np.concatenate([trace.features, part.features]),
+            spike_counts={name: n + part.spike_counts[name]
+                          for name, n in trace.spike_counts.items()},
+            synaptic_inputs={name: (total + part.synaptic_inputs[name][0], size)
+                             for name, (total, size) in trace.synaptic_inputs.items()})
+    return trace
 
 
-def _joined(first: ForwardTrace, second: ForwardTrace) -> ForwardTrace:
-    """The encoder trace of a batch from those of its two halves: batch sizes
-    added, features concatenated, counters added key by key, first half
-    first."""
-    return replace(
-        first, batch=first.batch + second.batch,
-        features=np.concatenate([first.features, second.features]),
-        spike_counts={name: n + second.spike_counts[name]
-                      for name, n in first.spike_counts.items()},
-        synaptic_inputs={name: (total + second.synaptic_inputs[name][0], size)
-                         for name, (total, size) in first.synaptic_inputs.items()})
-
-
-def _encode(config: NetworkConfig, params: dict, x: np.ndarray, mode: str,
-            record: bool) -> ForwardTrace:
-    """The encoder over every time bin of a batched input, the config
-    already in its mode's view: the batch's trace with the head's fields,
-    ``accumulated`` and ``logits``, left None for ``forward`` to fill in."""
-    dtype = next(iter(params.values())).dtype
+def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> ForwardTrace:
+    """The encoder over every time bin of ``arrays["x"]``, a batched input
+    beside the parameters, the config in its mode's view: the batch's trace,
+    its head's ``accumulated`` and ``logits`` left None for ``forward``."""
+    x = arrays["x"]
+    dtype = arrays[f"{len(config.layers) - 2:02d}.acc.weight"].dtype
     b, t_steps = x.shape[0], config.time_steps
     plan = _layer_plan(config)
-    weights = {name: (params[f"{name}.weight"], params.get(f"{name}.bias"))
+    weights = {name: (arrays[f"{name}.weight"], arrays.get(f"{name}.bias"))
                for _, _, convs in plan for name, _ in convs}
     d = config.feature_dim
 

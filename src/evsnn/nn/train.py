@@ -21,7 +21,7 @@ import numpy as np
 from .._schema import Bound, bounded, canonical
 from ..augment import AugmentSpec, apply_pipeline
 from ..events import EventStream, voxelize_set
-from .network import NetworkConfig, _forward_mode, _halves, backward, forward
+from .network import NetworkConfig, _forward_mode, _parts, backward, forward
 
 
 class TrainingDiverged(RuntimeError):
@@ -119,34 +119,26 @@ def _labelled(tensors: np.ndarray, labels) -> np.ndarray:
     return labels
 
 
-def _grads(config: NetworkConfig, params: dict, x: np.ndarray, labels: np.ndarray,
-           mode: str, denominator: int) -> tuple[np.ndarray, dict]:
-    """Forward and BPTT on one half of a batch: its logits and the gradients
-    of its loss summed and divided by ``denominator``. The half's trace dies
-    on return, so the next forward never runs beside it."""
-    logits, trace = forward(config, params, x, mode=mode)
-    return logits, backward(config, params, trace, labels, denominator)
-
-
-def _grads_half(arrays: dict, config: NetworkConfig, mode: str,
-                denominator: int) -> tuple[np.ndarray, dict]:
-    """``_grads`` as ``_halves`` runs it on each half of a batch: the
-    parameters, the half's input ``"x"`` and its ``"labels"`` in one dict."""
+def _grads(arrays: dict, config: NetworkConfig, mode: str,
+           denominator: int) -> tuple[np.ndarray, dict]:
+    """Forward and BPTT on one part of a batch, its ``"x"`` and ``"labels"``
+    taken out of ``arrays`` to leave the parameters: its logits and the
+    gradients of its loss summed and divided by ``denominator``. Its trace
+    dies on return, so the next forward never runs beside it."""
     x, labels = arrays.pop("x"), arrays.pop("labels")
-    return _grads(config, arrays, x, labels, mode, denominator)
+    logits, trace = forward(config, arrays, x, mode=mode)
+    return logits, backward(config, arrays, trace, labels, denominator)
 
 
 def _batch_grads(config: NetworkConfig, params: dict, batch: np.ndarray,
                  labels: np.ndarray, mode: str) -> tuple[np.ndarray, dict]:
     """The batch's logits and gradient, as the module docstring defines it."""
-    b = len(batch)
-    halves = _halves(_grads_half, params, {"x": batch, "labels": labels}, config, mode, b)
-    if halves is None:
-        return _grads(config, params, batch, labels, mode, b)
-    (logits, grads), (second_logits, second) = halves
-    for name, g in grads.items():
-        g += second[name]
-    return np.concatenate([logits, second_logits]), grads
+    parts = _parts(_grads, params, {"x": batch, "labels": labels}, config, mode, len(batch))
+    grads = parts[0][1]
+    for _, part in parts[1:]:
+        for name, g in grads.items():
+            g += part[name]
+    return np.concatenate([logits for logits, _ in parts]), grads
 
 
 def _train_step(config: NetworkConfig, params: dict, batch: np.ndarray,

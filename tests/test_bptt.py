@@ -23,6 +23,7 @@ from evsnn.nn import (
     init_params,
     softmax,
 )
+from evsnn.nn import network
 from evsnn.nn.train import _batch_grads, cross_entropy
 
 
@@ -107,6 +108,17 @@ class TestFiniteDifferences:
     def test_training_step_halves(self, xy, batch):
         # a training step's gradient: its halves' gradients, each over the
         # whole batch's size, added
+        config = small_config()
+        params = init_params(config, seed=15, dtype=np.float64)
+        x, labels = xy(config, batch=batch)
+        grads = _batch_grads(config, params, x, labels, "relaxed")[1]
+        assert fd_check(config, params, x, labels, grads=grads) < 1e-4
+
+    @pytest.mark.parametrize("batch", [3, 4])
+    def test_training_step_split(self, monkeypatch, xy, batch):
+        # as above with the step split below its size floor: each half's loss
+        # summed over its samples and divided by B, not by the half's size
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1)
         config = small_config()
         params = init_params(config, seed=15, dtype=np.float64)
         x, labels = xy(config, batch=batch)

@@ -835,6 +835,22 @@ class TestShardedForward:
             forward(config, params, x, record=False)
         assert blas.set_calls == [[1]]
 
+    def test_each_call_sends_its_error_settings(self, monkeypatch, small):
+        # the helper was forked under over="raise"; each later job runs under
+        # the settings of its own call, not those the fork copied
+        config, params, x = small
+        blas = FakeBlas(monkeypatch, [2])
+        with np.errstate(over="raise"):
+            forward(config, params, x, record=False)
+        helper = _helper._current
+        x = x.astype(np.float64)
+        x[-1, 0, 0, 0, 0] = 1e39  # overflows the float32 cast in the helper's half
+        with np.errstate(all="ignore"):
+            forward(config, params, x, record=False)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forward(config, params, x, record=False)
+        assert _helper._current is helper and blas.set_calls == [[1]]
+
     def test_real_blas_threads_restored(self, small, monkeypatch):
         before = _blas.threads()
         if max(before, default=1) < 2:
@@ -996,7 +1012,7 @@ class TestThreadHandOff:
     def test_each_split_runs_the_half_once_here_once_there(self, monkeypatch, small,
                                                            tmp_path):
         log = tmp_path / "pids"
-        logging_pids(monkeypatch, network, "_encode_half", log)
+        logging_pids(monkeypatch, network, "_encode", log)
         FakeBlas(monkeypatch, [2])
         for _ in range(2):
             forward(*small, record=False)
@@ -1009,7 +1025,7 @@ class TestThreadHandOff:
         # its own half, finds the pipe closed, takes its counts back and
         # runs the second half here; the next split forks again
         want = forward(*small, record=True)
-        killed, caller, real = tmp_path / "killed", os.getpid(), network._encode_half
+        killed, caller, real = tmp_path / "killed", os.getpid(), network._encode
 
         @functools.wraps(real)
         def dying(*args):
@@ -1018,7 +1034,7 @@ class TestThreadHandOff:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(*args)
 
-        monkeypatch.setattr(network, "_encode_half", dying)
+        monkeypatch.setattr(network, "_encode", dying)
         blas = FakeBlas(monkeypatch, [2])
         got = forward(*small, record=False)
         assert killed.exists() and _helper._current is None
@@ -1087,13 +1103,117 @@ print(json.dumps([before, during, here, helper, child, _blas.threads()]))
             calls.append(({name: a.tolist() for name, a in arrays.items()}, args))
             return len(calls)
 
-        assert network._halves(fn, params, batch, "a", 7) == (1, 2)
+        assert network._parts(fn, params, batch, "a", 7) == (1, 2)
         assert calls == [({"w": [1.0, 1.0], "x": [[0, 1], [2, 3], [4, 5]],
                            "labels": [0, 1, 2]}, ("a", 7)),
                          ({"w": [1.0, 1.0], "x": [[6, 7], [8, 9]], "labels": [3, 4]},
                           ("a", 7))]
         monkeypatch.setattr(network, "_SPLIT_MIN", 5)  # the second half holds 4 values
-        assert network._halves(fn, params, batch) is None and len(calls) == 2
+        assert network._parts(fn, params, batch) == (3,)  # one call on the whole batch
+        assert calls[2] == ({"w": [1.0, 1.0], "x": batch["x"].tolist(),
+                             "labels": [0, 1, 2, 3, 4]}, ())
+
+    def test_a_second_half_at_the_floor_splits(self, monkeypatch):
+        FakeBlas(monkeypatch, [1])  # both halves here
+        monkeypatch.setattr(network, "_SPLIT_MIN", 4)  # the second half holds 4 values
+        batch = {"x": np.arange(10).reshape(5, 2)}
+        assert network._parts(lambda arrays: len(arrays["x"]), {}, batch) == (3, 2)
+
+
+class TestHelperFailures:
+    """Where the helper cannot be forked, sent a job or waited on, both
+    halves of a split batch run in the caller, or the caller's interrupt
+    propagates; either way the helper is stopped and the caller gets its
+    thread counts back. A helper that ignores the stop is killed."""
+
+    @pytest.fixture(autouse=True)
+    def any_size_splits(self, monkeypatch):
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1)
+
+    @pytest.fixture
+    def small(self, rng):
+        # five samples, so the caller's halves show as convs of 3 and 2
+        config = tiny_config()
+        return config, init_params(config, seed=0), binary_input(rng, config, batch=5)
+
+    @staticmethod
+    def conv_batches(monkeypatch):
+        """The batch size of each conv this process runs from here on."""
+        sizes, conv = [], network.conv2d_forward
+
+        def spy(h, *args, **kwargs):
+            sizes.append(len(h))
+            return conv(h, *args, **kwargs)
+
+        monkeypatch.setattr(network, "conv2d_forward", spy)
+        return sizes
+
+    @staticmethod
+    def assert_both_halves_here(sizes):
+        assert sizes and sizes.count(3) == sizes.count(2) == len(sizes) // 2
+
+    def test_fork_fails(self, monkeypatch, small):
+        want = forward(*small, record=True)
+
+        def no_fork(*args, **kwargs):
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(_helper, "_Helper", no_fork)
+        blas = FakeBlas(monkeypatch, [2])
+        sizes = self.conv_batches(monkeypatch)
+        TestShardedForward.assert_same(forward(*small, record=False), want)
+        self.assert_both_halves_here(sizes)
+        assert _helper._current is None
+        assert blas.set_calls == [[1], [2]] and _blas.threads() == [2]
+
+    def test_send_fails(self, monkeypatch, small):
+        want = forward(*small, record=True)
+        blas = FakeBlas(monkeypatch, [2])
+        forward(*small, record=False)
+        helper = _helper._current
+        send = helper.conn.send
+
+        def broken(message):  # the job fails to go; the stop's None still reaches the helper
+            if message is not None:
+                raise OSError("broken pipe")
+            send(message)
+
+        monkeypatch.setattr(helper.conn, "send", broken)
+        sizes = self.conv_batches(monkeypatch)
+        TestShardedForward.assert_same(forward(*small, record=False), want)
+        self.assert_both_halves_here(sizes)
+        assert _helper._current is None and helper.conn.closed
+        assert blas.set_calls == [[1], [2]] and _blas.threads() == [2]
+
+    def test_interrupted_while_waiting(self, monkeypatch, small):
+        want = forward(*small, record=True)
+        blas = FakeBlas(monkeypatch, [2])
+        forward(*small, record=False)
+        helper = _helper._current
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(helper.conn, "recv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            forward(*small, record=False)
+        assert _helper._current is None and helper.conn.closed
+        assert blas.set_calls == [[1], [2]] and _blas.threads() == [2]
+        TestShardedForward.assert_same(forward(*small, record=False), want)
+        assert _helper._current is not helper and _helper._current.process.is_alive()
+        assert blas.set_calls == [[1], [2], [1]]
+
+    def test_stop_kills_a_helper_that_does_not_leave(self, monkeypatch, small):
+        blas = FakeBlas(monkeypatch, [2])
+        forward(*small, record=False)
+        pid = _helper._current.process.pid
+        os.kill(pid, signal.SIGSTOP)
+        monkeypatch.setattr(_helper, "_JOIN_S", 0.1)
+        _helper.stop()
+        with pytest.raises(ChildProcessError):  # killed and reaped
+            os.waitpid(pid, os.WNOHANG)
+        assert _helper._current is None
+        assert blas.set_calls == [[1], [2]] and _blas.threads() == [2]
 
 
 class TestExactCounts:

@@ -1,5 +1,6 @@
 """Loss, schedule, optimizer, and the epoch loop on a separable toy task."""
 
+import functools
 import io
 import json
 import os
@@ -476,12 +477,12 @@ class TestHalfBatchGradient:
         params = init_params(config, 1, kind="dense" if mode == "dense" else "spiking")
         x, y = voxelize_set(streams[:5], 2), labels[:5]
         fake_threads(monkeypatch, threads)
-        halves = [nn_train._grads(config, params, x[part], y[part], mode, 5)
+        halves = [nn_train._grads({**params, "x": x[part], "labels": y[part]}, config, mode, 5)
                   for part in (slice(0, 3), slice(3, 5))]
         for name, g in halves[0][1].items():
             g += halves[1][1][name]
         for floor, (want_logits, want) in (
-                (SPLIT_MIN, nn_train._grads(config, params, x, y, mode, 5)),
+                (SPLIT_MIN, nn_train._grads({**params, "x": x, "labels": y}, config, mode, 5)),
                 (1, (np.concatenate([halves[0][0], halves[1][0]]), halves[0][1]))):
             monkeypatch.setattr(network, "_SPLIT_MIN", floor)
             logits, grads = nn_train._batch_grads(config, params, x, y, mode)
@@ -494,7 +495,7 @@ class TestHalfBatchGradient:
         params = init_params(config, 1)
         x, y = voxelize_set(streams[:5], 2), labels[:5]
         log = tmp_path / "pids"
-        logging_pids(monkeypatch, nn_train, "_grads_half", log)
+        logging_pids(monkeypatch, nn_train, "_grads", log)
         fake_threads(monkeypatch, 2)
         for _ in range(2):
             nn_train._batch_grads(config, params, x, y, "spike")
@@ -509,6 +510,7 @@ class TestHalfBatchGradient:
         caller, jobs, real_grads = os.getpid(), [0], nn_train._grads
         killed = tmp_path / "killed"
 
+        @functools.wraps(real_grads)  # pickled by name: the helper forked after runs it too
         def dying(*args):
             if os.getpid() != caller:
                 jobs[0] += 1
@@ -538,6 +540,7 @@ class TestHalfBatchGradient:
             pytest.skip("OpenBLAS runs one thread here, so a training step does not split")
         caller, seen, real_grads = os.getpid(), [], nn_train._grads
 
+        @functools.wraps(real_grads)
         def spy(*args):  # the caller's OpenBLAS threads at each half it runs
             if os.getpid() == caller:
                 seen.append(_blas.threads())
@@ -564,7 +567,7 @@ class TestHalfBatchGradient:
             x, y = voxelize_set(streams[:4], 2), labels[:4]
             logits, grads = nn_train._batch_grads(config, params, x, y, "spike")
             assert seen == [before]  # one whole-batch _grads, at the real count
-            want_logits, want = real_grads(config, params, x, y, "spike", 4)
+            want_logits, want = real_grads({**params, "x": x, "labels": y}, config, "spike", 4)
             assert logits.tobytes() == want_logits.tobytes()
             assert all(grads[name].tobytes() == want[name].tobytes() for name in params)
             _blas.set_threads([1] * len(before))
