@@ -15,16 +15,19 @@ only a small job message and the function's result go through the pipe. A
 call that needs more room than the mapping has forks a new helper with a
 larger one. Callers from several threads take turns. A helper that died is
 forked again. A forked child forgets its parent's helper, with the counts
-from before its fork, and forks its own. At interpreter exit multiprocessing
-stops and joins the helper, as it does every daemonic process; ``stop`` does
-the same at any time, and gives the caller its counts back.
+from before its fork, and forks its own. ``stop`` stops the helper, killing
+one that does not leave within ``_JOIN_S``, and gives the caller its counts
+back; it runs at interpreter exit before multiprocessing's exit handler,
+which would join the helper with no timeout.
 """
 
 from __future__ import annotations
 
+import atexit
 import mmap
 import multiprocessing
 import multiprocessing.process
+import multiprocessing.util  # registers its exit handler before ``stop`` is, to run after it
 import os
 import signal
 import threading
@@ -217,3 +220,4 @@ def _forget() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget)
+atexit.register(stop)  # handlers run last registered first

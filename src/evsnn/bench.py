@@ -17,6 +17,7 @@ Protocol notes, fixed here:
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Annotated, Literal
@@ -191,7 +192,10 @@ def _run_fold(task: FoldTask, data: tuple | None = None) -> dict:
 def _execute(tasks: list[FoldTask], streams, labels, jobs: int) -> list[dict]:
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_fold(t, (streams, labels)) for t in tasks]
+    # the start method named, as _helper names it, so that a new interpreter
+    # default cannot change how workers start
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                             mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(streams, labels)) as pool:
         return list(pool.map(_run_fold, tasks))
 

@@ -186,10 +186,12 @@ def estimate(snn_stats: list[LayerStats], ann_layers: list[SynapticLayer],
 
 def stats_from_traces(config: NetworkConfig, traces: list[ForwardTrace],
                       charging: Charging = "input") -> tuple[list[LayerStats], int]:
-    """Batch-average each layer's input activity over a set of traces."""
+    """Batch-average each layer's input activity over a set of spike-mode traces."""
     if not traces:
         raise ValueError("empty sample set")
     bounded(stats_from_traces, {"charging": charging}, "", ValueError)
+    if any(tr.mode != "spike" for tr in traces):
+        raise ValueError("energy is estimated from spike-mode traces only")
     layers = synaptic_layers(config, kind="spiking")
     samples = sum(tr.batch for tr in traces)
     stats = []

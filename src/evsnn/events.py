@@ -156,7 +156,9 @@ def require_valid(stream: EventStream) -> None:
 
 
 def event_bins(stream: EventStream, time_bins: int) -> np.ndarray:
-    """Bin index per event: floor((t - t_start) * T / duration), clamped to T-1.
+    """Bin index per event: floor((t - t_start) * T / duration), at most T-1
+    because a valid stream (``require_valid``, which callers run first) has
+    every t < t_end.
 
     Integer multiply-before-divide, so no float drift for any microsecond
     scale; a stream whose duration times T leaves int64 is refused.
@@ -167,7 +169,7 @@ def event_bins(stream: EventStream, time_bins: int) -> np.ndarray:
     b = stream.t - stream.t_start
     b *= time_bins
     b //= stream.duration
-    return np.minimum(b, time_bins - 1, out=b)
+    return b
 
 
 def voxelize(stream: EventStream, time_bins: int) -> np.ndarray:

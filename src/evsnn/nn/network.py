@@ -34,19 +34,17 @@ BLAS thread until the helper stops; in a sweep worker held at one thread, or
 where no helper can be had, reached and kept through the job, here after the
 first. Where a half runs never changes a result, so results do not depend on
 the thread count or the helper's health, and reruns are byte-identical.
-Against a whole-batch run, spike-mode logits, features and spike counts are
-bitwise equal (spikes are thresholded and counted); the float32 input sums
-below, and relaxed- and dense-mode values, can differ in the last bits.
+Against a whole-batch run, spike-mode logits, features and counters are
+bitwise equal (spikes are thresholded and counted); relaxed- and dense-mode
+values can differ in the last bits.
 
-The energy ledger's activity counters take no extra pass in spike mode.
-Each threshold site counts its spikes from its threshold comparison, an
-exact integer whatever the batch. A conv whose input is a site's spikes, a
-power-of-two average pool of them or an additive SEW join of such values
-takes its input sum from those counts, exactly; the ``"input"`` count adds
-up the per-step float32 frames the encoder reads (exact while a step's
-binary frames hold fewer than 2**24 events). Float32 sums remain for the
-input of a conv fed by a conv's float output, of an ``and``/``iand`` join
-or of any other pool, and for every counter in relaxed and dense modes.
+A trace holds an activity counter exactly where ``energy.stats_from_traces``
+reads one, in spike mode only (relaxed and dense traces hold none): each
+threshold site's spike count, from its threshold comparison, and the input sum
+of each conv and of the accumulator whose ``SynapticLayer.real_input`` is
+False. An input sum comes from those counts, through power-of-two pools and
+additive SEW joins, or else from a float64 sum, exact (and so the same split or
+whole) while fewer than 2**28 spikes feed one step's sum.
 """
 
 from __future__ import annotations
@@ -444,9 +442,9 @@ class ForwardTrace:
     features: np.ndarray                  # (B, T, d) per-step feature vectors
     feature_shape: tuple                  # encoder output shape before flattening
     caches: list | None                   # [t][encoder layer] tuples
-    # the counters, batch+steps totals; exact in spike mode where the module
-    # docstring says so, float32 sums elsewhere
-    spike_counts: dict[str, float]        # per threshold site, and "input"
+    # the activity counters the energy ledger reads, batch+steps totals, in
+    # spike mode only (see the module docstring); empty in the other modes
+    spike_counts: dict[str, float]        # per threshold site
     site_sizes: dict[str, int]            # per-sample neuron count per site
     synaptic_inputs: dict[str, tuple[float, int]]  # layer -> (input sum, size)
     accumulated: np.ndarray | None = None  # (B, d); the head's, set by forward
@@ -504,11 +502,11 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
 # 64x64: halves of 49,152 values ran 0.92-1.14x, of 98,304 0.81-1.01x, of
 # 147,456 0.74-0.99x and of 196,608 or more 0.59-0.85x. One floor serves both.
 # The floor is part of what a batch computes: retuning it changes the
-# trained bits, and the float-mode logits and float32 counters, of batches
-# that cross it, never spike-mode logits, features or spike counts. These
-# times were taken with OpenBLAS set 2 -> 1 -> 2 threads around each split
-# call, before the helper's lifetime held the caller at one thread; the
-# floor was not retuned for that.
+# trained bits, and the float-mode logits, of batches that cross it, never
+# spike-mode logits, features or counters. These times were taken with
+# OpenBLAS set 2 -> 1 -> 2 threads around each split call, before the
+# helper's lifetime held the caller at one thread; the floor was not
+# retuned for that.
 _SPLIT_MIN = 1 << 17
 
 
@@ -537,7 +535,6 @@ def forward(config: NetworkConfig, params: dict, x: np.ndarray,
     trace.accumulated = accumulate(trace.features, params[f"{acc_tag}.acc.weight"])
     trace.logits = linear_forward(trace.accumulated, params[f"{cls_tag}.cls.weight"],
                                   params.get(f"{cls_tag}.cls.bias"))
-    trace.synaptic_inputs[f"{acc_tag}.acc"] = (float(trace.features.sum()), config.feature_dim)
     return trace.logits, trace
 
 
@@ -573,8 +570,8 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
     """The encoder over every time bin of ``arrays["x"]``, a batched input
     beside the parameters, the config in its mode's view: the batch's trace,
     its head's ``accumulated`` and ``logits`` left None for ``forward``."""
-    x = arrays["x"]
-    dtype = arrays[f"{len(config.layers) - 2:02d}.acc.weight"].dtype
+    x, acc = arrays["x"], f"{len(config.layers) - 2:02d}.acc"
+    dtype = arrays[f"{acc}.weight"].dtype
     b, t_steps = x.shape[0], config.time_steps
     plan = _layer_plan(config)
     weights = {name: (arrays[f"{name}.weight"], arrays.get(f"{name}.bias"))
@@ -585,27 +582,32 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
     pending: dict[str, np.ndarray] = {}
     delayed = config.input_timing == "delayed"
 
-    spike_counts: dict[str, float] = {"input": 0.0}
-    site_sizes: dict[str, int] = {
-        "input": config.in_channels * config.height * config.width}
+    spike_counts: dict[str, float] = {}
+    site_sizes: dict[str, int] = {}
     syn_inputs: dict[str, tuple[float, int]] = {}
     caches: list | None = [] if record else None
     features = np.empty((b, t_steps, d), dtype=dtype)
 
+    def held(h: np.ndarray, h_sum: float | None) -> tuple:
+        """(h, its sum in float64, or None where h_sum, its source's, is None)"""
+        return h, None if h_sum is None else float(np.add.reduce(h, axis=None, dtype=np.float64))
+
+    def add_input(name: str, h_sum: float | None, size: int) -> None:
+        """Add h_sum, where held, to the input sum of the layer ``name``."""
+        if h_sum is not None:
+            syn_inputs[name] = (syn_inputs.get(name, (0.0,))[0] + h_sum, size)
+
     def conv(named: tuple, h: np.ndarray, h_sum: float | None) -> np.ndarray:
-        """The conv of h; its input sum is h_sum where that is held."""
+        """The conv of h, h_sum added to its input sum."""
         name, spec = named
-        total, _ = syn_inputs.get(name, (0.0, 0))
-        if h_sum is None:
-            h_sum = float(np.add.reduce(h, axis=None))
-        syn_inputs[name] = (total + h_sum, h[0].size)
+        add_input(name, h_sum, h[0].size)
         weight, bias = weights[name]
         # looked up at call time: the benchmark tracer rebinds this name
         return conv2d_forward(h, weight, bias, spec.stride, spec.padding)
 
     def site(name: str, drive: np.ndarray, theta: float):
         """(spikes, membrane potential, spike count); the count is None in
-        relaxed and dense modes, whose counters are float sums."""
+        relaxed and dense modes."""
         if mode == "dense":  # ReLU; nothing carries across steps
             v, spikes, count = drive, np.maximum(drive, 0.0), None
         else:
@@ -619,9 +621,9 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
             u_prev = membranes.get(name)  # None before the first step
             v = inp if u_prev is None else u_prev + inp
             spikes, membranes[name], count = _if_apply(v, theta, mode, config.reset)
-        total = float(np.add.reduce(spikes, axis=None)) if count is None else count
-        spike_counts[name] = spike_counts.get(name, 0.0) + total
-        site_sizes[name] = spikes[0].size
+        if count is not None:
+            spike_counts[name] = spike_counts.get(name, 0.0) + count
+            site_sizes[name] = spikes[0].size
         return spikes, v, count
 
     for t in range(t_steps):
@@ -629,11 +631,9 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
         # this cast is a contiguous copy for batch-innermost x, as voxelize_set builds it
         h = np.empty(x.shape[2:] + (b,), dtype=dtype).transpose(3, 0, 1, 2)
         h[...] = x[:, t]
-        # h_sum is h's sum wherever one is held: the frames' (the "input"
-        # count), a spike-mode site's count, their pools by a power-of-two
-        # window and their additive joins; None elsewhere
-        h_sum = float(np.add.reduce(h, axis=None))
-        spike_counts["input"] += h_sum
+        # h_sum is h's sum wherever the energy ledger may read it (spike
+        # mode, h not a conv's real-valued output); None elsewhere
+        h_sum = float(np.add.reduce(h, axis=None, dtype=np.float64)) if mode == "spike" else None
         step_cache: list = []
         for lay, sites, convs in plan:
             if isinstance(lay, Conv2d):
@@ -647,20 +647,18 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
                 s2, v2, n2 = site(sites[1], conv(convs[1], s1, n1), lay.theta)
                 step_cache.append((h, v1, s1, v2, s2))
                 if lay.g == "add":
-                    h = s2 + h
-                    h_sum = None if n2 is None or h_sum is None else n2 + h_sum
-                elif lay.g == "and":
-                    h, h_sum = s2 * h, None
-                else:  # iand
-                    h, h_sum = (1.0 - s2) * h, None
+                    h, h_sum = s2 + h, None if h_sum is None else n2 + h_sum
+                else:
+                    h, h_sum = held(s2 * h if lay.g == "and" else (1.0 - s2) * h, h_sum)
             elif isinstance(lay, AvgPool):
-                h = avg_pool_forward(h, lay.window)
-                power_of_two = lay.window & (lay.window - 1) == 0
-                h_sum = h_sum / lay.window ** 2 if h_sum is not None and power_of_two else None
+                pooled = avg_pool_forward(h, lay.window)
+                exact = h_sum is not None and not lay.window & (lay.window - 1)  # power of two
+                h, h_sum = (pooled, h_sum / lay.window ** 2) if exact else held(pooled, h_sum)
                 step_cache.append(())
             elif isinstance(lay, GlobalPool):
                 step_cache.append((h.shape[2], h.shape[3]))
-                h, h_sum = global_pool_forward(h), None
+                h, h_sum = held(global_pool_forward(h), h_sum)
+        add_input(acc, h_sum, d)
         feature_shape = h.shape[1:]
         if h.ndim > 2:
             h = h.reshape(b, -1)

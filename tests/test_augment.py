@@ -198,6 +198,22 @@ class TestDrops:
         # the identity strategy is drawn about a quarter of the time
         assert 20 <= identical <= 90
 
+    @pytest.mark.parametrize("wide", ["time_ratio_max", "area_ratio_max"])
+    def test_eventdrop_draws_each_ratio_up_to_its_own_max(self, wide):
+        # one event per pixel and microsecond; with every other max at
+        # ratio_lo, only the strategy whose max is wide drops more than a
+        # few percent, and it drops up to that max
+        W = H = 20
+        xs, ys = np.meshgrid(np.arange(W), np.arange(H))
+        n = W * H
+        s = make_stream(x=xs.ravel(), y=ys.ravel(), t=range(n), p=[1] * n,
+                        width=W, height=H, t_end=n)
+        maxima = {"time_ratio_max": 0.05, "area_ratio_max": 0.05,
+                  "global_ratio_max": 0.05, wide: 0.9}
+        dropped = [1 - eventdrop(s, np.random.default_rng(k), 0.05, **maxima).n / n
+                   for k in range(200)]
+        assert 0.5 < max(dropped) <= 19 * 19 / n  # 0.9 of the time, or a 19x19 rectangle
+
 
 class TestMirror:
     @pytest.mark.parametrize("width", [8, 9])

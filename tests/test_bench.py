@@ -421,7 +421,7 @@ def in_process_pool(monkeypatch) -> list[int]:
     sizes = []
 
     class Pool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             sizes.append(max_workers)
             initializer(*initargs)
 
@@ -451,6 +451,21 @@ class TestPoolSize:
         pooled = run_cv(streams, labels, toy_config(), fast, k=3, jobs=jobs)
         assert sizes == [workers]
         assert pooled.per_fold == serial.per_fold
+
+    def test_workers_are_forked(self, monkeypatch):
+        # named, so that Python 3.14's new default start method cannot
+        # change how the workers start
+        contexts, real_pool = [], bench.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            contexts.append(kwargs["mp_context"])
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", spy)
+        streams, labels = toy_dataset(n=8)
+        fast = TrainSettings(epochs=1, batch_size=8, lr=0.3, seed=0)
+        run_cv(streams, labels, toy_config(), fast, k=2, jobs=2)
+        assert [context.get_start_method() for context in contexts] == ["fork"]
 
 
 def _worker_blas_threads():

@@ -33,6 +33,8 @@ from evsnn.nn import (
     synaptic_layers,
 )
 
+from test_network import NETS
+
 
 def conv_layer(name="c0", k=3, o=4, c_in=2, c_out=8, out_site=None):
     return SynapticLayer(name=name, op="conv", k=k, out_h=o, out_w=o,
@@ -319,7 +321,11 @@ class TestConvFedConv:
         params["03.conv.weight"] = -np.abs(params["03.conv.weight"])
         x = (rng.random((8, 2, 2, 16, 16)) < 0.1).astype(np.uint8)
         _, trace = forward(config, params, x, mode=mode, record=False)
-        assert trace.synaptic_inputs["04.conv"][0] < 0
+        assert "04.conv" not in trace.synaptic_inputs
+        if mode != "spike":  # the ledger reads spike-mode traces only
+            with pytest.raises(ValueError, match="spike-mode"):
+                estimate_from_traces(config, [trace])
+            return
         report = estimate_from_traces(config, [trace])
         rows = {row["name"]: row for row in report.rows}
         row = rows.pop("04.conv")
@@ -334,6 +340,42 @@ class TestConvFedConv:
         output = estimate_from_traces(config, [trace], charging="output")
         row = next(row for row in output.rows if row["name"] == "04.conv")
         assert row["rs"] == trace.spike_counts["05"] / 8 / trace.site_sizes["05"]
+
+
+def sew_fed_by_conv():
+    """A SEW fed straight by a conv, and features that are a conv's output."""
+    return NetworkConfig(time_steps=2, height=8, width=8, layers=(
+        Conv2d(2, 4), SEW(4), AvgPool(2), Conv2d(4, 4), GlobalPool(),
+        Accumulator(4), Classifier(2)))
+
+
+class TestCounterRule:
+    """A trace holds a counter exactly where ``stats_from_traces`` reads one:
+    in spike mode, the input sum of every layer but the classifier whose
+    input is not a conv's real-valued output; in no other mode."""
+
+    CONFIGS = {**NETS, "conv_fed_conv": TestConvFedConv.config,
+               "sew_fed_by_conv": sew_fed_by_conv}
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("mode", ["spike", "relaxed", "dense"])
+    def test_counters_where_the_ledger_reads(self, rng, name, mode):
+        config = self.CONFIGS[name]()
+        kind = "dense" if mode == "dense" else "spiking"
+        x = (rng.random((3, config.time_steps, 2, config.height, config.width))
+             < 0.2).astype(np.uint8)
+        _, trace = forward(config, init_params(config, 1, kind=kind), x, mode=mode)
+        if mode != "spike":
+            assert trace.spike_counts == trace.site_sizes == trace.synaptic_inputs == {}
+            with pytest.raises(ValueError, match="spike-mode"):
+                estimate_from_traces(config, [trace])
+            return
+        assert list(trace.synaptic_inputs) == [
+            lay.name for lay in synaptic_layers(config)[:-1] if not lay.real_input]
+        sites = {lay.out_site for lay in synaptic_layers(config)} - {None}
+        assert sites <= set(trace.spike_counts) == set(trace.site_sizes)
+        for charging in ("input", "output"):
+            estimate_from_traces(config, [trace], charging=charging)
 
 
 class TestFormatText:
