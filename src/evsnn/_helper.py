@@ -18,7 +18,8 @@ forked again. A forked child forgets its parent's helper, with the counts
 from before its fork, and forks its own. ``stop`` stops the helper, killing
 one that does not leave within ``_JOIN_S``, and gives the caller its counts
 back; it runs at interpreter exit before multiprocessing's exit handler,
-which would join the helper with no timeout.
+which would join the helper with no timeout. ``usage`` asks a live helper
+for its resource usage and never forks one.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import multiprocessing
 import multiprocessing.process
 import multiprocessing.util  # registers its exit handler before ``stop`` is, to run after it
 import os
+import resource
 import signal
 import threading
 from typing import Callable
@@ -128,6 +130,13 @@ def _handed(fn: Callable, there: dict[str, np.ndarray], args: tuple) -> _Helper 
             return None
     for name, view in _views(_current.shared, layout).items():
         view[...] = there[name]
+    return _sent(fn, args, layout)
+
+
+def _sent(fn: Callable, args: tuple, layout: dict) -> _Helper | None:
+    """This process's live helper, sent the job fn(arrays, *args) on the
+    arrays ``layout`` places in its mapping; None, with it stopped, where the
+    send fails."""
     try:
         _current.conn.send((fn, args, layout, np.geterr()))
     except OSError:  # the helper is gone
@@ -171,6 +180,19 @@ def _reply(helper: _Helper):
     except BaseException:  # interrupted while the helper works: its state is unknown
         _stop()
         raise
+
+
+def usage() -> resource.struct_rusage | None:
+    """The live helper's ``getrusage(RUSAGE_SELF)``, asked for through one
+    job; None where no helper lives (none is forked) or it does not answer."""
+    with _turns:
+        helper = _current and _sent(_own_usage, (), {})
+        reply = _reply(helper) if helper is not None else None
+    return reply[1] if reply is not None and reply[0] else None
+
+
+def _own_usage(arrays: dict) -> resource.struct_rusage:
+    return resource.getrusage(resource.RUSAGE_SELF)
 
 
 def stop() -> None:

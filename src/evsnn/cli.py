@@ -51,12 +51,16 @@ def _run_ledger(path: Path, exp: Experiment, command: str, seeds: dict,
     """Timing sidecar; excluded from the byte-determinism contract. It also
     records the core count and the thread count of each loaded OpenBLAS,
     the two settings a wall time depends on, and the minor page faults and
-    the largest resident memory of this process and its finished workers.
-    The thread counts are this process's own, not the one thread it runs
-    at while a helper process lives (``evsnn._helper``)."""
+    the largest resident memory of this process, its finished workers and
+    its live helper process (``evsnn._helper``), which runs half of every
+    split step. The thread counts are this process's own, not the one
+    thread it runs at while a helper lives."""
     threads = _helper.threads()
     usage = [resource.getrusage(who) for who in (resource.RUSAGE_SELF,
                                                  resource.RUSAGE_CHILDREN)]
+    helper = _helper.usage()
+    if helper is not None:  # alive, so not yet counted among the finished children
+        usage.append(helper)
     # ru_maxrss is KiB on Linux, bytes on macOS
     rss_unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
     _write_json(path, {"command": command, "config_hash": exp.config_hash(),

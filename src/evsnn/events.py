@@ -182,7 +182,8 @@ def voxelize_set(streams: Sequence[EventStream],
                  time_bins: Annotated[int, Bound(1)]) -> np.ndarray:
     """The network batch of a non-empty list of valid streams that share the
     first one's geometry: (N, T, 2, H, W) uint8 over (T, 2, H, W, N) memory,
-    the batch-innermost order ``forward``'s per-step cast reads.
+    the batch-innermost order in which ``forward``'s first conv reads each
+    step's frame as it is.
 
     Cell [n, b, ch, y, x] is 1 iff at least one event of stream n with that
     polarity falls in spatial cell (x, y) during time bin b; repeats saturate

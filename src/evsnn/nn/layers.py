@@ -15,18 +15,28 @@ into (C, Hp, Wp, B) in one copy: a plain row copy for a batch-innermost
 array (an unpadded one is used as it is), a transposing copy otherwise. A
 stride-1 window row is then one contiguous run of OW*B values. Patch columns
 (C*k*k, OH*OW*B) are one strided copy of its (C, k, k, OH, OW, B) window
-view. The forward is one GEMM plus the bias, whose (C_out, OH, OW, B) output
-is returned as a (B, C_out, OH, OW) view.
+view, in the input's dtype: the network's first conv reads uint8 frames, so
+their padded copy and columns are a quarter of float32's bytes, and the GEMM
+casts the columns to the weight's dtype in one contiguous copy, giving the
+bits of a float32 input. The forward is one GEMM plus the bias, whose (C_out,
+OH, OW, B) output is returned as a (B, C_out, OH, OW) view.
 
-x's columns are built once, in the forward. The backward of a stride-1 conv
-builds the columns of the batch-innermost dy instead, padded by k-1-padding
-(a full correlation), and runs two GEMMs on them: the input gradient
-against the flipped kernel with in and out channels swapped, the weight
-gradient against the unpadded x, its kernel taps read back flipped. A
-strided conv takes the weight gradient from x's columns and folds its
-column gradient into an unpadded (C, H, W, B) buffer by k*k strided adds,
-each tap's window clipped to the image; its input gradient is a view of
-that whole buffer.
+x's columns are built once, in the forward; a caller that holds them (the
+network keeps the first conv's uint8 columns in a recorded trace) hands them
+back as ``cols``. The backward of a stride-1 conv builds the columns of the
+batch-innermost dy instead, padded by k-1-padding (a full correlation), and
+runs two GEMMs on them: the input gradient against the flipped kernel with
+in and out channels swapped (``flipped_kernel``, which a caller may build
+once for all time steps and hand in as ``flipped``), the weight gradient
+against the unpadded x, its kernel taps read back flipped. Any other conv
+(strided, or padded by k or more) takes the weight gradient from x's
+columns and folds its column gradient into the (C, H, W, B) image by k*k
+adds, each tap's window clipped to the image. A clipped window falls on one
+parity plane (the pixels whose row and column are fixed residues mod the
+stride) as one block, so the taps are added into (s, s, C, ceil(H/s),
+ceil(W/s), B) planes, in runs of the window width times B values rather
+than B, and the planes are interleaved once into an unpadded buffer; the
+input gradient is a view of that whole buffer.
 
 Every reduction runs in a fixed order that the input's memory order does
 not change, so both orders give bitwise-equal results: the GEMM shapes
@@ -73,15 +83,17 @@ def _columns(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
 
 
 def _taps(k: int, stride: int, padding: int, n_out: int, n_in: int) -> list:
-    """Along one axis, per kernel tap: (output slice, image slice) of the
-    outputs whose tap lands inside the unpadded image; None where none does."""
+    """Along one axis, per kernel tap: (output slice, parity, plane slice) of
+    the outputs whose tap lands inside the unpadded image, the image
+    positions it lands on being the plane slice of the positions whose index
+    is the parity mod stride; None where no tap lands."""
     taps = []
     for i in range(k):
         first = max(0, -((i - padding) // stride))
         last = min(n_out - 1, (n_in - 1 + padding - i) // stride)
         start = i + stride * first - padding
-        taps.append((slice(first, last + 1),
-                     slice(start, start + stride * (last - first) + 1, stride))
+        taps.append((slice(first, last + 1), start % stride,
+                     slice(start // stride, start // stride + last - first + 1))
                     if first <= last else None)
     return taps
 
@@ -91,57 +103,100 @@ def _fold(dcols: np.ndarray, h: int, w: int, stride: int,
     """Sum (C, k, k, OH, OW, B) window gradients back onto the (C, H, W, B)
     image they were cut from, overlaps added; the adjoint of ``_columns``.
     Each tap's window is clipped to the image, so what fell on the padding
-    is never summed and the result is its own contiguous buffer."""
+    is never summed. A clipped window is one block of a parity plane, so the
+    taps are added into (s, s, C, ceil(H/s), ceil(W/s), B) planes, in runs of
+    window width times B, and the planes interleaved once into the result,
+    its own contiguous buffer."""
     c, k, _, oh, ow, b = dcols.shape
-    out = np.zeros((c, h, w, b), dtype=dcols.dtype)
-    cols = _taps(k, stride, padding, ow, w)
-    for i, row in enumerate(_taps(k, stride, padding, oh, h)):
+    s = stride
+    planes = np.zeros((s, s, c, -(-h // s), -(-w // s), b), dtype=dcols.dtype)
+    cols = _taps(k, s, padding, ow, w)
+    for i, row in enumerate(_taps(k, s, padding, oh, h)):
         for j, col in enumerate(cols):
             if row and col:
-                out[:, row[1], col[1]] += dcols[:, i, j, row[0], col[0]]
+                planes[row[1], col[1], :, row[2], col[2]] += dcols[:, i, j, row[0], col[0]]
+    if s == 1:
+        return planes[0, 0]
+    out = np.empty((c, h, w, b), dtype=dcols.dtype)
+    for p in range(s):
+        for q in range(s):
+            out[:, p::s, q::s] = planes[p, q, :, :(h - p + s - 1) // s, :(w - q + s - 1) // s]
     return out
 
 
+def conv_columns(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """x's (B, C, H, W) patch columns (C*k*k, OH*OW*B), in x's dtype: what
+    ``conv2d_forward`` and a folding ``conv2d_backward`` read as ``cols``."""
+    return _columns(_batch_last(x, padding), k, stride)
+
+
+def _gemm_operand(a: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """a in the dtype a GEMM with ``other`` runs in: one contiguous cast of
+    integer or bool columns to the float dtype; a float a as it is."""
+    return a.astype(np.promote_types(a.dtype, other.dtype), copy=False)
+
+
+def full_correlation(k: int, stride: int, padding: int) -> bool:
+    """Whether ``conv2d_backward`` takes both gradients from dy's full
+    correlation (stride 1, padding < k), else from x's columns and a fold."""
+    return stride == 1 and padding < k
+
+
+def flipped_kernel(weight: np.ndarray) -> np.ndarray:
+    """The (C_in, C_out*k*k) input-gradient matrix of a full-correlation
+    conv: the kernel flipped, in and out channels swapped."""
+    return weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(weight.shape[1], -1)
+
+
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
-                   stride: int, padding: int) -> np.ndarray:
-    """x (B, C_in, H, W), weight (C_out, C_in, k, k) -> (B, C_out, OH, OW)."""
+                   stride: int, padding: int, *, cols: np.ndarray | None = None,
+                   ) -> np.ndarray:
+    """x (B, C_in, H, W), weight (C_out, C_in, k, k) -> (B, C_out, OH, OW).
+    ``cols``, where given, are x's ``conv_columns``, held by the caller."""
     b, _, h, w = x.shape
     c_out, _, k, _ = weight.shape
     oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
-    y = weight.reshape(c_out, -1) @ _columns(_batch_last(x, padding), k, stride)
+    if cols is None:
+        cols = conv_columns(x, k, stride, padding)
+    y = weight.reshape(c_out, -1) @ _gemm_operand(cols, weight)
     if bias is not None:
         y += bias[:, None]
     return y.reshape(c_out, oh, ow, b).transpose(3, 0, 1, 2)
 
 
 def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
-                    stride: int, padding: int, with_bias: bool, need_dx: bool = True,
+                    stride: int, padding: int, with_bias: bool, need_dx: bool = True, *,
+                    cols: np.ndarray | None = None, flipped: np.ndarray | None = None,
                     ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Gradients (dx, dweight, dbias) for conv2d_forward; dx a (B, C_in, H,
     W) view over batch-innermost memory. With ``need_dx`` false (a conv whose
-    input needs no gradient) dx is None."""
+    input needs no gradient) dx is None. A caller may hand in what it holds:
+    x's ``conv_columns`` as ``cols`` (read where the backward folds) and
+    the weight's ``flipped_kernel`` as ``flipped`` (read by a full
+    correlation's dx)."""
     b, c_in, h, w = x.shape
     c_out, _, k, _ = weight.shape
     oh, ow = dy.shape[2], dy.shape[3]
-    if stride == 1 and padding < k:
+    if full_correlation(k, stride, padding):
         # full correlation: columns of dy padded by q = k-1-padding, one per
         # input pixel; dw[o, c, i, j] = sum_m x[c, m] * dcols[(o, k-1-i, k-1-j), m]
         q = k - 1 - padding
         dyp = _batch_last(dy, q)
         db = np.add.reduce(dyp[:, q:q + oh, q:q + ow], axis=(1, 2, 3)) if with_bias else None
         dcols = _columns(dyp, k, 1)
-        dw = dcols @ _batch_last(x, 0).reshape(c_in, h * w * b).T
+        dw = dcols @ _gemm_operand(_batch_last(x, 0), dcols).reshape(c_in, h * w * b).T
         dw = dw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         if not need_dx:
             return None, dw, db
-        # dx: the flipped kernel, in/out channels swapped
-        w_flip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-        dx = (w_flip @ dcols).reshape(c_in, h, w, b)
+        dx = ((flipped_kernel(weight) if flipped is None else flipped) @ dcols
+              ).reshape(c_in, h, w, b)
     else:
         dy_cm = _batch_last(dy, 0)
         db = np.add.reduce(dy_cm, axis=(1, 2, 3)) if with_bias else None
         dy_flat = dy_cm.reshape(c_out, oh * ow * b)
-        dw = (_columns(_batch_last(x, padding), k, stride) @ dy_flat.T).T.reshape(weight.shape)
+        if cols is None:
+            cols = conv_columns(x, k, stride, padding)
+        dw = (_gemm_operand(cols, dy_flat) @ dy_flat.T).T.reshape(weight.shape)
         if not need_dx:
             return None, dw, db
         dcols = weight.reshape(c_out, -1).T @ dy_flat          # (C_in*k*k, OH*OW*B)

@@ -59,8 +59,9 @@ from .. import _helper
 from .._heap import keep_heap
 from .._schema import Bound, SchemaError, bounded, checked
 from .layers import (avg_pool_backward, avg_pool_forward, conv2d_backward,
-                     conv2d_forward, conv_out_size, global_pool_backward,
-                     global_pool_forward, linear_backward, linear_forward)
+                     conv2d_forward, conv_columns, conv_out_size, flipped_kernel,
+                     full_correlation, global_pool_backward, global_pool_forward,
+                     linear_backward, linear_forward)
 from .surrogate import arctan_surrogate, arctan_surrogate_grad
 
 
@@ -447,6 +448,11 @@ class ForwardTrace:
     spike_counts: dict[str, float]        # per threshold site
     site_sizes: dict[str, int]            # per-sample neuron count per site
     synaptic_inputs: dict[str, tuple[float, int]]  # layer -> (input sum, size)
+    # [t] the first conv's patch columns, in the input's dtype (uint8 frames
+    # give uint8 columns), kept for its weight gradient where its backward
+    # reads x's columns (a strided conv); None unless recorded so. Not in
+    # ``caches``, which hold activations only
+    columns: list | None = None
     accumulated: np.ndarray | None = None  # (B, d); the head's, set by forward
     logits: np.ndarray | None = None      # (B, C); the head's, set by forward
 
@@ -574,6 +580,13 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
     dtype = arrays[f"{acc}.weight"].dtype
     b, t_steps = x.shape[0], config.time_steps
     plan = _layer_plan(config)
+    # a first conv reads the frames in their own dtype where it casts safely
+    # to the parameters' (voxelize_set's uint8): its GEMM casts their columns
+    first = plan[0][2][0][1] if plan and isinstance(plan[0][0], Conv2d) else None
+    in_dtype = x.dtype if first is not None and np.can_cast(x.dtype, dtype) else dtype
+    columns: list | None = ([] if record and first is not None
+                            and not full_correlation(first.k, first.stride, first.padding)
+                            else None)
     weights = {name: (arrays[f"{name}.weight"], arrays.get(f"{name}.bias"))
                for _, _, convs in plan for name, _ in convs}
     d = config.feature_dim
@@ -597,13 +610,14 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
         if h_sum is not None:
             syn_inputs[name] = (syn_inputs.get(name, (0.0,))[0] + h_sum, size)
 
-    def conv(named: tuple, h: np.ndarray, h_sum: float | None) -> np.ndarray:
-        """The conv of h, h_sum added to its input sum."""
+    def conv(named: tuple, h: np.ndarray, h_sum: float | None,
+             cols: np.ndarray | None = None) -> np.ndarray:
+        """The conv of h (its columns, where held), h_sum added to its input sum."""
         name, spec = named
         add_input(name, h_sum, h[0].size)
         weight, bias = weights[name]
         # looked up at call time: the benchmark tracer rebinds this name
-        return conv2d_forward(h, weight, bias, spec.stride, spec.padding)
+        return conv2d_forward(h, weight, bias, spec.stride, spec.padding, cols=cols)
 
     def site(name: str, drive: np.ndarray, theta: float):
         """(spikes, membrane potential, spike count); the count is None in
@@ -627,18 +641,25 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
         return spikes, v, count
 
     for t in range(t_steps):
-        # the encoder runs on batch-innermost activations (see nn.layers);
-        # this cast is a contiguous copy for batch-innermost x, as voxelize_set builds it
-        h = np.empty(x.shape[2:] + (b,), dtype=dtype).transpose(3, 0, 1, 2)
-        h[...] = x[:, t]
+        # the encoder runs on batch-innermost activations (see nn.layers):
+        # the frame itself where it is batch-innermost and of in_dtype, as
+        # voxelize_set builds it, else one copy
+        h = x[:, t]
+        if h.dtype != in_dtype or not h.transpose(1, 2, 3, 0).flags.c_contiguous:
+            h = np.empty(x.shape[2:] + (b,), dtype=in_dtype).transpose(3, 0, 1, 2)
+            h[...] = x[:, t]
         # h_sum is h's sum wherever the energy ledger may read it (spike
         # mode, h not a conv's real-valued output); None elsewhere
         h_sum = float(np.add.reduce(h, axis=None, dtype=np.float64)) if mode == "spike" else None
+        cols = None  # the first conv's, where kept
+        if columns is not None:
+            cols = conv_columns(h, first.k, first.stride, first.padding)
+            columns.append(cols)
         step_cache: list = []
         for lay, sites, convs in plan:
             if isinstance(lay, Conv2d):
                 step_cache.append((h,))
-                h, h_sum = conv(convs[0], h, h_sum), None
+                h, h_sum, cols = conv(convs[0], h, h_sum, cols), None, None
             elif isinstance(lay, IF):
                 h, v, h_sum = site(sites[0], h, lay.theta)
                 step_cache.append((v, h))
@@ -667,7 +688,7 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
             caches.append(step_cache)
 
     return ForwardTrace(mode, b, t_steps, features, feature_shape, caches, spike_counts,
-                        site_sizes, syn_inputs)
+                        site_sizes, syn_inputs, columns)
 
 
 def accumulate(features: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -731,19 +752,30 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
     carry_u: dict[str, np.ndarray] = {}
     carry_p: dict[str, np.ndarray] = {}
     plan = _layer_plan(config)
-    # each conv's weight and its parameters' gradient buffers
-    tensors = {name: (params[f"{name}.weight"], grads[f"{name}.weight"],
-                      grads.get(f"{name}.bias"))
-               for _, _, convs in plan for name, _ in convs}
+    # each conv's weight, its parameters' gradient buffers and, for a full
+    # correlation, its flipped kernel, built once for every step. Such a
+    # conv's dw is a flipped view of a (C_out, k, k, C_in) GEMM result; its
+    # buffer is the same view of its zeroed gradient, so each step adds
+    # contiguously
+    tensors = {}
+    for _, _, convs in plan:
+        for name, spec in convs:
+            weight, g_weight, flipped = params[f"{name}.weight"], grads[f"{name}.weight"], None
+            if full_correlation(spec.k, spec.stride, spec.padding):
+                c_out, c_in, k, _ = weight.shape
+                g_weight = g_weight.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+                flipped = flipped_kernel(weight)
+            tensors[name] = (weight, g_weight, grads.get(f"{name}.bias"), flipped)
 
-    def conv_back(named: tuple, x_in, g, need_dx: bool = True):
+    def conv_back(named: tuple, x_in, g, need_dx: bool = True, cols=None):
         """Returns gradient w.r.t. the conv input (None without ``need_dx``);
         accumulates its parameters'."""
         name, spec = named
-        weight, g_weight, g_bias = tensors[name]
+        weight, g_weight, g_bias, flipped = tensors[name]
         # looked up at call time: the benchmark tracer rebinds this name
         dx, dw, db = conv2d_backward(x_in, weight, g, spec.stride, spec.padding,
-                                     g_bias is not None, need_dx=need_dx)
+                                     g_bias is not None, need_dx=need_dx, cols=cols,
+                                     flipped=flipped)
         g_weight += dw
         if db is not None:
             g_bias += db
@@ -783,8 +815,9 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
         step_cache = trace.caches[t]
         for i, (lay, sites, convs) in steps:
             cache = step_cache[i]
-            if isinstance(lay, Conv2d):
-                g = conv_back(convs[0], cache[0], g, need_dx=i > first)
+            if isinstance(lay, Conv2d):  # trace.columns are the first layer's
+                g = conv_back(convs[0], cache[0], g, need_dx=i > first,
+                              cols=None if i or trace.columns is None else trace.columns[t])
             elif isinstance(lay, IF):
                 v, spikes = cache
                 g = site_back(sites[0], g, v, spikes, lay.theta)
@@ -806,6 +839,8 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
             elif isinstance(lay, GlobalPool):
                 h, w = cache
                 g = global_pool_backward(g, h, w)
+    for name, (_, g_weight, _, _) in tensors.items():
+        grads[f"{name}.weight"] = np.ascontiguousarray(g_weight)
     return grads
 
 

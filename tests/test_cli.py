@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +75,11 @@ def trained(workspace):
 def first_event_file(workspace):
     manifest = load_manifest(workspace / "ds" / "manifest.json")
     return manifest.path(manifest.entries[0])
+
+
+def process_id(arrays: dict) -> int:
+    """A job for ``_helper.beside``: the id of the process that ran it."""
+    return os.getpid()
 
 
 @pytest.mark.skipif(shutil.which("evsnn") is None,
@@ -251,6 +257,40 @@ class TestTrain:
         assert counts == [[3, 2], [1, 1]] and _helper._current.process.is_alive()
         ledger = json.loads((tmp_path / "run" / "train.runledger.json").read_text())
         assert ledger["openblas_threads"] == [3, 2]
+
+    def test_ledger_of_a_split_run_adds_the_helpers_usage(self, workspace, conv_trained,
+                                                           tmp_path, monkeypatch):
+        # the helper runs half of every split step and is alive when the
+        # ledger is written, so no RUSAGE_CHILDREN reading holds it yet
+        monkeypatch.setattr(network, "_SPLIT_MIN", 1)
+        monkeypatch.setattr(_blas, "threads", lambda: [2])
+        monkeypatch.setattr(_blas, "set_threads", lambda c: None)
+        faults, peak_kib = 10**12, 1 << 40
+        helper = SimpleNamespace(ru_minflt=faults, ru_maxrss=peak_kib)
+        monkeypatch.setattr(_helper, "usage", lambda: helper)
+        exp = json.loads(conv_trained[0].read_text())
+        path = workspace / "split_usage_exp.json"
+        path.write_text(json.dumps({**exp, "out_dir": str(tmp_path / "run")}))
+        assert main(["train", "--config", str(path)]) == 0
+        assert _helper._current.process.is_alive()
+        ledger = json.loads((tmp_path / "run" / "train.runledger.json").read_text())
+        assert faults < ledger["minor_page_faults"] < 2 * faults
+        rss_unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+        assert ledger["peak_rss_mb"] == peak_kib / rss_unit
+
+    def test_helper_usage_forks_no_helper(self, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("usage() forked a helper")
+        monkeypatch.setattr(_helper, "_Helper", no_fork)
+        assert _helper.usage() is None and _helper._current is None
+
+    def test_live_helper_reports_its_usage(self, monkeypatch):
+        monkeypatch.setattr(_blas, "threads", lambda: [2])
+        monkeypatch.setattr(_blas, "set_threads", lambda c: None)
+        pids = _helper.beside(process_id, {}, {})
+        assert pids[1] != os.getpid() == pids[0]  # the second ran in the helper
+        usage = _helper.usage()
+        assert usage is not None and usage.ru_maxrss > 0 and usage.ru_utime >= 0
 
     def test_ledger_records_page_faults_and_peak_rss(self, trained):
         ledger = json.loads((trained / "train.runledger.json").read_text())

@@ -44,7 +44,7 @@ def ref_col2im(cols, x_shape, k, stride, padding):
     return out
 
 
-def ref_conv2d_forward(x, weight, bias, stride, padding):
+def ref_conv2d_forward(x, weight, bias, stride, padding, **_):
     b = x.shape[0]
     c_out, c_in, k, _ = weight.shape
     oh = conv_out_size(x.shape[2], k, stride, padding)
@@ -58,7 +58,7 @@ def ref_conv2d_forward(x, weight, bias, stride, padding):
     return y
 
 
-def ref_conv2d_backward(x, weight, dy, stride, padding, with_bias, need_dx=True):
+def ref_conv2d_backward(x, weight, dy, stride, padding, with_bias, need_dx=True, **_):
     b = x.shape[0]
     c_out, c_in, k, _ = weight.shape
     oh, ow = dy.shape[2], dy.shape[3]

@@ -11,7 +11,9 @@ from evsnn.nn.layers import (
     avg_pool_forward,
     conv2d_backward,
     conv2d_forward,
+    conv_columns,
     conv_out_size,
+    flipped_kernel,
     global_pool_backward,
     global_pool_forward,
     linear_backward,
@@ -530,22 +532,102 @@ class TestFold:
 
     # (H, W, k, stride, padding): sew18's first conv, a stride of 3, k=1,
     # and padding wider than the kernel, where some taps miss the image
-    @pytest.mark.parametrize("h,w,k,stride,padding", [
+    GEOMETRIES = pytest.mark.parametrize("h,w,k,stride,padding", [
         (16, 16, 3, 2, 1), (8, 8, 3, 2, 1), (20, 18, 7, 2, 3), (9, 11, 3, 3, 1),
         (7, 7, 1, 2, 0), (6, 6, 2, 2, 3), (6, 6, 3, 2, 5), (10, 7, 5, 3, 2), (6, 6, 3, 1, 4)])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_matches_padded_fold(self, h, w, k, stride, padding, dtype, rng):
+
+    @staticmethod
+    def check(h, w, k, stride, padding, dtype, b, rng):
         oh, ow = conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding)
-        dcols = rng.standard_normal((3, k, k, oh, ow, 4)).astype(dtype)
+        dcols = rng.standard_normal((3, k, k, oh, ow, b)).astype(dtype)
         got = _fold(dcols, h, w, stride, padding)
         want = padded_fold(dcols, h, w, stride, padding)
-        assert got.flags.c_contiguous and got.shape == (3, h, w, 4)
+        assert got.flags.c_contiguous and got.shape == (3, h, w, b)
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @GEOMETRIES
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_padded_fold(self, h, w, k, stride, padding, dtype, rng):
+        self.check(h, w, k, stride, padding, dtype, 4, rng)
+
+    # one sample, where a window row is W values, and the 8 of a training half
+    @GEOMETRIES
+    @pytest.mark.parametrize("b", [1, 8])
+    def test_matches_padded_fold_at_batch(self, h, w, k, stride, padding, b, rng):
+        self.check(h, w, k, stride, padding, np.float32, b, rng)
 
     def test_strided_input_gradient_owns_its_memory(self, rng):
         x, weight, dy = layout_operands(rng, 16, 2, 2, 1)
         dx, _, _ = conv2d_backward(batch_innermost(x), weight, batch_innermost(dy), 2, 1, True)
         assert dx.base.flags.c_contiguous and dx.base.shape == (2, LAYOUT_H, LAYOUT_W, 16)
+
+
+# COLUMN_CASES, a stride of 3 on an odd-sized map, and padding wider than
+# the kernel at stride 1, which folds rather than correlates
+HELD_CASES = [*COLUMN_CASES, ((3, 7, 5), Conv2d(3, 4, k=3, stride=3, padding=1)),
+              ((2, 5, 6), Conv2d(2, 3, k=2, padding=3))]
+
+
+def held_operands(rng, shape, conv, b, dtype=np.uint8):
+    """x (B, C, H, W) in ``dtype`` over batch-innermost memory, as the
+    network's frames come, with float32 weight, bias and dy."""
+    x = batch_innermost(rng.integers(0, 2 if dtype == np.bool_ else 4, (b, *shape)).astype(dtype))
+    weight = rng.standard_normal((conv.c_out, conv.c_in, conv.k, conv.k)).astype(np.float32)
+    bias = rng.standard_normal(conv.c_out).astype(np.float32)
+    oh = conv_out_size(shape[1], conv.k, conv.stride, conv.padding)
+    ow = conv_out_size(shape[2], conv.k, conv.stride, conv.padding)
+    dy = batch_innermost(rng.standard_normal((b, conv.c_out, oh, ow)).astype(np.float32))
+    return x, weight, bias, dy
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+class TestHeldOperands:
+    """What the network hands a conv instead of rebuilding it, the first
+    conv's columns in the frame's dtype and a stride-1 conv's flipped
+    kernel, and integer or bool inputs themselves, give the bytes of the
+    plain call on the float32 cast."""
+
+    ids = {"ids": lambda v: "x".join(map(str, v)) if isinstance(v, tuple)
+           else f"k{v.k}s{v.stride}p{v.padding}"}
+
+    @pytest.mark.parametrize("shape,conv", HELD_CASES, **ids)
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_forward_with_held_columns(self, shape, conv, b, rng):
+        x, weight, bias, _ = held_operands(rng, shape, conv, b)
+        cols = conv_columns(x, conv.k, conv.stride, conv.padding)
+        assert cols.dtype == np.uint8
+        want = conv2d_forward(x.astype(np.float32), weight, bias, conv.stride, conv.padding)
+        got = conv2d_forward(x, weight, bias, conv.stride, conv.padding, cols=cols)
+        assert_same_bytes([got], [want])
+
+    @pytest.mark.parametrize("shape,conv", HELD_CASES, **ids)
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_backward_with_held_operands(self, shape, conv, b, need_dx, rng):
+        x, weight, _, dy = held_operands(rng, shape, conv, b)
+        args = (weight, dy, conv.stride, conv.padding, True, need_dx)
+        want = conv2d_backward(x.astype(np.float32), *args)
+        got = conv2d_backward(x, *args, cols=conv_columns(x, conv.k, conv.stride, conv.padding),
+                              flipped=flipped_kernel(weight))
+        assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("shape,conv", HELD_CASES, **ids)
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
+    def test_integer_input_gives_its_float_cast(self, shape, conv, b, dtype, rng):
+        x, weight, bias, dy = held_operands(rng, shape, conv, b, dtype)
+        cast = x.astype(np.float32)
+        assert_same_bytes([conv2d_forward(x, weight, bias, conv.stride, conv.padding)],
+                          [conv2d_forward(cast, weight, bias, conv.stride, conv.padding)])
+        assert_same_bytes(conv2d_backward(x, weight, dy, conv.stride, conv.padding, True),
+                          conv2d_backward(cast, weight, dy, conv.stride, conv.padding, True))
 
 
 class TestGlobalPoolMean:

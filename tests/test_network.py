@@ -656,6 +656,62 @@ class TestBatchInnermostActivations:
                          "backward": 9 * config.time_steps}
 
 
+def trace_bytes(trace, batch) -> int:
+    """Bytes of the arrays a trace holds, each base buffer counted once,
+    the input batch left out."""
+    def arrays(v):
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, (list, tuple)):
+            for a in v:
+                yield from arrays(a)
+    bases = {}
+    for value in vars(trace).values():
+        for a in arrays(value):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if not np.may_share_memory(a, batch):
+                bases[id(a)] = a
+    return sum(a.nbytes for a in bases.values())
+
+
+class TestHeldFrames:
+    """A recorded forward of uint8 frames, as voxelize_set builds them: the
+    first conv reads the frames themselves and the trace keeps its uint8
+    patch columns for the weight gradient, outside ``caches``."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        rng = np.random.default_rng(21)
+        x = batch_innermost_input((rng.random((16, 6, 2, 64, 64)) < 0.05).astype(np.uint8))
+        config = sew_tiny(4, theta=0.5)
+        params = init_params(config, 2)
+        return config, params, x, forward(config, params, x)[1]
+
+    def test_first_conv_input_is_the_batch(self, run):
+        _, _, x, trace = run
+        for t, step in enumerate(trace.caches):
+            (frame,) = step[0]
+            assert frame.dtype == np.uint8 and np.shares_memory(frame, x)
+            assert np.array_equal(frame, x[:, t])
+
+    def test_columns_are_uint8_one_per_step(self, run):
+        config, _, x, trace = run
+        assert len(trace.columns) == config.time_steps
+        for t, cols in enumerate(trace.columns):
+            assert cols.dtype == np.uint8 and cols.shape == (2 * 3 * 3, 32 * 32 * 16)
+            assert not np.may_share_memory(cols, x)
+
+    def test_unrecorded_forward_keeps_no_columns(self, run):
+        config, params, x, _ = run
+        assert forward(config, params, x, record=False)[1].columns is None
+
+    def test_trace_size(self, run):
+        # 31.57 MiB when each step held a float32 copy of its frame and no
+        # columns; a float32 copy of either on top of the kept columns fails
+        assert trace_bytes(run[3], run[2]) <= 31.6 * 2**20
+
+
 class FakeBlas:
     """Stands in for the OpenBLAS thread lookup, so a test picks whether
     ``forward`` forks a helper and sees every count it sets. A helper that
