@@ -435,7 +435,11 @@ def config_from_json(obj: dict) -> NetworkConfig:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass and the energy estimator need."""
+    """Everything the backward pass and the energy estimator need. The
+    first conv's cached input is the frame as given (uint8 from
+    ``voxelize_set``). Spike-mode spikes are cached as bool, one byte each
+    (the sites' threshold comparisons); every other cached array, and every
+    relaxed or dense spike, is in the parameters' dtype."""
 
     mode: str
     batch: int
@@ -458,29 +462,32 @@ class ForwardTrace:
 
 
 def _if_apply(v, theta, mode, reset):
-    """(spikes, next membrane, spike count); the count, taken from the
-    threshold comparison, is None in relaxed mode."""
+    """(spikes, next membrane, spike count). In spike mode the spikes are
+    the bool threshold comparison itself, one byte each, and the count is
+    taken from it; in relaxed mode they are the surrogate, in v's dtype, and
+    the count is None. The reset computes in v's dtype."""
     if mode == "spike":  # for finite floats, heaviside(v - theta) bit for bit
-        fired = v >= theta
-        count = int(np.count_nonzero(fired.ravel("K")))  # in memory order, no copy
-        x = fired.astype(v.dtype)
+        x = v >= theta
+        count = int(np.count_nonzero(x.ravel("K")))  # in memory order, no copy
     else:
         count = None
         x = arctan_surrogate(v - theta)
     if reset == "subtract":
-        u = v - theta * x
+        u = v - np.multiply(theta, x, dtype=v.dtype)
     else:
-        u = v * (1.0 - x)
+        u = v * np.subtract(1.0, x, dtype=v.dtype)
     return x, u, count
 
 
 def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
             reset: Reset = "subtract") -> tuple[np.ndarray, np.ndarray]:
     """One integrate-and-fire update: V = U_prev + I, spike where V >= theta,
-    then reset by subtraction (default) or to zero. Returns (spikes, U_next)."""
+    then reset by subtraction (default) or to zero. Returns (spikes, U_next),
+    the spikes 0.0/1.0 in U_next's dtype."""
     bounded(if_step, {"reset": reset}, "", ValueError)
     v = np.asarray(u_prev, dtype=np.float64) + np.asarray(weighted_input)
-    return _if_apply(v, theta, "spike", reset)[:2]
+    spikes, u, _ = _if_apply(v, theta, "spike", reset)
+    return spikes.astype(v.dtype), u
 
 
 def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
@@ -493,26 +500,15 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
 
 
 # input values (samples x steps x channels x pixels) the smaller half of a
-# batch must hold for forward or a training step to split it. Measured on 2
-# cores, sew_tiny at T=6. forward, split time over whole-batch time: halves
-# of 49,152 values ran 0.66-0.68x at 64x64 but 0.94-0.98x at 32x32 and
-# 16x16, where the helper's pipe round trip and the copy into its mapping
-# take most of what the split saves; halves of 98,304 values ran 0.75-0.82x
-# at 16x16 to 64x64 alone, but a training epoch whose 4-sample 64x64
-# validation forward split that way ran no faster (ten benchmark pairs, 3/10
-# faster); from 147,456 values up every geometry from 16x16 to 128x128 ran
-# 0.60-0.74x. At 8x8, where a batch's GEMMs gain from OpenBLAS's second
-# thread, splits ran 1.18-1.45x at every size measured, at the floor before
-# this one as well. The training step (forward and backward per half), split
-# time over both halves run here at two threads, two rounds at 16x16 to
-# 64x64: halves of 49,152 values ran 0.92-1.14x, of 98,304 0.81-1.01x, of
-# 147,456 0.74-0.99x and of 196,608 or more 0.59-0.85x. One floor serves both.
-# The floor is part of what a batch computes: retuning it changes the
+# batch must hold for forward or a training step to split it; one floor
+# serves both. It is part of what a batch computes: retuning it changes the
 # trained bits, and the float-mode logits, of batches that cross it, never
-# spike-mode logits, features or counters. These times were taken with
-# OpenBLAS set 2 -> 1 -> 2 threads around each split call, before the
-# helper's lifetime held the caller at one thread; the floor was not
-# retuned for that.
+# spike-mode logits, features or counters. Measured on 2 cores with the
+# helper holding the caller at one BLAS thread, sew_tiny at 64x64 and T=6,
+# forward(record=False), medians of 40 interleaved rounds: a 4-sample batch
+# (halves of 98,304 values, as the `train` benchmark's validation forward) took
+# 9.57 ms split against 9.18 ms whole, so it runs whole; an 8-sample batch
+# (196,608) took 14.9 ms split against 20.6 ms whole.
 _SPLIT_MIN = 1 << 17
 
 
@@ -667,18 +663,20 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
                 s1, v1, n1 = site(sites[0], conv(convs[0], h, h_sum), lay.theta)
                 s2, v2, n2 = site(sites[1], conv(convs[1], s1, n1), lay.theta)
                 step_cache.append((h, v1, s1, v2, s2))
+                # in the parameters' dtype: spike-mode spikes are bool
                 if lay.g == "add":
-                    h, h_sum = s2 + h, None if h_sum is None else n2 + h_sum
+                    h, h_sum = np.add(s2, h, dtype=dtype), None if h_sum is None else n2 + h_sum
                 else:
-                    h, h_sum = held(s2 * h if lay.g == "and" else (1.0 - s2) * h, h_sum)
+                    h, h_sum = held(np.multiply(s2, h, dtype=dtype) if lay.g == "and"
+                                    else np.subtract(1.0, s2, dtype=dtype) * h, h_sum)
             elif isinstance(lay, AvgPool):
-                pooled = avg_pool_forward(h, lay.window)
+                pooled = avg_pool_forward(h, lay.window, dtype)
                 exact = h_sum is not None and not lay.window & (lay.window - 1)  # power of two
                 h, h_sum = (pooled, h_sum / lay.window ** 2) if exact else held(pooled, h_sum)
                 step_cache.append(())
             elif isinstance(lay, GlobalPool):
                 step_cache.append((h.shape[2], h.shape[3]))
-                h, h_sum = held(global_pool_forward(h), h_sum)
+                h, h_sum = held(global_pool_forward(h, dtype), h_sum)
         add_input(acc, h_sum, d)
         feature_shape = h.shape[1:]
         if h.ndim > 2:
@@ -788,13 +786,14 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
         sg = arctan_surrogate_grad(v - theta)
         g_u = carry_u.get(name)
         gv = g_out * sg
-        if g_u is not None:  # gv += g_u * reset term, the term built in sg's buffer
-            if config.reset == "subtract":  # 1 - theta * sg
+        if g_u is not None:  # gv += g_u * reset term, the term built in place
+            if config.reset == "subtract":  # 1 - theta * sg, in sg's buffer
                 sg *= theta
                 np.subtract(1.0, sg, out=sg)
-            else:  # (1 - spikes) - v * sg
+            else:  # (1 - spikes) - v * sg, in the buffer of 1 - spikes
                 sg *= v
-                np.subtract(1.0 - spikes, sg, out=sg)
+                rest = np.subtract(1.0, spikes, dtype=sg.dtype)
+                sg = np.subtract(rest, sg, out=rest)
             sg *= g_u
             gv += sg
         carry_u[name] = gv
@@ -828,7 +827,7 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
                 elif lay.g == "and":
                     g_s2, g_res = g * x_in, g * s2
                 else:  # iand
-                    g_s2, g_res = -g * x_in, g * (1.0 - s2)
+                    g_s2, g_res = -g * x_in, g * np.subtract(1.0, s2, dtype=g.dtype)
                 g2 = site_back(sites[1], g_s2, v2, s2, lay.theta)
                 g1 = site_back(sites[0], conv_back(convs[1], s1, g2), v1, s1, lay.theta)
                 g = conv_back(convs[0], x_in, g1, need_dx=i > first)

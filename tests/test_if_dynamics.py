@@ -74,6 +74,15 @@ class TestVectorized:
         s, _ = if_step(rng.normal(size=1000), rng.normal(size=1000))
         assert set(np.unique(s)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("reset", ["subtract", "zero"])
+    def test_spikes_are_floats(self, rng, reset):
+        # the network's sites hand on a bool comparison; if_step keeps
+        # returning spikes in the membrane's dtype
+        s, u = if_step(rng.normal(size=100), rng.normal(size=100), reset=reset)
+        assert s.dtype == u.dtype == np.float64
+        s, u = if_step(0.0, 1.5)
+        assert s.dtype == u.dtype == np.float64
+
 
 class TestChargeConservation:
     """With subtractive reset, theta * (total spikes) + U_final = U_0 + total

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import signal
 import threading
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -710,6 +711,86 @@ class TestHeldFrames:
         # 31.57 MiB when each step held a float32 copy of its frame and no
         # columns; a float32 copy of either on top of the kept columns fails
         assert trace_bytes(run[3], run[2]) <= 31.6 * 2**20
+
+    def test_trace_size_with_one_byte_spikes(self, run):
+        # 30.26 MiB while every spike was a float32 0.0/1.0; 20.96 with bool
+        assert trace_bytes(run[3], run[2]) <= 21.0 * 2**20
+
+
+def spike_positions(config):
+    """Per encoder layer, the positions of its cache entry that hold spikes:
+    an IF's (v, spikes), a SEW's (x, v1, s1, v2, s2)."""
+    return [(1,) if isinstance(lay, IF) else (2, 4) if isinstance(lay, SEW) else ()
+            for lay in config.encoder_layers]
+
+
+class TestOneByteSpikes:
+    """Spike-mode sites hand on their threshold comparison, a bool array;
+    every reader computes in the parameters' dtype, with the bits a float
+    spike gave. Relaxed and dense spikes stay real-valued."""
+
+    NETS = pytest.mark.parametrize("net", ["add", "and", "iand", "pools"])
+
+    @staticmethod
+    def config(net, reset, timing, side=16):
+        """sew_tiny with SEW join ``net``, or for "pools" a stack whose
+        average and global pools read spikes."""
+        if net != "pools":
+            return sew_tiny(4, height=side, width=side, time_steps=3, theta=0.5, g=net,
+                            reset=reset, input_timing=timing)
+        return NetworkConfig(
+            time_steps=3, height=side, width=side, reset=reset, input_timing=timing,
+            layers=(Conv2d(2, 8, stride=2), IF(0.5), AvgPool(2), Conv2d(8, 8), IF(0.5),
+                    GlobalPool(), IF(0.25), Accumulator(8), Classifier(4)))
+
+    @pytest.mark.parametrize("timing", ["same_step", "delayed"])
+    @pytest.mark.parametrize("reset", ["subtract", "zero"])
+    @NETS
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cache_dtypes(self, net, reset, timing, dtype):
+        # spike mode: bool spikes (a conv or join may read the same array),
+        # the uint8 frames, everything else in the parameters' dtype; a bool
+        # join result or a float64 membrane at float32 fails
+        config = self.config(net, reset, timing)
+        x = binary_input(np.random.default_rng(3), config, batch=4, density=0.2)
+        positions = spike_positions(config)
+        for mode in ("spike", "relaxed", "dense"):
+            params = init_params(config, 1, dtype, "dense" if mode == "dense" else "spiking")
+            _, trace = forward(config, params, x, mode=mode)
+            spikes = {id(entry[i]) for step in trace.caches
+                      for entry, at in zip(step, positions) for i in at}
+            for step in trace.caches:
+                assert step[0][0].dtype == np.uint8  # the frame
+                for entry in step[1:]:
+                    for a in entry:
+                        if isinstance(a, np.ndarray):
+                            want = np.bool_ if mode == "spike" and id(a) in spikes else dtype
+                            assert a.dtype == want, (mode, a.shape)
+            assert trace.features.dtype == dtype
+
+    @pytest.mark.parametrize("timing", ["same_step", "delayed"])
+    @pytest.mark.parametrize("reset", ["subtract", "zero"])
+    @NETS
+    def test_backward_reads_bool_spikes_as_their_float_cast(self, net, reset, timing):
+        config = self.config(net, reset, timing, side=32)
+        rng = np.random.default_rng(4)
+        x = binary_input(rng, config, batch=4, density=0.2)
+        params = init_params(config, 2)
+        _, trace = forward(config, params, x)
+
+        def cast(a):
+            return a.astype(np.float32) if isinstance(a, np.ndarray) and a.dtype == bool else a
+
+        caches = [[tuple(map(cast, entry)) for entry in step] for step in trace.caches]
+        assert any(a.dtype == bool for step in trace.caches for entry in step
+                   for a in entry if isinstance(a, np.ndarray))
+        labels = rng.integers(0, 4, 4)
+        got = network.backward(config, params, trace, labels)
+        want = network.backward(config, params, replace(trace, caches=caches), labels)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype == np.float32, name
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class FakeBlas:

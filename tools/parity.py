@@ -15,11 +15,12 @@ import path, once per OpenBLAS thread count. The artifacts, each a sha256:
 - ``train``: the history and the best parameters of a 2-epoch ``train()``
   with augmentation;
 
-for ``sew_tiny`` (64x64, T=6) with each SEW join g add, and, iand, and for a
-mixed conv/pool/SEW config with a stride-1 first conv (16x16, T=2), in spike,
-relaxed and dense mode, at B = 16 (uint8 over batch-innermost memory, as
-``voxelize_set`` builds it), 5 (C-contiguous uint8) and 3 (C-contiguous
-float32); ``train`` runs the spiking kind.
+for ``sew_tiny`` (64x64, T=6) with each SEW join g add, and, iand, with the
+zero reset and with delayed input timing, and for a mixed conv/pool/SEW
+config with a stride-1 first conv (16x16, T=2), in spike, relaxed and dense
+mode, at B = 16 (uint8 over batch-innermost memory, as ``voxelize_set``
+builds it), 5 (C-contiguous uint8) and 3 (C-contiguous float32); ``train``
+runs the spiking kind.
 
 Output: one ``equal``/``differs`` line per artifact and thread count, then
 one sha256 over this tree's artifacts. The exit status is 1 where any
@@ -38,7 +39,10 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
-NETS = ("sew_add", "sew_and", "sew_iand", "mixed")
+# sew_tiny's keyword arguments per case
+SEW_TINY = {"sew_add": {"g": "add"}, "sew_and": {"g": "and"}, "sew_iand": {"g": "iand"},
+            "sew_zero": {"reset": "zero"}, "sew_delayed": {"input_timing": "delayed"}}
+NETS = (*SEW_TINY, "mixed")
 MODES = ("spike", "relaxed", "dense")
 BATCHES = (16, 5, 3)
 
@@ -68,7 +72,7 @@ def _config(net: str, classes: int):
                     SEW(12, k=1, bias=False),
                     GlobalPool(), IF(),
                     Accumulator(12), Classifier(classes)))
-    return sew_tiny(classes, theta=0.5, g=net.split("_")[1])
+    return sew_tiny(classes, theta=0.5, **SEW_TINY[net])
 
 
 def _inputs(config, rng):
