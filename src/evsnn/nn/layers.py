@@ -15,15 +15,13 @@ into (C, Hp, Wp, B) in one copy: a plain row copy for a batch-innermost
 array (an unpadded one is used as it is), a transposing copy otherwise. A
 stride-1 window row is then one contiguous run of OW*B values. Patch columns
 (C*k*k, OH*OW*B) are one strided copy of its (C, k, k, OH, OW, B) window
-view, in the input's dtype: the network's first conv reads uint8 frames and
-a spike-fed conv bool spikes, so their padded copy and columns are a
-quarter of float32's bytes, and the GEMM casts the columns (and a full
-correlation's unpadded x) to the weight's dtype in one contiguous copy,
-giving the bits of a float32 input. The forward is one GEMM plus the bias,
-whose (C_out, OH, OW, B) output is returned as a (B, C_out, OH, OW) view.
-The pools take the dtype of their result: a bool spike map pools into a
-float dtype with the bits of its float cast, its window sums being exact
-integers (below 2**24 in float32).
+view, in the input's dtype: the network's first conv reads uint8 frames,
+and a backward reads the bool spikes a recorded trace keeps, so their
+padded copy and columns are a quarter of float32's bytes, and the GEMM
+casts the columns (and a full correlation's unpadded x) to the weight's
+dtype in one contiguous copy, giving the bits of a float32 input. The
+forward is one GEMM plus the bias, whose (C_out, OH, OW, B) output is
+returned as a (B, C_out, OH, OW) view.
 
 x's columns are built once, in the forward; a caller that holds them (the
 network keeps the first conv's uint8 columns in a recorded trace) hands them
@@ -208,13 +206,11 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
     return dx.transpose(3, 0, 1, 2), dw, db
 
 
-def avg_pool_forward(x: np.ndarray, window: int, dtype=None) -> np.ndarray:
-    """(B, C, H, W) -> (B, C, H/window, W/window) window means in ``dtype``,
-    by default x's (a bool or integer x needs a float one)."""
+def avg_pool_forward(x: np.ndarray, window: int) -> np.ndarray:
     b, c, h, w = x.shape
     if h % window or w % window:
         raise ValueError(f"pool window {window} does not divide {h}x{w}")
-    out = x[:, :, ::window, ::window].astype(x.dtype if dtype is None else dtype, order="K")
+    out = x[:, :, ::window, ::window].copy(order="K")
     for i in range(window):
         for j in range(window):
             if i or j:
@@ -233,13 +229,11 @@ def avg_pool_backward(dy: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def global_pool_forward(x: np.ndarray, dtype=None) -> np.ndarray:
-    """(B, C, H, W) -> (B, C) spatial mean in ``dtype`` (as for
-    ``avg_pool_forward``), a view over (C, B) memory. Each mean runs over one
-    contiguous run of H*W values, as in a C-contiguous array, so x's memory
-    order changes no bit of the result."""
-    means = np.add.reduce(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), axis=(2, 3),
-                          dtype=dtype)
+def global_pool_forward(x: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) -> (B, C) spatial mean, a view over (C, B) memory. Each
+    mean runs over one contiguous run of H*W values, as in a C-contiguous
+    array, so x's memory order changes no bit of the result."""
+    means = np.add.reduce(np.ascontiguousarray(x.transpose(1, 0, 2, 3)), axis=(2, 3))
     means /= x.shape[2] * x.shape[3]
     return means.T
 

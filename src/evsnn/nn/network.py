@@ -437,9 +437,10 @@ def config_from_json(obj: dict) -> NetworkConfig:
 class ForwardTrace:
     """Everything the backward pass and the energy estimator need. The
     first conv's cached input is the frame as given (uint8 from
-    ``voxelize_set``). Spike-mode spikes are cached as bool, one byte each
-    (the sites' threshold comparisons); every other cached array, and every
-    relaxed or dense spike, is in the parameters' dtype."""
+    ``voxelize_set``). Spike-mode spikes are cached as bool, one byte each:
+    the sites' threshold comparisons, whose cast to the parameters' dtype
+    the layers above read. Every other cached array, and every relaxed or
+    dense spike, is in the parameters' dtype."""
 
     mode: str
     batch: int
@@ -462,21 +463,23 @@ class ForwardTrace:
 
 
 def _if_apply(v, theta, mode, reset):
-    """(spikes, next membrane, spike count). In spike mode the spikes are
-    the bool threshold comparison itself, one byte each, and the count is
-    taken from it; in relaxed mode they are the surrogate, in v's dtype, and
-    the count is None. The reset computes in v's dtype."""
+    """(spikes, next membrane, spike count, kept spikes). In spike mode the
+    spikes are 0.0/1.0 in v's dtype and the kept spikes, what a trace holds,
+    the bool threshold comparison they were cast from, one byte each; the
+    count is taken from it. In relaxed mode the spikes are the surrogate,
+    kept as they are, and the count is None."""
     if mode == "spike":  # for finite floats, heaviside(v - theta) bit for bit
-        x = v >= theta
-        count = int(np.count_nonzero(x.ravel("K")))  # in memory order, no copy
+        kept = v >= theta
+        count = int(np.count_nonzero(kept.ravel("K")))  # in memory order, no copy
+        x = kept.astype(v.dtype)
     else:
         count = None
-        x = arctan_surrogate(v - theta)
+        x = kept = arctan_surrogate(v - theta)
     if reset == "subtract":
-        u = v - np.multiply(theta, x, dtype=v.dtype)
+        u = v - theta * x
     else:
-        u = v * np.subtract(1.0, x, dtype=v.dtype)
-    return x, u, count
+        u = v * (1.0 - x)
+    return x, u, count, kept
 
 
 def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
@@ -486,8 +489,7 @@ def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
     the spikes 0.0/1.0 in U_next's dtype."""
     bounded(if_step, {"reset": reset}, "", ValueError)
     v = np.asarray(u_prev, dtype=np.float64) + np.asarray(weighted_input)
-    spikes, u, _ = _if_apply(v, theta, "spike", reset)
-    return spikes.astype(v.dtype), u
+    return _if_apply(v, theta, "spike", reset)[:2]
 
 
 def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
@@ -616,10 +618,12 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
         return conv2d_forward(h, weight, bias, spec.stride, spec.padding, cols=cols)
 
     def site(name: str, drive: np.ndarray, theta: float):
-        """(spikes, membrane potential, spike count); the count is None in
-        relaxed and dense modes."""
+        """(spikes, membrane potential, spike count, kept spikes: what a
+        trace holds, a spike-mode site's bool comparison, else the spikes);
+        the count is None in relaxed and dense modes."""
         if mode == "dense":  # ReLU; nothing carries across steps
-            v, spikes, count = drive, np.maximum(drive, 0.0), None
+            v, count = drive, None
+            spikes = kept = np.maximum(drive, 0.0)
         else:
             if delayed:
                 inp = pending.get(name)
@@ -630,11 +634,11 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
                 inp = drive
             u_prev = membranes.get(name)  # None before the first step
             v = inp if u_prev is None else u_prev + inp
-            spikes, membranes[name], count = _if_apply(v, theta, mode, config.reset)
+            spikes, membranes[name], count, kept = _if_apply(v, theta, mode, config.reset)
         if count is not None:
             spike_counts[name] = spike_counts.get(name, 0.0) + count
             site_sizes[name] = spikes[0].size
-        return spikes, v, count
+        return spikes, v, count, kept
 
     for t in range(t_steps):
         # the encoder runs on batch-innermost activations (see nn.layers):
@@ -652,31 +656,31 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
             cols = conv_columns(h, first.k, first.stride, first.padding)
             columns.append(cols)
         step_cache: list = []
+        kept = h  # h as the caches hold it: a site's kept spikes
         for lay, sites, convs in plan:
             if isinstance(lay, Conv2d):
-                step_cache.append((h,))
+                step_cache.append((kept,))
                 h, h_sum, cols = conv(convs[0], h, h_sum, cols), None, None
             elif isinstance(lay, IF):
-                h, v, h_sum = site(sites[0], h, lay.theta)
-                step_cache.append((v, h))
+                h, v, h_sum, k = site(sites[0], h, lay.theta)
+                step_cache.append((v, k))
             elif isinstance(lay, SEW):
-                s1, v1, n1 = site(sites[0], conv(convs[0], h, h_sum), lay.theta)
-                s2, v2, n2 = site(sites[1], conv(convs[1], s1, n1), lay.theta)
-                step_cache.append((h, v1, s1, v2, s2))
-                # in the parameters' dtype: spike-mode spikes are bool
+                s1, v1, n1, k1 = site(sites[0], conv(convs[0], h, h_sum), lay.theta)
+                s2, v2, n2, k2 = site(sites[1], conv(convs[1], s1, n1), lay.theta)
+                step_cache.append((kept, v1, k1, v2, k2))
                 if lay.g == "add":
-                    h, h_sum = np.add(s2, h, dtype=dtype), None if h_sum is None else n2 + h_sum
+                    h, h_sum = s2 + h, None if h_sum is None else n2 + h_sum
                 else:
-                    h, h_sum = held(np.multiply(s2, h, dtype=dtype) if lay.g == "and"
-                                    else np.subtract(1.0, s2, dtype=dtype) * h, h_sum)
+                    h, h_sum = held(s2 * h if lay.g == "and" else (1.0 - s2) * h, h_sum)
             elif isinstance(lay, AvgPool):
-                pooled = avg_pool_forward(h, lay.window, dtype)
+                pooled = avg_pool_forward(h, lay.window)
                 exact = h_sum is not None and not lay.window & (lay.window - 1)  # power of two
                 h, h_sum = (pooled, h_sum / lay.window ** 2) if exact else held(pooled, h_sum)
                 step_cache.append(())
             elif isinstance(lay, GlobalPool):
                 step_cache.append((h.shape[2], h.shape[3]))
-                h, h_sum = held(global_pool_forward(h, dtype), h_sum)
+                h, h_sum = held(global_pool_forward(h), h_sum)
+            kept = k if isinstance(lay, IF) else h
         add_input(acc, h_sum, d)
         feature_shape = h.shape[1:]
         if h.ndim > 2:
@@ -786,14 +790,13 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
         sg = arctan_surrogate_grad(v - theta)
         g_u = carry_u.get(name)
         gv = g_out * sg
-        if g_u is not None:  # gv += g_u * reset term, the term built in place
-            if config.reset == "subtract":  # 1 - theta * sg, in sg's buffer
+        if g_u is not None:  # gv += g_u * reset term, the term built in sg's buffer
+            if config.reset == "subtract":  # 1 - theta * sg
                 sg *= theta
                 np.subtract(1.0, sg, out=sg)
-            else:  # (1 - spikes) - v * sg, in the buffer of 1 - spikes
+            else:  # (1 - spikes) - v * sg
                 sg *= v
-                rest = np.subtract(1.0, spikes, dtype=sg.dtype)
-                sg = np.subtract(rest, sg, out=rest)
+                np.subtract(np.subtract(1.0, spikes, dtype=sg.dtype), sg, out=sg)
             sg *= g_u
             gv += sg
         carry_u[name] = gv

@@ -76,8 +76,8 @@ class TestVectorized:
 
     @pytest.mark.parametrize("reset", ["subtract", "zero"])
     def test_spikes_are_floats(self, rng, reset):
-        # the network's sites hand on a bool comparison; if_step keeps
-        # returning spikes in the membrane's dtype
+        # a recorded trace keeps the network's spikes as bool; if_step
+        # returns them in the membrane's dtype
         s, u = if_step(rng.normal(size=100), rng.normal(size=100), reset=reset)
         assert s.dtype == u.dtype == np.float64
         s, u = if_step(0.0, 1.5)

@@ -641,29 +641,3 @@ class TestGlobalPoolMean:
         got = np.ascontiguousarray(global_pool_forward(src))
         assert got.dtype == dtype
         assert got.tobytes() == x.mean(axis=(2, 3)).tobytes()
-
-
-class TestPoolsOfSpikes:
-    """Spike-mode sites hand on bool spikes: pooled in a float dtype, a bool
-    map gives the bytes of the pool of its float cast, in either memory
-    order."""
-
-    @pytest.mark.parametrize("window", [2, 4])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("order", ["batch_major", "batch_innermost"])
-    def test_avg_pool(self, window, dtype, order, rng):
-        s = rng.random((5, 3, 8, 16)) < 0.4
-        src = batch_innermost(s) if order == "batch_innermost" else s
-        assert_same_bytes([avg_pool_forward(src, window, dtype)],
-                          [avg_pool_forward(s.astype(dtype), window)])
-
-    @pytest.mark.parametrize("shape", [(3, 5, 4, 3), (16, 64, 4, 4), (1, 4, 25, 25),
-                                       (2, 3, 100, 100)])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("order", ["batch_major", "batch_innermost"])
-    def test_global_pool(self, shape, dtype, order, rng):
-        s = rng.random(shape) < 0.4
-        s[0, 0] = True  # a full map: the largest sum
-        src = batch_innermost(s) if order == "batch_innermost" else s
-        assert_same_bytes([global_pool_forward(src, dtype)],
-                          [global_pool_forward(s.astype(dtype))])

@@ -719,38 +719,45 @@ class TestHeldFrames:
 
 def spike_positions(config):
     """Per encoder layer, the positions of its cache entry that hold spikes:
-    an IF's (v, spikes), a SEW's (x, v1, s1, v2, s2)."""
-    return [(1,) if isinstance(lay, IF) else (2, 4) if isinstance(lay, SEW) else ()
-            for lay in config.encoder_layers]
+    an IF's (v, spikes), a SEW's (x, v1, s1, v2, s2), and the input of a
+    conv or SEW right above an IF, a conv's (x,)."""
+    out, above_if = [], False
+    for lay in config.encoder_layers:
+        at = (0,) if above_if and isinstance(lay, (Conv2d, SEW)) else ()
+        out.append((1,) if isinstance(lay, IF) else at + (2, 4) * isinstance(lay, SEW))
+        above_if = isinstance(lay, IF)
+    return out
 
 
 class TestOneByteSpikes:
-    """Spike-mode sites hand on their threshold comparison, a bool array;
-    every reader computes in the parameters' dtype, with the bits a float
-    spike gave. Relaxed and dense spikes stay real-valued."""
+    """A recorded spike-mode trace keeps each site's threshold comparison,
+    a bool array, while the layers above read its float cast; backward
+    reads the bool spikes with the bits their float cast gave. Relaxed and
+    dense spikes stay real-valued."""
 
-    NETS = pytest.mark.parametrize("net", ["add", "and", "iand", "pools"])
+    NETS = pytest.mark.parametrize("net", ["add", "and", "iand", "if_if"])
 
     @staticmethod
     def config(net, reset, timing, side=16):
-        """sew_tiny with SEW join ``net``, or for "pools" a stack whose
-        average and global pools read spikes."""
-        if net != "pools":
+        """sew_tiny with SEW join ``net``, or for "if_if" a stack with an IF
+        right after an IF and a conv right after that."""
+        if net != "if_if":
             return sew_tiny(4, height=side, width=side, time_steps=3, theta=0.5, g=net,
                             reset=reset, input_timing=timing)
         return NetworkConfig(
             time_steps=3, height=side, width=side, reset=reset, input_timing=timing,
-            layers=(Conv2d(2, 8, stride=2), IF(0.5), AvgPool(2), Conv2d(8, 8), IF(0.5),
-                    GlobalPool(), IF(0.25), Accumulator(8), Classifier(4)))
+            layers=(Conv2d(2, 8, stride=2), IF(0.5), IF(0.25), Conv2d(8, 8), IF(0.5),
+                    AvgPool(2), GlobalPool(), IF(0.25), Accumulator(8), Classifier(4)))
 
     @pytest.mark.parametrize("timing", ["same_step", "delayed"])
     @pytest.mark.parametrize("reset", ["subtract", "zero"])
     @NETS
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cache_dtypes(self, net, reset, timing, dtype):
-        # spike mode: bool spikes (a conv or join may read the same array),
-        # the uint8 frames, everything else in the parameters' dtype; a bool
-        # join result or a float64 membrane at float32 fails
+        # spike mode: bool spikes (a conv or SEW above may cache the same
+        # array), the uint8 frames, everything else in the parameters'
+        # dtype; a float spike cached above a site, or a float64 membrane at
+        # float32, fails
         config = self.config(net, reset, timing)
         x = binary_input(np.random.default_rng(3), config, batch=4, density=0.2)
         positions = spike_positions(config)

@@ -16,11 +16,12 @@ import path, once per OpenBLAS thread count. The artifacts, each a sha256:
   with augmentation;
 
 for ``sew_tiny`` (64x64, T=6) with each SEW join g add, and, iand, with the
-zero reset and with delayed input timing, and for a mixed conv/pool/SEW
-config with a stride-1 first conv (16x16, T=2), in spike, relaxed and dense
-mode, at B = 16 (uint8 over batch-innermost memory, as ``voxelize_set``
-builds it), 5 (C-contiguous uint8) and 3 (C-contiguous float32); ``train``
-runs the spiking kind.
+zero reset and with delayed input timing, for a mixed conv/pool/SEW config
+with a stride-1 first conv (16x16, T=2), and for a stack with an IF right
+after an IF and a conv after that (16x16, T=4) under each reset and input
+timing, in spike, relaxed and dense mode, at B = 16 (uint8 over
+batch-innermost memory, as ``voxelize_set`` builds it), 5 (C-contiguous
+uint8) and 3 (C-contiguous float32); ``train`` runs the spiking kind.
 
 Output: one ``equal``/``differs`` line per artifact and thread count, then
 one sha256 over this tree's artifacts. The exit status is 1 where any
@@ -42,7 +43,10 @@ HERE = Path(__file__).resolve().parents[1]
 # sew_tiny's keyword arguments per case
 SEW_TINY = {"sew_add": {"g": "add"}, "sew_and": {"g": "and"}, "sew_iand": {"g": "iand"},
             "sew_zero": {"reset": "zero"}, "sew_delayed": {"input_timing": "delayed"}}
-NETS = (*SEW_TINY, "mixed")
+# an IF right after an IF, per reset and input timing
+IF_IF = {f"if_if_{reset}_{timing}": {"reset": reset, "input_timing": timing}
+         for reset in ("subtract", "zero") for timing in ("same_step", "delayed")}
+NETS = (*SEW_TINY, "mixed", *IF_IF)
 MODES = ("spike", "relaxed", "dense")
 BATCHES = (16, 5, 3)
 
@@ -72,6 +76,12 @@ def _config(net: str, classes: int):
                     SEW(12, k=1, bias=False),
                     GlobalPool(), IF(),
                     Accumulator(12), Classifier(classes)))
+    if net in IF_IF:
+        return NetworkConfig(
+            time_steps=4, height=16, width=16, **IF_IF[net],
+            layers=(Conv2d(2, 8, k=3, stride=2, padding=1), IF(0.5), IF(0.25),
+                    Conv2d(8, 8), IF(0.5), AvgPool(2), GlobalPool(), IF(0.25),
+                    Accumulator(8), Classifier(classes)))
     return sew_tiny(classes, theta=0.5, **SEW_TINY[net])
 
 
@@ -124,7 +134,7 @@ def _train_case(net: str) -> dict[str, str]:
     from evsnn.nn.network import init_params
     from evsnn.nn.train import TrainSettings, train
     from evsnn.synth import SynthParams, generate_dataset
-    side = 16 if net == "mixed" else 64
+    side = 64 if net in SEW_TINY else 16
     synth = SynthParams(width=side, height=side, events_per_sample=800)
     streams = generate_dataset(synth, 6, seed=5)
     labels = np.array([s.label for s in streams])
