@@ -23,22 +23,22 @@ dtype in one contiguous copy, giving the bits of a float32 input. The
 forward is one GEMM plus the bias, whose (C_out, OH, OW, B) output is
 returned as a (B, C_out, OH, OW) view.
 
-x's columns are built once, in the forward; a caller that holds them (the
-network keeps the first conv's uint8 columns in a recorded trace) hands them
-back as ``cols``. The backward of a stride-1 conv builds the columns of the
-batch-innermost dy instead, padded by k-1-padding (a full correlation), and
-runs two GEMMs on them: the input gradient against the flipped kernel with
-in and out channels swapped (``flipped_kernel``, which a caller may build
-once for all time steps and hand in as ``flipped``), the weight gradient
-against the unpadded x, its kernel taps read back flipped. Any other conv
-(strided, or padded by k or more) takes the weight gradient from x's
-columns and folds its column gradient into the (C, H, W, B) image by k*k
-adds, each tap's window clipped to the image. A clipped window falls on one
-parity plane (the pixels whose row and column are fixed residues mod the
-stride) as one block, so the taps are added into (s, s, C, ceil(H/s),
-ceil(W/s), B) planes, in runs of the window width times B values rather
-than B, and the planes are interleaved once into an unpadded buffer; the
-input gradient is a view of that whole buffer.
+x's columns (``_conv_columns``) are built once, in the forward; a caller that
+holds them (the network keeps the first conv's uint8 columns in a recorded
+trace) hands them back as ``cols``. The backward of a stride-1 conv builds
+the columns of the batch-innermost dy instead, padded by k-1-padding (a full
+correlation), and runs two GEMMs on them: the input gradient against the
+flipped kernel with in and out channels swapped (``_flipped_kernel``, which a
+caller may build once for all steps and hand in as ``flipped``), the weight
+gradient against the unpadded x, its taps read back flipped. Any other conv
+(strided, or padded by k or more) takes the weight gradient from x's columns
+and folds its column gradient into the (C, H, W, B) image by k*k adds, each
+tap's window clipped to the image. A clipped window falls on one parity plane
+(pixels whose row and column are fixed residues mod the stride) as one block,
+so the taps are added into (s, s, C, ceil(H/s), ceil(W/s), B) planes, in runs
+of the window width times B values, interleaved once into an unpadded buffer
+whose view is the input gradient. The helpers are private, so that each span
+of the benchmark tracer, which wraps public functions, holds a whole layer op.
 
 Every reduction runs in a fixed order that the input's memory order does
 not change, so both orders give bitwise-equal results: the GEMM shapes
@@ -126,7 +126,7 @@ def _fold(dcols: np.ndarray, h: int, w: int, stride: int,
     return out
 
 
-def conv_columns(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+def _conv_columns(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     """x's (B, C, H, W) patch columns (C*k*k, OH*OW*B), in x's dtype: what
     ``conv2d_forward`` and a folding ``conv2d_backward`` read as ``cols``."""
     return _columns(_batch_last(x, padding), k, stride)
@@ -138,13 +138,13 @@ def _gemm_operand(a: np.ndarray, other: np.ndarray) -> np.ndarray:
     return a.astype(np.promote_types(a.dtype, other.dtype), copy=False)
 
 
-def full_correlation(k: int, stride: int, padding: int) -> bool:
+def _full_correlation(k: int, stride: int, padding: int) -> bool:
     """Whether ``conv2d_backward`` takes both gradients from dy's full
     correlation (stride 1, padding < k), else from x's columns and a fold."""
     return stride == 1 and padding < k
 
 
-def flipped_kernel(weight: np.ndarray) -> np.ndarray:
+def _flipped_kernel(weight: np.ndarray) -> np.ndarray:
     """The (C_in, C_out*k*k) input-gradient matrix of a full-correlation
     conv: the kernel flipped, in and out channels swapped."""
     return weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(weight.shape[1], -1)
@@ -154,12 +154,12 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
                    stride: int, padding: int, *, cols: np.ndarray | None = None,
                    ) -> np.ndarray:
     """x (B, C_in, H, W), weight (C_out, C_in, k, k) -> (B, C_out, OH, OW).
-    ``cols``, where given, are x's ``conv_columns``, held by the caller."""
+    ``cols``, where given, are x's ``_conv_columns``, held by the caller."""
     b, _, h, w = x.shape
     c_out, _, k, _ = weight.shape
     oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
     if cols is None:
-        cols = conv_columns(x, k, stride, padding)
+        cols = _conv_columns(x, k, stride, padding)
     y = weight.reshape(c_out, -1) @ _gemm_operand(cols, weight)
     if bias is not None:
         y += bias[:, None]
@@ -173,13 +173,13 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
     """Gradients (dx, dweight, dbias) for conv2d_forward; dx a (B, C_in, H,
     W) view over batch-innermost memory. With ``need_dx`` false (a conv whose
     input needs no gradient) dx is None. A caller may hand in what it holds:
-    x's ``conv_columns`` as ``cols`` (read where the backward folds) and
-    the weight's ``flipped_kernel`` as ``flipped`` (read by a full
+    x's ``_conv_columns`` as ``cols`` (read where the backward folds) and
+    the weight's ``_flipped_kernel`` as ``flipped`` (read by a full
     correlation's dx)."""
     b, c_in, h, w = x.shape
     c_out, _, k, _ = weight.shape
     oh, ow = dy.shape[2], dy.shape[3]
-    if full_correlation(k, stride, padding):
+    if _full_correlation(k, stride, padding):
         # full correlation: columns of dy padded by q = k-1-padding, one per
         # input pixel; dw[o, c, i, j] = sum_m x[c, m] * dcols[(o, k-1-i, k-1-j), m]
         q = k - 1 - padding
@@ -190,14 +190,14 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, dy: np.ndarray,
         dw = dw.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         if not need_dx:
             return None, dw, db
-        dx = ((flipped_kernel(weight) if flipped is None else flipped) @ dcols
+        dx = ((_flipped_kernel(weight) if flipped is None else flipped) @ dcols
               ).reshape(c_in, h, w, b)
     else:
         dy_cm = _batch_last(dy, 0)
         db = np.add.reduce(dy_cm, axis=(1, 2, 3)) if with_bias else None
         dy_flat = dy_cm.reshape(c_out, oh * ow * b)
         if cols is None:
-            cols = conv_columns(x, k, stride, padding)
+            cols = _conv_columns(x, k, stride, padding)
         dw = (_gemm_operand(cols, dy_flat) @ dy_flat.T).T.reshape(weight.shape)
         if not need_dx:
             return None, dw, db

@@ -58,10 +58,10 @@ import numpy as np
 from .. import _helper
 from .._heap import keep_heap
 from .._schema import Bound, SchemaError, bounded, checked
-from .layers import (avg_pool_backward, avg_pool_forward, conv2d_backward,
-                     conv2d_forward, conv_columns, conv_out_size, flipped_kernel,
-                     full_correlation, global_pool_backward, global_pool_forward,
-                     linear_backward, linear_forward)
+from .layers import (_conv_columns, _flipped_kernel, _full_correlation, avg_pool_backward,
+                     avg_pool_forward, conv2d_backward, conv2d_forward, conv_out_size,
+                     global_pool_backward, global_pool_forward, linear_backward,
+                     linear_forward)
 from .surrogate import arctan_surrogate, arctan_surrogate_grad
 
 
@@ -275,53 +275,34 @@ def _kaiming_uniform(rng, shape, fan_in, dtype):
 
 def _layer_plan(config: NetworkConfig) -> list[tuple]:
     """Per encoder layer, in forward order: (layer, the names of its
-    threshold sites, its convs as (tensor name, Conv2d)); the one place
-    where sites and conv tensors are named and a SEW's conv is resolved.
-    ``_encode`` and ``backward`` build it once per call for their step
-    loops."""
-    plan = []
-    for i, lay in enumerate(config.encoder_layers):
+    threshold sites, its convs as (tensor name, Conv2d, output (C, H, W),
+    site it feeds, whether its input is a conv's real-valued output)); the
+    one place where all of these are named or decided. A plain conv feeds
+    the first IF after it unless a Conv2d or SEW comes first; a SEW stage
+    feeds its own site. Values are real from a Conv2d to the next IF (pools
+    and SEW joins carry them); a SEW's second stage reads spikes. ``_encode``
+    and ``backward`` build it once per call for their step loops."""
+    layers, shapes = config.encoder_layers, config.encoder_shapes()
+    plan, real = [], False
+    for i, lay in enumerate(layers):
         tag = f"{i:02d}"
         if isinstance(lay, Conv2d):
-            plan.append((lay, (), ((f"{tag}.conv", lay),)))
+            site = next((f"{j:02d}" if isinstance(nxt, IF) else None
+                         for j, nxt in enumerate(layers[i + 1:], i + 1)
+                         if isinstance(nxt, (IF, Conv2d, SEW))), None)
+            out = shapes[i + 1] if len(shapes[i + 1]) == 3 else (shapes[i + 1][0], 1, 1)
+            plan.append((lay, (), ((f"{tag}.conv", lay, out, site, real),)))
+            real = True
         elif isinstance(lay, IF):
             plan.append((lay, (tag,), ()))
+            real = False
         elif isinstance(lay, SEW):
-            conv = lay.conv
-            plan.append((lay, (f"{tag}a", f"{tag}b"),
-                         ((f"{tag}.sew.conv1", conv), (f"{tag}.sew.conv2", conv))))
+            conv, sites = lay.conv, (f"{tag}a", f"{tag}b")
+            plan.append((lay, sites, ((f"{tag}.sew.conv1", conv, shapes[i], sites[0], real),
+                                      (f"{tag}.sew.conv2", conv, shapes[i], sites[1], False))))
         else:
             plan.append((lay, (), ()))
     return plan
-
-
-def _convs(config: NetworkConfig):
-    """(tensor name, Conv2d, output (C, H, W), site it feeds, whether its
-    input is a conv's real-valued output) for every encoder conv in forward
-    order. A plain conv feeds the first IF after it, unless a Conv2d or SEW
-    comes first; a SEW stage feeds its own site, and its second stage reads
-    the first's spikes."""
-    shapes = config.encoder_shapes()
-    plan = _layer_plan(config)
-    for i, (lay, sites, convs) in enumerate(plan):
-        real = _conv_output_reaches(config.encoder_layers[:i])
-        if isinstance(lay, Conv2d):
-            site = next((nxt_sites[0] if isinstance(nxt, IF) else None
-                         for nxt, nxt_sites, _ in plan[i + 1:]
-                         if isinstance(nxt, (IF, Conv2d, SEW))), None)
-            out = shapes[i + 1] if len(shapes[i + 1]) == 3 else (shapes[i + 1][0], 1, 1)
-            (name, conv), = convs
-            yield name, conv, out, site, real
-        else:
-            for (name, conv), site, stage_real in zip(convs, sites, (real, False)):
-                yield name, conv, shapes[i], site, stage_real
-
-
-def _conv_output_reaches(layers) -> bool:
-    """Whether the output of ``layers`` is a conv's real-valued output: their
-    last Conv2d or IF is a Conv2d (pools and SEW joins carry its values)."""
-    last = next((lay for lay in reversed(layers) if isinstance(lay, (Conv2d, IF))), None)
-    return isinstance(last, Conv2d)
 
 
 def _forward_mode(kind: ModelKind) -> str:
@@ -360,10 +341,10 @@ class SynapticLayer:
 
     Names match the activity keys recorded by ``forward``. Linear layers use
     k = out_h = out_w = 1 so one FLOP formula covers both shapes. ``out_site``
-    is the threshold site fed by this layer (None for the head layers), used
-    by the alternative output-rate charging rule. ``bias`` says whether the
-    layer has a bias tensor. ``real_input`` says whether its input is a
-    conv's real-valued output rather than spikes, their pools and joins.
+    is the threshold site fed by this layer (None for the head layers), read
+    by the output-rate charging rule; ``real_input`` says whether its input is
+    a conv's real-valued output rather than spikes, their pools and joins.
+    A conv's two are its ``_layer_plan`` entry's; ``bias``: whether it has a bias tensor.
     """
 
     name: str
@@ -383,20 +364,20 @@ class SynapticLayer:
 
 
 def synaptic_layers(config: NetworkConfig, kind: str = "spiking") -> list[SynapticLayer]:
-    """Every weighted layer in forward order, with resolved shapes."""
+    """Every weighted layer, shapes resolved: ``_layer_plan``'s convs, then the head."""
     if _forward_mode(kind) == "dense":
         config = _dense_view(config)
-    out = [SynapticLayer(name, "conv", conv.k, oh, ow, conv.c_in, conv.c_out, site, conv.bias,
-                         real)
-           for name, conv, (_, oh, ow), site, real in _convs(config)]
-    d = config.feature_dim
-    acc_tag = f"{len(config.layers) - 2:02d}"
-    cls_tag = f"{len(config.layers) - 1:02d}"
-    out.append(SynapticLayer(f"{acc_tag}.acc", "linear", 1, 1, 1, d, d,
-                             real_input=_conv_output_reaches(config.encoder_layers)))
-    out.append(SynapticLayer(f"{cls_tag}.cls", "linear", 1, 1, 1, d,
-                             config.classifier.classes, bias=config.classifier.bias))
-    return out
+    plan = _layer_plan(config)
+    # the accumulator's input is real, as a conv's is, where the last Conv2d or IF is a Conv2d
+    last = next((lay for lay, _, _ in reversed(plan) if isinstance(lay, (Conv2d, IF))), None)
+    d, n = config.feature_dim, len(config.layers)
+    return [*(SynapticLayer(name, "conv", conv.k, oh, ow, conv.c_in, conv.c_out, site,
+                            conv.bias, real)
+              for _, _, convs in plan for name, conv, (_, oh, ow), site, real in convs),
+            SynapticLayer(f"{n - 2:02d}.acc", "linear", 1, 1, 1, d, d,
+                          real_input=isinstance(last, Conv2d)),
+            SynapticLayer(f"{n - 1:02d}.cls", "linear", 1, 1, 1, d, config.classifier.classes,
+                          bias=config.classifier.bias)]
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +564,10 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
     first = plan[0][2][0][1] if plan and isinstance(plan[0][0], Conv2d) else None
     in_dtype = x.dtype if first is not None and np.can_cast(x.dtype, dtype) else dtype
     columns: list | None = ([] if record and first is not None
-                            and not full_correlation(first.k, first.stride, first.padding)
+                            and not _full_correlation(first.k, first.stride, first.padding)
                             else None)
     weights = {name: (arrays[f"{name}.weight"], arrays.get(f"{name}.bias"))
-               for _, _, convs in plan for name, _ in convs}
+               for _, _, convs in plan for name, *_ in convs}
     d = config.feature_dim
 
     membranes: dict[str, np.ndarray] = {}
@@ -611,7 +592,7 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
     def conv(named: tuple, h: np.ndarray, h_sum: float | None,
              cols: np.ndarray | None = None) -> np.ndarray:
         """The conv of h (its columns, where held), h_sum added to its input sum."""
-        name, spec = named
+        name, spec, *_ = named
         add_input(name, h_sum, h[0].size)
         weight, bias = weights[name]
         # looked up at call time: the benchmark tracer rebinds this name
@@ -653,7 +634,7 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
         h_sum = float(np.add.reduce(h, axis=None, dtype=np.float64)) if mode == "spike" else None
         cols = None  # the first conv's, where kept
         if columns is not None:
-            cols = conv_columns(h, first.k, first.stride, first.padding)
+            cols = _conv_columns(h, first.k, first.stride, first.padding)
             columns.append(cols)
         step_cache: list = []
         kept = h  # h as the caches hold it: a site's kept spikes
@@ -761,18 +742,18 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
     # contiguously
     tensors = {}
     for _, _, convs in plan:
-        for name, spec in convs:
+        for name, spec, *_ in convs:
             weight, g_weight, flipped = params[f"{name}.weight"], grads[f"{name}.weight"], None
-            if full_correlation(spec.k, spec.stride, spec.padding):
+            if _full_correlation(spec.k, spec.stride, spec.padding):
                 c_out, c_in, k, _ = weight.shape
                 g_weight = g_weight.reshape(c_out, k, k, c_in)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-                flipped = flipped_kernel(weight)
+                flipped = _flipped_kernel(weight)
             tensors[name] = (weight, g_weight, grads.get(f"{name}.bias"), flipped)
 
     def conv_back(named: tuple, x_in, g, need_dx: bool = True, cols=None):
         """Returns gradient w.r.t. the conv input (None without ``need_dx``);
         accumulates its parameters'."""
-        name, spec = named
+        name, spec, *_ = named
         weight, g_weight, g_bias, flipped = tensors[name]
         # looked up at call time: the benchmark tracer rebinds this name
         dx, dw, db = conv2d_backward(x_in, weight, g, spec.stride, spec.padding,

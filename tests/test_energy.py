@@ -342,6 +342,35 @@ class TestConvFedConv:
         assert row["rs"] == trace.spike_counts["05"] / 8 / trace.site_sizes["05"]
 
 
+class TestConvIntoSEW:
+    """A plain conv straight into a SEW feeds no threshold site: its output
+    is the SEW's identity path, not the drive of the IF after the join."""
+
+    @staticmethod
+    def config():
+        return NetworkConfig(time_steps=2, height=8, width=8, layers=(
+            Conv2d(2, 4), SEW(4), IF(), GlobalPool(), Accumulator(4), Classifier(2)))
+
+    @pytest.mark.parametrize("kind", ["spiking", "dense"])
+    def test_listing(self, kind):
+        sites = {lay.name: lay.out_site for lay in synaptic_layers(self.config(), kind)}
+        assert sites == {"00.conv": None, "01.sew.conv1": "01a", "01.sew.conv2": "01b",
+                         "04.acc": None, "05.cls": None}
+
+    def test_output_charging_keeps_the_input_rate(self, rng):
+        config = self.config()
+        x = (rng.random((4, 2, 2, 8, 8)) < 0.2).astype(np.uint8)
+        _, trace = forward(config, init_params(config, 1), x, record=False)
+        rows = {charging: {row["name"]: row for row in
+                           estimate_from_traces(config, [trace], charging=charging).rows}
+                for charging in ("input", "output")}
+        total, size = trace.synaptic_inputs["00.conv"]
+        assert rows["output"]["00.conv"]["rs"] == rows["input"]["00.conv"]["rs"] == \
+            total / 4 / size
+        assert rows["output"]["00.conv"]["rs"] != \
+            trace.spike_counts["02"] / 4 / trace.site_sizes["02"]
+
+
 def sew_fed_by_conv():
     """A SEW fed straight by a conv, and features that are a conv's output."""
     return NetworkConfig(time_steps=2, height=8, width=8, layers=(

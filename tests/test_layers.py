@@ -6,14 +6,14 @@ import pytest
 from evsnn.nn.layers import (
     _batch_last,
     _columns,
+    _conv_columns,
+    _flipped_kernel,
     _fold,
     avg_pool_backward,
     avg_pool_forward,
     conv2d_backward,
     conv2d_forward,
-    conv_columns,
     conv_out_size,
-    flipped_kernel,
     global_pool_backward,
     global_pool_forward,
     linear_backward,
@@ -601,7 +601,7 @@ class TestHeldOperands:
     @pytest.mark.parametrize("b", [1, 3, 8])
     def test_forward_with_held_columns(self, shape, conv, b, rng):
         x, weight, bias, _ = held_operands(rng, shape, conv, b)
-        cols = conv_columns(x, conv.k, conv.stride, conv.padding)
+        cols = _conv_columns(x, conv.k, conv.stride, conv.padding)
         assert cols.dtype == np.uint8
         want = conv2d_forward(x.astype(np.float32), weight, bias, conv.stride, conv.padding)
         got = conv2d_forward(x, weight, bias, conv.stride, conv.padding, cols=cols)
@@ -614,8 +614,8 @@ class TestHeldOperands:
         x, weight, _, dy = held_operands(rng, shape, conv, b)
         args = (weight, dy, conv.stride, conv.padding, True, need_dx)
         want = conv2d_backward(x.astype(np.float32), *args)
-        got = conv2d_backward(x, *args, cols=conv_columns(x, conv.k, conv.stride, conv.padding),
-                              flipped=flipped_kernel(weight))
+        got = conv2d_backward(x, *args, cols=_conv_columns(x, conv.k, conv.stride, conv.padding),
+                              flipped=_flipped_kernel(weight))
         assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("shape,conv", HELD_CASES, **ids)
