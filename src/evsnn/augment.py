@@ -5,9 +5,11 @@ specific ones (eventdrop, mirror), and a composable pipeline. Every
 transform returns a fresh, valid stream; randomness comes only from the
 generator handed in, so results are reproducible and parallel-safe.
 
-Every selection, reorder and copy of a field happens once, as an index that
-gathers all four fields with ``take``; the result adopts the arrays the
-transform built and shares the fields it left unchanged (see
+Each field is read once per selection or reorder: a transform that keeps a
+subset or resorts turns it into one index and gathers the fields with
+``take``, and ``reverse`` copies the fields through reversed views and
+gathers only the events of its timestamp ties. The result adopts the arrays
+the transform built and shares the fields it left unchanged (see
 ``events.EventStream``).
 """
 
@@ -53,11 +55,13 @@ def reverse(stream: EventStream) -> EventStream:
 
     The result is the stable sort of the mirrored stream. For a time-sorted
     input that is the stream read backwards, except that each run of equal
-    timestamps keeps its index order; so the backwards order is built and
-    only the runs are turned round, in O(N) instead of a sort.
+    timestamps keeps its index order. So x, y and p are copied through
+    reversed views and only the events inside runs are gathered again, in
+    O(N) instead of a sort; t is mirrored from its reversed view as it is,
+    since a run's timestamps are equal.
     """
     t, n = stream.t, stream.n
-    order = np.arange(n - 1, -1, -1)
+    x, y, p = stream.x[::-1].copy(), stream.y[::-1].copy(), stream.p[::-1].copy()
     tie = np.flatnonzero(t[1:] == t[:-1])  # event i shares its timestamp with i + 1
     if tie.size:
         first = np.flatnonzero(np.diff(tie, prepend=-2) != 1)
@@ -66,10 +70,9 @@ def reverse(stream: EventStream) -> EventStream:
         size = end - start
         # the run's positions [n - end, n - start) get events start .. end - 1
         pos = np.arange(size.sum()) + np.repeat(n - end - (np.cumsum(size) - size), size)
-        order[pos] = pos + np.repeat(start + end - n, size)
-    return stream._adopt(x=stream.x.take(order), y=stream.y.take(order),
-                         t=stream.t_start + (stream.t_end - 1) - t.take(order),
-                         p=stream.p.take(order))
+        src = pos + np.repeat(start + end - n, size)
+        x[pos], y[pos], p[pos] = stream.x.take(src), stream.y.take(src), stream.p.take(src)
+    return stream._adopt(x=x, y=y, t=stream.t_start + (stream.t_end - 1) - t[::-1], p=p)
 
 
 def crop(stream: EventStream, rng: np.random.Generator,
@@ -86,10 +89,15 @@ def crop(stream: EventStream, rng: np.random.Generator,
     h = min(stream.height, max(1, round(stream.height * np.sqrt(s))))
     x0 = int(rng.integers(0, stream.width - w + 1))
     y0 = int(rng.integers(0, stream.height - h + 1))
-    idx = np.flatnonzero((stream.x >= x0) & (stream.x < x0 + w)
-                         & (stream.y >= y0) & (stream.y < y0 + h))
-    x = (stream.x.take(idx) - x0) * stream.width // w
-    y = (stream.y.take(idx) - y0) * stream.height // h
+    # offsets from the window's corner; a negative one reads as a huge unsigned
+    # value, so one unsigned test per axis keeps [x0, x0 + w) and [y0, y0 + h)
+    dx, dy = stream.x - x0, stream.y - y0
+    idx = np.flatnonzero((dx.view(np.uint64) < w) & (dy.view(np.uint64) < h))
+    x, y = dx.take(idx), dy.take(idx)
+    x *= stream.width
+    x //= w
+    y *= stream.height
+    y //= h
     return stream._adopt(x=x, y=y, t=stream.t.take(idx), p=stream.p.take(idx))
 
 

@@ -11,7 +11,6 @@ shared with its input stream.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import Annotated, Iterator, Sequence
 
@@ -88,7 +87,8 @@ class EventStream:
         """This stream with the named event fields replaced by arrays the
         caller has just built and keeps no other reference to. They are
         frozen in place, not copied; the other fields are shared."""
-        out = copy.copy(self)
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
         out._hold(fields)
         return out
 
@@ -187,15 +187,16 @@ def voxelize_set(streams: Sequence[EventStream],
 
     Cell [n, b, ch, y, x] is 1 iff at least one event of stream n with that
     polarity falls in spatial cell (x, y) during time bin b; repeats saturate
-    at 1. Each event is set through one flat index into the buffer.
+    at 1. Each event is set through one flat index into the buffer, built in
+    place over its bin array in Horner form, ((b * 2 + ch) * H + y) * W + x,
+    then times N plus n where the set holds more than one stream.
     """
     keep_heap()
     bounded(voxelize_set, {"time_bins": time_bins}, "", ValueError)
     if not streams:
         raise ValueError("voxelize_set needs at least one stream")
-    height, width = streams[0].height, streams[0].width
-    out = np.zeros((time_bins, 2, height, width, len(streams)), dtype=np.uint8)
-    s_t, s_c, s_y, s_x, _ = out.strides  # bytes, which are elements of uint8
+    height, width, count = streams[0].height, streams[0].width, len(streams)
+    out = np.zeros((time_bins, 2, height, width, count), dtype=np.uint8)
     cells = out.reshape(-1)
     for n, stream in enumerate(streams):
         require_valid(stream)
@@ -203,11 +204,15 @@ def voxelize_set(streams: Sequence[EventStream],
             raise ValueError(f"a {stream.width}x{stream.height} stream does not voxelize "
                              f"into uint8 frames of shape {out.shape[:4]}")
         flat = event_bins(stream, time_bins)
-        flat *= s_t
-        flat += (stream.p < 0) * s_c  # channel NEG_CHANNEL = 1, POS_CHANNEL = 0
-        flat += stream.y * s_y
-        flat += stream.x * s_x
-        flat += n
+        flat *= 2
+        flat += stream.p < 0  # channel NEG_CHANNEL = 1, POS_CHANNEL = 0
+        flat *= height
+        flat += stream.y
+        flat *= width
+        flat += stream.x
+        if count > 1:
+            flat *= count
+            flat += n
         cells[flat] = 1
     return out.transpose(4, 0, 1, 2, 3)
 

@@ -78,16 +78,15 @@ def load_events(path: str | Path) -> EventStream:
     magic, width, height, t_start, t_end, label, n = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise EventFileError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-    body = raw[HEADER_SIZE:]
-    want = n * RECORD_SIZE
-    if len(body) < want:
+    size, want = len(raw) - HEADER_SIZE, n * RECORD_SIZE
+    if size < want:
         raise EventFileError(
-            f"truncated records: header promises {n}, payload holds {len(body) // RECORD_SIZE}",
-            HEADER_SIZE + len(body))
-    if len(body) > want:
-        raise EventFileError(f"{len(body) - want} trailing bytes after {n} records",
+            f"truncated records: header promises {n}, payload holds {size // RECORD_SIZE}",
+            len(raw))
+    if size > want:
+        raise EventFileError(f"{size - want} trailing bytes after {n} records",
                              HEADER_SIZE + want)
-    recs = np.frombuffer(body, dtype=RECORD_DTYPE, count=n)
+    recs = np.frombuffer(raw, dtype=RECORD_DTYPE, count=n, offset=HEADER_SIZE)
     stream = EventStream(
         x=recs["x"], y=recs["y"], t=recs["t"], p=recs["p"],
         width=width, height=height, t_start=t_start, t_end=t_end,

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import betainc
 
 from ._schema import Bound, bounded
 
@@ -27,6 +25,8 @@ class RankDeficientError(ValueError):
 
 def student_t_sf2(t: np.ndarray, df: Annotated[int, Bound(1)]) -> np.ndarray:
     """Two-sided tail probability P(|T| >= t) for Student-t with df > 0."""
+    from scipy.special import betainc  # imported here: most commands never fit an OLS
+
     bounded(student_t_sf2, {"df": df}, "", ValueError)
     t = np.asarray(t, dtype=np.float64)
     out = np.ones_like(t)
@@ -88,6 +88,8 @@ def ols(x: np.ndarray, y: np.ndarray, names: list[str]) -> RegressionReport:
     (p = 0) for nonzero coefficients and 0 (p = 1) for zero ones, matching the
     exact-recovery limit.
     """
+    from scipy.linalg import solve_triangular  # imported here: most commands never fit
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = x.shape

@@ -193,6 +193,16 @@ def dense_streams(draw):
                        t_start=t_start, t_end=t_start + duration)
 
 
+@st.composite
+def stream_sets(draw):
+    """1-5 valid streams of the first one's geometry, each over its own
+    interval: its own t_start and duration."""
+    streams = draw(st.lists(dense_streams(), min_size=1, max_size=5))
+    width, height = streams[0].width, streams[0].height
+    return [s.with_fields(x=s.x % width, y=s.y % height, width=width, height=height)
+            for s in streams]
+
+
 def assert_same(got, want):
     for name in ("x", "y", "t", "p"):
         a, b = getattr(got, name), getattr(want, name)
@@ -245,6 +255,17 @@ class TestParity:
         vox = voxelize(got, time_bins)
         assert vox.dtype == np.uint8
         assert vox.tobytes() == ref_voxelize(want, time_bins).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(streams=stream_sets(), time_bins=st.integers(1, 7))
+    def test_voxelize_set(self, streams, time_bins):
+        vox = events.voxelize_set(streams, time_bins)
+        first = streams[0]
+        assert vox.dtype == np.uint8
+        assert vox.shape == (len(streams), time_bins, 2, first.height, first.width)
+        assert vox.transpose(1, 2, 3, 4, 0).flags.c_contiguous  # batch-innermost memory
+        for n, stream in enumerate(streams):
+            assert vox[n].tobytes() == ref_voxelize(stream, time_bins).tobytes(), n
 
     @settings(max_examples=150, deadline=None)
     @given(stream=dense_streams(), data=st.data())

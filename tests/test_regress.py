@@ -1,8 +1,15 @@
 """OLS on sweep scores: exact recovery, t-tail oracle, Monte Carlo."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import evsnn
 from evsnn.regress import (
     RankDeficientError,
     eda_design,
@@ -220,3 +227,40 @@ class TestReportSurface:
         assert flags == report.significant.tolist() and True in flags and False in flags
         stars = [line.endswith("*") for line in format_text(report).splitlines()[2:]]
         assert stars == flags
+
+
+class TestScipyOnUse:
+    """scipy is imported by the fit that uses it, not by the CLI module."""
+
+    def _fresh(self, code):
+        src = Path(evsnn.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_cli_import_leaves_scipy_out(self):
+        out = self._fresh("import sys, evsnn.cli\n"
+                          "print([m for m in ('scipy.linalg', 'scipy.special')"
+                          " if m in sys.modules])")
+        assert out == "[]\n"
+
+    def test_fit_in_fresh_interpreter_byte_equal(self, rng):
+        masks = np.repeat(np.arange(32), 3)
+        y = 0.5 + 0.03 * (masks & 1) + rng.normal(0, 0.01, len(masks))
+        code = ("import json, sys\n"
+                "import numpy as np\n"
+                "import evsnn.cli\n"
+                "from evsnn.regress import eda_regression, format_text\n"
+                f"report = eda_regression(np.array({masks.tolist()}), "
+                f"np.array({y.tolist()!r}), {EDAS!r})\n"
+                "print(json.dumps(report.to_json_dict()))\n"
+                "print(format_text(report), end='')\n"
+                "print('scipy.linalg' in sys.modules and 'scipy.special' in sys.modules)")
+        doc, *text, loaded = self._fresh(code).splitlines(keepends=True)
+        report = eda_regression(masks, y, EDAS)
+        assert doc == json.dumps(report.to_json_dict()) + "\n"
+        assert "".join(text) == format_text(report)
+        assert loaded == "True\n"

@@ -23,6 +23,23 @@ timing, in spike, relaxed and dense mode, at B = 16 (uint8 over
 batch-innermost memory, as ``voxelize_set`` builds it), 5 (C-contiguous
 uint8) and 3 (C-contiguous float32); ``train`` runs the spiking kind.
 
+The event half adds these, each a digest of a stream, a tensor or a fault
+as (error type, message, byte offset):
+
+- ``events/save`` and ``events/load``: the bytes ``save_events`` writes and
+  what ``load_events`` makes of them, for synthetic streams (64x64 at the
+  default rate, 128x128 at about 50k events) and for faulty files: a short
+  header, a bad magic, truncated records, trailing bytes, a header count
+  off by one each way, each rule of ``validate`` broken, and two at once;
+- ``events/transform``: each transform, each ``eventdrop`` strategy on its
+  own and ``eventdrop`` itself, with the next draw of its generator, and
+  ``events/pipeline``, the seven-stage pipeline at p = 0.5 and 1.0, on
+  streams of 0, 1 and 50k events, 127 and 128 wide, with heavy timestamp
+  ties or spread timestamps;
+- ``events/voxelize``: ``voxelize`` of those streams and ``voxelize_set``
+  of one and of three streams of one geometry over different intervals,
+  at T = 1, 3, 6 and 7.
+
 Output: one ``equal``/``differs`` line per artifact and thread count, then
 one sha256 over this tree's artifacts. The exit status is 1 where any
 artifact differs or is missing on one side, else 0. Outputs that depend on
@@ -37,6 +54,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -49,6 +67,13 @@ IF_IF = {f"if_if_{reset}_{timing}": {"reset": reset, "input_timing": timing}
 NETS = (*SEW_TINY, "mixed", *IF_IF)
 MODES = ("spike", "relaxed", "dense")
 BATCHES = (16, 5, 3)
+# the event half: streams of these sizes and widths, their timestamps drawn
+# from a 40-tick span (heavy ties) or from the whole interval
+EVENT_COUNTS = (0, 1, 50_000)
+EVENT_WIDTHS = (127, 128)
+TIE_SPANS = {"ties": 40, "spread": None}
+TIME_BINS = (1, 3, 6, 7)
+EVENT_SEEDS = range(12)  # seeds 0-11 reach each eventdrop strategy, identity at 11
 
 
 def _digest(*parts) -> str:
@@ -148,6 +173,146 @@ def _train_case(net: str) -> dict[str, str]:
                                     *(result.params[k] for k in sorted(result.params)))}
 
 
+def _stream_digest(stream) -> str:
+    return _digest(stream.x, stream.y, stream.t, stream.p,
+                   [stream.width, stream.height, stream.t_start, stream.t_end, stream.label])
+
+
+def _outcome(fn, *args) -> str:
+    """``fn(*args)`` digested: a stream, an array, a JSON-able value or,
+    where it raises, the fault as (error type, message, byte offset)."""
+    from evsnn.events import EventStream
+    try:
+        got = fn(*args)
+    except Exception as exc:  # every fault is an artifact too
+        return _digest([type(exc).__name__, str(exc), getattr(exc, "offset", None)])
+    return _stream_digest(got) if isinstance(got, EventStream) else _digest(got)
+
+
+def _event_streams() -> dict:
+    """Streams of every size, width and tie pattern, each over an interval
+    of its own; labelled, so files carry the label too."""
+    import numpy as np
+    from evsnn.events import EventStream
+    rng = np.random.default_rng(17)
+    out = {}
+    for n in EVENT_COUNTS:
+        for width in EVENT_WIDTHS:
+            for ties, span in TIE_SPANS.items():
+                t_start, duration = int(rng.integers(0, 10**6)), int(rng.integers(10**3, 10**6))
+                span = span or duration
+                first = int(rng.integers(0, duration - span + 1))
+                t = np.sort(rng.integers(first, first + span, n)) + t_start
+                out[f"n{n}/w{width}/{ties}"] = EventStream(
+                    x=rng.integers(0, width, n), y=rng.integers(0, 96, n), t=t,
+                    p=rng.integers(0, 2, n) * 2 - 1, width=width, height=96,
+                    t_start=t_start, t_end=t_start + duration, label=n % 3)
+    return out
+
+
+def _faulty_files(raw: bytes) -> dict[str, bytes]:
+    """A saved stream's file broken each way a load can fail; the stream
+    holds at least three events."""
+    import numpy as np
+    from evsnn.evio import HEADER_SIZE, RECORD_DTYPE, RECORD_SIZE
+
+    def edited(header=None, **records):
+        buf = bytearray(raw)
+        for offset, value in (header or {}).items():
+            buf[offset:offset + len(value)] = value
+        recs = np.frombuffer(buf, RECORD_DTYPE, offset=HEADER_SIZE)
+        for name, (index, value) in records.items():
+            recs[name][index] = value
+        return bytes(buf)
+
+    recs = np.frombuffer(raw, RECORD_DTYPE, offset=HEADER_SIZE)
+    width, height = (int.from_bytes(raw[i:i + 2], "little") for i in (4, 6))
+    t_start, t_end = (int.from_bytes(raw[i:i + 8], "little") for i in (8, 16))
+    n, mid = len(recs), len(recs) // 2
+
+    def u64(value):
+        return value.to_bytes(8, "little")
+
+    # header offsets: width 4, height 6, t_start 8, t_end 16, event count 28
+    return {
+        "empty": b"", "short_header": raw[:HEADER_SIZE - 1], "bad_magic": b"EVT2" + raw[4:],
+        "truncated": raw[:-5], "truncated_record": raw[:HEADER_SIZE + 2 * RECORD_SIZE + 3],
+        "trailing": raw + bytes(7), "count_above": edited({28: u64(n + 1)}),
+        "count_below": edited({28: u64(n - 1)}), "count_zero": edited({28: u64(0)}),
+        "geometry_width": edited({4: bytes(2)}), "geometry_height": edited({6: bytes(2)}),
+        "interval": edited({16: u64(t_start)}),
+        "x_bounds": edited(x=(mid, width)), "y_bounds": edited(y=(n - 1, height)),
+        "t_before": edited({8: u64(int(recs["t"][0]) + 1)}), "t_after": edited(t=(n - 1, t_end)),
+        "polarity_zero": edited(p=(mid, 0)), "polarity_two": edited(p=(0, 2)),
+        "unsorted": edited(t=(mid, t_start)),
+        "x_and_geometry": edited({4: bytes(2)}, x=(0, width + 5)),
+        "polarity_and_x": edited(p=(1, 0), x=(n - 1, 0xFFFF)),
+    }
+
+
+def _event_cases(tmp: Path) -> dict[str, str]:
+    import numpy as np
+    from evsnn import augment, events, evio
+    from evsnn.augment import COMMON_EDAS, SPECIFIC_EDAS, AugmentSpec, TransformSpec
+    from evsnn.synth import SynthParams, generate_dataset
+    out, streams = {}, _event_streams()
+    dense = SynthParams(width=128, height=128, events_per_sample=50_000)
+    saved = {"synth64": generate_dataset(SynthParams(), 1, seed=4)[0],
+             "synth128": generate_dataset(dense, 1, seed=4)[1],
+             "n1": streams["n1/w127/ties"]}
+    for name, stream in saved.items():
+        path = tmp / f"{name}.evt"
+        evio.save_events(stream, path)
+        raw = path.read_bytes()
+        out[f"events/save/{name}"] = hashlib.sha256(raw).hexdigest()
+        out[f"events/load/{name}"] = _outcome(evio.load_events, path)
+        if stream.n < 3:
+            continue
+        for fault, data in _faulty_files(raw).items():
+            path = tmp / f"{name}.{fault}.evt"
+            path.write_bytes(data)
+            out[f"events/load/{name}/{fault}"] = _outcome(evio.load_events, path)
+
+    def drawn(fn):  # a transform's result and the next draw of its generator
+        def run(stream, seed):
+            rng = np.random.default_rng(seed)
+            return [_stream_digest(fn(stream, rng)), rng.random()]
+        return run
+
+    transforms = {kind: drawn(fn) for kind, fn in augment.TRANSFORMS.items()}
+    transforms.update({
+        "crop_small": drawn(lambda s, r: augment.crop(s, r, 0.05, 0.3)),
+        "noise_full": drawn(lambda s, r: augment.noise_ba(s, r, 1.0)),
+        "drop_by_time": drawn(lambda s, r: augment.drop_by_time(s, r, 0.3)),
+        "drop_by_area": drawn(lambda s, r: augment.drop_by_area(s, r, 0.3)),
+        "drop_random": drawn(lambda s, r: augment.drop_random(s, r, 0.3))})
+    kinds = COMMON_EDAS + SPECIFIC_EDAS
+    for name, stream in streams.items():
+        for kind, run in transforms.items():
+            for seed in EVENT_SEEDS:
+                out[f"events/transform/{name}/{kind}/{seed}"] = _outcome(run, stream, seed)
+        for prob in (0.5, 1.0):
+            spec = AugmentSpec(tuple(TransformSpec(kind, prob) for kind in kinds), seed=5)
+            for index in range(4):
+                got = augment.apply_pipeline(stream, spec, index)
+                tag = f"{name}/p{prob}/{index}"
+                out[f"events/pipeline/{tag}"] = _stream_digest(got)
+                out[f"events/voxelize/pipeline/{tag}"] = _outcome(events.voxelize, got, 6)
+        for bins in TIME_BINS:
+            out[f"events/voxelize/{name}/T{bins}"] = _outcome(events.voxelize, stream, bins)
+    for width in EVENT_WIDTHS:
+        group = [streams[f"n{n}/w{width}/{ties}"]
+                 for n, ties in ((50_000, "ties"), (1, "spread"), (50_000, "spread"))]
+        for bins in TIME_BINS:
+            for size in (1, 3):
+                out[f"events/voxelize_set/w{width}/N{size}/T{bins}"] = _outcome(
+                    events.voxelize_set, group[:size], bins)
+    mixed = [streams["n1/w127/ties"], streams["n1/w128/ties"]]
+    out["events/voxelize_set/mixed_geometry"] = _outcome(events.voxelize_set, mixed, 3)
+    out["events/voxelize_set/T0"] = _outcome(events.voxelize_set, mixed[:1], 0)
+    return out
+
+
 def emit(tree: Path) -> dict[str, str]:
     """Every artifact of the case list, run on ``tree``'s library."""
     sys.path.insert(0, str(tree / "src"))
@@ -158,6 +323,8 @@ def emit(tree: Path) -> dict[str, str]:
     for net in NETS:
         out.update(_forward_cases(net))
         out.update(_train_case(net))
+    with tempfile.TemporaryDirectory() as tmp:
+        out.update(_event_cases(Path(tmp)))
     return out
 
 
