@@ -273,7 +273,7 @@ def _kaiming_uniform(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def _layer_plan(config: NetworkConfig) -> list[tuple]:
+def _layer_plan(config: NetworkConfig, dens: list | None = None) -> list[tuple]:
     """Per encoder layer, in forward order: (layer, the names of its
     threshold sites, its convs as (tensor name, Conv2d, output (C, H, W),
     site it feeds, whether its input is a conv's real-valued output)); the
@@ -281,9 +281,26 @@ def _layer_plan(config: NetworkConfig) -> list[tuple]:
     the first IF after it unless a Conv2d or SEW comes first; a SEW stage
     feeds its own site. Values are real from a Conv2d to the next IF (pools
     and SEW joins carry them); a SEW's second stage reads spikes. ``_encode``
-    and ``backward`` build it once per call for their step loops."""
+    and ``backward`` build it once per call for their step loops.
+
+    Where ``dens`` is a list, each layer's ``den`` is appended to it: the
+    scale at which a recorded spike-mode trace holds the layer's output map
+    as the uint8 count ``h * den``, None where it holds no count. A running
+    grain ``(den, bound)``, the map's values being multiples of 1/den in
+    [0, bound], decides it: an IF sets (1, 1) (its kept spikes are bool, so
+    its den is 1); a power-of-two ``AvgPool(w)`` multiplies den by w*w; an
+    ``add`` join raises bound by 1, ``and``/``iand`` keep it; a Conv2d, a
+    GlobalPool and any other pool window leave no grain. A count is held
+    where the grain is known, ``den * bound <= 255``, and a conv or SEW
+    above caches the map (or a pool above holds its count): in ``sew_tiny``
+    the pooled input of SEW 03 (quarters), SEW 03's join (quarters up to 2)
+    and SEW 06's join (0 to 2), 0.94 MiB of a 16-sample trace where float32
+    took 3.75; in ``sew18`` its pooled input, its first two joins (quarters
+    up to 3) and every later join but the last (0 to 3), 4.30 MiB per
+    200x200 sample at T=6 where float32 took 17.20. A
+    power-of-two den reads back exactly as ``q / den``."""
     layers, shapes = config.encoder_layers, config.encoder_shapes()
-    plan, real = [], False
+    plan, real, grain, held = [], False, None, []
     for i, lay in enumerate(layers):
         tag = f"{i:02d}"
         if isinstance(lay, Conv2d):
@@ -292,16 +309,30 @@ def _layer_plan(config: NetworkConfig) -> list[tuple]:
                          if isinstance(nxt, (IF, Conv2d, SEW))), None)
             out = shapes[i + 1] if len(shapes[i + 1]) == 3 else (shapes[i + 1][0], 1, 1)
             plan.append((lay, (), ((f"{tag}.conv", lay, out, site, real),)))
-            real = True
+            real, grain = True, None
         elif isinstance(lay, IF):
             plan.append((lay, (tag,), ()))
-            real = False
+            real, grain = False, (1, 1)
         elif isinstance(lay, SEW):
             conv, sites = lay.conv, (f"{tag}a", f"{tag}b")
             plan.append((lay, sites, ((f"{tag}.sew.conv1", conv, shapes[i], sites[0], real),
                                       (f"{tag}.sew.conv2", conv, shapes[i], sites[1], False))))
+            if grain and lay.g == "add":
+                grain = (grain[0], grain[1] + 1)
+        elif isinstance(lay, AvgPool):
+            plan.append((lay, (), ()))
+            w = lay.window
+            grain = (grain[0] * w * w, grain[1]) if grain and not w & (w - 1) else None
         else:
             plan.append((lay, (), ()))
+            grain = None
+        held.append(grain[0] if grain and grain[0] * grain[1] <= 255 else None)
+    if dens is not None:  # kept where a conv or SEW caches it, or a counted pool reads it
+        for i in reversed(range(len(layers))):
+            nxt = layers[i + 1] if i + 1 < len(layers) else None
+            if not (isinstance(nxt, (Conv2d, SEW)) or isinstance(nxt, AvgPool) and held[i + 1]):
+                held[i] = None
+        dens.extend(held)
     return plan
 
 
@@ -418,10 +449,19 @@ def config_from_json(obj: dict) -> NetworkConfig:
 class ForwardTrace:
     """Everything the backward pass and the energy estimator need. The
     first conv's cached input is the frame as given (uint8 from
-    ``voxelize_set``). Spike-mode spikes are cached as bool, one byte each:
-    the sites' threshold comparisons, whose cast to the parameters' dtype
-    the layers above read. Every other cached array, and every relaxed or
-    dense spike, is in the parameters' dtype."""
+    ``voxelize_set``, a slice of such a batch too). Spike-mode spikes are
+    cached as bool, one byte each: the sites' threshold comparisons, whose
+    cast to the parameters' dtype the layers above read. A spike-mode pool
+    or SEW join that a conv or SEW caches is held as the uint8 count ``h *
+    den`` where ``_layer_plan`` gives it a den, built from the one-byte maps
+    below it while the layers above read the float map. Every other cached
+    array, and every relaxed or dense spike, is in the parameters' dtype.
+
+    A recorded 16-sample 64x64 ``sew_tiny`` trace (T=6) holds 18.15 MiB:
+    membranes 12.40, bool spikes 3.10, the first conv's uint8 columns 1.69,
+    counts 0.94 (3.75 as float32), features 0.02; the frames are the
+    batch's. Per ``sew18`` sample at 200x200 and T=6, the counts take 4.30
+    MiB where float32 took 17.20."""
 
     mode: str
     batch: int
@@ -463,6 +503,20 @@ def _if_apply(v, theta, mode, reset):
     return x, u, count, kept
 
 
+def _pooled_count(q: np.ndarray, window: int) -> np.ndarray:
+    """The uint8 count ``avg_pool_forward`` times window**2 gives of the map
+    whose one-byte form (bool spikes or a uint8 count) is q: the sum of q's
+    window taps, in q's memory order. ``_layer_plan`` holds one only where it
+    fits in a byte."""
+    q = q.view(np.uint8)
+    out = q[:, :, ::window, ::window].copy(order="K")
+    for i in range(window):
+        for j in range(window):
+            if i or j:
+                out += q[:, :, i::window, j::window]
+    return out
+
+
 def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
             reset: Reset = "subtract") -> tuple[np.ndarray, np.ndarray]:
     """One integrate-and-fire update: V = U_prev + I, spike where V >= theta,
@@ -477,9 +531,10 @@ def _as_batched(x: np.ndarray, config: NetworkConfig) -> np.ndarray:
     want = (config.time_steps, config.in_channels, config.height, config.width)
     if x.shape == want:
         return x[None]
-    if x.ndim == 5 and x.shape[1:] == want:
+    if x.ndim == 5 and x.shape[1:] == want and len(x):
         return x
-    raise ConfigError(f"input shape {x.shape} does not match {want} (optionally batched)")
+    raise ConfigError(f"input shape {x.shape} does not match {want} "
+                      f"(optionally batched, at least one sample)")
 
 
 # input values (samples x steps x channels x pixels) the smaller half of a
@@ -558,7 +613,13 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
     x, acc = arrays["x"], f"{len(config.layers) - 2:02d}.acc"
     dtype = arrays[f"{acc}.weight"].dtype
     b, t_steps = x.shape[0], config.time_steps
-    plan = _layer_plan(config)
+    # where a recorded spike-mode trace holds a pool or join as a uint8
+    # count, the count's den (see _layer_plan); None in every other layer,
+    # and everywhere in other modes and unrecorded runs
+    dens: list = []
+    plan = _layer_plan(config, dens)
+    if not record or mode != "spike":
+        dens = [None] * len(plan)
     # a first conv reads the frames in their own dtype where it casts safely
     # to the parameters' (voxelize_set's uint8): its GEMM casts their columns
     first = plan[0][2][0][1] if plan and isinstance(plan[0][0], Conv2d) else None
@@ -623,10 +684,11 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
 
     for t in range(t_steps):
         # the encoder runs on batch-innermost activations (see nn.layers):
-        # the frame itself where it is batch-innermost and of in_dtype, as
-        # voxelize_set builds it, else one copy
+        # the frame itself where its batch is the innermost axis and it is of
+        # in_dtype, as voxelize_set builds it (a slice of such a batch too:
+        # the first conv pads it in one copy), else one copy
         h = x[:, t]
-        if h.dtype != in_dtype or not h.transpose(1, 2, 3, 0).flags.c_contiguous:
+        if h.dtype != in_dtype or b > 1 and h.strides[0] != h.itemsize:
             h = np.empty(x.shape[2:] + (b,), dtype=in_dtype).transpose(3, 0, 1, 2)
             h[...] = x[:, t]
         # h_sum is h's sum wherever the energy ledger may read it (spike
@@ -637,14 +699,17 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
             cols = _conv_columns(h, first.k, first.stride, first.padding)
             columns.append(cols)
         step_cache: list = []
-        kept = h  # h as the caches hold it: a site's kept spikes
-        for lay, sites, convs in plan:
+        # h as the caches hold it: a site's kept spikes, a count where the
+        # layer's den says so (built from the one-byte kept map below it)
+        kept = h
+        for (lay, sites, convs), den in zip(plan, dens):
             if isinstance(lay, Conv2d):
                 step_cache.append((kept,))
                 h, h_sum, cols = conv(convs[0], h, h_sum, cols), None, None
+                kept = h
             elif isinstance(lay, IF):
-                h, v, h_sum, k = site(sites[0], h, lay.theta)
-                step_cache.append((v, k))
+                h, v, h_sum, kept = site(sites[0], h, lay.theta)
+                step_cache.append((v, kept))
             elif isinstance(lay, SEW):
                 s1, v1, n1, k1 = site(sites[0], conv(convs[0], h, h_sum), lay.theta)
                 s2, v2, n2, k2 = site(sites[1], conv(convs[1], s1, n1), lay.theta)
@@ -653,15 +718,21 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
                     h, h_sum = s2 + h, None if h_sum is None else n2 + h_sum
                 else:
                     h, h_sum = held(s2 * h if lay.g == "and" else (1.0 - s2) * h, h_sum)
+                # the join of the counts: k2 * den + q, k2 * q or ~k2 * q
+                kept = (h if den is None else
+                        np.add(k2.view(np.uint8) * den if den > 1 else k2, kept, dtype=np.uint8)
+                        if lay.g == "add" else
+                        np.multiply(k2 if lay.g == "and" else ~k2, kept, dtype=np.uint8))
             elif isinstance(lay, AvgPool):
                 pooled = avg_pool_forward(h, lay.window)
                 exact = h_sum is not None and not lay.window & (lay.window - 1)  # power of two
                 h, h_sum = (pooled, h_sum / lay.window ** 2) if exact else held(pooled, h_sum)
                 step_cache.append(())
+                kept = h if den is None else _pooled_count(kept, lay.window)
             elif isinstance(lay, GlobalPool):
                 step_cache.append((h.shape[2], h.shape[3]))
                 h, h_sum = held(global_pool_forward(h), h_sum)
-            kept = k if isinstance(lay, IF) else h
+                kept = h
         add_input(acc, h_sum, d)
         feature_shape = h.shape[1:]
         if h.ndim > 2:
@@ -734,7 +805,9 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
 
     carry_u: dict[str, np.ndarray] = {}
     carry_p: dict[str, np.ndarray] = {}
-    plan = _layer_plan(config)
+    dens: list = []
+    plan = _layer_plan(config, dens)
+    dtype = w_acc.dtype
     # each conv's weight, its parameters' gradient buffers and, for a full
     # correlation, its flipped kernel, built once for every step. Such a
     # conv's dw is a flipped view of a (C_out, k, k, C_in) GEMM result; its
@@ -787,6 +860,17 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
             return np.zeros_like(gv) if g_in is None else g_in
         return gv
 
+    def conv_input(cache: tuple, i: int):
+        """The input that layer i, a conv or SEW, cached, as its values: a
+        uint8 count over its den from the plan (exact, den a power of two)
+        in the parameters' dtype, anything else (den 1 too) as it is."""
+        x_in, den = cache[0], dens[i - 1] if i else None
+        if den is None or den == 1 or x_in.dtype != np.uint8:
+            return x_in
+        x_in = x_in.astype(dtype)
+        x_in /= den
+        return x_in
+
     # the gradient stops at the input: nothing below the first weighted layer
     # runs, and that layer's first conv computes no input gradient
     first = next((i for i, (_, _, convs) in enumerate(plan) if convs), len(plan))
@@ -799,13 +883,14 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
         for i, (lay, sites, convs) in steps:
             cache = step_cache[i]
             if isinstance(lay, Conv2d):  # trace.columns are the first layer's
-                g = conv_back(convs[0], cache[0], g, need_dx=i > first,
+                g = conv_back(convs[0], conv_input(cache, i), g, need_dx=i > first,
                               cols=None if i or trace.columns is None else trace.columns[t])
             elif isinstance(lay, IF):
                 v, spikes = cache
                 g = site_back(sites[0], g, v, spikes, lay.theta)
             elif isinstance(lay, SEW):
-                x_in, v1, s1, v2, s2 = cache
+                _, v1, s1, v2, s2 = cache
+                x_in = conv_input(cache, i)
                 if lay.g == "add":
                     g_s2, g_res = g, g
                 elif lay.g == "and":

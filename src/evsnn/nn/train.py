@@ -110,8 +110,8 @@ def accuracy(config: NetworkConfig, params: dict, tensors: np.ndarray,
 
 
 def _labelled(tensors: np.ndarray, labels) -> np.ndarray:
-    """labels as an array of one label per sample; ValueError where the
-    counts differ or there is no sample."""
+    """labels as an array of one label per sample (an array or a list of
+    streams); ValueError where the counts differ or there is no sample."""
     labels = np.asarray(labels)
     if labels.shape != (len(tensors),) or not len(tensors):
         raise ValueError(f"need one label per sample and at least one sample, "
@@ -165,7 +165,7 @@ def train(config: NetworkConfig, params: dict, train_streams: list[EventStream],
     """
     mode = _forward_mode(kind)
     _labelled(val_tensors, val_labels)
-    train_labels = np.asarray(train_labels)
+    train_labels = _labelled(train_streams, train_labels)
     n = len(train_streams)
     velocity = None
     best = TrainResult(params={k: v.copy() for k, v in params.items()},

@@ -41,6 +41,7 @@ from evsnn.nn import (
     softmax,
 )
 from evsnn.nn import network
+from evsnn.nn.layers import avg_pool_forward
 from evsnn.synth import SynthParams, generate_dataset
 from conftest import logging_pids
 
@@ -256,6 +257,14 @@ class TestForward:
         params = init_params(config, seed=0)
         with pytest.raises(ConfigError, match="does not match"):
             forward(config, params, np.zeros((3, 2, 4, 4), dtype=np.uint8))
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_empty_batch(self, record):
+        # an empty batch ended in IndexError at the first conv's input size
+        config = tiny_config()
+        params = init_params(config, seed=0)
+        with pytest.raises(ConfigError, match="at least one sample"):
+            forward(config, params, np.zeros((0, 3, 2, 8, 8), dtype=np.uint8), record=record)
 
     def test_unbatched_input(self, rng):
         config = tiny_config()
@@ -716,6 +725,27 @@ class TestHeldFrames:
         # 30.26 MiB while every spike was a float32 0.0/1.0; 20.96 with bool
         assert trace_bytes(run[3], run[2]) <= 21.0 * 2**20
 
+    def test_trace_size_with_one_byte_maps(self, run):
+        # 20.96 MiB while the pool and the joins a conv or SEW caches were
+        # float32; 18.15 with their uint8 counts
+        assert trace_bytes(run[3], run[2]) <= 18.2 * 2**20
+
+    def test_batch_slice_shares_every_frame(self, run):
+        # a 16-of-64 slice of a batch-innermost batch, as a recorded forward
+        # of part of a voxelized set reads it: each step's frame is the
+        # batch's own, where a copy per step held 0.75 MiB more
+        config, params, _, whole = run
+        rng = np.random.default_rng(22)
+        batch = batch_innermost_input((rng.random((64, 6, 2, 64, 64)) < 0.05).astype(np.uint8))
+        part = batch[16:32]
+        logits, trace = forward(config, params, part)
+        for t, step in enumerate(trace.caches):
+            (frame,) = step[0]
+            assert np.shares_memory(frame, batch) and np.array_equal(frame, part[:, t])
+        assert trace_bytes(trace, batch) <= 18.2 * 2**20
+        copied = forward(config, params, batch_innermost_input(part.copy()))[0]
+        assert logits.tobytes() == copied.tobytes()
+
 
 def spike_positions(config):
     """Per encoder layer, the positions of its cache entry that hold spikes:
@@ -726,6 +756,17 @@ def spike_positions(config):
         at = (0,) if above_if and isinstance(lay, (Conv2d, SEW)) else ()
         out.append((1,) if isinstance(lay, IF) else at + (2, 4) * isinstance(lay, SEW))
         above_if = isinstance(lay, IF)
+    return out
+
+
+def count_positions(config):
+    """Per encoder layer, whether its cache entry starts with a uint8 count:
+    the input of a conv or SEW right above a 2x2 pool or a SEW, in the
+    configs here (grains that fit a byte)."""
+    out, above = [], False
+    for lay in config.encoder_layers:
+        out.append(above and isinstance(lay, (Conv2d, SEW)))
+        above = isinstance(lay, (AvgPool, SEW))
     return out
 
 
@@ -755,23 +796,27 @@ class TestOneByteSpikes:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cache_dtypes(self, net, reset, timing, dtype):
         # spike mode: bool spikes (a conv or SEW above may cache the same
-        # array), the uint8 frames, everything else in the parameters'
-        # dtype; a float spike cached above a site, or a float64 membrane at
-        # float32, fails
+        # array), the uint8 frames, uint8 counts of the 2x2 pools and SEW
+        # joins a conv or SEW caches, everything else in the parameters'
+        # dtype; a float spike or count cached above a site, or a float64
+        # membrane at float32, fails
         config = self.config(net, reset, timing)
         x = binary_input(np.random.default_rng(3), config, batch=4, density=0.2)
-        positions = spike_positions(config)
+        positions, counted = spike_positions(config), count_positions(config)
         for mode in ("spike", "relaxed", "dense"):
             params = init_params(config, 1, dtype, "dense" if mode == "dense" else "spiking")
             _, trace = forward(config, params, x, mode=mode)
             spikes = {id(entry[i]) for step in trace.caches
                       for entry, at in zip(step, positions) for i in at}
+            counts = {id(entry[0]) for step in trace.caches
+                      for entry, at in zip(step, counted) if at}
             for step in trace.caches:
                 assert step[0][0].dtype == np.uint8  # the frame
                 for entry in step[1:]:
                     for a in entry:
                         if isinstance(a, np.ndarray):
-                            want = np.bool_ if mode == "spike" and id(a) in spikes else dtype
+                            want = (dtype if mode != "spike" else np.bool_ if id(a) in spikes
+                                    else np.uint8 if id(a) in counts else dtype)
                             assert a.dtype == want, (mode, a.shape)
             assert trace.features.dtype == dtype
 
@@ -797,6 +842,163 @@ class TestOneByteSpikes:
         assert list(got) == list(want)
         for name in want:
             assert got[name].dtype == want[name].dtype == np.float32, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def float_caches(trace, dens):
+    """trace's caches with the input that layer i caches, where i is a key of
+    ``dens``, replaced by its float32 values, the count over dens[i]."""
+    return [[(entry[0].astype(np.float32) / dens[i], *entry[1:]) if i in dens else entry
+             for i, entry in enumerate(step)] for step in trace.caches]
+
+
+def pool_then_sews(window, side, g="add", sews=1, theta=0.5):
+    """conv, IF, AvgPool(window), ``sews`` SEW blocks with join g, a 1x1
+    conv, then the global-pool head: the conv's and each SEW's cached input
+    is a pool or a join."""
+    return NetworkConfig(
+        time_steps=2, height=side, width=side,
+        layers=(Conv2d(2, 4), IF(theta), AvgPool(window),
+                *(SEW(4, g=g, theta=theta) for _ in range(sews)),
+                Conv2d(4, 4, k=1, padding=0), IF(theta), GlobalPool(), IF(theta),
+                Accumulator(4), Classifier(3)))
+
+
+class TestOneByteMaps:
+    """A recorded spike-mode trace holds each pool and SEW join that a conv
+    or SEW above caches as the uint8 count h * den, where ``_layer_plan``'s
+    grain is known and den * bound fits a byte; backward reads the count as
+    q / den, with the bits the float map gave."""
+
+    # sew_tiny: the layers whose cached input is a count, with its den: SEW
+    # 03's pooled input (quarters), SEW 03's join (quarters up to 2) read by
+    # conv 04 and SEW 06's join (0 to 2) read by conv 07
+    SEW_TINY = {3: 4, 4: 4, 7: 1}
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        return binary_input(np.random.default_rng(5), sew_tiny(4, 32, 32, 3), batch=4,
+                            density=0.2)
+
+    def test_plan_dens(self):
+        for g in ("add", "and", "iand"):
+            dens = []
+            network._layer_plan(sew_tiny(4, g=g), dens)
+            assert dens == [None, 1, 4, 4, None, 1, 1, None, 1, None, None, None]
+
+    @pytest.mark.parametrize("g", ["add", "and", "iand"])
+    def test_counts_sit_at_kept_pools_and_joins(self, x, g):
+        config = sew_tiny(4, 32, 32, 3, theta=0.5, g=g)
+        _, trace = forward(config, init_params(config, 2), x)
+        for step in trace.caches:
+            for i, entry in enumerate(step):
+                for j, a in enumerate(entry):
+                    if isinstance(a, np.ndarray):
+                        counted = j == 0 and (i == 0 or i in self.SEW_TINY)  # or the frame
+                        assert (a.dtype == np.uint8) == counted, (i, j, a.dtype)
+            # the pool's count is its window's spikes; a join's count is the
+            # join of SEW 03's or 06's input count q with its second spikes k2
+            pooled = avg_pool_forward(step[1][1].astype(np.float32), 2)
+            assert np.array_equal(step[3][0], pooled * 4)
+            for i, (sew, den) in ((4, (3, 4)), (7, (6, 1))):
+                q, k2 = step[sew][0], step[sew][4]
+                join = {"add": k2 * den + q, "and": k2 * q, "iand": ~k2 * q}[g]
+                assert np.array_equal(step[i][0], join)
+
+    @pytest.mark.parametrize("window, side", [(3, 12), (16, 32)])
+    def test_pools_off_the_grain_stay_float(self, window, side):
+        # a 3x3 pool's ninths and a 16x16 pool's 256ths (den 256) fit no byte
+        config = pool_then_sews(window, side)
+        x = binary_input(np.random.default_rng(6), config, batch=3, density=0.3)
+        _, trace = forward(config, init_params(config, 1), x)
+        dens = []
+        network._layer_plan(config, dens)
+        assert dens[2:4] == [None, None]
+        for step in trace.caches:
+            assert step[3][0].dtype == step[4][0].dtype == np.float32
+
+    def test_chained_pools_hold_one_count_each(self):
+        # two 2x2 pools: the first's count (quarters) is what the second
+        # sums, to the sixteenths the SEW above caches
+        config = NetworkConfig(
+            time_steps=2, height=16, width=16,
+            layers=(Conv2d(2, 4), IF(0.5), AvgPool(2), AvgPool(2), SEW(4, theta=0.5),
+                    GlobalPool(), IF(0.5), Accumulator(4), Classifier(3)))
+        dens = []
+        network._layer_plan(config, dens)
+        assert dens[:5] == [None, 1, 4, 16, None]
+        x = binary_input(np.random.default_rng(8), config, batch=3, density=0.3)
+        params = init_params(config, 4)
+        _, trace = forward(config, params, x)
+        for step in trace.caches:
+            spikes = step[1][1].astype(np.float32)
+            assert step[4][0].dtype == np.uint8
+            assert np.array_equal(step[4][0], avg_pool_forward(spikes, 4) * 16)
+        labels = np.arange(3) % 3
+        got = network.backward(config, params, trace, labels)
+        want = network.backward(config, params,
+                                replace(trace, caches=float_caches(trace, {4: 16})), labels)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_a_conv_output_leaves_no_grain(self):
+        # a conv's real-valued output, pooled and fed to a SEW above an IF,
+        # is cached as float32, however the map below the conv was held
+        config = NetworkConfig(
+            time_steps=2, height=16, width=16,
+            layers=(Conv2d(2, 4, stride=2), IF(0.5), Conv2d(4, 4), AvgPool(2),
+                    SEW(4, theta=0.5), GlobalPool(), IF(0.5), Accumulator(4), Classifier(3)))
+        dens = []
+        network._layer_plan(config, dens)
+        assert dens[:5] == [None, 1, None, None, None]
+        x = binary_input(np.random.default_rng(9), config, batch=3, density=0.3)
+        _, trace = forward(config, init_params(config, 5), x)
+        for step in trace.caches:
+            assert step[2][0].dtype == np.bool_ and step[4][0].dtype == np.float32
+
+    @pytest.mark.parametrize("g", ["add", "and", "iand"])
+    def test_den_times_bound_caps_at_255(self, g):
+        # AvgPool(8) gives 64ths; each add join raises the bound by one, so
+        # the third join's 64ths up to 4 (256) stay float, while and and iand
+        # keep the bound at 1
+        config = pool_then_sews(8, 16, g=g, sews=3, theta=0.05)
+        x = binary_input(np.random.default_rng(7), config, batch=3, density=0.5)
+        params = init_params(config, 3)
+        _, trace = forward(config, params, x)
+        counted = {3: 64, 4: 64, 5: 64} if g == "add" else {3: 64, 4: 64, 5: 64, 6: 64}
+        for step in trace.caches:
+            for i in (3, 4, 5, 6):
+                assert step[i][0].dtype == (np.uint8 if i in counted else np.float32), i
+        if g == "add":  # the second join's counts pass 2 * 64
+            assert max(int(step[5][0].max()) for step in trace.caches) > 128
+        labels = np.arange(3) % 3
+        got = network.backward(config, params, trace, labels)
+        want = network.backward(config, params,
+                                replace(trace, caches=float_caches(trace, counted)), labels)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["relaxed", "dense"])
+    def test_float_modes_hold_no_counts(self, x, mode):
+        config = sew_tiny(4, 32, 32, 3, theta=0.5)
+        params = init_params(config, 2, kind="dense" if mode == "dense" else "spiking")
+        _, trace = forward(config, params, x, mode=mode)
+        held = [a for step in trace.caches for entry in step for a in entry
+                if isinstance(a, np.ndarray)]
+        assert sum(a.dtype == np.uint8 for a in held) == len(trace.caches)  # the frames
+
+    @pytest.mark.parametrize("g", ["add", "and", "iand"])
+    def test_backward_reads_counts_as_their_float_values(self, x, g):
+        config = sew_tiny(4, 32, 32, 3, theta=0.5, g=g)
+        params = init_params(config, 2)
+        _, trace = forward(config, params, x)
+        labels = np.arange(4) % 4
+        got = network.backward(config, params, trace, labels)
+        want = network.backward(config, params,
+                                replace(trace, caches=float_caches(trace, self.SEW_TINY)),
+                                labels)
+        assert list(got) == list(want)
+        for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
 

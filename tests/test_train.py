@@ -377,6 +377,21 @@ class TestTrainLoop:
             train(config, params, tr_s, tr_y, va_x[:n_val], np.zeros(2, dtype=np.int64),
                   self.settings())
 
+    @pytest.mark.parametrize("n_train", [0, 3])
+    def test_training_set_checked_before_training(self, rng, monkeypatch, n_train):
+        # no training stream ended in ZeroDivisionError at the epoch's mean
+        # loss; three streams against six labels trained on the first three
+        config = toy_config()
+        params = init_params(config, seed=0)
+        tr_s, tr_y, va_x, va_y = toy_data(rng)
+
+        def no_step(*args):
+            raise AssertionError("a step ran before the training set was checked")
+
+        monkeypatch.setattr(nn_train, "_train_step", no_step)
+        with pytest.raises(ValueError, match="one label per sample"):
+            train(config, params, tr_s[:n_train], tr_y[:6], va_x, va_y, self.settings())
+
     def test_predict_empty(self):
         config = toy_config()
         params = init_params(config, seed=0)

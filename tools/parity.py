@@ -21,7 +21,10 @@ with a stride-1 first conv (16x16, T=2), and for a stack with an IF right
 after an IF and a conv after that (16x16, T=4) under each reset and input
 timing, in spike, relaxed and dense mode, at B = 16 (uint8 over
 batch-innermost memory, as ``voxelize_set`` builds it), 5 (C-contiguous
-uint8) and 3 (C-contiguous float32); ``train`` runs the spiking kind.
+uint8) and 3 (C-contiguous float32); ``train`` runs the spiking kind. A
+small ``sew18`` (64x64, T=2), whose chained SEW ``add`` joins reach 0 to 3,
+runs ``forward`` and ``step`` in the three modes at B = 16 (a split step)
+and 3.
 
 The event half adds these, each a digest of a stream, a tensor or a fault
 as (error type, message, byte offset):
@@ -39,6 +42,14 @@ as (error type, message, byte offset):
 - ``events/voxelize``: ``voxelize`` of those streams and ``voxelize_set``
   of one and of three streams of one geometry over different intervals,
   at T = 1, 3, 6 and 7.
+
+The CLI half runs one flow of ``evsnn`` commands in a directory of its
+own, on a 16x16 synthetic set: synth; voxelize; augment by ``--pipeline``
+and by ``--config``; train, eval and eval ``--shuffled-bins`` for a spiking
+and a dense ``sew_tiny``; energy under input and output charging; sweep
+``--jobs 2``; regress. ``cli/<n>-<command>/`` artifacts are each command's
+exit status and stdout and every file it wrote or rewrote, bar the
+``*.runledger.json`` timing sidecars.
 
 Output: one ``equal``/``differs`` line per artifact and thread count, then
 one sha256 over this tree's artifacts. The exit status is 1 where any
@@ -67,6 +78,7 @@ IF_IF = {f"if_if_{reset}_{timing}": {"reset": reset, "input_timing": timing}
 NETS = (*SEW_TINY, "mixed", *IF_IF)
 MODES = ("spike", "relaxed", "dense")
 BATCHES = (16, 5, 3)
+SEW18_BATCHES = (16, 3)
 # the event half: streams of these sizes and widths, their timestamps drawn
 # from a 40-tick span (heavy ties) or from the whole interval
 EVENT_COUNTS = (0, 1, 50_000)
@@ -91,7 +103,9 @@ def _digest(*parts) -> str:
 
 def _config(net: str, classes: int):
     from evsnn.nn.network import (IF, SEW, Accumulator, AvgPool, Classifier, Conv2d,
-                                  GlobalPool, NetworkConfig, sew_tiny)
+                                  GlobalPool, NetworkConfig, sew18, sew_tiny)
+    if net == "sew18":
+        return sew18(classes, height=64, width=64, time_steps=2, theta=0.5)
     if net == "mixed":
         return NetworkConfig(
             time_steps=2, height=16, width=16,
@@ -110,13 +124,13 @@ def _config(net: str, classes: int):
     return sew_tiny(classes, theta=0.5, **SEW_TINY[net])
 
 
-def _inputs(config, rng):
+def _inputs(config, rng, batches):
     """(B, input, labels) per batch size: uint8 over batch-innermost memory,
-    C-contiguous uint8 and C-contiguous float32."""
+    C-contiguous uint8 at B = 5 and C-contiguous float32 at B = 3."""
     import numpy as np
     shape = (config.time_steps, config.in_channels, config.height, config.width)
     out = []
-    for b in BATCHES:
+    for b in batches:
         frames = (rng.random(shape + (b,)) < 0.1).astype(np.uint8).transpose(4, 0, 1, 2, 3)
         if b == 5:
             frames = np.ascontiguousarray(frames)
@@ -126,7 +140,7 @@ def _inputs(config, rng):
     return out
 
 
-def _forward_cases(net: str) -> dict[str, str]:
+def _forward_cases(net: str, batches=BATCHES) -> dict[str, str]:
     import numpy as np
     from evsnn.nn.network import backward, forward, init_params
     from evsnn.nn.train import _batch_grads
@@ -134,7 +148,7 @@ def _forward_cases(net: str) -> dict[str, str]:
     out = {}
     for mode in MODES:
         params = init_params(config, 7, kind="dense" if mode == "dense" else "spiking")
-        for b, x, labels in _inputs(config, np.random.default_rng(11)):
+        for b, x, labels in _inputs(config, np.random.default_rng(11), batches):
             tag = f"{net}/{mode}/B{b}"
             for record in (True, False):
                 logits, trace = forward(config, params, x, mode=mode, record=record)
@@ -313,6 +327,64 @@ def _event_cases(tmp: Path) -> dict[str, str]:
     return out
 
 
+def _cli_cases(tmp: Path) -> dict[str, str]:
+    """The CLI flow, run in ``tmp`` with relative paths, so that what each
+    command prints and writes names no directory of its own."""
+    import contextlib
+    import io
+    from evsnn.cli import main
+    train = {"epochs": 2, "batch_size": 8, "lr": 0.002}
+    net = {"preset": "sew_tiny", "classes": 2, "height": 16, "width": 16,
+           "time_steps": 3, "theta": 0.5}
+    augment = {"transforms": [{"kind": kind, "prob": 0.5}
+                              for kind in ("crop", "hflip", "noise", "reverse")], "seed": 4}
+    base = {"dataset": "ds/manifest.json", "network": net, "train": train,
+            "augment": augment, "folds": {"k": 3, "seed": 0}, "seed": 2}
+    experiments = {
+        "spiking": {**base, "out_dir": "run_spiking"},
+        "dense": {**base, "model_kind": "dense", "out_dir": "run_dense"},
+        "output": {**base, "out_dir": "run_output", "energy": {"charging": "output"}},
+        "sweep": {**base, "train": {**train, "epochs": 1}, "folds": {"k": 2, "seed": 0},
+                  "out_dir": "run_sweep"}}
+    for name, exp in experiments.items():
+        (tmp / f"{name}.json").write_text(json.dumps(exp))
+    commands = [
+        ["synth", "--classes", "2", "--samples-per-class", "6", "--width", "16",
+         "--height", "16", "--duration", "50000", "--events", "400", "--out", "ds",
+         "--seed", "1"],
+        ["voxelize", "ds/{first}", "--time-steps", "6", "--out", "vox.npy"],
+        ["augment", "ds/{first}", "aug_pipeline.evt", "--pipeline",
+         "crop,hflip,noise,polflip,reverse,eventdrop,mirror", "--prob", "0.5", "--seed", "3",
+         "--sample-index", "1"],
+        ["augment", "ds/{first}", "aug_config.evt", "--config", "spiking.json"],
+        *([command, "--config", f"{kind}.json", *flags]
+          for kind in ("spiking", "dense")
+          for command, *flags in (["train"], ["eval"], ["eval", "--shuffled-bins"])),
+        ["energy", "--config", "spiking.json"],
+        ["energy", "--config", "output.json", "--checkpoint", "run_spiking/model.evck"],
+        ["sweep", "--config", "sweep.json", "--jobs", "2"],
+        ["regress", "--config", "sweep.json"]]
+    out, seen, here = {}, {}, os.getcwd()
+    os.chdir(tmp)
+    try:
+        for n, argv in enumerate(commands):
+            first = min(p.name for p in Path("ds").glob("*.evt")) if n else ""
+            argv = [arg.format(first=first) for arg in argv]
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                status = main(argv)
+            tag = f"cli/{n:02d}-{argv[0]}"
+            out[f"{tag}/stdout"] = _digest(status, printed.getvalue().replace(str(tmp), "<tmp>"))
+            for path in sorted(Path(".").rglob("*")):
+                if path.is_file() and not path.name.endswith(".runledger.json"):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    if seen.get(path) != digest:
+                        seen[path] = out[f"{tag}/{path.as_posix()}"] = digest
+    finally:
+        os.chdir(here)
+    return out
+
+
 def emit(tree: Path) -> dict[str, str]:
     """Every artifact of the case list, run on ``tree``'s library."""
     sys.path.insert(0, str(tree / "src"))
@@ -323,8 +395,11 @@ def emit(tree: Path) -> dict[str, str]:
     for net in NETS:
         out.update(_forward_cases(net))
         out.update(_train_case(net))
+    out.update(_forward_cases("sew18", SEW18_BATCHES))
     with tempfile.TemporaryDirectory() as tmp:
         out.update(_event_cases(Path(tmp)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out.update(_cli_cases(Path(tmp).resolve()))
     return out
 
 
