@@ -291,16 +291,16 @@ def _layer_plan(config: NetworkConfig, dens: list | None = None) -> list[tuple]:
     its den is 1); a power-of-two ``AvgPool(w)`` multiplies den by w*w; an
     ``add`` join raises bound by 1, ``and``/``iand`` keep it; a Conv2d, a
     GlobalPool and any other pool window leave no grain. A count is held
-    where the grain is known, ``den * bound <= 255``, and a conv or SEW
-    above caches the map (or a pool above holds its count): in ``sew_tiny``
-    the pooled input of SEW 03 (quarters), SEW 03's join (quarters up to 2)
-    and SEW 06's join (0 to 2), 0.94 MiB of a 16-sample trace where float32
-    took 3.75; in ``sew18`` its pooled input, its first two joins (quarters
-    up to 3) and every later join but the last (0 to 3), 4.30 MiB per
-    200x200 sample at T=6 where float32 took 17.20. A
-    power-of-two den reads back exactly as ``q / den``."""
+    where the grain is known, ``den * bound <= 255``, and the next layer is
+    a conv or SEW, which caches the map; ``_encode`` makes it from the float
+    map there: in ``sew_tiny`` the pooled input of SEW 03 (quarters), SEW
+    03's join (quarters up to 2) and SEW 06's join (0 to 2), 0.94 MiB of a
+    16-sample trace where float32 took 3.75; in ``sew18`` its pooled input,
+    its first two joins (quarters up to 3) and every later join but the
+    last (0 to 3), 4.30 MiB per 200x200 sample at T=6 where float32 took
+    17.20. A power-of-two den reads back exactly as ``q / den``."""
     layers, shapes = config.encoder_layers, config.encoder_shapes()
-    plan, real, grain, held = [], False, None, []
+    plan, real, grain = [], False, None
     for i, lay in enumerate(layers):
         tag = f"{i:02d}"
         if isinstance(lay, Conv2d):
@@ -326,13 +326,10 @@ def _layer_plan(config: NetworkConfig, dens: list | None = None) -> list[tuple]:
         else:
             plan.append((lay, (), ()))
             grain = None
-        held.append(grain[0] if grain and grain[0] * grain[1] <= 255 else None)
-    if dens is not None:  # kept where a conv or SEW caches it, or a counted pool reads it
-        for i in reversed(range(len(layers))):
-            nxt = layers[i + 1] if i + 1 < len(layers) else None
-            if not (isinstance(nxt, (Conv2d, SEW)) or isinstance(nxt, AvgPool) and held[i + 1]):
-                held[i] = None
-        dens.extend(held)
+        if dens is not None:
+            above = layers[i + 1] if i + 1 < len(layers) else None
+            dens.append(grain[0] if grain and grain[0] * grain[1] <= 255
+                        and isinstance(above, (Conv2d, SEW)) else None)
     return plan
 
 
@@ -453,9 +450,9 @@ class ForwardTrace:
     cached as bool, one byte each: the sites' threshold comparisons, whose
     cast to the parameters' dtype the layers above read. A spike-mode pool
     or SEW join that a conv or SEW caches is held as the uint8 count ``h *
-    den`` where ``_layer_plan`` gives it a den, built from the one-byte maps
-    below it while the layers above read the float map. Every other cached
-    array, and every relaxed or dense spike, is in the parameters' dtype.
+    den`` where ``_layer_plan`` gives it a den, made from the float map h
+    that the layers above read. Every other cached array, and every relaxed
+    or dense spike, is in the parameters' dtype.
 
     A recorded 16-sample 64x64 ``sew_tiny`` trace (T=6) holds 18.15 MiB:
     membranes 12.40, bool spikes 3.10, the first conv's uint8 columns 1.69,
@@ -503,18 +500,11 @@ def _if_apply(v, theta, mode, reset):
     return x, u, count, kept
 
 
-def _pooled_count(q: np.ndarray, window: int) -> np.ndarray:
-    """The uint8 count ``avg_pool_forward`` times window**2 gives of the map
-    whose one-byte form (bool spikes or a uint8 count) is q: the sum of q's
-    window taps, in q's memory order. ``_layer_plan`` holds one only where it
-    fits in a byte."""
-    q = q.view(np.uint8)
-    out = q[:, :, ::window, ::window].copy(order="K")
-    for i in range(window):
-        for j in range(window):
-            if i or j:
-                out += q[:, :, i::window, j::window]
-    return out
+def _count(h: np.ndarray, den: int) -> np.ndarray:
+    """The uint8 count ``h * den`` of a map of multiples of 1/den, in h's
+    memory order; exact, den being a power of two that ``_layer_plan`` gives
+    only where the count fits in a byte."""
+    return (h * den).astype(np.uint8)
 
 
 def if_step(u_prev: np.ndarray, weighted_input: np.ndarray, theta: float = 1.0,
@@ -699,8 +689,9 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
             cols = _conv_columns(h, first.k, first.stride, first.padding)
             columns.append(cols)
         step_cache: list = []
-        # h as the caches hold it: a site's kept spikes, a count where the
-        # layer's den says so (built from the one-byte kept map below it)
+        # h as the caches hold it: a site's kept spikes; at a pool or join
+        # that the next layer, a conv or SEW, caches, the count made from
+        # the float map h where the layer's den says so
         kept = h
         for (lay, sites, convs), den in zip(plan, dens):
             if isinstance(lay, Conv2d):
@@ -718,17 +709,13 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
                     h, h_sum = s2 + h, None if h_sum is None else n2 + h_sum
                 else:
                     h, h_sum = held(s2 * h if lay.g == "and" else (1.0 - s2) * h, h_sum)
-                # the join of the counts: k2 * den + q, k2 * q or ~k2 * q
-                kept = (h if den is None else
-                        np.add(k2.view(np.uint8) * den if den > 1 else k2, kept, dtype=np.uint8)
-                        if lay.g == "add" else
-                        np.multiply(k2 if lay.g == "and" else ~k2, kept, dtype=np.uint8))
+                kept = h if den is None else _count(h, den)
             elif isinstance(lay, AvgPool):
                 pooled = avg_pool_forward(h, lay.window)
                 exact = h_sum is not None and not lay.window & (lay.window - 1)  # power of two
                 h, h_sum = (pooled, h_sum / lay.window ** 2) if exact else held(pooled, h_sum)
                 step_cache.append(())
-                kept = h if den is None else _pooled_count(kept, lay.window)
+                kept = h if den is None else _count(h, den)
             elif isinstance(lay, GlobalPool):
                 step_cache.append((h.shape[2], h.shape[3]))
                 h, h_sum = held(global_pool_forward(h), h_sum)

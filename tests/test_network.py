@@ -15,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evsnn
 from evsnn import _blas, _heap, _helper
@@ -41,7 +43,7 @@ from evsnn.nn import (
     softmax,
 )
 from evsnn.nn import network
-from evsnn.nn.layers import avg_pool_forward
+from evsnn.nn.layers import avg_pool_forward, conv_out_size
 from evsnn.synth import SynthParams, generate_dataset
 from conftest import logging_pids
 
@@ -884,7 +886,7 @@ class TestOneByteMaps:
         for g in ("add", "and", "iand"):
             dens = []
             network._layer_plan(sew_tiny(4, g=g), dens)
-            assert dens == [None, 1, 4, 4, None, 1, 1, None, 1, None, None, None]
+            assert dens == [None, None, 4, 4, None, 1, 1, None, 1, None, None, None]
 
     @pytest.mark.parametrize("g", ["add", "and", "iand"])
     def test_counts_sit_at_kept_pools_and_joins(self, x, g):
@@ -918,15 +920,15 @@ class TestOneByteMaps:
             assert step[3][0].dtype == step[4][0].dtype == np.float32
 
     def test_chained_pools_hold_one_count_each(self):
-        # two 2x2 pools: the first's count (quarters) is what the second
-        # sums, to the sixteenths the SEW above caches
+        # two 2x2 pools: only the second's map, the sixteenths the SEW above
+        # caches, is held as a count
         config = NetworkConfig(
             time_steps=2, height=16, width=16,
             layers=(Conv2d(2, 4), IF(0.5), AvgPool(2), AvgPool(2), SEW(4, theta=0.5),
                     GlobalPool(), IF(0.5), Accumulator(4), Classifier(3)))
         dens = []
         network._layer_plan(config, dens)
-        assert dens[:5] == [None, 1, 4, 16, None]
+        assert dens[:5] == [None, None, None, 16, None]
         x = binary_input(np.random.default_rng(8), config, batch=3, density=0.3)
         params = init_params(config, 4)
         _, trace = forward(config, params, x)
@@ -998,6 +1000,140 @@ class TestOneByteMaps:
                                 replace(trace, caches=float_caches(trace, self.SEW_TINY)),
                                 labels)
         assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@st.composite
+def spike_stacks(draw):
+    """(config, batch): a small stack of Conv2d, IF, AvgPool and SEW layers
+    in an order ``NetworkConfig`` accepts, then the global-pool head, under
+    either reset and input timing. It is built of runs, each one layer of any
+    kind or an IF followed by up to three pools and SEWs and maybe a conv,
+    so that many stacks cache pools and joins of spikes."""
+    sensor = draw(st.integers(4, 16))
+    c, side = 2, sensor  # the square map's channels and side after each layer
+    theta = st.sampled_from([0.25, 0.5, 1.0])
+    layers = []
+
+    def add(kind):
+        nonlocal c, side
+        if kind == "conv":
+            k, stride = draw(st.sampled_from([1, 3])), draw(st.integers(1, 2))
+            layers.append(Conv2d(c, draw(st.integers(1, 4)), k, stride, k // 2))
+            c, side = layers[-1].c_out, conv_out_size(side, k, stride, k // 2)
+        elif kind == "if":
+            layers.append(IF(draw(theta)))
+        elif kind == "pool":
+            layers.append(AvgPool(draw(st.sampled_from([n for n in range(1, 5) if side % n == 0]))))
+            side //= layers[-1].window
+        else:
+            layers.append(SEW(c, k=draw(st.sampled_from([1, 3])),
+                              g=draw(st.sampled_from(["add", "and", "iand"])), theta=draw(theta)))
+
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            add(draw(st.sampled_from(["conv", "if", "pool", "sew"])))
+        else:
+            add("if")
+            for _ in range(draw(st.integers(0, 3))):
+                add(draw(st.sampled_from(["pool", "sew"])))
+            if draw(st.booleans()):
+                add("conv")
+    config = NetworkConfig(
+        time_steps=draw(st.integers(1, 3)), height=sensor, width=sensor,
+        layers=(*layers, GlobalPool(), IF(0.5), Accumulator(c), Classifier(3)),
+        reset=draw(st.sampled_from(["subtract", "zero"])),
+        input_timing=draw(st.sampled_from(["same_step", "delayed"])))
+    return config, draw(st.integers(1, 3))
+
+
+class TestCountsFromTheFloatMap:
+    """``network._count`` makes every uint8 count a recorded spike-mode
+    trace holds, from the float map the forward computed, at the pool or SEW
+    join whose output the next layer, a conv or SEW, caches."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """The den of each ``_count`` call from now on; each call's map must
+        be the parameters' float32."""
+        calls, count = [], network._count
+
+        def counting(h, den):
+            assert h.dtype == np.float32
+            calls.append(den)
+            return count(h, den)
+        monkeypatch.setattr(network, "_count", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def x(self):
+        return binary_input(np.random.default_rng(5), sew_tiny(4, 32, 32, 3), batch=4,
+                            density=0.2)
+
+    @pytest.mark.parametrize("g", ["add", "and", "iand"])
+    def test_three_counts_per_sew_tiny_step(self, monkeypatch, x, g):
+        # SEW 03's pooled input (quarters), SEW 03's join and SEW 06's join
+        config = sew_tiny(4, 32, 32, 3, theta=0.5, g=g)
+        calls = self.spy(monkeypatch)
+        forward(config, init_params(config, 2), x)
+        assert calls == [4, 4, 1] * config.time_steps
+
+    @pytest.mark.parametrize("mode, record", [("spike", False), ("relaxed", True),
+                                              ("dense", True)])
+    def test_no_counts_unrecorded_or_in_float_modes(self, monkeypatch, x, mode, record):
+        config = sew_tiny(4, 32, 32, 3, theta=0.5)
+        calls = self.spy(monkeypatch)
+        forward(config, init_params(config, 2, kind="dense" if mode == "dense" else "spiking"),
+                x, mode=mode, record=record)
+        assert calls == []
+
+    def test_chained_pools_make_one_count_per_step(self, monkeypatch):
+        config = NetworkConfig(
+            time_steps=2, height=16, width=16,
+            layers=(Conv2d(2, 4), IF(0.5), AvgPool(2), AvgPool(2), SEW(4, theta=0.5),
+                    GlobalPool(), IF(0.5), Accumulator(4), Classifier(3)))
+        calls = self.spy(monkeypatch)
+        x = binary_input(np.random.default_rng(8), config, batch=3, density=0.3)
+        forward(config, init_params(config, 4), x)
+        assert calls == [16, 16]
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=spike_stacks(), seed=st.integers(0, 2**16))
+    def test_random_stacks(self, stack, seed):
+        # each count equals the float map, kept where _count is bypassed,
+        # times den, in the same memory order; backward reads the counts
+        # with the bits their float values give
+        config, b = stack
+        rng = np.random.default_rng(seed)
+        x = binary_input(rng, config, batch=b, density=0.3)
+        params = init_params(config, seed)
+        dens = []
+        network._layer_plan(config, dens)
+        layers = config.encoder_layers
+        counted = {i: dens[i - 1] for i in range(1, len(layers))
+                   if dens[i - 1] is not None and not isinstance(layers[i - 1], IF)}
+        _, trace = forward(config, params, x)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "_count", lambda h, den: h)
+            _, floats = forward(config, params, x)
+        for step, float_step in zip(trace.caches, floats.caches):
+            for i, (entry, float_entry) in enumerate(zip(step, float_step)):
+                for j, (a, f) in enumerate(zip(entry, float_entry)):
+                    if not isinstance(a, np.ndarray):
+                        continue
+                    if j == 0 and i in counted:
+                        assert a.dtype == np.uint8 and f.dtype == np.float32, i
+                        assert np.array_equal(a, f * counted[i]), i
+                        assert [n for n, k in zip(a.strides, a.shape) if k > 1] == \
+                            [n // f.itemsize for n, k in zip(f.strides, f.shape) if k > 1], i
+                    else:
+                        assert a.dtype == f.dtype and np.array_equal(a, f), (i, j)
+                        assert a.dtype != np.uint8 or i == j == 0, (i, j)  # or the frame
+        labels = rng.integers(0, 3, b)
+        got = network.backward(config, params, trace, labels)
+        want = network.backward(config, params,
+                                replace(trace, caches=float_caches(trace, counted)), labels)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 

@@ -10,6 +10,10 @@ import path, once per OpenBLAS thread count. The artifacts, each a sha256:
 
 - ``forward``: logits, features and counters of ``forward`` with ``record``
   True and False, and the gradients of ``backward`` on the recorded trace;
+  ``held``, every entry of the recorded trace's ``caches`` and ``columns``,
+  each array with its dtype, shape, strides and bytes, so a cached map held
+  in another dtype or memory order differs even where ``backward`` reads the
+  same values from it;
 - ``step``: logits and gradients of a training step (``nn.train``'s split
   rule, so a 16-sample 64x64 batch runs as two halves);
 - ``train``: the history and the best parameters of a 2-epoch ``train()``
@@ -101,6 +105,16 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
+def _held(trace) -> str:
+    """sha256 over what a recorded trace holds: every entry of its caches,
+    then its columns, an array with its strides too."""
+    import numpy as np
+    parts = []
+    for a in [a for step in trace.caches for entry in step for a in entry] + (trace.columns or []):
+        parts += [a.strides, a] if isinstance(a, np.ndarray) else [a]
+    return _digest(*parts)
+
+
 def _config(net: str, classes: int):
     from evsnn.nn.network import (IF, SEW, Accumulator, AvgPool, Classifier, Conv2d,
                                   GlobalPool, NetworkConfig, sew18, sew_tiny)
@@ -158,6 +172,7 @@ def _forward_cases(net: str, batches=BATCHES) -> dict[str, str]:
                 out[f"{rec}/counters"] = _digest(trace.spike_counts, trace.site_sizes,
                                                  trace.synaptic_inputs)
                 if record:
+                    out[f"{rec}/held"] = _held(trace)
                     grads = backward(config, params, trace, labels)
                     out[f"{rec}/gradients"] = _digest(*(grads[k] for k in sorted(grads)))
             logits, grads = _batch_grads(config, params, x, labels, mode)
