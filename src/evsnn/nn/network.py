@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Annotated, Literal, Union
+from typing import Annotated, Literal, NamedTuple, Union
 
 import numpy as np
 
@@ -170,44 +170,16 @@ class NetworkConfig:
         """Input shape of every encoder layer plus the final feature shape.
 
         Returns len(encoder)+1 entries; the last one is the feature vector
-        shape (d,) fed to the accumulator. The head is checked first.
+        shape (d,) fed to the accumulator. The head is checked first, then
+        each layer by ``_layer_plan``'s walk, which gives their output shapes.
         """
         if len(self.layers) < 2 or not isinstance(self.layers[-2], Accumulator) \
                 or not isinstance(self.layers[-1], Classifier):
             raise ConfigError("layer stack must end with Accumulator then Classifier")
         if any(isinstance(lay, (Accumulator, Classifier)) for lay in self.encoder_layers):
             raise ConfigError("Accumulator/Classifier only allowed at the end")
-        shape: tuple = (self.in_channels, self.height, self.width)
-        shapes = [shape]
-        for i, lay in enumerate(self.encoder_layers):
-            where = f"layer {i} ({type(lay).__name__})"
-            if isinstance(lay, Conv2d):
-                if len(shape) != 3:
-                    raise ConfigError(f"{where}: needs (C,H,W) input, got {shape}")
-                if shape[0] != lay.c_in:
-                    raise ConfigError(f"{where}: expects {lay.c_in} channels, got {shape[0]}")
-                shape = (lay.c_out,
-                         conv_out_size(shape[1], lay.k, lay.stride, lay.padding),
-                         conv_out_size(shape[2], lay.k, lay.stride, lay.padding))
-                if shape[1] < 1 or shape[2] < 1:
-                    raise ConfigError(f"{where}: output collapses to {shape}")
-            elif isinstance(lay, SEW):
-                if len(shape) != 3 or shape[0] != lay.channels:
-                    raise ConfigError(f"{where}: expects ({lay.channels},H,W), got {shape}")
-                if lay.k % 2 == 0:
-                    raise ConfigError(f"{where}: k must be odd to keep the map size, "
-                                      f"got {lay.k}")
-            elif isinstance(lay, AvgPool):
-                if len(shape) != 3 or shape[1] % lay.window or shape[2] % lay.window:
-                    raise ConfigError(f"{where}: window {lay.window} does not tile {shape}")
-                shape = (shape[0], shape[1] // lay.window, shape[2] // lay.window)
-            elif isinstance(lay, GlobalPool):
-                if len(shape) != 3:
-                    raise ConfigError(f"{where}: needs (C,H,W) input, got {shape}")
-                shape = (shape[0],)
-            elif not isinstance(lay, IF):
-                raise ConfigError(f"{where}: unsupported layer kind")
-            shapes.append(shape)
+        shapes = [(self.in_channels, self.height, self.width),
+                  *(entry.shape for entry in _layer_plan(self))]
         if len(shapes[-1]) == 3:
             c, h, w = shapes[-1]
             if h == 1 and w == 1 or not self.encoder_layers:
@@ -273,63 +245,96 @@ def _kaiming_uniform(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def _layer_plan(config: NetworkConfig, dens: list | None = None) -> list[tuple]:
-    """Per encoder layer, in forward order: (layer, the names of its
-    threshold sites, its convs as (tensor name, Conv2d, output (C, H, W),
-    site it feeds, whether its input is a conv's real-valued output)); the
-    one place where all of these are named or decided. A plain conv feeds
-    the first IF after it unless a Conv2d or SEW comes first; a SEW stage
-    feeds its own site. Values are real from a Conv2d to the next IF (pools
-    and SEW joins carry them); a SEW's second stage reads spikes. ``_encode``
-    and ``backward`` build it once per call for their step loops.
+class _Entry(NamedTuple):  # one encoder layer as ``_layer_plan`` reads it
+    layer: LayerSpec
+    shape: tuple  # its output shape: (C, H, W), or (C,) from a GlobalPool on
+    sites: tuple  # the names of its threshold sites
+    convs: tuple  # (tensor name, Conv2d, output (C, H, W), site it feeds, real input)
+    den: int | None  # the scale of its output map's count in a trace, if it holds one
+    real: bool  # whether its output carries a conv's real values
 
-    Where ``dens`` is a list, each layer's ``den`` is appended to it: the
-    scale at which a recorded spike-mode trace holds the layer's output map
-    as the uint8 count ``h * den``, None where it holds no count. A running
-    grain ``(den, bound)``, the map's values being multiples of 1/den in
-    [0, bound], decides it: an IF sets (1, 1) (its kept spikes are bool, so
-    its den is 1); a power-of-two ``AvgPool(w)`` multiplies den by w*w; an
-    ``add`` join raises bound by 1, ``and``/``iand`` keep it; a Conv2d, a
-    GlobalPool and any other pool window leave no grain. A count is held
-    where the grain is known, ``den * bound <= 255``, and the next layer is
-    a conv or SEW, which caches the map; ``_encode`` makes it from the float
-    map there: in ``sew_tiny`` the pooled input of SEW 03 (quarters), SEW
-    03's join (quarters up to 2) and SEW 06's join (0 to 2), 0.94 MiB of a
-    16-sample trace where float32 took 3.75; in ``sew18`` its pooled input,
-    its first two joins (quarters up to 3) and every later join but the
-    last (0 to 3), 4.30 MiB per 200x200 sample at T=6 where float32 took
-    17.20. A power-of-two den reads back exactly as ``q / den``."""
-    layers, shapes = config.encoder_layers, config.encoder_shapes()
+
+def _layer_error(i: int, lay, what: str) -> ConfigError:
+    return ConfigError(f"layer {i} ({type(lay).__name__}): {what}")
+
+
+def _layer_plan(config: NetworkConfig) -> list[_Entry]:
+    """The one walk over the encoder layers: an ``_Entry`` per layer, in
+    forward order; the one place where output shapes are inferred, sites and
+    conv tensors named and what each conv feeds and reads decided, and where
+    a layer that does not compose raises its ``ConfigError``. A plain conv
+    feeds the first IF after it unless a Conv2d or SEW comes first; a SEW
+    stage feeds its own site. Values are real from a Conv2d to the next IF
+    (pools and SEW joins carry them), the accumulator's input too; a SEW's
+    second stage reads spikes. ``_encode`` and ``backward`` build it once
+    per call for their step loops.
+
+    A layer's ``den`` is the scale at which a recorded spike-mode trace
+    holds its output map as the uint8 count ``h * den``, None where it holds
+    no count. A running grain ``(den, bound)``, the map's values being
+    multiples of 1/den in [0, bound], decides it: an IF sets (1, 1) (its
+    kept spikes are bool, so its den is 1); a power-of-two ``AvgPool(w)``
+    multiplies den by w*w; an ``add`` join raises bound by 1, ``and``/``iand``
+    keep it; a Conv2d, a GlobalPool and any other pool window leave no grain.
+    A count is held where the grain is known, ``den * bound <= 255``, and the
+    next layer is a conv or SEW, which caches the map; ``_encode`` makes it
+    from the float map there: in ``sew_tiny`` the pooled input of SEW 03
+    (quarters), SEW 03's join (quarters up to 2) and SEW 06's join (0 to 2),
+    0.94 MiB of a 16-sample trace where float32 took 3.75; in ``sew18`` its
+    pooled input, its first two joins (quarters up to 3) and every later
+    join but the last (0 to 3), 4.30 MiB per 200x200 sample at T=6 where
+    float32 took 17.20. A power-of-two den reads back exactly as ``q / den``."""
+    layers = config.encoder_layers
+    shape: tuple = (config.in_channels, config.height, config.width)
     plan, real, grain = [], False, None
     for i, lay in enumerate(layers):
-        tag = f"{i:02d}"
+        tag, sites, convs = f"{i:02d}", (), ()
         if isinstance(lay, Conv2d):
-            site = next((f"{j:02d}" if isinstance(nxt, IF) else None
-                         for j, nxt in enumerate(layers[i + 1:], i + 1)
-                         if isinstance(nxt, (IF, Conv2d, SEW))), None)
-            out = shapes[i + 1] if len(shapes[i + 1]) == 3 else (shapes[i + 1][0], 1, 1)
-            plan.append((lay, (), ((f"{tag}.conv", lay, out, site, real),)))
+            if len(shape) != 3:
+                raise _layer_error(i, lay, f"needs (C,H,W) input, got {shape}")
+            if shape[0] != lay.c_in:
+                raise _layer_error(i, lay, f"expects {lay.c_in} channels, got {shape[0]}")
+            shape = (lay.c_out,
+                     conv_out_size(shape[1], lay.k, lay.stride, lay.padding),
+                     conv_out_size(shape[2], lay.k, lay.stride, lay.padding))
+            if shape[1] < 1 or shape[2] < 1:
+                raise _layer_error(i, lay, f"output collapses to {shape}")
+            site = None
+            for j in range(i + 1, len(layers)):
+                if isinstance(layers[j], (IF, Conv2d, SEW)):
+                    site = f"{j:02d}" if isinstance(layers[j], IF) else None
+                    break
+            convs = ((f"{tag}.conv", lay, shape, site, real),)
             real, grain = True, None
         elif isinstance(lay, IF):
-            plan.append((lay, (tag,), ()))
+            sites = (tag,)
             real, grain = False, (1, 1)
         elif isinstance(lay, SEW):
+            if len(shape) != 3 or shape[0] != lay.channels:
+                raise _layer_error(i, lay, f"expects ({lay.channels},H,W), got {shape}")
+            if lay.k % 2 == 0:
+                raise _layer_error(i, lay, f"k must be odd to keep the map size, got {lay.k}")
             conv, sites = lay.conv, (f"{tag}a", f"{tag}b")
-            plan.append((lay, sites, ((f"{tag}.sew.conv1", conv, shapes[i], sites[0], real),
-                                      (f"{tag}.sew.conv2", conv, shapes[i], sites[1], False))))
+            convs = ((f"{tag}.sew.conv1", conv, shape, sites[0], real),
+                     (f"{tag}.sew.conv2", conv, shape, sites[1], False))
             if grain and lay.g == "add":
                 grain = (grain[0], grain[1] + 1)
         elif isinstance(lay, AvgPool):
-            plan.append((lay, (), ()))
             w = lay.window
+            if len(shape) != 3 or shape[1] % w or shape[2] % w:
+                raise _layer_error(i, lay, f"window {w} does not tile {shape}")
+            shape = (shape[0], shape[1] // w, shape[2] // w)
             grain = (grain[0] * w * w, grain[1]) if grain and not w & (w - 1) else None
+        elif isinstance(lay, GlobalPool):
+            if len(shape) != 3:
+                raise _layer_error(i, lay, f"needs (C,H,W) input, got {shape}")
+            shape, grain = (shape[0],), None
         else:
-            plan.append((lay, (), ()))
-            grain = None
-        if dens is not None:
-            above = layers[i + 1] if i + 1 < len(layers) else None
-            dens.append(grain[0] if grain and grain[0] * grain[1] <= 255
-                        and isinstance(above, (Conv2d, SEW)) else None)
+            raise _layer_error(i, lay, "unsupported layer kind")
+        above = layers[i + 1] if i + 1 < len(layers) else None
+        den = (grain[0] if grain and grain[0] * grain[1] <= 255
+               and isinstance(above, (Conv2d, SEW)) else None)
+        plan.append(_Entry(lay, shape, sites, convs, den, real))
     return plan
 
 
@@ -396,14 +401,12 @@ def synaptic_layers(config: NetworkConfig, kind: str = "spiking") -> list[Synapt
     if _forward_mode(kind) == "dense":
         config = _dense_view(config)
     plan = _layer_plan(config)
-    # the accumulator's input is real, as a conv's is, where the last Conv2d or IF is a Conv2d
-    last = next((lay for lay, _, _ in reversed(plan) if isinstance(lay, (Conv2d, IF))), None)
     d, n = config.feature_dim, len(config.layers)
     return [*(SynapticLayer(name, "conv", conv.k, oh, ow, conv.c_in, conv.c_out, site,
                             conv.bias, real)
-              for _, _, convs in plan for name, conv, (_, oh, ow), site, real in convs),
+              for entry in plan for name, conv, (_, oh, ow), site, real in entry.convs),
             SynapticLayer(f"{n - 2:02d}.acc", "linear", 1, 1, 1, d, d,
-                          real_input=isinstance(last, Conv2d)),
+                          real_input=bool(plan) and plan[-1].real),
             SynapticLayer(f"{n - 1:02d}.cls", "linear", 1, 1, 1, d, config.classifier.classes,
                           bias=config.classifier.bias)]
 
@@ -603,22 +606,19 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
     x, acc = arrays["x"], f"{len(config.layers) - 2:02d}.acc"
     dtype = arrays[f"{acc}.weight"].dtype
     b, t_steps = x.shape[0], config.time_steps
-    # where a recorded spike-mode trace holds a pool or join as a uint8
-    # count, the count's den (see _layer_plan); None in every other layer,
-    # and everywhere in other modes and unrecorded runs
-    dens: list = []
-    plan = _layer_plan(config, dens)
-    if not record or mode != "spike":
-        dens = [None] * len(plan)
+    plan = _layer_plan(config)
+    # a recorded spike-mode trace holds a pool or join as a uint8 count where
+    # its entry gives a den; other modes and unrecorded runs hold none
+    counts = record and mode == "spike"
     # a first conv reads the frames in their own dtype where it casts safely
     # to the parameters' (voxelize_set's uint8): its GEMM casts their columns
-    first = plan[0][2][0][1] if plan and isinstance(plan[0][0], Conv2d) else None
+    first = plan[0].convs[0][1] if plan and isinstance(plan[0].layer, Conv2d) else None
     in_dtype = x.dtype if first is not None and np.can_cast(x.dtype, dtype) else dtype
     columns: list | None = ([] if record and first is not None
                             and not _full_correlation(first.k, first.stride, first.padding)
                             else None)
     weights = {name: (arrays[f"{name}.weight"], arrays.get(f"{name}.bias"))
-               for _, _, convs in plan for name, *_ in convs}
+               for entry in plan for name, *_ in entry.convs}
     d = config.feature_dim
 
     membranes: dict[str, np.ndarray] = {}
@@ -693,7 +693,7 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
         # that the next layer, a conv or SEW, caches, the count made from
         # the float map h where the layer's den says so
         kept = h
-        for (lay, sites, convs), den in zip(plan, dens):
+        for lay, _, sites, convs, den, _ in plan:
             if isinstance(lay, Conv2d):
                 step_cache.append((kept,))
                 h, h_sum, cols = conv(convs[0], h, h_sum, cols), None, None
@@ -709,13 +709,13 @@ def _encode(arrays: dict, config: NetworkConfig, mode: str, record: bool) -> For
                     h, h_sum = s2 + h, None if h_sum is None else n2 + h_sum
                 else:
                     h, h_sum = held(s2 * h if lay.g == "and" else (1.0 - s2) * h, h_sum)
-                kept = h if den is None else _count(h, den)
+                kept = _count(h, den) if counts and den else h
             elif isinstance(lay, AvgPool):
                 pooled = avg_pool_forward(h, lay.window)
                 exact = h_sum is not None and not lay.window & (lay.window - 1)  # power of two
                 h, h_sum = (pooled, h_sum / lay.window ** 2) if exact else held(pooled, h_sum)
                 step_cache.append(())
-                kept = h if den is None else _count(h, den)
+                kept = _count(h, den) if counts and den else h
             elif isinstance(lay, GlobalPool):
                 step_cache.append((h.shape[2], h.shape[3]))
                 h, h_sum = held(global_pool_forward(h), h_sum)
@@ -792,8 +792,7 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
 
     carry_u: dict[str, np.ndarray] = {}
     carry_p: dict[str, np.ndarray] = {}
-    dens: list = []
-    plan = _layer_plan(config, dens)
+    plan = _layer_plan(config)
     dtype = w_acc.dtype
     # each conv's weight, its parameters' gradient buffers and, for a full
     # correlation, its flipped kernel, built once for every step. Such a
@@ -801,8 +800,8 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
     # buffer is the same view of its zeroed gradient, so each step adds
     # contiguously
     tensors = {}
-    for _, _, convs in plan:
-        for name, spec, *_ in convs:
+    for entry in plan:
+        for name, spec, *_ in entry.convs:
             weight, g_weight, flipped = params[f"{name}.weight"], grads[f"{name}.weight"], None
             if _full_correlation(spec.k, spec.stride, spec.padding):
                 c_out, c_in, k, _ = weight.shape
@@ -851,7 +850,7 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
         """The input that layer i, a conv or SEW, cached, as its values: a
         uint8 count over its den from the plan (exact, den a power of two)
         in the parameters' dtype, anything else (den 1 too) as it is."""
-        x_in, den = cache[0], dens[i - 1] if i else None
+        x_in, den = cache[0], plan[i - 1].den if i else None
         if den is None or den == 1 or x_in.dtype != np.uint8:
             return x_in
         x_in = x_in.astype(dtype)
@@ -860,14 +859,14 @@ def backward(config: NetworkConfig, params: dict, trace: ForwardTrace,
 
     # the gradient stops at the input: nothing below the first weighted layer
     # runs, and that layer's first conv computes no input gradient
-    first = next((i for i, (_, _, convs) in enumerate(plan) if convs), len(plan))
+    first = next((i for i, entry in enumerate(plan) if entry.convs), len(plan))
     steps = list(enumerate(plan))[first:][::-1]
     for t in reversed(range(t_steps)):
         g = dfeat
         if len(trace.feature_shape) == 3:  # undo the trailing flatten
             g = dfeat.reshape((b,) + trace.feature_shape)
         step_cache = trace.caches[t]
-        for i, (lay, sites, convs) in steps:
+        for i, (lay, _, sites, convs, _, _) in steps:
             cache = step_cache[i]
             if isinstance(lay, Conv2d):  # trace.columns are the first layer's
                 g = conv_back(convs[0], conv_input(cache, i), g, need_dx=i > first,

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import signal
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -154,6 +154,31 @@ class TestConfigValidation:
             NetworkConfig(time_steps=1, height=4, width=4,
                           layers=(Conv2d(2, 4), IF(), SEW(4, theta=theta), GlobalPool(),
                                   IF(), Accumulator(4), Classifier(2)))
+
+    @pytest.mark.parametrize("layer, message", [
+        (Conv2d(4, 4), "layer 3 (Conv2d): needs (C,H,W) input, got (4,)"),
+        (SEW(4), "layer 3 (SEW): expects (4,H,W), got (4,)"),
+        (AvgPool(2), "layer 3 (AvgPool): window 2 does not tile (4,)"),
+        (GlobalPool(), "layer 3 (GlobalPool): needs (C,H,W) input, got (4,)"),
+    ])
+    def test_layer_after_global_pool(self, layer, message):
+        # each kind keeps its own check and message for a vector input
+        with pytest.raises(ConfigError) as err:
+            NetworkConfig(time_steps=1, height=4, width=4,
+                          layers=(Conv2d(2, 4), IF(), GlobalPool(), layer, IF(),
+                                  Accumulator(4), Classifier(2)))
+        assert str(err.value) == message
+
+    def test_unsupported_layer_kind(self):
+        @dataclass(frozen=True)
+        class MaxPool:
+            window: int = 2
+
+        with pytest.raises(ConfigError) as err:
+            NetworkConfig(time_steps=1, height=4, width=4,
+                          layers=(Conv2d(2, 4), IF(), MaxPool(), GlobalPool(),
+                                  Accumulator(4), Classifier(2)))
+        assert str(err.value) == "layer 2 (MaxPool): unsupported layer kind"
 
     @pytest.mark.parametrize("field", ["time_steps", "height", "width"])
     def test_sizes_at_most_u16(self, field):
@@ -884,8 +909,7 @@ class TestOneByteMaps:
 
     def test_plan_dens(self):
         for g in ("add", "and", "iand"):
-            dens = []
-            network._layer_plan(sew_tiny(4, g=g), dens)
+            dens = [entry.den for entry in network._layer_plan(sew_tiny(4, g=g))]
             assert dens == [None, None, 4, 4, None, 1, 1, None, 1, None, None, None]
 
     @pytest.mark.parametrize("g", ["add", "and", "iand"])
@@ -913,8 +937,7 @@ class TestOneByteMaps:
         config = pool_then_sews(window, side)
         x = binary_input(np.random.default_rng(6), config, batch=3, density=0.3)
         _, trace = forward(config, init_params(config, 1), x)
-        dens = []
-        network._layer_plan(config, dens)
+        dens = [entry.den for entry in network._layer_plan(config)]
         assert dens[2:4] == [None, None]
         for step in trace.caches:
             assert step[3][0].dtype == step[4][0].dtype == np.float32
@@ -926,8 +949,7 @@ class TestOneByteMaps:
             time_steps=2, height=16, width=16,
             layers=(Conv2d(2, 4), IF(0.5), AvgPool(2), AvgPool(2), SEW(4, theta=0.5),
                     GlobalPool(), IF(0.5), Accumulator(4), Classifier(3)))
-        dens = []
-        network._layer_plan(config, dens)
+        dens = [entry.den for entry in network._layer_plan(config)]
         assert dens[:5] == [None, None, None, 16, None]
         x = binary_input(np.random.default_rng(8), config, batch=3, density=0.3)
         params = init_params(config, 4)
@@ -950,8 +972,7 @@ class TestOneByteMaps:
             time_steps=2, height=16, width=16,
             layers=(Conv2d(2, 4, stride=2), IF(0.5), Conv2d(4, 4), AvgPool(2),
                     SEW(4, theta=0.5), GlobalPool(), IF(0.5), Accumulator(4), Classifier(3)))
-        dens = []
-        network._layer_plan(config, dens)
+        dens = [entry.den for entry in network._layer_plan(config)]
         assert dens[:5] == [None, 1, None, None, None]
         x = binary_input(np.random.default_rng(9), config, batch=3, density=0.3)
         _, trace = forward(config, init_params(config, 5), x)
@@ -1108,8 +1129,7 @@ class TestCountsFromTheFloatMap:
         rng = np.random.default_rng(seed)
         x = binary_input(rng, config, batch=b, density=0.3)
         params = init_params(config, seed)
-        dens = []
-        network._layer_plan(config, dens)
+        dens = [entry.den for entry in network._layer_plan(config)]
         layers = config.encoder_layers
         counted = {i: dens[i - 1] for i in range(1, len(layers))
                    if dens[i - 1] is not None and not isinstance(layers[i - 1], IF)}
@@ -1136,6 +1156,40 @@ class TestCountsFromTheFloatMap:
                                 replace(trace, caches=float_caches(trace, counted)), labels)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestLayerGrammar:
+    """On random stacks ``NetworkConfig`` accepts, ``_layer_plan``'s output
+    shapes are the shapes a recorded forward computes, ``param_shapes`` the
+    shapes ``init_params`` draws, and the JSON grammar gives the config
+    back."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=spike_stacks(), seed=st.integers(0, 2**16))
+    def test_random_stacks(self, stack, seed):
+        config, b = stack
+        assert config_from_json(config_to_json(config)) == config
+        params = init_params(config, seed)
+        assert [(name, p.shape) for name, p in params.items()] == \
+            list(network.param_shapes(config).items())
+        plan = network._layer_plan(config)
+        # the input of layer i is shapes[i], its output shapes[i + 1]
+        shapes = [(config.in_channels, config.height, config.width),
+                  *(entry.shape for entry in plan)]
+        x = binary_input(np.random.default_rng(seed), config, batch=b)
+        _, trace = forward(config, params, x)
+        for step in trace.caches:
+            for i, (entry, cache) in enumerate(zip(plan, step)):
+                if isinstance(entry.layer, (Conv2d, SEW)):  # the input it caches
+                    assert cache[0].shape == (b, *shapes[i]), i
+                if isinstance(entry.layer, IF):  # its membrane
+                    assert cache[0].shape == (b, *entry.shape), i
+                elif isinstance(entry.layer, SEW):  # its stages' membranes
+                    assert cache[1].shape == cache[3].shape == (b, *entry.shape), i
+                elif isinstance(entry.layer, GlobalPool):  # its input's (H, W)
+                    assert cache == shapes[i][1:], i
+        assert trace.feature_shape == plan[-1].shape
+        assert trace.features.shape == (b, config.time_steps, int(np.prod(plan[-1].shape)))
 
 
 class FakeBlas:
@@ -1832,10 +1886,10 @@ class TestCounterReferences:
             return
         counts, sizes = {}, {}
         for step in recorded.caches:
-            for (lay, sites, _), cache in zip(network._layer_plan(net), step):
-                outputs = ((cache[1],) if isinstance(lay, IF)
-                           else (cache[2], cache[4]) if isinstance(lay, SEW) else ())
-                for site, out in zip(sites, outputs):
+            for entry, cache in zip(network._layer_plan(net), step):
+                outputs = ((cache[1],) if isinstance(entry.layer, IF)
+                           else (cache[2], cache[4]) if isinstance(entry.layer, SEW) else ())
+                for site, out in zip(entry.sites, outputs):
                     counts[site] = counts.get(site, 0.0) + float(np.sum(out, dtype=np.float64))
                     sizes[site] = out[0].size
         for trace in (recorded, split):

@@ -15,9 +15,10 @@ status is 1 where a survivor is not listed, a listed one is killed, a
 mutant's text is not found exactly once, or pytest ends in any other way
 (a collection error, say); else 0.
 
-The table holds the audits of ``_layer_plan``'s walk (``walk/``) and of its
-count grain (``grain/``), plus the count expression and its lookahead
-(``count/``).
+The table holds the audits of ``_layer_plan``'s walk (``walk/``: the shape
+checks, fed sites and real inputs it alone decides) and of its count grain
+(``grain/``), plus the count expression, its lookahead and the modes that
+hold counts (``count/``).
 """
 
 from __future__ import annotations
@@ -38,32 +39,28 @@ NN_TESTS = ("tests/test_energy.py", "tests/test_network.py")
 
 # name: (file under src, old text, new text, test files)
 MUTANTS = {
-    # the walk: fed sites, real inputs, output shapes
+    # the walk: output shapes and their checks, fed sites, real inputs
     "walk/if_keeps_real": (NETWORK, "real, grain = False, (1, 1)", "real, grain = real, (1, 1)",
                            NN_TESTS),
-    "walk/sew_second_stage_real": (NETWORK, "sites[1], False))))", "sites[1], real))))",
-                                   NN_TESTS),
-    "walk/lookahead_without_sew": (NETWORK, "if isinstance(nxt, (IF, Conv2d, SEW))), None)",
-                                   "if isinstance(nxt, (IF, Conv2d))), None)", NN_TESTS),
-    "walk/lookahead_without_conv": (NETWORK, "if isinstance(nxt, (IF, Conv2d, SEW))), None)",
-                                    "if isinstance(nxt, (IF, SEW))), None)", NN_TESTS),
-    "walk/no_flat_output_fallback": (
-        NETWORK, "out = shapes[i + 1] if len(shapes[i + 1]) == 3 else (shapes[i + 1][0], 1, 1)",
-        "out = shapes[i + 1]", NN_TESTS),
+    "walk/sew_second_stage_real": (NETWORK, "sites[1], False))", "sites[1], real))", NN_TESTS),
+    "walk/lookahead_without_sew": (NETWORK, "if isinstance(layers[j], (IF, Conv2d, SEW)):",
+                                   "if isinstance(layers[j], (IF, Conv2d)):", NN_TESTS),
+    "walk/lookahead_without_conv": (NETWORK, "if isinstance(layers[j], (IF, Conv2d, SEW)):",
+                                    "if isinstance(layers[j], (IF, SEW)):", NN_TESTS),
     "walk/conv_leaves_real_unset": (NETWORK, "real, grain = True, None", "real, grain = real, None",
                                     NN_TESTS),
     "walk/sew_first_stage_never_real": (NETWORK, "sites[0], real),", "sites[0], False),",
                                         NN_TESTS),
-    "walk/accumulator_reads_first": (NETWORK, "for lay, _, _ in reversed(plan) if",
-                                     "for lay, _, _ in plan if", NN_TESTS),
-    "walk/accumulator_search_without_if": (NETWORK, "if isinstance(lay, (Conv2d, IF))), None)",
-                                           "if isinstance(lay, Conv2d)), None)", NN_TESTS),
-    "walk/site_named_by_the_conv": (NETWORK, 'site = next((f"{j:02d}" if',
-                                    "site = next((tag if", NN_TESTS),
-    "walk/sew_output_from_next_shape": (NETWORK, "conv, shapes[i], sites[0]",
-                                        "conv, shapes[i + 1], sites[0]", NN_TESTS),
-    "walk/lookahead_from_the_conv": (NETWORK, "for j, nxt in enumerate(layers[i + 1:], i + 1)",
-                                     "for j, nxt in enumerate(layers[i:], i)", NN_TESTS),
+    "walk/accumulator_reads_first": (NETWORK, "bool(plan) and plan[-1].real",
+                                     "bool(plan) and plan[0].real", NN_TESTS),
+    "walk/site_named_by_the_conv": (NETWORK, 'site = f"{j:02d}" if', "site = tag if", NN_TESTS),
+    "walk/lookahead_from_the_conv": (NETWORK, "for j in range(i + 1, len(layers)):",
+                                     "for j in range(i, len(layers)):", NN_TESTS),
+    "walk/pool_tiling_unchecked": (NETWORK, "if len(shape) != 3 or shape[1] % w or shape[2] % w:",
+                                   "if len(shape) != 3:", NN_TESTS),
+    "walk/sew_odd_k_unchecked": (NETWORK, "if lay.k % 2 == 0:", "if False:", NN_TESTS),
+    "walk/conv_collapse_unchecked": (NETWORK, "if shape[1] < 1 or shape[2] < 1:", "if False:",
+                                     NN_TESTS),
     # the grain: where a count is held, at what den, and how backward reads it
     "grain/if_leaves_no_grain": (NETWORK, "real, grain = False, (1, 1)",
                                  "real, grain = False, None", NN_TESTS),
@@ -78,10 +75,10 @@ MUTANTS = {
     "grain/cap_at_256": (NETWORK, "grain[0] * grain[1] <= 255", "grain[0] * grain[1] <= 256",
                          NN_TESTS),
     "grain/conv_keeps_grain": (NETWORK, "real, grain = True, None", "real = True", NN_TESTS),
-    "grain/global_pool_keeps_grain": (NETWORK, "            grain = None\n",
-                                      "            pass\n", NN_TESTS),
-    "grain/backward_reads_own_den": (NETWORK, "dens[i - 1] if i else None",
-                                     "dens[i] if i else None", NN_TESTS),
+    "grain/global_pool_keeps_grain": (NETWORK, "shape, grain = (shape[0],), None",
+                                      "shape = (shape[0],)", NN_TESTS),
+    "grain/backward_reads_own_den": (NETWORK, "plan[i - 1].den if i else None",
+                                     "plan[i].den if i else None", NN_TESTS),
     "grain/backward_never_scales": (NETWORK, "x_in /= den", "x_in /= 1", NN_TESTS),
     "grain/sliced_frames_copied": (NETWORK, "b > 1 and h.strides[0] != h.itemsize",
                                    "b > 1 and h.strides[-1] != b * h.itemsize", NN_TESTS),
@@ -94,13 +91,14 @@ MUTANTS = {
                                     "and isinstance(above, Conv2d) else None", NN_TESTS),
     "count/no_lookahead": (NETWORK, "and isinstance(above, (Conv2d, SEW)) else None",
                            "else None", NN_TESTS),
+    "count/in_every_mode": (NETWORK, 'counts = record and mode == "spike"', "counts = record",
+                            NN_TESTS),
+    "count/unrecorded": (NETWORK, 'counts = record and mode == "spike"',
+                         'counts = mode == "spike"', NN_TESTS),
 }
 
 # surviving mutants no test can kill, and why
 EQUIVALENT = {
-    "walk/sew_output_from_next_shape": "encoder_shapes only accepts a SEW whose input is "
-                                       "(channels, H, W) with an odd k, so its output shape "
-                                       "is its input shape",
     "grain/global_pool_keeps_grain": "a GlobalPool's output is a vector, so no conv, SEW or "
                                      "pool can follow it and no den is ever given there",
 }

@@ -47,6 +47,15 @@ as (error type, message, byte offset):
   of one and of three streams of one geometry over different intervals,
   at T = 1, 3, 6 and 7.
 
+The grammar half builds ``GRAMMAR_STACKS`` seeded random layer stacks,
+valid and malformed (a wrong channel count or accumulator dim, an even SEW
+kernel, a pool that does not tile, a map that collapses, a layer after a
+GlobalPool, a head layer in the encoder, a missing head, a kind the grammar
+lacks, a field out of its range), a few hundred of them accepted.
+``grammar/<first>`` digests ``GRAMMAR_CHUNK`` stacks in turn, each as its
+``ConfigError`` message or as its ``encoder_shapes`` and, per model kind,
+its ``synaptic_layers`` and ``param_shapes`` or the twin's error.
+
 The CLI half runs one flow of ``evsnn`` commands in a directory of its
 own, on a 16x16 synthetic set: synth; voxelize; augment by ``--pipeline``
 and by ``--config``; train, eval and eval ``--shuffled-bins`` for a spiking
@@ -70,6 +79,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
@@ -90,6 +100,9 @@ EVENT_WIDTHS = (127, 128)
 TIE_SPANS = {"ties": 40, "spread": None}
 TIME_BINS = (1, 3, 6, 7)
 EVENT_SEEDS = range(12)  # seeds 0-11 reach each eventdrop strategy, identity at 11
+# the grammar half: random stacks, digested in chunks of GRAMMAR_CHUNK
+GRAMMAR_STACKS = 4000
+GRAMMAR_CHUNK = 100
 
 
 def _digest(*parts) -> str:
@@ -342,6 +355,89 @@ def _event_cases(tmp: Path) -> dict[str, str]:
     return out
 
 
+@dataclass(frozen=True)
+class MaxPool:
+    """A layer kind the grammar lacks."""
+
+    window: int = 2
+
+
+def _random_stack(rng) -> dict:
+    """``NetworkConfig`` fields of a random stack of up to seven encoder
+    layers and a head. Each layer is mostly fitted to the map the layers
+    before it make, so that many stacks are accepted; the rest break one
+    rule or more. The draws depend on ``rng`` alone, never on the tree."""
+    from evsnn.nn.network import IF, SEW, Accumulator, AvgPool, Classifier, Conv2d, GlobalPool
+
+    def draw(*options):
+        return options[int(rng.integers(len(options)))]
+
+    def size(n, k, stride, padding):
+        return None if n is None else (n + 2 * padding - k) // stride + 1
+
+    c, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 13)), int(rng.integers(1, 13))
+    fields = {"time_steps": int(rng.integers(1, 4)), "height": h, "width": w,
+              "in_channels": c}
+    layers = []
+    for _ in range(int(rng.integers(0, 8))):
+        kind = (draw("conv", "conv", "conv", "if", "if", "if", "sew", "sew", "pool", "pool",
+                     "global") if rng.random() < 0.95 else draw("head", "other"))
+        if kind == "conv":
+            k, stride, padding = draw(1, 3, 3, 4), draw(1, 1, 2, 3), draw(0, 1, 1, 2)
+            c_in = c if rng.random() < 0.9 else c + 1
+            layers.append(Conv2d(c_in, draw(1, 2, 3, 4), k, stride, padding, draw(True, False)))
+            c, h, w = layers[-1].c_out, size(h, k, stride, padding), size(w, k, stride, padding)
+        elif kind == "if":
+            layers.append(IF(draw(1.0, 0.5, 0.25) if rng.random() < 0.97 else 0.0))
+        elif kind == "sew":
+            channels = c if rng.random() < 0.9 else c + 1
+            layers.append(SEW(channels, draw(1, 3, 3, 2), draw("add", "and", "iand")))
+        elif kind == "pool":
+            fits = [n for n in (1, 2, 3, 4) if h and w and h % n == 0 and w % n == 0]
+            window = draw(*fits) if fits and rng.random() < 0.85 else draw(2, 3, 4)
+            layers.append(AvgPool(window))
+            h, w = (None, None) if h is None else (h // window, w // window)
+        elif kind == "global":
+            layers.append(GlobalPool())
+            h = w = None
+        elif kind == "head":
+            layers.append(draw(Accumulator(c), Classifier(3)))
+        else:
+            layers.append(MaxPool())
+    if rng.random() < 0.6:
+        layers += [GlobalPool(), IF()]
+        h = w = None
+    features = c if h is None else c * h * w if h > 0 and w > 0 else 1
+    dim = features if rng.random() < 0.85 else features + 1
+    layers += ([Accumulator(dim), Classifier(3)] if rng.random() < 0.95
+               else draw([Classifier(3), Accumulator(dim)], [Accumulator(dim)]))
+    return {**fields, "layers": tuple(layers)}
+
+
+def _grammar_cases() -> dict[str, str]:
+    import numpy as np
+    from evsnn.nn.network import ConfigError, NetworkConfig, param_shapes, synaptic_layers
+    rng, out, results = np.random.default_rng(23), {}, []
+    for n in range(GRAMMAR_STACKS):
+        try:
+            config = NetworkConfig(**_random_stack(rng))
+        except ConfigError as exc:
+            results.append(str(exc))
+        else:
+            result = [config.encoder_shapes()]
+            for kind in ("spiking", "dense"):
+                try:
+                    result += [[asdict(lay) for lay in synaptic_layers(config, kind)],
+                               list(param_shapes(config, kind).items())]
+                except ConfigError as exc:  # a twin that does not compose
+                    result.append(str(exc))
+            results.append(result)
+        if len(results) == GRAMMAR_CHUNK:
+            out[f"grammar/{n + 1 - GRAMMAR_CHUNK:04d}"] = _digest(results)
+            results = []
+    return out
+
+
 def _cli_cases(tmp: Path) -> dict[str, str]:
     """The CLI flow, run in ``tmp`` with relative paths, so that what each
     command prints and writes names no directory of its own."""
@@ -411,6 +507,7 @@ def emit(tree: Path) -> dict[str, str]:
         out.update(_forward_cases(net))
         out.update(_train_case(net))
     out.update(_forward_cases("sew18", SEW18_BATCHES))
+    out.update(_grammar_cases())
     with tempfile.TemporaryDirectory() as tmp:
         out.update(_event_cases(Path(tmp)))
     with tempfile.TemporaryDirectory() as tmp:
